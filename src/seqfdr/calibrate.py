@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import StepVector
 from .errors import ConfigError, InsufficientRepsError
-from .sprt import SimpleModel, llr_increments
+from .sprt import SimpleModel, cumulative_llr, llr_increments
 
 __all__ = [
     "CalibrationReport",
@@ -124,20 +124,6 @@ def _sample_obs(model: SimpleModel, param: float, rng: np.random.Generator, shap
     )
 
 
-def _lattice_terms(model: SimpleModel) -> tuple[float, float]:
-    """(per-count, per-observation) terms of the cumulative LLR.
-
-    After ``n`` observations with count total ``x`` (successes or events)
-    the LLR is ``x * slope + n * step``: Bernoulli ``x (c1 - c0) + n c0``,
-    Poisson ``x log(l1 / l0) - n (l1 - l0)``.
-    """
-    if model.family == "poisson":
-        lam0, lam1 = model.null_param, model.alt_param
-        return math.log(lam1 / lam0), -(lam1 - lam0)
-    c1, c0 = model.log_ratios
-    return c1 - c0, c0
-
-
 def _path_maxima(
     model: SimpleModel,
     param: float,
@@ -148,14 +134,11 @@ def _path_maxima(
 ) -> np.ndarray:
     """Running-maximum of ``reps`` i.i.d. LLR paths of length ``n_bar``.
 
-    Each maximum is computed exactly from its lattice point: integer count
-    totals are exact in float64, and one affine map per (count, n) pair
-    gives equal lattice points equal floats.  A float ``cumsum`` of the
-    increments would instead split each atom of the maximum into nearby
-    values that depend on summation order.
+    Each maximum is computed exactly from its lattice point with
+    ``cumulative_llr``, the statistic the procedures run on, so the atoms
+    of the maximum are the values a path can reach.
     """
-    slope, step = _lattice_terms(model)
-    steps = step * np.arange(1, n_bar + 1)
+    trials = np.arange(1, n_bar + 1)
     out = np.empty(reps, dtype=float)
     path_chunk = max(1, chunk_elems // max(n_bar, 1))
     done = 0
@@ -164,8 +147,7 @@ def _path_maxima(
         obs = _sample_obs(model, param, rng, (m, n_bar))
         cum = obs.astype(float)
         np.cumsum(cum, axis=1, out=cum)
-        cum *= slope
-        cum += steps
+        cumulative_llr(model, cum, trials, out=cum)
         out[done : done + m] = cum.max(axis=1)
         done += m
     return out

@@ -23,6 +23,7 @@ import os
 import platform
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
@@ -33,17 +34,19 @@ import scipy
 from . import __version__
 from .calibrate import mc_truncated_critical_values
 from .core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
-from .datagen import Bernoulli, CopulaConfig, Poisson, Toeplitz, stream_sources
+from .datagen import (
+    Bernoulli,
+    CopulaConfig,
+    Poisson,
+    Toeplitz,
+    cholesky,
+    correlation_matrix,
+    cumulative_counts,
+)
 from .errors import ConfigError, DataError, NumericalError
 from .fixed_sample import find_matching_fss
 from .procedures import TrialResult, run_open_ended, run_rejective, summarize
-from .sprt import (
-    CumulativeLlrSource,
-    SimpleModel,
-    make_standardizer,
-    make_upper_standardizer,
-    stepdown_critical_values,
-)
+from .sprt import SimpleModel, cumulative_llr, stepdown_critical_values
 from .worstcase import verify_bound
 from .yellowcard import ExperimentConfig, load_drug_table, run_monitoring, thresholds
 
@@ -128,7 +131,6 @@ class SimulationConfig:
     n_bar: int | None = None
     horizon: int = 5000
     calib_reps: int = 20000
-    block: int = 64
 
     def __post_init__(self):
         if self.family not in ("bernoulli", "poisson"):
@@ -180,7 +182,6 @@ class SimulationConfig:
             n_bar=_field(raw, "n_bar", int, required=False),
             horizon=_field(raw, "horizon", int, required=False, default=5000),
             calib_reps=_field(raw, "calib_reps", int, required=False, default=20000),
-            block=_field(raw, "block", int, required=False, default=64),
         )
 
     def as_dict(self) -> dict:
@@ -198,45 +199,88 @@ def _sim_pieces(config: SimulationConfig):
     return model, pairs, truth
 
 
-def _trial_sources(config: SimulationConfig, pairs, truth, model, std, t: int):
+def _copula(config: SimulationConfig) -> CopulaConfig:
+    return CopulaConfig(j=config.j, structure=Toeplitz(config.rho))
+
+
+def _trial_paths(config: SimulationConfig, pairs, truth, model, t: int, tally=None,
+                 factor=None):
+    """Trial ``t``'s raw LLR matrix as row blocks, drawn as the procedure reads.
+
+    Open-ended trials may draw up to ``horizon`` steps, rejective ones up to
+    ``n_bar``.  ``tally`` (a Counter) accumulates the rows and blocks drawn;
+    ``factor`` is the copula's Cholesky factor, if already computed.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(t,))
     )
-    obs = stream_sources(
-        CopulaConfig(j=config.j, structure=Toeplitz(config.rho)),
+    blocks = cumulative_counts(
+        _copula(config),
         pairs,
         truth,
-        horizon=config.horizon,
+        horizon=config.horizon if config.mode == "open" else config.n_bar,
         rng=rng,
-        block=config.block,
+        factor=factor,
     )
-    return [CumulativeLlrSource(o, model, std) for o in obs]
+    for x, w in blocks:
+        if tally is not None:
+            tally["matrix_rows"] += len(x)
+            tally["path_blocks"] += 1
+        yield cumulative_llr(model, x, w)
 
 
 def _trials_for_range(
     config: SimulationConfig, b_raw, start: int, stop: int
-) -> list[TrialResult]:
-    """Run trials [start, stop); per-trial seeds make chunking irrelevant."""
+) -> tuple[list[TrialResult], Counter]:
+    """Run trials [start, stop); per-trial seeds make chunking irrelevant.
+
+    Every stream shares one model, so the procedures compare raw LLRs with
+    the raw boundaries.  Returns the trials and the engine's counters.
+    """
     model, pairs, truth = _sim_pieces(config)
     if config.mode == "open":
         alpha = scale_for_fdr(bh_steps(config.q1, config.j), config.q1)
         beta = scale_for_fdr(bh_steps(config.q2, config.j), config.q2)
-        std = make_standardizer(stepdown_critical_values(alpha, beta))
-        runner = lambda srcs: run_open_ended(srcs, std.a, std.b, block=config.block)
+        crit = stepdown_critical_values(alpha, beta)
+        runner = lambda paths: run_open_ended(paths, crit.a, crit.b)
     else:
-        std = make_upper_standardizer(np.asarray(b_raw, dtype=float))
-        runner = lambda srcs: run_rejective(srcs, std.b, config.n_bar, block=config.block)
+        runner = lambda paths: run_rejective(paths, b_raw, config.n_bar)
+    factor = cholesky(correlation_matrix(_copula(config)))
+    tally = Counter()
     out = []
     for t in range(start, stop):
-        out.append(runner(_trial_sources(config, pairs, truth, model, std, t)))
-    return out
+        result = runner(_trial_paths(config, pairs, truth, model, t, tally, factor))
+        tally["stages"] += len({d.step for d in result.decisions})
+        tally["decision_steps"] += result.total_samples
+        out.append(result)
+    return out, tally
 
 
-def run_simulation(config: SimulationConfig, workers: int = 1):
+def _run_trials(config: SimulationConfig, b_raw, workers: int):
+    """All trials in index order plus summed counters, over ``workers`` processes."""
+    if workers <= 1:
+        return _trials_for_range(config, b_raw, 0, config.reps)
+    bounds = np.linspace(0, config.reps, workers + 1).astype(int)
+    chunks = [(s, e) for s, e in zip(bounds[:-1], bounds[1:]) if e > s]
+    trials, tally = [], Counter()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_trials_for_range, config, b_raw, s, e) for s, e in chunks]
+        for fut in futures:
+            part, counts = fut.result()
+            trials += part
+            tally += counts
+    return trials, tally
+
+
+def run_simulation(config: SimulationConfig, workers: int = 1, counters: dict | None = None):
     """Run the configured batch; returns (MetricsSummary, calibration_b | None).
 
     Trials are independently seeded by index, so the result is identical
-    for any ``workers`` value; chunks merge in index order.
+    for any ``workers`` value; chunks merge in index order.  ``counters``,
+    when given, is updated with the engine's work counts: trials, stages
+    per trial, statistic-matrix rows drawn, decision steps (summed over
+    streams; at most rows times J) and path extensions (blocks drawn after
+    each trial's first).
     """
     b_raw = None
     if config.mode == "rejective":
@@ -246,16 +290,15 @@ def run_simulation(config: SimulationConfig, workers: int = 1):
             model, alpha, config.n_bar, config.calib_reps, config.seed
         )
         b_raw = report.b
-    if workers <= 1:
-        trials = _trials_for_range(config, b_raw, 0, config.reps)
-    else:
-        bounds = np.linspace(0, config.reps, workers + 1).astype(int)
-        chunks = [(s, e) for s, e in zip(bounds[:-1], bounds[1:]) if e > s]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_trials_for_range, config, b_raw, s, e) for s, e in chunks
-            ]
-            trials = [t for fut in futures for t in fut.result()]
+    trials, tally = _run_trials(config, b_raw, workers)
+    if counters is not None:
+        counters.update(
+            trials=len(trials),
+            stages_per_trial=tally["stages"] / len(trials),
+            matrix_rows=tally["matrix_rows"],
+            decision_steps=tally["decision_steps"],
+            path_extensions=tally["path_blocks"] - len(trials),
+        )
     _, _, truth = _sim_pieces(config)
     return summarize(trials, truth), b_raw
 
@@ -355,7 +398,8 @@ def cmd_simulate(args) -> int:
     config = SimulationConfig.from_dict(raw, _resolve_seed(raw, args))
     digest = _digest(config.as_dict())
     t0 = time.perf_counter()
-    summary, b_raw = run_simulation(config, workers=args.workers)
+    counters: dict = {}
+    summary, b_raw = run_simulation(config, workers=args.workers, counters=counters)
     elapsed = time.perf_counter() - t0
 
     out = _out_dir(args)
@@ -366,7 +410,7 @@ def cmd_simulate(args) -> int:
         payload["calibration_b"] = [float(v) for v in b_raw]
     _write_json(out / "simulate_report.json", payload)
     _emit(out, RunManifest("simulate", digest, config.seed, _versions(),
-                           {"total_s": elapsed}))
+                           {"total_s": elapsed, **counters}))
     print(
         f"simulate: {config.family} j={config.j} m0={config.m0} mode={config.mode} "
         f"reps={config.reps} -> fdr={summary.fdr:.4f} fnr={summary.fnr:.4f} "

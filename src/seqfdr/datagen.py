@@ -4,14 +4,16 @@ Each time step draws one latent normal vector per uniform row, correlates
 it with the Cholesky factor of the target correlation matrix, maps it to
 uniforms with the normal CDF, and inverts each coordinate through its
 stream's marginal distribution.  Marginals are exact; only the dependence
-is shaped by the latent correlation.
+is shaped by the latent correlation.  A trial's streams come out as
+cumulative integer count totals, one row per step, generated in blocks
+on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -29,7 +31,7 @@ __all__ = [
     "cholesky",
     "copula_uniforms",
     "invert_marginal",
-    "stream_sources",
+    "cumulative_counts",
     "dump_fixture",
     "load_fixture",
 ]
@@ -251,93 +253,32 @@ def _poisson_table(lam: float) -> _PoissonCdfTable:
     return table
 
 
-class _CopulaBundle:
-    """Lazily generates whole cross-stream observation rows in step blocks.
-
-    All streams of one trial share a bundle so that cross-stream dependence
-    and seed-determinism are independent of how consumers chunk their reads.
-    """
-
-    def __init__(self, factor, marginals, horizon, rng, block):
-        self._factor = factor
-        self._marginals = marginals
-        self._horizon = horizon
-        self._rng = rng
-        self._block = block
-        self._pair = isinstance(marginals[0], ReportPair)
-        self._cols: list[list[np.ndarray]] = [[] for _ in marginals]
-        self._materialized: list[np.ndarray | None] = [None] * len(marginals)
-        self._generated = 0
-
-    def ensure(self, n: int) -> None:
-        while self._generated < min(n, self._horizon):
-            count = min(self._block, self._horizon - self._generated)
-            self._generate(count)
-
-    def _generate(self, count: int) -> None:
-        j = len(self._marginals)
-        rows = 2 if self._pair else 1
-        z = self._rng.standard_normal((count, rows, j))
-        u = ndtr(z.reshape(count * rows, j) @ self._factor.T).reshape(count, rows, j)
-        for jj, spec in enumerate(self._marginals):
-            if isinstance(spec, Bernoulli):
-                obs = (u[:, 0, jj] <= spec.p).astype(np.int64)
-            elif isinstance(spec, Poisson):
-                obs = _poisson_table(spec.lam).invert(u[:, 0, jj]).astype(np.int64)
-            else:
-                amn = _poisson_table(spec.lam_amnesia).invert(u[:, 0, jj])
-                oth = _poisson_table(spec.lam_other).invert(u[:, 1, jj])
-                obs = np.stack([amn, amn + oth], axis=1).astype(np.int64)
-            self._cols[jj].append(obs)
-            self._materialized[jj] = None
-        self._generated += count
-
-    def column(self, j: int) -> np.ndarray:
-        cached = self._materialized[j]
-        if cached is None or len(cached) < self._generated:
-            cached = np.concatenate(self._cols[j]) if self._cols[j] else np.empty(0, np.int64)
-            self._cols[j] = [cached]
-            self._materialized[j] = cached
-        return cached
+# steps in a trial's first block of counts; each later block doubles the total
+FIRST_ROWS = 64
 
 
-class _BundleStream:
-    """One stream's view of a shared bundle; forward contiguous reads only."""
-
-    def __init__(self, bundle: _CopulaBundle, j: int):
-        self._bundle = bundle
-        self._j = j
-        self._next = 1
-
-    def take(self, n_from: int, n_to: int) -> np.ndarray:
-        if n_from != self._next:
-            raise ValueError(
-                f"non-contiguous request: expected start {self._next}, got {n_from}"
-            )
-        if n_to < n_from:
-            raise ValueError("empty request")
-        self._bundle.ensure(n_to)
-        col = self._bundle.column(self._j)
-        out = col[n_from - 1 : n_to]
-        self._next = n_from + len(out)
-        return out
-
-
-def stream_sources(
+def cumulative_counts(
     config: CopulaConfig,
     marginals: Sequence,
     truth: Sequence[bool] | None = None,
     *,
     horizon: int,
     rng: np.random.Generator | None = None,
-    block: int = 64,
-) -> list[_BundleStream]:
-    """J observation streams driven by one shared copula draw per time step.
+    factor: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One trial's J streams as cumulative count totals, drawn on demand.
 
     ``marginals`` holds one MarginalSpec per stream, or (null, alt) pairs
-    with ``truth[j]`` True selecting the null member.  ReportPair streams
-    emit (successes, trials) rows; scalar streams emit count vectors.
-    Sources return short blocks once ``horizon`` steps are exhausted.
+    with ``truth[j]`` True selecting the null member.  The iterator yields
+    ``(x, w)`` int64 blocks of consecutive steps: ``x[i, j]`` is stream j's
+    success or event total through that step and ``w`` the matching trial
+    total, the step index itself (one column for all streams) for scalar
+    marginals and the cumulative report total for ReportPair streams.  The
+    first block has ``FIRST_ROWS`` steps, each later one as many as all
+    before it, and the blocks stop at ``horizon`` steps.  Every step draws
+    its latent normals in the same order whatever the block, so the counts
+    do not depend on how the steps are blocked.  ``factor`` may carry a
+    precomputed Cholesky factor.
     """
     if truth is not None:
         if len(truth) != len(marginals):
@@ -348,16 +289,53 @@ def stream_sources(
         raise ValueError(f"expected {config.j} marginals, got {len(marginals)}")
     pair_flags = {isinstance(m, ReportPair) for m in marginals}
     if len(pair_flags) > 1:
-        raise ValueError("cannot mix ReportPair and scalar marginals in one bundle")
+        raise ValueError("cannot mix ReportPair and scalar marginals in one trial")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if rng is None:
         if config.seed is None:
             raise ValueError("either rng or config.seed must be provided")
         rng = np.random.default_rng(config.seed)
-    factor = cholesky(correlation_matrix(config))
-    bundle = _CopulaBundle(factor, marginals, horizon, rng, block)
-    return [_BundleStream(bundle, j) for j in range(config.j)]
+    if factor is None:
+        factor = cholesky(correlation_matrix(config))
+    groups: dict = {}
+    for jj, spec in enumerate(marginals):
+        groups.setdefault(spec, []).append(jj)
+    return _count_blocks(factor, [(spec, np.array(cols)) for spec, cols in groups.items()],
+                         pair_flags == {True}, horizon, rng)
+
+
+def _count_blocks(factor, groups, pair, horizon, rng):
+    j = factor.shape[0]
+    rows = 2 if pair else 1
+    x_total = np.zeros(j, np.int64)
+    w_total = np.zeros(j, np.int64)
+    done = 0
+    while done < horizon:
+        count = min(max(done, FIRST_ROWS), horizon - done)
+        z = rng.standard_normal((count, rows, j))
+        u = ndtr(z.reshape(count * rows, j) @ factor.T).reshape(count, rows, j)
+        x = np.empty((count, j), np.int64)
+        w = np.empty((count, j), np.int64) if pair else None
+        for spec, cols in groups:
+            if isinstance(spec, Bernoulli):
+                x[:, cols] = u[:, 0, cols] <= spec.p
+            elif isinstance(spec, Poisson):
+                x[:, cols] = _poisson_table(spec.lam).invert(u[:, 0, cols])
+            else:
+                x[:, cols] = _poisson_table(spec.lam_amnesia).invert(u[:, 0, cols])
+                w[:, cols] = x[:, cols] + _poisson_table(spec.lam_other).invert(u[:, 1, cols])
+        np.cumsum(x, axis=0, out=x)
+        x += x_total
+        x_total = x[-1].copy()
+        if pair:
+            np.cumsum(w, axis=0, out=w)
+            w += w_total
+            w_total = w[-1].copy()
+        else:
+            w = np.arange(done + 1, done + count + 1, dtype=np.int64)[:, None]
+        done += count
+        yield x, w
 
 
 def dump_fixture(path, paths_by_trial: Sequence[Sequence[np.ndarray]]) -> None:

@@ -34,9 +34,12 @@ __all__ = [
 class FssSearchResult:
     """Outcome of the matching fixed-sample size search.
 
-    ``found`` is False when no N up to the search ceiling pushed the
-    estimated FNR down to the target; ``n_fss`` then holds the ceiling and
-    the achieved rates describe that boundary candidate.  ``reps`` is the
+    ``found`` is False in two cases.  When no N up to the search ceiling
+    pushed the estimated FNR down to the target, ``n_fss`` holds the
+    ceiling and the achieved rates describe that boundary candidate.  Below
+    the ceiling, ``n_fss`` is the size the bisection chose, and ``found``
+    is False when the confirmation run's FNR exceeds the target by more
+    than 1.5 of its standard errors (``fnr_se``).  ``reps`` is the
     per-candidate replicate count; the reported rates come from a
     confirmation run at four times that.
     """

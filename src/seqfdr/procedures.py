@@ -1,26 +1,28 @@
-"""Sequential step-down procedures over standardized statistic streams.
+"""Sequential step-down procedures over a matrix of stream statistics.
 
-All streams are sampled in lockstep.  A stage ends as soon as some active
-stream's statistic leaves the current continuation interval; the stage then
-rejects a maximal top block and/or accepts a maximal bottom block of the
-ordered active statistics against boundary levels offset by the decisions
-already made.  The open-ended variant runs until every stream is decided;
-the rejective variant only rejects, accepting whatever remains at a fixed
-truncation horizon.
+All streams are sampled in lockstep, so a trial is one (n, J) statistic
+matrix whose row n - 1 holds every stream's statistic after step n.  A
+stage ends at the first row where some active stream's statistic leaves
+the current continuation interval; the stage then rejects a maximal top
+block and/or accepts a maximal bottom block of the ordered active
+statistics against boundary levels offset by the decisions already made.
+The open-ended variant runs until every stream is decided; the rejective
+variant only rejects, accepting whatever remains at a fixed truncation
+horizon.  The matrix may arrive whole or as an iterator of row blocks
+that is read only as far as the stages need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from collections.abc import Iterator
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataUnderrunError, StageGuardError
 
 __all__ = [
-    "StreamSource",
-    "ReplaySource",
     "Decision",
     "TrialResult",
     "MetricsSummary",
@@ -29,24 +31,6 @@ __all__ = [
     "summarize",
     "decision_rows",
 ]
-
-
-class StreamSource(Protocol):
-    """Forward-only block reader of one stream's statistic values."""
-
-    def take(self, n_from: int, n_to: int) -> np.ndarray:
-        """Values at steps n_from..n_to (1-based); may be short if exhausted."""
-        ...
-
-
-class ReplaySource:
-    """StreamSource over a fixed array, for fixtures and tests."""
-
-    def __init__(self, values):
-        self._values = np.asarray(values, dtype=float)
-
-    def take(self, n_from: int, n_to: int) -> np.ndarray:
-        return self._values[n_from - 1 : n_to]
 
 
 @dataclass(frozen=True)
@@ -208,69 +192,6 @@ def decision_rows(trial_id: int, result: TrialResult) -> list[dict]:
     ]
 
 
-class _Buffers:
-    """Per-stream growing caches over forward-only sources."""
-
-    def __init__(self, sources):
-        self.sources = list(sources)
-        self.data = [np.empty(0) for _ in self.sources]
-        self.exhausted = [False] * len(self.sources)
-
-    def extend_to(self, j: int, target: int) -> int:
-        buf = self.data[j]
-        if self.exhausted[j] or len(buf) >= target:
-            return len(buf)
-        got = self.sources[j].take(len(buf) + 1, target)
-        if len(got):
-            buf = np.concatenate([buf, np.asarray(got, dtype=float)])
-            self.data[j] = buf
-        if len(buf) < target:
-            self.exhausted[j] = True
-        return len(buf)
-
-    def value_at(self, j: int, n: int) -> float:
-        return float(self.data[j][n - 1])
-
-
-def _scan_for_exit(bufs, active, n_from, lo, hi, block, state_fn, limit_step=None):
-    """First step > n_from where some active value leaves (lo, hi).
-
-    ``lo`` may be None (upper crossings only).  Returns None when
-    ``limit_step`` is reached without a crossing; raises on stream
-    exhaustion before a crossing or the limit.
-    """
-    scan = n_from
-    while limit_step is None or scan < limit_step:
-        target = scan + block
-        if limit_step is not None:
-            target = min(target, limit_step)
-        limit = target
-        for j in active:
-            limit = min(limit, bufs.extend_to(j, target))
-        if limit <= scan:
-            dead = [j for j in active if bufs.exhausted[j]]
-            raise DataUnderrunError(
-                f"streams {dead} exhausted at step {scan} before any decision boundary "
-                "was crossed",
-                state=state_fn(),
-            )
-        cross = None
-        for j in active:
-            seg = bufs.data[j][scan:limit]
-            m = seg >= hi if lo is None else (seg <= lo) | (seg >= hi)
-            cross = m if cross is None else cross | m
-        if cross.any():
-            return scan + int(np.argmax(cross)) + 1
-        scan = limit
-    return None
-
-
-def _order_active(bufs, active, n):
-    vals = np.array([bufs.value_at(j, n) for j in active])
-    order = np.lexsort((active, vals))
-    return vals[order], [active[i] for i in order]
-
-
 def _max_top_block(sorted_vals, b, r):
     """Largest t such that the top-t ordered statistics clear their offset levels."""
     sz = len(sorted_vals)
@@ -294,144 +215,134 @@ def _max_bottom_block(sorted_vals, a, c):
     return t
 
 
-def run_open_ended(
-    sources: Sequence[StreamSource],
-    a: np.ndarray,
-    b: np.ndarray,
-    max_stages_guard: int | None = None,
-    block: int = 64,
-) -> TrialResult:
-    """Run the open-ended step-down procedure until every stream is decided.
+def _step_down(paths, a, b, n_bar, guard) -> TrialResult:
+    """Stage loop shared by both variants.
 
-    ``a``/``b`` are the standardized acceptance/rejection boundary vectors
-    indexed by cumulative level (a nondecreasing, b nonincreasing,
-    a[-1] < b[-1]).  A stream rejected as the position-``pos`` ordered
-    statistic of a stage with ``size`` active streams and ``r`` prior
-    rejections gets cumulative level ``r + size - pos + 1``; an accepted one
-    at bottom position ``pos`` with ``c`` prior acceptances gets ``c + pos``.
+    ``a`` None means rejections only; ``n_bar`` None means no horizon, so
+    the run ends only when every stream is decided or the paths run out.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    j = len(sources)
-    if a.shape != (j,) or b.shape != (j,):
-        raise ValueError("boundary vectors must have one entry per stream")
-    if np.any(np.diff(a) < 0.0) or np.any(np.diff(b) > 0.0):
-        raise ValueError("a must be nondecreasing and b nonincreasing")
-    if a[-1] > b[-1]:
-        raise ValueError("boundaries cross: a[-1] > b[-1]")
-    guard = j if max_stages_guard is None else int(max_stages_guard)
-
-    bufs = _Buffers(sources)
+    j = len(b)
+    if isinstance(paths, Iterator):
+        blocks, mat = paths, np.empty((0, j))
+    else:
+        blocks, mat = iter(()), np.asarray(paths, dtype=float)
+        if mat.ndim != 2 or mat.shape[1] != j:
+            raise ValueError("paths must be an (n, J) matrix with one column per boundary level")
+    a = None if a is None else a.tolist()
+    b = b.tolist()
     decisions: list[Decision | None] = [None] * j
-    active = list(range(j))
-    r = c = 0
-    n = 0
-    stage = 0
+    active = np.arange(j)
+    r = c = n = stage = 0
 
     def state():
         return {
             "stage": stage,
             "step": n,
-            "rejections": r,
-            "acceptances": c,
-            "active": list(active),
+            "r": r,
+            "c": c,
+            "active": active.tolist(),
             "decisions": [d for d in decisions if d is not None],
         }
 
-    while active:
+    while active.size:
         stage += 1
         if stage > guard:
-            raise StageGuardError(
-                f"stage count exceeded guard ({guard})", state=state()
-            )
-        n = _scan_for_exit(bufs, active, n, a[c], b[r], block, state)
-        sorted_vals, order = _order_active(bufs, active, n)
-        sz = len(order)
-        t_rej = _max_top_block(sorted_vals, b, r) if sorted_vals[-1] >= b[r] else 0
-        t_acc = _max_bottom_block(sorted_vals, a, c) if sorted_vals[0] <= a[c] else 0
+            raise StageGuardError(f"stage count exceeded guard ({guard})", state=state())
+        lo, hi = (None if a is None else a[c]), b[r]
+        scan, hit = n, None
+        while hit is None and scan != n_bar:
+            stop = mat.shape[0] if n_bar is None else min(mat.shape[0], n_bar)
+            if stop > scan:
+                seg = mat[scan:stop, active]
+                out = seg >= hi if lo is None else (seg <= lo) | (seg >= hi)
+                rows = out.any(axis=1)
+                if rows.any():
+                    hit = scan + int(rows.argmax()) + 1
+                scan = stop
+            elif (block := next(blocks, None)) is not None:
+                mat = np.concatenate([mat, block])
+            else:
+                raise DataUnderrunError(
+                    f"streams {active.tolist()} exhausted at step {scan} before any "
+                    "decision boundary was crossed",
+                    state=state(),
+                )
+        n = n_bar if hit is None else hit
+        vals = mat[n - 1, active]
+        order = np.lexsort((active, vals))
+        ranked = active[order]
+        sorted_vals, ids = vals[order].tolist(), ranked.tolist()
+        if hit is None:
+            # horizon reached: accept the rest, ranked by final statistic
+            for pos, jj in enumerate(ids, start=1):
+                decisions[jj] = Decision(stream=jj, action="accept", step=n, level=pos,
+                                         truncated=True)
+            break
+        sz = len(ids)
+        t_rej = _max_top_block(sorted_vals, b, r) if sorted_vals[-1] >= hi else 0
+        t_acc = 0 if lo is None or sorted_vals[0] > lo else _max_bottom_block(sorted_vals, a, c)
         # only reachable when a[-1] == b[-1] and a statistic sits exactly there
         t_acc = min(t_acc, sz - t_rej)
         for pos in range(sz - t_rej + 1, sz + 1):
-            decisions[order[pos - 1]] = Decision(
-                stream=order[pos - 1],
-                action="reject",
-                step=n,
-                level=r + sz - pos + 1,
+            decisions[ids[pos - 1]] = Decision(
+                stream=ids[pos - 1], action="reject", step=n, level=r + sz - pos + 1
             )
         for pos in range(1, t_acc + 1):
-            decisions[order[pos - 1]] = Decision(
-                stream=order[pos - 1], action="accept", step=n, level=c + pos
+            decisions[ids[pos - 1]] = Decision(
+                stream=ids[pos - 1], action="accept", step=n, level=c + pos
             )
         r += t_rej
         c += t_acc
-        active = [jj for jj in active if decisions[jj] is None]
+        active = np.sort(ranked[t_acc : sz - t_rej])
     return TrialResult(decisions=tuple(decisions))
 
 
-def run_rejective(
-    sources: Sequence[StreamSource],
+def run_open_ended(
+    paths,
+    a: np.ndarray,
     b: np.ndarray,
-    n_bar: int,
-    block: int = 64,
+    max_stages_guard: int | None = None,
 ) -> TrialResult:
+    """Run the open-ended step-down procedure until every stream is decided.
+
+    ``paths`` is the (n, J) statistic matrix, row n - 1 holding step n, or
+    an iterator of its consecutive row blocks; running out of rows before
+    every stream is decided raises DataUnderrunError.  ``a``/``b`` are the
+    acceptance/rejection boundary vectors indexed by cumulative level (a
+    nondecreasing, b nonincreasing, a[-1] <= b[-1]), in the statistic's
+    units.  A stream rejected as the position-``pos`` ordered statistic of
+    a stage with ``size`` active streams and ``r`` prior rejections gets
+    cumulative level ``r + size - pos + 1``; an accepted one at bottom
+    position ``pos`` with ``c`` prior acceptances gets ``c + pos``.  Ties
+    order by stream index.  Errors carry the procedure state (stage, step,
+    r, c, active streams and decisions so far) in ``state``.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("boundary vectors must have one entry per stream")
+    if np.any(np.diff(a) < 0.0) or np.any(np.diff(b) > 0.0):
+        raise ValueError("a must be nondecreasing and b nonincreasing")
+    if a[-1] > b[-1]:
+        raise ValueError("boundaries cross: a[-1] > b[-1]")
+    guard = a.size if max_stages_guard is None else int(max_stages_guard)
+    return _step_down(paths, a, b, None, guard)
+
+
+def run_rejective(paths, b: np.ndarray, n_bar: int) -> TrialResult:
     """Run the rejective (truncated) step-down procedure up to ``n_bar`` steps.
 
-    Stages only reject; if the horizon arrives, every still-active stream is
-    accepted there with ``truncated=True`` and levels by ascending order of
-    the final statistics.  ``n_bar = 1`` reduces to a one-shot step-down test.
+    ``paths`` is as for ``run_open_ended`` and is read no further than
+    ``n_bar`` rows.  Stages only reject; if the horizon arrives, every
+    still-active stream is accepted there with ``truncated=True`` and
+    levels by ascending order of the final statistics.  ``n_bar = 1``
+    reduces to a one-shot step-down test.
     """
     b = np.asarray(b, dtype=float)
-    j = len(sources)
-    if b.shape != (j,):
+    if b.ndim != 1 or b.size < 1:
         raise ValueError("boundary vector must have one entry per stream")
     if np.any(np.diff(b) > 0.0):
         raise ValueError("b must be nonincreasing")
     if n_bar < 1:
         raise ValueError("n_bar must be at least 1")
-
-    bufs = _Buffers(sources)
-    decisions: list[Decision | None] = [None] * j
-    active = list(range(j))
-    r = 0
-    n = 0
-
-    def state():
-        return {
-            "step": n,
-            "rejections": r,
-            "active": list(active),
-            "decisions": [d for d in decisions if d is not None],
-        }
-
-    def accept_remaining_at_horizon():
-        sorted_vals, order = _order_active(bufs, active, n_bar)
-        for pos, jj in enumerate(order, start=1):
-            decisions[jj] = Decision(
-                stream=jj, action="accept", step=n_bar, level=pos, truncated=True
-            )
-
-    while active:
-        hit = _scan_for_exit(
-            bufs, active, n, None, b[r], block, state, limit_step=n_bar
-        )
-        if hit is None:
-            n = n_bar
-            accept_remaining_at_horizon()
-            break
-        n = hit
-        sorted_vals, order = _order_active(bufs, active, n)
-        sz = len(order)
-        t_rej = _max_top_block(sorted_vals, b, r)
-        for pos in range(sz - t_rej + 1, sz + 1):
-            decisions[order[pos - 1]] = Decision(
-                stream=order[pos - 1],
-                action="reject",
-                step=n,
-                level=r + sz - pos + 1,
-            )
-        r += t_rej
-        active = [jj for jj in active if decisions[jj] is None]
-        if active and n == n_bar:
-            accept_remaining_at_horizon()
-            break
-    return TrialResult(decisions=tuple(decisions))
+    return _step_down(paths, None, b, n_bar, b.size)

@@ -4,9 +4,13 @@ One-parameter simple-vs-simple models supply i.i.d. log-likelihood-ratio
 increments.  A step-down battery of J tests needs J acceptance boundaries
 ``A_1 <= ... <= A_J`` and J rejection boundaries ``B_J <= ... <= B_1``;
 surrogate error levels keep the per-level error contracts intact while
-making the boundary matrix monotone.  A piecewise-linear standardizer then
-maps every stream's raw boundaries onto one shared grid so streams with
-different models can be compared on equal footing.
+making the boundary matrix monotone.  The cumulative LLR of a whole path is
+an affine map of integer count totals, so equal lattice points give equal
+floats.  A piecewise-linear standardizer maps every stream's raw
+boundaries onto one shared grid so streams with different models can be
+compared on equal footing; streams that share one model compare raw
+statistics directly, since a common strictly increasing map changes no
+ordering and no crossing.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ __all__ = [
     "stepdown_critical_values",
     "llr_increment",
     "llr_increments",
+    "lattice_terms",
+    "cumulative_llr",
     "make_standardizer",
     "make_upper_standardizer",
-    "CumulativeLlrSource",
 ]
 
 # mean overshoot correction for Brownian-scale random walks
@@ -117,6 +122,36 @@ def llr_increments(model: SimpleModel, obs: np.ndarray) -> np.ndarray:
     c1, c0 = model.log_ratios
     k = obs[:, 0]
     return k * c1 + (obs[:, 1] - k) * c0
+
+
+def lattice_terms(model: SimpleModel) -> tuple[float, float]:
+    """(per-count, per-trial) terms of the cumulative LLR.
+
+    After ``w`` trials (Bernoulli and Poisson: observations) with count
+    total ``x`` (successes or events) the LLR is ``x * slope + w * step``:
+    Bernoulli and conditional binomial ``x (c1 - c0) + w c0``, Poisson
+    ``x log(l1 / l0) - w (l1 - l0)``.
+    """
+    if model.family == "poisson":
+        lam0, lam1 = model.null_param, model.alt_param
+        return math.log(lam1 / lam0), -(lam1 - lam0)
+    c1, c0 = model.log_ratios
+    return c1 - c0, c0
+
+
+def cumulative_llr(model: SimpleModel, x, w, out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative LLR ``x * slope + w * step`` at integer count totals.
+
+    ``x`` and ``w`` broadcast against each other; ``out`` may be a float
+    array holding ``x`` itself, updated in place.  Integer totals are exact
+    in float64, so the value depends only on the lattice point: a float
+    ``cumsum`` of increments would split equal points into nearby values
+    that depend on summation order.
+    """
+    slope, step = lattice_terms(model)
+    out = np.multiply(x, slope, out=out)
+    out += np.multiply(w, step)
+    return out
 
 
 def wald_bounds(alpha: float, beta: float, rho: float = SIEGMUND_RHO) -> tuple[float, float]:
@@ -330,40 +365,6 @@ def _dedupe_knots(raw: np.ndarray, std: np.ndarray) -> tuple[np.ndarray, np.ndar
     raw_k.setflags(write=False)
     std_k.setflags(write=False)
     return raw_k, std_k
-
-
-class CumulativeLlrSource:
-    """Adapts an observation source into a standardized cumulative-LLR stream.
-
-    ``take(n_from, n_to)`` returns the standardized statistic at steps
-    n_from..n_to (1-based, contiguous with previous calls); the block may be
-    short when the underlying observation source is exhausted.
-    """
-
-    def __init__(self, obs_source, model: SimpleModel, standardizer: Standardizer | None = None):
-        self._obs = obs_source
-        self._model = model
-        self._std = standardizer
-        self._carry = 0.0
-        self._next = 1
-
-    def take(self, n_from: int, n_to: int) -> np.ndarray:
-        if n_from != self._next:
-            raise ValueError(
-                f"non-contiguous request: expected start {self._next}, got {n_from}"
-            )
-        if n_to < n_from:
-            raise ValueError("empty request")
-        obs = self._obs.take(n_from, n_to)
-        count = len(obs)
-        if count == 0:
-            return np.empty(0)
-        path = self._carry + np.cumsum(llr_increments(self._model, obs))
-        self._carry = float(path[-1])
-        self._next = n_from + count
-        if self._std is not None:
-            path = self._std.apply(path)
-        return path
 
 
 def _check_count(value, label: str) -> int:

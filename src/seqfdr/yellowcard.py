@@ -20,15 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import bh_steps, scale_for_fdr
-from .datagen import BlockClusters, CopulaConfig, ReportPair, stream_sources
+from .datagen import BlockClusters, CopulaConfig, ReportPair, cumulative_counts
 from .errors import ConfigError, DrugTableError
 from .procedures import run_open_ended
-from .sprt import (
-    CumulativeLlrSource,
-    SimpleModel,
-    make_standardizer,
-    stepdown_critical_values,
-)
+from .sprt import SimpleModel, cumulative_llr, stepdown_critical_values
 
 logger = logging.getLogger(__name__)
 
@@ -251,19 +246,18 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000) -> Monitori
     alpha = scale_for_fdr(bh_steps(config.q1, j), config.q1)
     beta = scale_for_fdr(bh_steps(config.q2, j), config.q2)
     crit = stepdown_critical_values(alpha, beta)
-    std = make_standardizer(crit)
     model = SimpleModel("conditional_binomial", config.p_h, config.p_g)
 
     marginals = [ReportPair(*derive_rates(r)) for r in top]
-    raw = stream_sources(
+    blocks = cumulative_counts(
         CopulaConfig(j=j, structure=structure),
         marginals,
         horizon=horizon,
         rng=np.random.default_rng(stream_seq),
-        block=16,
     )
-    sources = [CumulativeLlrSource(s, model, std) for s in raw]
-    result = run_open_ended(sources, std.a, std.b)
+    # one model for every drug: raw LLRs against the raw boundaries
+    paths = (cumulative_llr(model, x, w) for x, w in blocks)
+    result = run_open_ended(paths, crit.a, crit.b)
 
     rows = tuple(
         sorted(

@@ -35,12 +35,12 @@ from scipy import stats
 from scipy.special import ndtri
 
 from seqfdr.calibrate import estimate_gamma, mc_truncated_critical_values
-from seqfdr.cli import SimulationConfig, _sim_pieces, _trial_sources, run_simulation
+from seqfdr.cli import SimulationConfig, _sim_pieces, _trial_paths, run_simulation
 from seqfdr.core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
-from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, Toeplitz, copula_uniforms, stream_sources
+from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, Toeplitz, copula_uniforms, cumulative_counts
 from seqfdr.fixed_sample import find_matching_fss
-from seqfdr.procedures import Decision, ReplaySource, run_open_ended, run_rejective, summarize
-from seqfdr.sprt import SimpleModel, make_standardizer, stepdown_critical_values
+from seqfdr.procedures import Decision, run_open_ended, run_rejective, summarize
+from seqfdr.sprt import SimpleModel, stepdown_critical_values
 from seqfdr.worstcase import verify_bound
 from seqfdr.yellowcard import ExperimentConfig, DrugRecord, load_drug_table, run_monitoring, thresholds
 
@@ -276,10 +276,8 @@ def _pfdr_cell(family, null, alt):
                            m0=5, rho=-0.6, q1=Q1, q2=Q2, mode="open",
                            reps=REPS, seed=SEED)
     m, pairs, truth = _sim_pieces(cfg)
-    std = make_standardizer(crit)
     trials = [
-        run_open_ended(_trial_sources(cfg, pairs, truth, m, std, t),
-                       std.a, std.b, block=cfg.block)
+        run_open_ended(_trial_paths(cfg, pairs, truth, m, t), crit.a, crit.b)
         for t in range(cfg.reps)
     ]
     return gamma, summarize(trials, truth)
@@ -300,7 +298,7 @@ def test_08_pfdr_control(record):
 
 def test_09_procedure_hand_traces(record):
     split = run_open_ended(
-        [ReplaySource([0.5, 2.5]), ReplaySource([-0.3, -2.5])],
+        np.array([[0.5, -0.3], [2.5, -2.5]]),
         a=np.array([-2.0, -1.0]), b=np.array([2.0, 1.0]),
     )
     by = {d.stream: d for d in split.decisions}
@@ -308,7 +306,7 @@ def test_09_procedure_hand_traces(record):
           and by[1] == Decision(stream=1, action="accept", step=2, level=1))
 
     trunc = run_rejective(
-        [ReplaySource([0.5, 1.2, 1.5]), ReplaySource([0.1, 0.4, 0.6])],
+        np.array([[0.5, 0.1], [1.2, 0.4], [1.5, 0.6]]),
         b=np.array([2.0, 1.0]), n_bar=3,
     )
     by = {d.stream: d for d in trunc.decisions}
@@ -317,7 +315,7 @@ def test_09_procedure_hand_traces(record):
     ok = ok and by[1].level == 1 and by[0].level == 2
 
     stages = run_rejective(
-        [ReplaySource([2.5]), ReplaySource([0.1, 1.3])],
+        np.array([[2.5, 0.1], [np.nan, 1.3]]),
         b=np.array([2.0, 1.0]), n_bar=5,
     )
     by = {d.stream: d for d in stages.decisions}
@@ -343,9 +341,9 @@ def test_10_copula_statistics(record):
     cfg = CopulaConfig(j=2, structure=Toeplitz(-0.6))
     n = 100_000
     for family, marg in (("bernoulli", Bernoulli(0.05)), ("poisson", Poisson(1.5))):
-        srcs = stream_sources(cfg, [marg, marg], horizon=n,
-                              rng=np.random.default_rng(77), block=8192)
-        x0, x1 = srcs[0].take(1, n), srcs[1].take(1, n)
+        totals = np.concatenate([x for x, _ in cumulative_counts(
+            cfg, [marg, marg], horizon=n, rng=np.random.default_rng(77))])
+        x0, x1 = np.diff(totals, axis=0, prepend=0).T
         if family == "bernoulli":
             obs = np.array([np.sum(x0 == 0), np.sum(x0 == 1)])
             exp = np.array([0.95, 0.05]) * n

@@ -4,9 +4,21 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from seqfdr.cli import main
+from seqfdr.calibrate import mc_truncated_critical_values
+from seqfdr.cli import (
+    SimulationConfig,
+    _run_trials,
+    _sim_pieces,
+    _trial_paths,
+    _trials_for_range,
+    main,
+)
+from seqfdr.core import bh_steps, scale_for_fdr
+from seqfdr.procedures import run_open_ended, run_rejective
+from seqfdr.sprt import stepdown_critical_values
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "yellowcard_fixture.csv"
 
@@ -62,6 +74,10 @@ class TestSimulate:
         manifest = json.loads((out / "simulate_manifest.json").read_text())
         assert manifest["config_digest"] == report["config_digest"]
         assert manifest["seed"] == 5
+        timings = json.loads((out / "simulate_timings.json").read_text())
+        assert timings["trials"] == 25 and timings["stages_per_trial"] >= 1.0
+        assert 0 < timings["decision_steps"] <= 3 * timings["matrix_rows"]
+        assert timings["path_extensions"] >= 0
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, OPEN_CONFIG)
@@ -79,6 +95,31 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(a), "--workers", "1"]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(b), "--workers", "2"]) == 0
         assert (a / "simulate_report.json").read_bytes() == (b / "simulate_report.json").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["open", "rejective"])
+    def test_decisions_invariant_to_engine_knobs(self, mode):
+        # the full decision tuples, labels of tied statistics included, do
+        # not depend on workers, trial chunking, or on-demand path extension
+        config = SimulationConfig(
+            family="bernoulli", null_param=0.05, alt_param=0.15, j=10, m0=5, rho=-0.6,
+            q1=0.25, q2=0.15, mode=mode, reps=30, seed=7, n_bar=50, calib_reps=2000,
+        )
+        model, pairs, truth = _sim_pieces(config)
+        alpha = scale_for_fdr(bh_steps(0.25, 10), 0.25)
+        if mode == "open":
+            b_raw = None
+            crit = stepdown_critical_values(alpha, scale_for_fdr(bh_steps(0.15, 10), 0.15))
+            runner = lambda paths: run_open_ended(paths, crit.a, crit.b)
+        else:
+            b_raw = mc_truncated_critical_values(model, alpha, 50, 2000, 7).b
+            runner = lambda paths: run_rejective(paths, b_raw, 50)
+        whole = [runner(np.concatenate(list(_trial_paths(config, pairs, truth, model, t))))
+                 for t in range(30)]
+        split = [t for s, e in ((0, 7), (7, 19), (19, 30))
+                 for t in _trials_for_range(config, b_raw, s, e)[0]]
+        assert _run_trials(config, b_raw, 1)[0] == whole
+        assert _run_trials(config, b_raw, 2)[0] == whole
+        assert split == whole
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, OPEN_CONFIG)

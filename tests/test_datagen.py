@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from seqfdr.datagen import (
     Bernoulli,
@@ -18,8 +18,8 @@ from seqfdr.datagen import (
     correlation_matrix,
     dump_fixture,
     invert_marginal,
+    cumulative_counts,
     load_fixture,
-    stream_sources,
 )
 from seqfdr.errors import FactorizationError
 
@@ -159,57 +159,65 @@ class TestCopulaUniforms:
             assert got == pytest.approx(rho, abs=0.02)
 
 
+def _observations(cfg, specs, horizon, truth=None, rng=None):
+    """Per-step (x, w) observations of every stream: diffs of the drawn totals."""
+    blocks = list(cumulative_counts(cfg, specs, truth, horizon=horizon, rng=rng))
+    x = np.concatenate([bx for bx, _ in blocks])
+    w = np.concatenate([np.broadcast_to(bw, bx.shape) for bx, bw in blocks])
+    return np.diff(x, axis=0, prepend=0), np.diff(w, axis=0, prepend=0)
+
+
 class TestStreamSources:
-    def _sources(self, seed=3, block=64, horizon=500, rho=-0.6, specs=None):
+    """The per-trial count streams drawn by ``cumulative_counts``."""
+
+    def _obs(self, seed=3, horizon=500, rho=-0.6, specs=None):
         cfg = CopulaConfig(3, Toeplitz(rho), seed=seed)
         if specs is None:
             specs = [Bernoulli(0.05), Bernoulli(0.15), Bernoulli(0.05)]
-        return stream_sources(cfg, specs, horizon=horizon, block=block)
+        return _observations(cfg, specs, horizon)[0]
 
     def test_block_size_independence(self):
-        takes = [(1, 10), (11, 37), (38, 200)]
-        outs = []
-        for block in (5, 64, 512):
-            srcs = self._sources(block=block)
-            outs.append([np.concatenate([s.take(a, b) for a, b in takes]) for s in srcs])
-        for j in range(3):
-            np.testing.assert_array_equal(outs[0][j], outs[1][j])
-            np.testing.assert_array_equal(outs[1][j], outs[2][j])
+        # horizons 200 and 500 block the steps differently (64+64+72 vs
+        # 64+64+128+244); both match one draw of every step at once
+        cfg = CopulaConfig(3, Toeplitz(-0.6))
+        z = np.random.default_rng(3).standard_normal((500, 1, 3))
+        u = ndtr(z.reshape(500, 3) @ cholesky(correlation_matrix(cfg)).T)
+        want = (u <= np.array([0.05, 0.15, 0.05])).astype(np.int64)
+        np.testing.assert_array_equal(self._obs(horizon=500), want)
+        np.testing.assert_array_equal(self._obs(horizon=200), want[:200])
 
     def test_deterministic_under_seed(self):
-        a = [s.take(1, 50) for s in self._sources(seed=77)]
-        b = [s.take(1, 50) for s in self._sources(seed=77)]
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(self._obs(seed=77, horizon=50),
+                                      self._obs(seed=77, horizon=50))
 
     def test_horizon_exhaustion(self):
-        srcs = self._sources(horizon=20)
-        first = srcs[0].take(1, 15)
-        assert len(first) == 15
-        rest = srcs[0].take(16, 40)
-        assert len(rest) == 5
-        assert len(srcs[0].take(21, 30)) == 0
+        cfg = CopulaConfig(3, Toeplitz(-0.6), seed=3)
+        specs = [Bernoulli(0.05)] * 3
+        for horizon, sizes in ((20, [20]), (200, [64, 64, 72]), (256, [64, 64, 128])):
+            blocks = cumulative_counts(cfg, specs, horizon=horizon)
+            assert [len(x) for x, _ in blocks] == sizes
 
-    def test_contiguity_enforced(self):
-        srcs = self._sources()
-        srcs[0].take(1, 4)
-        with pytest.raises(ValueError):
-            srcs[0].take(6, 8)
+    def test_totals_are_cumulative(self):
+        cfg = CopulaConfig(3, Toeplitz(-0.6), seed=3)
+        specs = [Poisson(1.5)] * 3
+        x, w = map(np.concatenate, zip(*cumulative_counts(cfg, specs, horizon=300)))
+        assert np.all(np.diff(x, axis=0) >= 0)
+        np.testing.assert_array_equal(w[:, 0], np.arange(1, 301))
 
     def test_truth_selects_marginal(self):
         cfg = CopulaConfig(2, Toeplitz(0.0), seed=21)
         pairs = [(Bernoulli(0.05), Bernoulli(0.6))] * 2
-        srcs = stream_sources(cfg, pairs, truth=[True, False], horizon=4000)
-        null_mean = srcs[0].take(1, 4000).mean()
-        alt_mean = srcs[1].take(1, 4000).mean()
+        obs = _observations(cfg, pairs, 4000, truth=[True, False])[0]
+        null_mean = obs[:, 0].mean()
+        alt_mean = obs[:, 1].mean()
         assert null_mean == pytest.approx(0.05, abs=0.02)
         assert alt_mean == pytest.approx(0.6, abs=0.03)
 
     def test_report_pair_rows(self):
         cfg = CopulaConfig(2, Toeplitz(0.3), seed=8)
         specs = [ReportPair(0.6, 9.6), ReportPair(2.0, 5.0)]
-        srcs = stream_sources(cfg, specs, horizon=3000)
-        obs = srcs[0].take(1, 3000)
+        amn, total = _observations(cfg, specs, 3000)
+        obs = np.stack([amn[:, 0], total[:, 0]], axis=1)
         assert obs.shape == (3000, 2)
         assert np.all(obs[:, 0] <= obs[:, 1])
         assert obs[:, 0].mean() == pytest.approx(0.6, abs=0.06)
@@ -218,21 +226,20 @@ class TestStreamSources:
     def test_mixing_kinds_rejected(self):
         cfg = CopulaConfig(2, Toeplitz(0.0), seed=1)
         with pytest.raises(ValueError):
-            stream_sources(cfg, [Bernoulli(0.1), ReportPair(1.0, 2.0)], horizon=10)
+            cumulative_counts(cfg, [Bernoulli(0.1), ReportPair(1.0, 2.0)], horizon=10)
 
     def test_negative_dependence_in_counts(self):
-        srcs = self._sources(seed=19, horizon=60_000, rho=-0.6)
-        x0 = srcs[0].take(1, 60_000).astype(float)
-        x1 = srcs[1].take(1, 60_000).astype(float)
+        obs = self._obs(seed=19, horizon=60_000, rho=-0.6).astype(float)
+        x0 = obs[:, 0]
+        x1 = obs[:, 1]
         r = np.corrcoef(x0, x1)[0, 1]
         se = np.sqrt((1 - r * r) / len(x0))
         assert r < -3 * se
 
     def test_poisson_marginal_gof(self):
         cfg = CopulaConfig(2, Toeplitz(-0.6), seed=4)
-        srcs = stream_sources(cfg, [Poisson(1.5), Poisson(2.0)], horizon=40_000)
-        for src, lam in zip(srcs, (1.5, 2.0)):
-            x = src.take(1, 40_000)
+        counts = _observations(cfg, [Poisson(1.5), Poisson(2.0)], 40_000)[0]
+        for x, lam in zip(counts.T, (1.5, 2.0)):
             kmax = 9
             obs = np.bincount(np.minimum(x, kmax), minlength=kmax + 1)
             probs = scipy.stats.poisson.pmf(np.arange(kmax), lam)

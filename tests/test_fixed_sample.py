@@ -174,6 +174,17 @@ class TestFindMatchingFss:
         assert out.n_fss == 8
         assert out.achieved_fnr > 0.001
 
+    def test_unconfirmed_below_ceiling(self):
+        # bisection on 50-rep estimates stops at 47; the 4x-reps confirmation
+        # misses the target by more than 1.5 se, so found is False there too
+        out = find_matching_fss(
+            BERN, self._config(3, seed=0), [True, False, False],
+            0.25, 0.10, reps=50, n_max=64,
+        )
+        assert not out.found
+        assert out.n_fss == 47
+        assert out.achieved_fnr > 0.10 + 1.5 * out.fnr_se
+
     def test_deterministic(self):
         kw = dict(q1=0.25, target_fnr=0.2, reps=300, n_max=256)
         a = find_matching_fss(POIS, self._config(3, seed=9), [True, False, False], **kw)

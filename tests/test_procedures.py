@@ -3,20 +3,29 @@
 import numpy as np
 import pytest
 
+from seqfdr.calibrate import mc_truncated_critical_values
+from seqfdr.core import bh_steps, scale_for_fdr
+from seqfdr.datagen import Bernoulli, CopulaConfig, Toeplitz, cumulative_counts
 from seqfdr.errors import DataUnderrunError, StageGuardError
 from seqfdr.procedures import (
     Decision,
-    ReplaySource,
     TrialResult,
     decision_rows,
     run_open_ended,
     run_rejective,
     summarize,
 )
+from seqfdr.sprt import SimpleModel, cumulative_llr, llr_increments, stepdown_critical_values
+
+STATE_KEYS = {"stage", "step", "r", "c", "active", "decisions"}
 
 
 def _sources(*paths):
-    return [ReplaySource(p) for p in paths]
+    """(n, J) statistic matrix of per-stream paths; NaN past a path's end."""
+    mat = np.full((max(len(p) for p in paths), len(paths)), np.nan)
+    for j, p in enumerate(paths):
+        mat[: len(p), j] = p
+    return mat
 
 
 def _by_stream(result):
@@ -110,13 +119,36 @@ class TestOpenEndedValidation:
         assert exc.value.state["decisions"] == []
 
     def test_stage_guard(self):
-        with pytest.raises(StageGuardError):
+        with pytest.raises(StageGuardError) as exc:
             run_open_ended(
                 _sources([3.5, 3.5], [1.5, 1.5, 1.5, 3.5]),
                 a=np.array([-2.0, -1.0]),
                 b=np.array([3.0, 1.8]),
                 max_stages_guard=1,
             )
+        state = exc.value.state
+        assert set(state) == STATE_KEYS
+        assert (state["stage"], state["step"], state["r"], state["c"]) == (2, 1, 1, 0)
+        assert state["active"] == [1]
+        assert state["decisions"] == [Decision(stream=0, action="reject", step=1, level=1)]
+
+    def test_underrun_of_drawn_paths_carries_state(self):
+        # a 40-step horizon ends this seeded trial after its first stages
+        model = SimpleModel("bernoulli", 0.05, 0.15)
+        crit = stepdown_critical_values(scale_for_fdr(bh_steps(0.25, 10), 0.25),
+                                        scale_for_fdr(bh_steps(0.15, 10), 0.15))
+        blocks = cumulative_counts(CopulaConfig(10, Toeplitz(-0.6), seed=1),
+                                   [Bernoulli(0.05)] * 5 + [Bernoulli(0.15)] * 5, horizon=40)
+        with pytest.raises(DataUnderrunError) as exc:
+            run_open_ended((cumulative_llr(model, x, w) for x, w in blocks), crit.a, crit.b)
+        state = exc.value.state
+        assert set(state) == STATE_KEYS
+        decided = state["decisions"]
+        assert state["stage"] >= 2 and 0 < len(decided) < 10
+        assert sorted(state["active"] + [d.stream for d in decided]) == list(range(10))
+        assert state["r"] == sum(d.action == "reject" for d in decided)
+        assert state["c"] == sum(d.action == "accept" for d in decided)
+        assert state["step"] == max(d.step for d in decided) < 40
 
 
 class TestRejectiveHandTraces:
@@ -175,6 +207,21 @@ class TestRejectiveHandTraces:
         with pytest.raises(ValueError):
             run_rejective(_sources([0.0], [0.0]), b=np.array([1.0, 2.0]), n_bar=3)
 
+    def test_path_on_calibrated_boundary_is_rejected(self):
+        # stream 0's statistic first reaches the calibrated B_1 exactly, at
+        # step 35; a float cumsum of its increments lands one ulp below
+        model = SimpleModel("bernoulli", 0.05, 0.15)
+        alpha = scale_for_fdr(bh_steps(0.25, 10), 0.25)
+        b = mc_truncated_critical_values(model, alpha, 50, 20_000, 7).b
+        obs = np.zeros((50, 10), dtype=np.int64)
+        obs[[0, 3, 9, 20, 25, 34], 0] = 1
+        paths = cumulative_llr(model, np.cumsum(obs, axis=0), np.arange(1, 51)[:, None])
+        assert paths[34, 0] == b[0] and paths[:34, 0].max() < b[0]
+        assert np.cumsum(llr_increments(model, obs[:35, 0]))[-1] < b[0]
+        d = _by_stream(run_rejective(paths, b, n_bar=50))
+        assert d[0] == Decision(stream=0, action="reject", step=35, level=1)
+        assert all(d[j].truncated and d[j].step == 50 for j in range(1, 10))
+
     def test_underrun_before_horizon(self):
         with pytest.raises(DataUnderrunError):
             run_rejective(_sources([0.5], [0.1]), b=np.array([2.0, 1.0]), n_bar=5)
@@ -224,12 +271,15 @@ class TestRandomizedInvariants:
                     assert d.truncated and d.step == n_bar
 
     def test_block_size_irrelevant(self):
+        # the matrix read on demand in row blocks of any size decides like the whole
         rng = np.random.default_rng(33)
         j = 5
         a, b = self._grid(j)
         paths = [np.cumsum(rng.normal(0.0, 1.0, size=300)) for _ in range(j)]
-        runs = [
-            run_open_ended(_sources(*paths), a, b, block=blk) for blk in (1, 7, 64, 1000)
+        mat = _sources(*paths)
+        runs = [run_open_ended(mat, a, b)] + [
+            run_open_ended(iter(np.array_split(mat, range(blk, 300, blk))), a, b)
+            for blk in (1, 7, 64, 1000)
         ]
         assert all(r == runs[0] for r in runs)
 

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqfdr.core import StepVector, bh_steps, scale_for_fdr
+from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, ReportPair, Toeplitz, cumulative_counts
 from seqfdr.errors import BoundaryCollapseError
 from seqfdr.sprt import (
     SIEGMUND_RHO,
     CriticalMatrix,
-    CumulativeLlrSource,
     SimpleModel,
+    cumulative_llr,
+    lattice_terms,
     llr_increment,
     llr_increments,
     make_standardizer,
@@ -22,14 +24,6 @@ from seqfdr.sprt import (
     wald_bounds,
     wald_bounds_conservative,
 )
-
-
-class _Replay:
-    def __init__(self, values):
-        self._values = np.asarray(values)
-
-    def take(self, n_from, n_to):
-        return self._values[n_from - 1 : n_to]
 
 
 class TestWaldBounds:
@@ -280,32 +274,34 @@ class TestStandardizer:
             make_upper_standardizer(np.array([1.0, 2.0]))
 
 
-class TestCumulativeLlrSource:
+class TestLatticeLlr:
     def test_matches_direct_cumsum(self):
         m = SimpleModel("bernoulli", 0.05, 0.15)
         obs = np.array([1, 0, 0, 1, 0, 0, 0, 1])
-        crit = stepdown_critical_values(
-            scale_for_fdr(bh_steps(0.25, 3), 0.25),
-            scale_for_fdr(bh_steps(0.15, 3), 0.15),
-        )
-        std = make_standardizer(crit)
-        src = CumulativeLlrSource(_Replay(obs), m, std)
-        got = np.concatenate([src.take(1, 3), src.take(4, 4), src.take(5, 8)])
-        want = std.apply(np.cumsum(llr_increments(m, obs)))
+        got = cumulative_llr(m, np.cumsum(obs), np.arange(1, 9))
+        want = np.cumsum(llr_increments(m, obs))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_short_block_on_exhaustion(self):
-        m = SimpleModel("poisson", 1.5, 2.0)
-        src = CumulativeLlrSource(_Replay([1, 2, 0]), m)
-        assert len(src.take(1, 2)) == 2
-        assert len(src.take(3, 10)) == 1
-
-    def test_contiguity_enforced(self):
-        m = SimpleModel("poisson", 1.5, 2.0)
-        src = CumulativeLlrSource(_Replay([1, 2, 0]), m)
-        src.take(1, 1)
-        with pytest.raises(ValueError):
-            src.take(3, 4)
+    @pytest.mark.parametrize("family,params,specs", [
+        ("bernoulli", (0.05, 0.15), [Bernoulli(0.05), Bernoulli(0.15)] * 2),
+        ("poisson", (1.5, 2.0), [Poisson(1.5), Poisson(2.0)] * 2),
+        ("conditional_binomial", (0.05, 0.15), [ReportPair(0.6, 9.6), ReportPair(2.0, 5.0)] * 2),
+    ])
+    def test_statistic_is_affine_in_integer_totals(self, family, params, specs):
+        model = SimpleModel(family, *params)
+        slope, step = lattice_terms(model)
+        cfg = CopulaConfig(4, Toeplitz(-0.6), seed=5)
+        blocks = list(cumulative_counts(cfg, specs, horizon=300))
+        stat = np.concatenate([cumulative_llr(model, x, w) for x, w in blocks])
+        x = np.concatenate([bx for bx, _ in blocks])
+        w = np.concatenate([np.broadcast_to(bw, bx.shape) for bx, bw in blocks])
+        for (n, j), value in np.ndenumerate(stat):
+            assert value == float(x[n, j]) * slope + float(w[n, j]) * step
+        # equal lattice points give equal floats, across steps and streams
+        values = {}
+        for point, value in zip(zip(x.ravel(), w.ravel()), stat.ravel()):
+            assert values.setdefault(point, value) == value
+        assert len(values) < x.size
 
 
 def _first_passage_probs(model, crit, theta, reps, seed, horizon=600, chunk=150):
