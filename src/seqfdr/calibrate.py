@@ -10,11 +10,18 @@ Two pieces of simulation support feed the procedures:
 * ``estimate_gamma`` estimates, per stream, the chance that the stream's
   statistic produces at least one rejection (resp. acceptance) on its own.
   The maxima over streams are the lower bounds used to tighten step values
-  for positive error rates.
+  for positive error rates.  The open-ended races run on the exact lattice
+  statistic: each path is drawn as the steps at which its count total
+  jumps (geometric gaps between Bernoulli successes, binned arrivals of a
+  Poisson process) and compared with per-step count tables, so a path
+  crosses at exactly the values the procedures compute, in O(reps) memory
+  and with no tuning knobs.  Paths still racing at ``horizon`` are
+  non-events and are counted.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -23,7 +30,7 @@ import numpy as np
 
 from .core import StepVector
 from .errors import ConfigError, InsufficientRepsError
-from .sprt import SimpleModel, cumulative_llr, llr_increments
+from .sprt import SimpleModel, crossing_counts, cumulative_llr
 
 __all__ = [
     "CalibrationReport",
@@ -31,6 +38,8 @@ __all__ = [
     "mc_truncated_critical_values",
     "estimate_gamma",
 ]
+
+logger = logging.getLogger(__name__)
 
 ThetaChoice = Literal["null", "alt"]
 
@@ -85,6 +94,9 @@ class GammaEstimate:
     rejection boundary forces at least one rejection.  gamma2 plays the
     same role for P(R < J) and exists only in the open-ended mode; the
     truncated procedure has no acceptance boundaries to cross.
+    ``undecided_per_stream`` (open-ended only) counts each stream's paths
+    with a race still unsettled at the horizon, which the rates count as
+    non-events.
     """
 
     gamma1: float
@@ -95,6 +107,7 @@ class GammaEstimate:
     gamma2: float | None = None
     gamma2_per_stream: np.ndarray | None = None
     gamma2_se: float | None = None
+    undecided_per_stream: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("gamma1_per_stream", "gamma2_per_stream"):
@@ -106,6 +119,16 @@ class GammaEstimate:
                 raise ValueError(f"{name} entries must lie in [0, 1]")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.undecided_per_stream is not None:
+            arr = np.asarray(self.undecided_per_stream, dtype=np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, "undecided_per_stream", arr)
+
+
+_NO_SAMPLER = (
+    "conditional_binomial streams have no standalone sampling distribution; "
+    "simulate the trial-count process explicitly instead"
+)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -118,10 +141,7 @@ def _sample_obs(model: SimpleModel, param: float, rng: np.random.Generator, shap
         return (rng.random(shape) < param).astype(np.int8)
     if model.family == "poisson":
         return rng.poisson(param, shape)
-    raise ConfigError(
-        "conditional_binomial streams have no standalone sampling distribution; "
-        "simulate the trial-count process explicitly instead"
-    )
+    raise ConfigError(_NO_SAMPLER)
 
 
 def _path_maxima(
@@ -202,64 +222,94 @@ def mc_truncated_critical_values(
     return CalibrationReport(b=b, reps=reps, achieved=achieved, seed=seed, n_bar=n_bar)
 
 
-def _four_threshold_passage(
-    model: SimpleModel,
-    param: float,
-    a1: float,
-    a_last: float,
-    b_last: float,
-    b1: float,
-    reps: int,
-    rng: np.random.Generator,
-    horizon: int,
-    path_chunk: int,
-    step_block: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """First-crossing races for one stream's open-ended LLR path.
+# first-crossing step of a threshold a path never crosses
+_NEVER = np.iinfo(np.int64).max
 
-    Returns boolean event arrays (up b1 strictly before down a_last,
-    down a1 strictly before up b_last).  Paths still undecided at
-    ``horizon`` count as non-events, which only understates the rates.
+
+def _race_tables(model: SimpleModel, a1, a_last, b_last, b1, horizon: int) -> list:
+    """Count tables of the race thresholds: up b1, down a_last, down a1, up b_last."""
+    return [
+        crossing_counts(model, thr, upward, horizon)
+        for thr, upward in ((b1, True), (a_last, False), (a1, False), (b_last, True))
+    ]
+
+
+def _segment_crossings(tables: list, x: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """First crossing step of each table within each path's segment [s, e].
+
+    Over the segment the path's count total stays ``x``; an empty segment
+    (``e < s``) crosses nothing.  Returns a (len(tables), paths) int64
+    array holding ``_NEVER`` where the segment does not cross.  The tables
+    are nondecreasing in the step, so an ``at_least`` table is crossed on
+    a prefix of the segment (test its first step) and any other on a
+    suffix (one ``searchsorted``).
     """
-    ev1 = np.zeros(reps, dtype=bool)
-    ev2 = np.zeros(reps, dtype=bool)
-    done = 0
-    while done < reps:
-        m = min(path_chunk, reps - done)
-        t_up_b1 = np.full(m, np.inf)
-        t_dn_alast = np.full(m, np.inf)
-        t_dn_a1 = np.full(m, np.inf)
-        t_up_blast = np.full(m, np.inf)
-        carry = np.zeros(m)
-        alive = np.arange(m)
-        base = 0
-        while alive.size and base < horizon:
-            nsteps = min(step_block, horizon - base)
-            obs = _sample_obs(model, param, rng, (alive.size, nsteps))
-            cum = carry[alive, None] + np.cumsum(llr_increments(model, obs), axis=1)
-            for times, thr, upward in (
-                (t_up_b1, b1, True),
-                (t_dn_alast, a_last, False),
-                (t_dn_a1, a1, False),
-                (t_up_blast, b_last, True),
-            ):
-                if not np.isfinite(thr) and (upward == (thr > 0)):
-                    continue  # +inf upper or -inf lower: never crossed
-                hit = cum >= thr if upward else cum <= thr
-                has = hit.any(axis=1)
-                fresh = has & np.isinf(times[alive])
-                if np.any(fresh):
-                    rows = alive[fresh]
-                    times[rows] = base + hit[fresh].argmax(axis=1) + 1
-            carry[alive] = cum[:, -1]
-            base += nsteps
-            race1 = np.isfinite(t_up_b1[alive]) | np.isfinite(t_dn_alast[alive])
-            race2 = np.isfinite(t_dn_a1[alive]) | np.isfinite(t_up_blast[alive])
-            alive = alive[~(race1 & race2)]
-        ev1[done : done + m] = t_up_b1 < t_dn_alast
-        ev2[done : done + m] = t_dn_a1 < t_up_blast
-        done += m
-    return ev1, ev2
+    out = np.empty((len(tables), x.size), dtype=np.int64)
+    for k, (t, at_least) in enumerate(tables):
+        if at_least:
+            first = s
+            hit = (e >= s) & (x >= t[s - 1])
+        else:
+            first = np.maximum(np.searchsorted(t, x) + 1, s)
+            hit = first <= e
+        out[k] = np.where(hit, first, _NEVER)
+    return out
+
+
+def _passage_times(tables: list, horizon: int, next_jump, reps: int) -> np.ndarray:
+    """First-crossing steps of the four race thresholds for ``reps`` count paths.
+
+    A count path is determined by the steps at which its total jumps:
+    ``next_jump(idx)`` returns the step of the next unit increment of each
+    path in ``idx`` (nondecreasing per path, several may share a step).
+    Each round evaluates every racing path's finished segment of constant
+    count and retires the paths whose two races (rows 0/1 and 2/3) are
+    both settled or whose next jump lies beyond ``horizon``.  Returns a
+    (4, reps) int64 array, ``_NEVER`` where no step up to ``horizon``
+    crosses.
+    """
+    times = np.full((len(tables), reps), _NEVER, dtype=np.int64)
+    idx = np.arange(reps)
+    x = np.zeros(reps, dtype=np.int64)
+    s = np.ones(reps, dtype=np.int64)
+    tm = times.copy()
+    while idx.size:
+        jump = next_jump(idx)
+        # segments arrive in step order, so the minimum keeps each first crossing
+        np.minimum(tm, _segment_crossings(tables, x, s, np.minimum(jump - 1, horizon)), out=tm)
+        x += 1
+        s = jump
+        crossed = tm != _NEVER
+        keep = ~((crossed[0] | crossed[1]) & (crossed[2] | crossed[3])) & (s <= horizon)
+        times[:, idx[~keep]] = tm[:, ~keep]
+        idx, x, s, tm = idx[keep], x[keep], s[keep], tm[:, keep]
+    return times
+
+
+def _jump_sampler(model: SimpleModel, param: float, reps: int, rng: np.random.Generator):
+    """``next_jump`` for ``_passage_times``: i.i.d. count paths at ``param``.
+
+    Bernoulli gaps between successes are geometric; Poisson counts are the
+    arrivals of a rate-``param`` process, an arrival at time ``tau``
+    landing in step ``ceil(tau)``.
+    """
+    if model.family == "bernoulli":
+        last = np.zeros(reps, dtype=np.int64)
+
+        def next_jump(idx):
+            last[idx] += rng.geometric(param, idx.size)
+            return last[idx]
+
+    elif model.family == "poisson":
+        tau = np.zeros(reps)
+
+        def next_jump(idx):
+            tau[idx] += rng.exponential(1.0 / param, idx.size)
+            return np.maximum(np.ceil(tau[idx]), 1.0).astype(np.int64)
+
+    else:
+        raise ConfigError(_NO_SAMPLER)
+    return next_jump
 
 
 def estimate_gamma(
@@ -272,8 +322,6 @@ def estimate_gamma(
     reps: int,
     seed: int,
     horizon: int = 10_000,
-    path_chunk: int = 4096,
-    step_block: int = 256,
 ) -> GammaEstimate:
     """Estimate per-stream chances of forcing a rejection or acceptance.
 
@@ -283,6 +331,17 @@ def estimate_gamma(
     are the usual input.  Open-ended mode needs ``a``; truncated mode
     needs ``n_bar`` and estimates only the rejection-side rate.
 
+    Open-ended mode races each path of ``cumulative_llr`` (up ``>= b[0]``
+    before down ``<= a[-1]`` for gamma1, down ``<= a[0]`` before up
+    ``>= b[-1]`` for gamma2) on the exact lattice: a path is drawn as the
+    steps at which its count total jumps and compared with per-step count
+    tables (``sprt.crossing_counts``), so it crosses at exactly the floats
+    the procedures compute.  A path with a race still unsettled after
+    ``horizon`` steps is a non-event, which understates the rate; such
+    paths are counted in ``undecided_per_stream`` and logged as a warning.
+    The result depends only on the inputs, ``seed``, ``reps`` and
+    ``horizon``.
+
     Streams are simulated independently: the targeted probabilities are
     marginal, so cross-stream dependence is irrelevant here.
     """
@@ -290,6 +349,8 @@ def estimate_gamma(
         raise ConfigError("pass exactly one of a (open-ended) or n_bar (truncated)")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
+    if horizon < 1:
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     models = list(models)
     choices = tuple(theta_choice)
     if len(choices) != len(models):
@@ -298,30 +359,33 @@ def estimate_gamma(
         if c not in ("null", "alt"):
             raise ValueError(f"theta_choice entries must be 'null' or 'alt', got {c!r}")
     b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size == 0 or np.any(np.diff(b) > 0.0):
-        raise ValueError("b must be a nonempty nonincreasing vector")
+    if b.ndim != 1 or b.size == 0 or np.any(np.isnan(b)) or np.any(np.diff(b) > 0.0):
+        raise ValueError("b must be a nonempty nonincreasing vector without NaN")
     if a is not None:
         a = np.asarray(a, dtype=float)
-        if a.shape != b.shape or np.any(np.diff(a) < 0.0):
-            raise ValueError("a must be nondecreasing and match b in shape")
+        if a.shape != b.shape or np.any(np.isnan(a)) or np.any(np.diff(a) < 0.0):
+            raise ValueError("a must be nondecreasing, without NaN, and match b in shape")
         if a[-1] > b[-1]:
             raise ValueError("boundaries overlap: a[-1] > b[-1]")
     children = np.random.SeedSequence(seed).spawn(len(models))
     g1 = np.empty(len(models))
     g2 = np.empty(len(models)) if a is not None else None
+    undecided = np.zeros(len(models), dtype=np.int64) if a is not None else None
+    tables = {}
     for j, (model, choice, child) in enumerate(zip(models, choices, children)):
         param = model.null_param if choice == "null" else model.alt_param
         rng = _as_rng(child)
         if n_bar is not None:
             maxima = _path_maxima(model, param, n_bar, reps, rng)
             g1[j] = np.mean(maxima >= b[0])
-        else:
-            ev1, ev2 = _four_threshold_passage(
-                model, param, a[0], a[-1], b[-1], b[0], reps, rng,
-                horizon, path_chunk, step_block,
-            )
-            g1[j] = ev1.mean()
-            g2[j] = ev2.mean()
+            continue
+        if model not in tables:
+            tables[model] = _race_tables(model, a[0], a[-1], b[-1], b[0], horizon)
+        t = _passage_times(tables[model], horizon, _jump_sampler(model, param, reps, rng), reps)
+        g1[j] = np.mean(t[0] < t[1])
+        g2[j] = np.mean(t[2] < t[3])
+        open_race = t == _NEVER
+        undecided[j] = np.count_nonzero((open_race[0] & open_race[1]) | (open_race[2] & open_race[3]))
     gamma1 = float(g1.max())
     result = dict(
         gamma1=gamma1,
@@ -336,5 +400,12 @@ def estimate_gamma(
             gamma2=gamma2,
             gamma2_per_stream=g2,
             gamma2_se=math.sqrt(gamma2 * (1.0 - gamma2) / reps),
+            undecided_per_stream=undecided,
         )
+        if undecided.any():
+            logger.warning(
+                "estimate_gamma: up to %d of %d paths of streams %s were still racing at "
+                "horizon %d and count as non-events, which understates the rates",
+                int(undecided.max()), reps, np.flatnonzero(undecided).tolist(), horizon,
+            )
     return GammaEstimate(**result)

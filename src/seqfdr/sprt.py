@@ -6,7 +6,8 @@ increments.  A step-down battery of J tests needs J acceptance boundaries
 surrogate error levels keep the per-level error contracts intact while
 making the boundary matrix monotone.  The cumulative LLR of a whole path is
 an affine map of integer count totals, so equal lattice points give equal
-floats.  A piecewise-linear standardizer maps every stream's raw
+floats, and per-step tables of count totals say exactly where it crosses
+a threshold.  A piecewise-linear standardizer maps every stream's raw
 boundaries onto one shared grid so streams with different models can be
 compared on equal footing; streams that share one model compare raw
 statistics directly, since a common strictly increasing map changes no
@@ -37,6 +38,7 @@ __all__ = [
     "llr_increments",
     "lattice_terms",
     "cumulative_llr",
+    "crossing_counts",
     "make_standardizer",
     "make_upper_standardizer",
 ]
@@ -152,6 +154,50 @@ def cumulative_llr(model: SimpleModel, x, w, out: np.ndarray | None = None) -> n
     out = np.multiply(x, slope, out=out)
     out += np.multiply(w, step)
     return out
+
+
+# a count total no path reaches; exact in float64
+_COUNT_CAP = 2**52
+
+
+def crossing_counts(
+    model: SimpleModel, threshold: float, upward: bool, horizon: int
+) -> tuple[np.ndarray, bool]:
+    """Count totals at which the cumulative LLR crosses ``threshold``, per step.
+
+    Returns ``(t, at_least)``: an int64 table with ``t[n - 1]`` for steps
+    ``n = 1..horizon`` such that ``cumulative_llr(model, x, n)`` crosses
+    (``>= threshold`` if ``upward``, ``<= threshold`` otherwise) exactly
+    when ``x >= t[n - 1]`` (``at_least``) or ``x <= t[n - 1]`` (not
+    ``at_least``).  A closed-form guess is corrected against
+    ``cumulative_llr`` itself, so the table agrees with the statistic the
+    procedures compute to the last bit.  ``slope`` and ``step`` have
+    opposite signs for every model, so the table is nondecreasing in n.
+    An infinite threshold gives a constant table that no count, or every
+    count, satisfies.
+    """
+    slope, step = lattice_terms(model)
+    at_least = upward == (slope > 0.0)
+    never, always = (_COUNT_CAP, 0) if at_least else (-1, _COUNT_CAP)
+    if math.isinf(threshold):
+        crossed = upward == (threshold < 0.0)
+        return np.full(horizon, always if crossed else never, dtype=np.int64), at_least
+    n = np.arange(1, horizon + 1)
+    guess = (threshold - n * step) / slope
+    guess = np.ceil(guess) if at_least else np.floor(guess)
+    t = np.clip(guess, min(never, always), max(never, always)).astype(np.int64)
+
+    def crossed(x):
+        stat = cumulative_llr(model, x, n)
+        return stat >= threshold if upward else stat <= threshold
+
+    # the crossing set is {x >= t} or {x <= t}: move t onto its edge
+    inward = -1 if at_least else 1
+    while np.any(fix := (t != always) & crossed(t + inward)):
+        t[fix] += inward
+    while np.any(fix := (t != never) & ~crossed(t)):
+        t[fix] -= inward
+    return t, at_least
 
 
 def wald_bounds(alpha: float, beta: float, rho: float = SIEGMUND_RHO) -> tuple[float, float]:

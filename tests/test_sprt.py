@@ -13,6 +13,7 @@ from seqfdr.sprt import (
     SIEGMUND_RHO,
     CriticalMatrix,
     SimpleModel,
+    crossing_counts,
     cumulative_llr,
     lattice_terms,
     llr_increment,
@@ -302,6 +303,27 @@ class TestLatticeLlr:
         for point, value in zip(zip(x.ravel(), w.ravel()), stat.ravel()):
             assert values.setdefault(point, value) == value
         assert len(values) < x.size
+
+    @pytest.mark.parametrize("model", [
+        SimpleModel("bernoulli", 0.05, 0.15),
+        SimpleModel("bernoulli", 0.15, 0.05),
+        SimpleModel("poisson", 1.5, 2.0),
+        SimpleModel("poisson", 2.0, 1.5),
+    ], ids=["bern_up", "bern_down", "pois_up", "pois_down"])
+    def test_crossing_counts_match_statistic(self, model):
+        horizon = 120
+        x, n = np.meshgrid(np.arange(0, 400), np.arange(1, horizon + 1), indexing="ij")
+        stat = cumulative_llr(model, x, n)
+        lattice = [float(stat[3, 6]), float(stat[40, 99])]
+        near = [np.nextafter(v, -np.inf) for v in lattice] + [np.nextafter(v, np.inf) for v in lattice]
+        for thr in [-3.3, -1.0, 0.0, 0.7, 2.9, *lattice, *near, np.inf, -np.inf]:
+            for upward in (True, False):
+                t, at_least = crossing_counts(model, thr, upward, horizon)
+                assert t.dtype == np.int64 and t.shape == (horizon,)
+                assert np.all(np.diff(t) >= 0)
+                crossed = stat >= thr if upward else stat <= thr
+                table = x >= t if at_least else x <= t
+                assert np.array_equal(crossed, table), (thr, upward)
 
 
 def _first_passage_probs(model, crit, theta, reps, seed, horizon=600, chunk=150):
