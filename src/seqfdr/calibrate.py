@@ -351,6 +351,8 @@ def estimate_gamma(
         raise ConfigError(f"reps must be >= 1, got {reps}")
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    if n_bar is not None and n_bar < 1:
+        raise ConfigError(f"n_bar must be >= 1, got {n_bar}")
     models = list(models)
     choices = tuple(theta_choice)
     if len(choices) != len(models):

@@ -6,11 +6,15 @@ metrics), ``fss`` (matched fixed-sample-size search), ``verify-lp``
 (LP certification of the closed-form bound), and ``yellowcard`` (drug-table
 monitoring experiment).
 
-Every experiment command is deterministic given its resolved configuration
-and seed: rerunning overwrites the primary report files with identical
-bytes.  Wall-clock timings go to a separate timings file so diffs stay
-clean.  Exit codes: 0 success, 2 configuration error, 3 data error,
-4 internal numerical failure.
+Each experiment command reads its JSON configuration into a dataclass
+(``SimulationConfig``, ``FssConfig``, ``YellowcardConfig``) whose fields
+give the settable names, their types and their defaults, and its report
+records the resolved dataclass.  Every experiment command is
+deterministic given its resolved configuration and seed: rerunning
+overwrites the primary report files with identical bytes.  Wall-clock
+timings go to a separate timings file so diffs stay clean.  Exit codes:
+0 success, 2 configuration error, 3 data error, 4 internal numerical
+failure.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import MISSING, asdict, dataclass, fields as dataclass_fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import scipy
@@ -53,6 +58,8 @@ from .yellowcard import ExperimentConfig, load_drug_table, run_monitoring, thres
 __all__ = [
     "RunManifest",
     "SimulationConfig",
+    "FssConfig",
+    "YellowcardConfig",
     "run_simulation",
     "main",
 ]
@@ -76,46 +83,44 @@ def _load_json(path) -> dict:
     return raw
 
 
-def _field(raw: dict, name: str, kind, *, required=True, default=None):
-    """Extract raw[name] as ``kind``, reporting errors by config field path."""
-    if name not in raw or raw[name] is None:
-        if required:
-            raise ConfigError(f"config.{name}: missing required field")
-        return default
-    value = raw[name]
-    path = f"config.{name}"
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    raise AssertionError(f"unsupported field kind {kind}")
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _reject_unknown(raw: dict, allowed) -> None:
-    for key in sorted(set(raw) - set(allowed)):
+def _parse_config(cls, raw: dict, seed: int | None):
+    """Build the dataclass ``cls`` from a JSON config object.
+
+    Each field's name, type and default come from ``cls``; a field set to
+    null takes its default.  ``seed``, when given, overrides the config's
+    own.  Errors name the offending field as ``config.<name>``.
+    """
+    fields = dataclass_fields(cls)
+    for key in sorted(set(raw) - {f.name for f in fields}):
         raise ConfigError(f"config.{key}: unknown field")
+    if seed is not None:
+        raw = dict(raw, seed=seed)
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields:
+        value = raw.get(f.name)
+        path = f"config.{f.name}"
+        if value is None:
+            if f.default is MISSING:
+                advice = " (set it in the config or pass --seed)" if f.name == "seed" else ""
+                raise ConfigError(f"{path}: missing required field{advice}")
+            continue
+        kinds = get_args(hints[f.name]) or (hints[f.name],)  # int | None -> (int, None)
+        kind = next(t for t in kinds if t in _KINDS)
+        if kind is float and type(value) is int:
+            value = float(value)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{path}: expected {_KINDS[kind]}, got {value!r}")
+        values[f.name] = value
+    return cls(**values)
 
 
-def _resolve_seed(raw: dict, args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    seed = _field(raw, "seed", int, required=False)
-    if seed is None:
-        raise ConfigError("config.seed: missing (set it in the config or pass --seed)")
-    return seed
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Resolved inputs of one copula simulation batch."""
+@dataclass(frozen=True, kw_only=True)
+class _Streams:
+    """The streams of a simulate or fss run: one model, the m0 nulls first."""
 
     family: str
     null_param: float
@@ -123,25 +128,11 @@ class SimulationConfig:
     j: int
     m0: int
     rho: float
-    q1: float
-    q2: float
-    mode: str  # "open" | "rejective"
-    reps: int
-    seed: int
-    n_bar: int | None = None
-    horizon: int = 5000
-    calib_reps: int = 20000
 
     def __post_init__(self):
         if self.family not in ("bernoulli", "poisson"):
             raise ConfigError(
                 f"config.family: must be 'bernoulli' or 'poisson', got {self.family!r}"
-            )
-        hi = 1.0 if self.family == "bernoulli" else float("inf")
-        if not 0.0 < self.null_param < self.alt_param < hi:
-            raise ConfigError(
-                "config.null_param/alt_param: need 0 < null < alt"
-                + (" < 1" if self.family == "bernoulli" else "")
             )
         if self.j < 1:
             raise ConfigError(f"config.j: must be >= 1, got {self.j}")
@@ -149,6 +140,29 @@ class SimulationConfig:
             raise ConfigError(f"config.m0: must lie in [0, j], got {self.m0}")
         if not -1.0 < self.rho < 1.0:
             raise ConfigError(f"config.rho: must lie in (-1, 1), got {self.rho}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimulationConfig(_Streams):
+    """Resolved inputs of one copula simulation batch."""
+
+    q1: float = 0.25
+    q2: float = 0.15
+    mode: str = "open"  # "open" | "rejective"
+    reps: int
+    seed: int
+    n_bar: int | None = None
+    horizon: int = 5000
+    calib_reps: int = 20000
+
+    def __post_init__(self):
+        super().__post_init__()
+        hi = 1.0 if self.family == "bernoulli" else float("inf")
+        if not 0.0 < self.null_param < self.alt_param < hi:
+            raise ConfigError(
+                "config.null_param/alt_param: need 0 < null < alt"
+                + (" < 1" if self.family == "bernoulli" else "")
+            )
         for name, q in (("q1", self.q1), ("q2", self.q2)):
             if not 0.0 < q < 1.0:
                 raise ConfigError(f"config.{name}: must lie in (0, 1), got {q}")
@@ -164,34 +178,44 @@ class SimulationConfig:
             if self.calib_reps < 1:
                 raise ConfigError(f"config.calib_reps: must be >= 1, got {self.calib_reps}")
 
-    @classmethod
-    def from_dict(cls, raw: dict, seed: int) -> "SimulationConfig":
-        _reject_unknown(raw, [f.name for f in dataclass_fields(cls)])
-        return cls(
-            family=_field(raw, "family", str),
-            null_param=_field(raw, "null_param", float),
-            alt_param=_field(raw, "alt_param", float),
-            j=_field(raw, "j", int),
-            m0=_field(raw, "m0", int),
-            rho=_field(raw, "rho", float),
-            q1=_field(raw, "q1", float, required=False, default=0.25),
-            q2=_field(raw, "q2", float, required=False, default=0.15),
-            mode=_field(raw, "mode", str, required=False, default="open"),
-            reps=_field(raw, "reps", int),
-            seed=seed,
-            n_bar=_field(raw, "n_bar", int, required=False),
-            horizon=_field(raw, "horizon", int, required=False, default=5000),
-            calib_reps=_field(raw, "calib_reps", int, required=False, default=20000),
-        )
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+@dataclass(frozen=True, kw_only=True)
+class FssConfig(_Streams):
+    """Resolved inputs of one matched fixed-sample-size search."""
+
+    q1: float = 0.25
+    target_fnr: float
+    reps: int
+    seed: int
+    n_max: int = 4096
+
+
+@dataclass(frozen=True, kw_only=True)
+class YellowcardConfig:
+    """Resolved inputs of one monitoring run.
+
+    ``p_h``/``p_g`` default to the drug table's percentiles and ``top_n``
+    to the whole table; ``seed`` drives the correlation draw and the
+    streams.
+    """
+
+    q1: float = 0.05
+    q2: float = 0.15
+    p_h: float | None = None
+    p_g: float | None = None
+    top_n: int | None = None
+    seed: int
+    horizon: int = 1000
+
+    def __post_init__(self):
+        if (self.p_h is None) != (self.p_g is None):
+            raise ConfigError("config.p_h/p_g: override both thresholds or neither")
 
 
 # ---------------------------------------------------------------------------
 # simulation engine
 
-def _sim_pieces(config: SimulationConfig):
+def _sim_pieces(config: _Streams):
     model = SimpleModel(config.family, config.null_param, config.alt_param)
     marginal = Bernoulli if config.family == "bernoulli" else Poisson
     pairs = [(marginal(config.null_param), marginal(config.alt_param))] * config.j
@@ -199,8 +223,8 @@ def _sim_pieces(config: SimulationConfig):
     return model, pairs, truth
 
 
-def _copula(config: SimulationConfig) -> CopulaConfig:
-    return CopulaConfig(j=config.j, structure=Toeplitz(config.rho))
+def _copula(config: SimulationConfig | FssConfig) -> CopulaConfig:
+    return CopulaConfig(j=config.j, structure=Toeplitz(config.rho), seed=config.seed)
 
 
 def _trial_paths(config: SimulationConfig, pairs, truth, model, t: int, tally=None,
@@ -394,9 +418,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    raw = _load_json(args.config)
-    config = SimulationConfig.from_dict(raw, _resolve_seed(raw, args))
-    digest = _digest(config.as_dict())
+    config = _parse_config(SimulationConfig, _load_json(args.config), args.seed)
+    digest = _digest(asdict(config))
     t0 = time.perf_counter()
     counters: dict = {}
     summary, b_raw = run_simulation(config, workers=args.workers, counters=counters)
@@ -405,7 +428,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     metrics = summary.as_dict()
     _write_csv_row(out / "simulate_report.csv", metrics)
-    payload = {"config_digest": digest, "config": config.as_dict(), "metrics": metrics}
+    payload = {"config_digest": digest, "config": asdict(config), "metrics": metrics}
     if b_raw is not None:
         payload["calibration_b"] = [float(v) for v in b_raw]
     _write_json(out / "simulate_report.json", payload)
@@ -419,40 +442,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_FSS_FIELDS = (
-    "family", "null_param", "alt_param", "j", "m0", "rho",
-    "q1", "target_fnr", "reps", "seed", "n_max",
-)
-
-
 def cmd_fss(args) -> int:
-    raw = _load_json(args.config)
-    _reject_unknown(raw, _FSS_FIELDS)
-    seed = _resolve_seed(raw, args)
-    family = _field(raw, "family", str)
-    if family not in ("bernoulli", "poisson"):
-        raise ConfigError(f"config.family: must be 'bernoulli' or 'poisson', got {family!r}")
-    j = _field(raw, "j", int)
-    m0 = _field(raw, "m0", int)
-    if not 0 <= m0 <= j:
-        raise ConfigError(f"config.m0: must lie in [0, j], got {m0}")
-    model = SimpleModel(family, _field(raw, "null_param", float), _field(raw, "alt_param", float))
-    cop = CopulaConfig(j=j, structure=Toeplitz(_field(raw, "rho", float)), seed=seed)
-    truth = [True] * m0 + [False] * (j - m0)
-    resolved = {k: raw.get(k) for k in _FSS_FIELDS}
-    resolved["seed"] = seed
-    digest = _digest(resolved)
+    config = _parse_config(FssConfig, _load_json(args.config), args.seed)
+    digest = _digest(asdict(config))
+    model, _, truth = _sim_pieces(config)
 
     t0 = time.perf_counter()
-    result = find_matching_fss(
-        model,
-        cop,
-        truth,
-        _field(raw, "q1", float, required=False, default=0.25),
-        _field(raw, "target_fnr", float),
-        _field(raw, "reps", int),
-        n_max=_field(raw, "n_max", int, required=False, default=4096),
-    )
+    result = find_matching_fss(model, _copula(config), truth, config.q1, config.target_fnr,
+                               config.reps, n_max=config.n_max)
     elapsed = time.perf_counter() - t0
 
     out = _out_dir(args)
@@ -467,8 +464,8 @@ def cmd_fss(args) -> int:
     }
     _write_csv_row(out / "fss_report.csv", row)
     _write_json(out / "fss_report.json",
-                {"config_digest": digest, "config": resolved, "result": row})
-    _emit(out, RunManifest("fss", digest, seed, _versions(), {"total_s": elapsed}))
+                {"config_digest": digest, "config": asdict(config), "result": row})
+    _emit(out, RunManifest("fss", digest, config.seed, _versions(), {"total_s": elapsed}))
     print(f"fss: n_fss={result.n_fss} found={result.found} "
           f"achieved_fnr={result.achieved_fnr:.4f} (target {result.target_fnr:.4f})")
     return 0
@@ -507,37 +504,21 @@ def cmd_verify_lp(args) -> int:
     return 0
 
 
-_YC_FIELDS = ("q1", "q2", "p_h", "p_g", "top_n", "seed", "horizon")
-
-
 def cmd_yellowcard(args) -> int:
     raw = _load_json(args.config) if args.config else {}
-    _reject_unknown(raw, _YC_FIELDS)
-    seed = _resolve_seed(raw, args)
+    config = _parse_config(YellowcardConfig, raw, args.seed)
     records = load_drug_table(args.table)
-    p_h = _field(raw, "p_h", float, required=False)
-    p_g = _field(raw, "p_g", float, required=False)
-    if (p_h is None) != (p_g is None):
-        raise ConfigError("config.p_h/p_g: override both thresholds or neither")
-    if p_h is None:
-        p_h, p_g = thresholds(records)
-    config = ExperimentConfig(
-        records=tuple(records),
-        q1=_field(raw, "q1", float, required=False, default=0.05),
-        q2=_field(raw, "q2", float, required=False, default=0.15),
-        p_h=p_h,
-        p_g=p_g,
-        rho_seed=seed,
-        top_n=_field(raw, "top_n", int, required=False, default=len(records)),
-    )
-    resolved = {"table": str(args.table), "q1": config.q1, "q2": config.q2,
-                "p_h": config.p_h, "p_g": config.p_g, "top_n": config.top_n,
-                "seed": seed}
+    p_h, p_g = thresholds(records) if config.p_h is None else (config.p_h, config.p_g)
+    top_n = len(records) if config.top_n is None else config.top_n
+    config = replace(config, p_h=p_h, p_g=p_g, top_n=top_n)
+    resolved = {"table": str(args.table), **asdict(config)}
     digest = _digest(resolved)
 
     t0 = time.perf_counter()
     report = run_monitoring(
-        config, horizon=_field(raw, "horizon", int, required=False, default=1000)
+        ExperimentConfig(records=tuple(records), q1=config.q1, q2=config.q2, p_h=p_h,
+                         p_g=p_g, rho_seed=config.seed, top_n=top_n),
+        horizon=config.horizon,
     )
     elapsed = time.perf_counter() - t0
 
@@ -553,13 +534,13 @@ def cmd_yellowcard(args) -> int:
     _write_json(out / "yellowcard_report.json", {
         "config_digest": digest,
         "config": resolved,
-        "seed": seed,
+        "seed": config.seed,
         "thresholds": {"p_h": report.p_h, "p_g": report.p_g},
         "rho_by_cluster": [[c, r] for c, r in report.rho_by_cluster],
         "alpha": list(report.alpha),
         "beta": list(report.beta),
     })
-    _emit(out, RunManifest("yellowcard", digest, seed, _versions(),
+    _emit(out, RunManifest("yellowcard", digest, config.seed, _versions(),
                            {"total_s": elapsed}))
     accepted = sum(r.action == "accept" for r in report.rows)
     print(f"yellowcard: {len(report.rows)} drugs monitored, "

@@ -3,10 +3,11 @@
 Each time step draws one latent normal vector per uniform row, correlates
 it with the Cholesky factor of the target correlation matrix, maps it to
 uniforms with the normal CDF, and inverts each coordinate through its
-stream's marginal distribution.  Marginals are exact; only the dependence
-is shaped by the latent correlation.  A trial's streams come out as
-cumulative integer count totals, one row per step, generated in blocks
-on demand.
+stream's marginal distribution, a whole array per call
+(``invert_marginal``; the fixed-sample comparator inverts its bulk draws
+the same way).  Marginals are exact; only the dependence is shaped by the
+latent correlation.  A trial's streams come out as cumulative integer
+count totals, one row per step, generated in blocks on demand.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ __all__ = [
     "copula_uniforms",
     "invert_marginal",
     "cumulative_counts",
-    "dump_fixture",
-    "load_fixture",
 ]
 
 
@@ -200,27 +199,42 @@ def copula_uniforms(
 
 
 def invert_marginal(spec: MarginalSpec, u):
-    """Right-continuous inverse of the marginal CDF at ``u``.
+    """Right-continuous inverse of the marginal CDF, elementwise over ``u``.
 
-    Bernoulli: 1 if u <= p else 0.  Poisson: smallest n with F(n) >= u.
-    ReportPair: ``u`` must be a pair of uniforms; returns the
-    (amnesia, other) count pair.
+    Bernoulli: 1 where u <= p, else 0.  Poisson: the smallest n with
+    F(n) >= u.  ReportPair: ``u`` is a pair of uniform arrays and the
+    result the (amnesia, other) pair of count arrays.  Uniforms must lie
+    in [0, 1]; the normal CDF can round a large latent value to exactly 1.
     """
     if isinstance(spec, ReportPair):
         try:
             u1, u2 = u
         except (TypeError, ValueError):
-            raise ValueError("ReportPair inversion needs a pair of uniforms")
-        amn = invert_marginal(Poisson(spec.lam_amnesia), u1)
-        oth = invert_marginal(Poisson(spec.lam_other), u2)
-        return amn, oth
-    uf = float(u)
-    if not 0.0 <= uf < 1.0:
-        raise ValueError(f"u must lie in [0, 1), got {u}")
+            raise ValueError("ReportPair inversion needs a pair of uniform arrays")
+        u = parts = (np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
+    else:
+        u = np.asarray(u, dtype=float)
+        parts = (u,)
+    for part in parts:
+        # NaN fails both comparisons
+        if part.size and not (part.min() >= 0.0 and part.max() <= 1.0):
+            raise ValueError("uniforms must lie in [0, 1]")
+    return _invert_marginal(spec, u)
+
+
+def _invert_marginal(spec: MarginalSpec, u):
+    """``invert_marginal`` without the range check, for uniforms from ``ndtr``.
+
+    The engines call it once per group of streams and block of draws, where
+    the check would cost about as much as the inversion itself.
+    """
     if isinstance(spec, Bernoulli):
-        return int(uf <= spec.p)
+        return (u <= spec.p).astype(np.int64)
     if isinstance(spec, Poisson):
-        return int(_poisson_table(spec.lam).invert(np.array([uf]))[0])
+        return _poisson_table(spec.lam).invert(u)
+    if isinstance(spec, ReportPair):
+        return (_poisson_table(spec.lam_amnesia).invert(u[0]),
+                _poisson_table(spec.lam_other).invert(u[1]))
     raise ValueError(f"unknown marginal spec {spec!r}")
 
 
@@ -239,8 +253,8 @@ class _PoissonCdfTable:
         self.cdf = cdf[:stop]
 
     def invert(self, u: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.cdf, u, side="left")
-        return np.minimum(idx, self.cdf.size - 1)
+        # smallest n with cdf[n] >= u, capped at the table's last index
+        return np.searchsorted(self.cdf[:-1], u, side="left")
 
 
 _TABLE_CACHE: dict[float, _PoissonCdfTable] = {}
@@ -318,13 +332,12 @@ def _count_blocks(factor, groups, pair, horizon, rng):
         x = np.empty((count, j), np.int64)
         w = np.empty((count, j), np.int64) if pair else None
         for spec, cols in groups:
-            if isinstance(spec, Bernoulli):
-                x[:, cols] = u[:, 0, cols] <= spec.p
-            elif isinstance(spec, Poisson):
-                x[:, cols] = _poisson_table(spec.lam).invert(u[:, 0, cols])
+            if pair:
+                amnesia, other = _invert_marginal(spec, (u[:, 0, cols], u[:, 1, cols]))
+                x[:, cols] = amnesia
+                w[:, cols] = amnesia + other
             else:
-                x[:, cols] = _poisson_table(spec.lam_amnesia).invert(u[:, 0, cols])
-                w[:, cols] = x[:, cols] + _poisson_table(spec.lam_other).invert(u[:, 1, cols])
+                x[:, cols] = _invert_marginal(spec, u[:, 0, cols])
         np.cumsum(x, axis=0, out=x)
         x += x_total
         x_total = x[-1].copy()
@@ -336,39 +349,3 @@ def _count_blocks(factor, groups, pair, horizon, rng):
             w = np.arange(done + 1, done + count + 1, dtype=np.int64)[:, None]
         done += count
         yield x, w
-
-
-def dump_fixture(path, paths_by_trial: Sequence[Sequence[np.ndarray]]) -> None:
-    """Write statistic paths as 'trial stream step value' lines.
-
-    Trials and streams are 0-based, steps 1-based; values round-trip
-    through float repr.
-    """
-    with open(path, "w") as fh:
-        fh.write("# trial stream step value\n")
-        for t, streams in enumerate(paths_by_trial):
-            for j, path_j in enumerate(streams):
-                for n, value in enumerate(path_j, start=1):
-                    fh.write(f"{t} {j} {n} {float(value)!r}\n")
-
-
-def load_fixture(path) -> list[list[np.ndarray]]:
-    """Inverse of dump_fixture."""
-    table: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            t_s, j_s, n_s, v_s = line.split()
-            table.setdefault((int(t_s), int(j_s)), []).append((int(n_s), float(v_s)))
-    if not table:
-        return []
-    trials = []
-    for t in range(max(t for t, _ in table) + 1):
-        streams = []
-        for j in range(max(j for tt, j in table if tt == t) + 1):
-            entries = sorted(table.get((t, j), []))
-            streams.append(np.array([v for _, v in entries]))
-        trials.append(streams)
-    return trials

@@ -4,6 +4,7 @@ The sequential procedures are benchmarked against the fixed-sample
 Benjamini-Hochberg step-up rule: draw N observations per stream, form exact
 one-sided p-values, reject with the BH step values rescaled for worst-case
 FDR control (the same constants the sequential boundaries are built from).
+``exact_pvalue`` and ``bh_stepup`` work on whole (trials, streams) arrays.
 ``find_matching_fss`` binary-searches the smallest N whose estimated FNR
 matches the sequential procedure's achieved FNR, which is how the
 expected-sample-size savings are measured.
@@ -18,7 +19,15 @@ import numpy as np
 from scipy import stats
 
 from .core import StepVector, bh_steps, scale_for_fdr
-from .datagen import CopulaConfig, cholesky, copula_uniforms, correlation_matrix, _poisson_table
+from .datagen import (
+    Bernoulli,
+    CopulaConfig,
+    Poisson,
+    cholesky,
+    copula_uniforms,
+    correlation_matrix,
+    _invert_marginal,
+)
 from .errors import ConfigError
 from .sprt import SimpleModel
 
@@ -53,8 +62,8 @@ class FssSearchResult:
     fnr_se: float
 
 
-def exact_pvalue(model: SimpleModel, n: int, total: int) -> float:
-    """One-sided upper-tail p-value for an aggregated count of n draws.
+def exact_pvalue(model: SimpleModel, n: int, totals) -> np.ndarray:
+    """One-sided upper-tail p-values of count totals, each over n draws.
 
     Bernoulli streams aggregate to Binomial(n, p), Poisson streams to
     Poisson(n * lambda); in both cases the p-value is the null probability
@@ -62,59 +71,44 @@ def exact_pvalue(model: SimpleModel, n: int, total: int) -> float:
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if total < 0:
-        raise ValueError(f"total count must be >= 0, got {total}")
+    totals = np.asarray(totals)
+    if totals.size and totals.min() < 0:
+        raise ValueError("count totals must be >= 0")
     if model.family == "bernoulli":
-        if total > n:
-            raise ValueError(f"total {total} exceeds sample size {n}")
-        return float(stats.binom.sf(total - 1, n, model.null_param))
+        if totals.size and totals.max() > n:
+            raise ValueError(f"count totals exceed the sample size {n}")
+        return stats.binom.sf(totals - 1, n, model.null_param)
     if model.family == "poisson":
-        return float(stats.poisson.sf(total - 1, n * model.null_param))
+        return stats.poisson.sf(totals - 1, n * model.null_param)
     raise ConfigError("fixed-sample comparator supports bernoulli and poisson families")
 
 
-def bh_stepup(pvalues, alpha: StepVector):
-    """BH step-up rule: indices of the k* smallest p-values.
+def bh_stepup(pvalues, alpha: StepVector) -> np.ndarray:
+    """BH step-up rule on each row of a (T, J) p-value array: the rejection mask.
 
-    k* = max{k : p_(k) <= alpha_k}, zero when no level is met.  The
-    rejection set depends only on the values; a straddling tie at the
-    cutoff is impossible because a tied p-value at position k*+1 would
-    satisfy the larger alpha_{k*+1} and contradict maximality.
+    A row rejects its k* smallest p-values, k* = max{k : p_(k) <= alpha_k},
+    none when no level is met.  A tie straddling the cutoff is impossible,
+    because a tied p-value at position k*+1 would satisfy the larger
+    alpha_{k*+1} and contradict maximality; so a row rejects exactly its
+    p-values at or below p_(k*), and the set depends only on the values.
     """
     p = np.asarray(pvalues, dtype=float)
-    if p.ndim != 1 or p.size != alpha.j:
-        raise ValueError("pvalues must be a vector matching alpha in length")
-    if np.any((p < 0.0) | (p > 1.0)):
+    if p.ndim != 2 or p.shape[1] != alpha.j:
+        raise ValueError("pvalues must be a (T, J) array with J matching alpha")
+    # NaN fails both comparisons
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("p-values must lie in [0, 1]")
-    order = np.lexsort((np.arange(p.size), p))
-    ok = p[order] <= alpha.values
-    if not ok.any():
-        return frozenset()
-    kstar = p.size - int(np.argmax(ok[::-1]))
-    return frozenset(int(i) for i in order[:kstar])
-
-
-def _bh_counts(p: np.ndarray, alpha: np.ndarray, null_mask: np.ndarray):
-    """Vectorized BH over rows of p: per-trial (V, R, W)."""
-    j = p.shape[1]
-    order = np.argsort(p, axis=1, kind="stable")
-    sorted_p = np.take_along_axis(p, order, axis=1)
-    ok = sorted_p <= alpha[None, :]
-    rev = ok[:, ::-1]
-    has = rev.any(axis=1)
-    kstar = np.where(has, j - rev.argmax(axis=1), 0)
-    ranks = np.argsort(order, axis=1, kind="stable")
-    rejected = ranks < kstar[:, None]
-    v = (rejected & null_mask[None, :]).sum(axis=1)
-    w = (~rejected & ~null_mask[None, :]).sum(axis=1)
-    return v, kstar, w
+    sorted_p = np.sort(p, axis=1)
+    cutoff = np.where(sorted_p <= alpha.values, sorted_p, -1.0).max(axis=1)
+    return p <= cutoff[:, None]
 
 
 def _candidate_rates(
     model: SimpleModel,
     config: CopulaConfig,
     truth: np.ndarray,
-    alpha: np.ndarray,
+    runs: list,
+    alpha: StepVector,
     n: int,
     reps: int,
     seed_seq: np.random.SeedSequence,
@@ -123,10 +117,11 @@ def _candidate_rates(
 ):
     """Simulate reps fixed-sample BH analyses at sample size n.
 
-    Returns (mean FDP, mean FNP, per-trial FNP standard error).
+    ``runs`` holds (first, stop, marginal) for each range of adjacent
+    streams sharing a marginal.  Returns (mean FDP, mean FNP, per-trial
+    FNP standard error).
     """
     j = config.j
-    params = np.where(truth, model.null_param, model.alt_param)
     rng = np.random.default_rng(seed_seq)
     fdp_sum = 0.0
     fnp_sum = 0.0
@@ -136,18 +131,14 @@ def _candidate_rates(
     while done < reps:
         m = min(trial_chunk, reps - done)
         u = copula_uniforms(config, rng, size=m * n, factor=factor)
-        if model.family == "bernoulli":
-            counts = (u <= params[None, :]).astype(np.int64)
-        else:
-            counts = np.empty((m * n, j), dtype=np.int64)
-            for stream in range(j):
-                counts[:, stream] = _poisson_table(float(params[stream])).invert(u[:, stream])
-        totals = counts.reshape(m, n, j).sum(axis=1)
-        if model.family == "bernoulli":
-            p = stats.binom.sf(totals - 1, n, model.null_param)
-        else:
-            p = stats.poisson.sf(totals - 1, n * model.null_param)
-        v, r, w = _bh_counts(p, alpha, truth)
+        totals = np.empty((m, j), dtype=np.int64)
+        for lo, hi, spec in runs:
+            counts = _invert_marginal(spec, u[:, lo:hi])
+            totals[:, lo:hi] = counts.reshape(m, n, hi - lo).sum(axis=1)
+        rejected = bh_stepup(exact_pvalue(model, n, totals), alpha)
+        r = rejected.sum(axis=1)
+        v = (rejected & truth).sum(axis=1)
+        w = (~rejected & ~truth).sum(axis=1)
         fdp = v / np.maximum(r, 1)
         fnp = w / np.maximum(j - r, 1)
         fdp_sum += fdp.sum()
@@ -195,15 +186,19 @@ def find_matching_fss(
         raise ValueError("truth must assign one flag per stream")
     if model.family not in ("bernoulli", "poisson"):
         raise ConfigError("fixed-sample comparator supports bernoulli and poisson families")
+    marginal = Bernoulli if model.family == "bernoulli" else Poisson
+    edges = [0, *(np.flatnonzero(np.diff(truth)) + 1), config.j]
+    runs = [(lo, hi, marginal(model.null_param if truth[lo] else model.alt_param))
+            for lo, hi in zip(edges[:-1], edges[1:])]
     # Equal-guarantee comparison: the scaled values control FDR at q1
     # under arbitrary dependence, like the sequential constants do.
-    alpha = scale_for_fdr(bh_steps(q1, config.j), q1).values
+    alpha = scale_for_fdr(bh_steps(q1, config.j), q1)
     factor = cholesky(correlation_matrix(config))
 
     def estimate(n: int, scale: int):
         seq = np.random.SeedSequence(entropy=config.seed or 0, spawn_key=(n, scale))
         return _candidate_rates(
-            model, config, truth, alpha, n, reps * scale, seq, factor
+            model, config, truth, runs, alpha, n, reps * scale, seq, factor
         )
 
     cache: dict[int, float] = {}

@@ -29,7 +29,6 @@ __all__ = [
     "run_open_ended",
     "run_rejective",
     "summarize",
-    "decision_rows",
 ]
 
 
@@ -175,21 +174,6 @@ def summarize(trials: Sequence[TrialResult], truth: Sequence[bool | None]) -> Me
         n_trials_with_rejection=int(with_rej.sum()),
         n_trials_with_acceptance=int(not_all_rej.sum()),
     )
-
-
-def decision_rows(trial_id: int, result: TrialResult) -> list[dict]:
-    """Flat one-row-per-stream records for serialization."""
-    return [
-        {
-            "trial_id": trial_id,
-            "stream": d.stream,
-            "action": d.action,
-            "step": d.step,
-            "level": d.level,
-            "truncated_flag": int(d.truncated),
-        }
-        for d in result.decisions
-    ]
 
 
 def _max_top_block(sorted_vals, b, r):

@@ -1,15 +1,17 @@
 """Wald-style sequential test boundaries and log-likelihood-ratio machinery.
 
 One-parameter simple-vs-simple models supply i.i.d. log-likelihood-ratio
-increments.  A step-down battery of J tests needs J acceptance boundaries
-``A_1 <= ... <= A_J`` and J rejection boundaries ``B_J <= ... <= B_1``;
-surrogate error levels keep the per-level error contracts intact while
-making the boundary matrix monotone.  The cumulative LLR of a whole path is
-an affine map of integer count totals, so equal lattice points give equal
-floats, and per-step tables of count totals say exactly where it crosses
-a threshold.  A piecewise-linear standardizer maps every stream's raw
-boundaries onto one shared grid so streams with different models can be
-compared on equal footing; streams that share one model compare raw
+increments; ``llr_increments`` checks and maps single observations and is
+the float reference for the cumulative form.  A step-down battery of J
+tests needs J acceptance boundaries ``A_1 <= ... <= A_J`` and J rejection
+boundaries ``B_J <= ... <= B_1``; surrogate error levels keep the
+per-level error contracts intact while making the boundary matrix
+monotone.  The cumulative LLR of a whole path, the form every engine uses,
+is an affine map of integer count totals, so equal lattice points give
+equal floats, and per-step tables of count totals say exactly where it
+crosses a threshold.  A piecewise-linear standardizer maps every stream's
+raw boundaries onto one shared grid so streams with different models can
+be compared on equal footing; streams that share one model compare raw
 statistics directly, since a common strictly increasing map changes no
 ordering and no crossing.
 """
@@ -34,7 +36,6 @@ __all__ = [
     "wald_bounds_conservative",
     "surrogate_errors",
     "stepdown_critical_values",
-    "llr_increment",
     "llr_increments",
     "lattice_terms",
     "cumulative_llr",
@@ -83,47 +84,33 @@ class SimpleModel:
         return math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0))
 
 
-def llr_increment(model: SimpleModel, obs) -> float:
-    """Log-likelihood-ratio contribution of a single observation."""
-    if model.family == "bernoulli":
-        x = _check_count(obs, "bernoulli observation")
-        if x not in (0, 1):
-            raise ValueError(f"bernoulli observation must be 0 or 1, got {obs}")
-        c1, c0 = model.log_ratios
-        return c1 if x == 1 else c0
-    if model.family == "poisson":
-        x = _check_count(obs, "poisson observation")
-        lam0, lam1 = model.null_param, model.alt_param
-        return x * math.log(lam1 / lam0) - (lam1 - lam0)
-    # conditional binomial on a (successes, trials) pair
-    try:
-        k, n = obs
-    except (TypeError, ValueError):
-        raise ValueError("conditional_binomial observation must be a (successes, trials) pair")
-    k = _check_count(k, "success count")
-    n = _check_count(n, "trial count")
-    if k > n:
-        raise ValueError(f"success count {k} exceeds trial count {n}")
-    c1, c0 = model.log_ratios
-    return k * c1 + (n - k) * c0
+def llr_increments(model: SimpleModel, obs) -> np.ndarray:
+    """Log-likelihood-ratio increment of each observation.
 
-
-def llr_increments(model: SimpleModel, obs: np.ndarray) -> np.ndarray:
-    """Vectorized ``llr_increment`` over a block of observations.
-
-    Bernoulli/Poisson expect a 1-D count array; conditional binomial an
-    (n, 2) array of (successes, trials) rows.  Inputs are trusted.
+    Bernoulli observations are 0/1 values and Poisson observations counts,
+    in an array of any shape; conditional binomial observations are an
+    (n, 2) array of (successes, trials) rows.  Observations must be
+    nonnegative integers (integer-valued floats pass), and successes may
+    not exceed trials.
     """
     obs = np.asarray(obs)
+    if obs.dtype.kind not in "iuf" or not np.all((obs >= 0) & (np.mod(obs, 1) == 0)):
+        raise ValueError("observations must be nonnegative integer counts")
     if model.family == "bernoulli":
+        if np.any(obs > 1):
+            raise ValueError("bernoulli observations must be 0 or 1")
         c1, c0 = model.log_ratios
         return np.where(obs == 1, c1, c0)
     if model.family == "poisson":
         lam0, lam1 = model.null_param, model.alt_param
         return obs * math.log(lam1 / lam0) - (lam1 - lam0)
+    if obs.ndim != 2 or obs.shape[1] != 2:
+        raise ValueError("conditional_binomial observations must be (successes, trials) rows")
+    k, n = obs[:, 0], obs[:, 1]
+    if np.any(k > n):
+        raise ValueError("success count exceeds trial count")
     c1, c0 = model.log_ratios
-    k = obs[:, 0]
-    return k * c1 + (obs[:, 1] - k) * c0
+    return k * c1 + (n - k) * c0
 
 
 def lattice_terms(model: SimpleModel) -> tuple[float, float]:
@@ -144,16 +131,15 @@ def lattice_terms(model: SimpleModel) -> tuple[float, float]:
 def cumulative_llr(model: SimpleModel, x, w, out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative LLR ``x * slope + w * step`` at integer count totals.
 
-    ``x`` and ``w`` broadcast against each other; ``out`` may be a float
-    array holding ``x`` itself, updated in place.  Integer totals are exact
+    ``x`` and ``w`` broadcast against each other, and the result has the
+    broadcast shape; ``out`` may be a float array of that shape holding
+    ``x`` itself, updated in place.  Integer totals are exact
     in float64, so the value depends only on the lattice point: a float
     ``cumsum`` of increments would split equal points into nearby values
     that depend on summation order.
     """
     slope, step = lattice_terms(model)
-    out = np.multiply(x, slope, out=out)
-    out += np.multiply(w, step)
-    return out
+    return np.add(np.multiply(x, slope, out=out), np.multiply(w, step), out=out)
 
 
 # a count total no path reaches; exact in float64
@@ -411,19 +397,6 @@ def _dedupe_knots(raw: np.ndarray, std: np.ndarray) -> tuple[np.ndarray, np.ndar
     raw_k.setflags(write=False)
     std_k.setflags(write=False)
     return raw_k, std_k
-
-
-def _check_count(value, label: str) -> int:
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{label} must be an integer count")
-    if not isinstance(value, (int, np.integer)):
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        else:
-            raise ValueError(f"{label} must be an integer count, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{label} must be nonnegative, got {value}")
-    return int(value)
 
 
 def _check_error_pair(alpha: float, beta: float) -> None:

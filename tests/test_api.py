@@ -1,0 +1,29 @@
+"""Public surface: exported names resolve and the README quick start runs."""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import seqfdr
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_exports_resolve_and_quick_start_runs(capsys):
+    modules = [seqfdr] + [
+        importlib.import_module(f"seqfdr.{info.name}")
+        for info in pkgutil.iter_modules(seqfdr.__path__)
+    ]
+    for module in modules:
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (module.__name__, missing)
+    assert all(hasattr(m, "__all__") for m in modules if m.__name__ != "seqfdr.errors")
+
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme"})
+    lines = capsys.readouterr().out.splitlines()
+    # one decision line per stream: stream, action, step, level
+    assert sorted(int(line.split()[0]) for line in lines) == list(range(10))
+    assert {line.split()[1] for line in lines} <= {"accept", "reject"}

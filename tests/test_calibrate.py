@@ -436,6 +436,9 @@ class TestGammaTruncated:
             estimate_gamma([BERN], ["maybe"], b=np.array([1.0]), n_bar=5, reps=1000, seed=1)
         with pytest.raises(ValueError):
             estimate_gamma([BERN, BERN], ["alt"], b=np.array([1.0]), n_bar=5, reps=1000, seed=1)
+        for n_bar in (0, -3):
+            with pytest.raises(ConfigError, match="n_bar"):
+                estimate_gamma([BERN], ["alt"], b=np.array([1.0]), n_bar=n_bar, reps=1000, seed=1)
         with pytest.raises(ValueError):
             GammaEstimate(
                 gamma1=0.5,

@@ -161,6 +161,16 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "config.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("j", 3.0, "config.j: expected an integer"),
+        ("null_param", True, "config.null_param: expected a number"),
+        ("mode", 1, "config.mode: expected a string"),
+    ])
+    def test_field_types_checked(self, tmp_path, capsys, field, value, message):
+        cfg = write_config(tmp_path, dict(OPEN_CONFIG, **{field: value}))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -182,6 +192,26 @@ class TestFss:
         report = json.loads((out / "fss_report.json").read_text())
         assert report["result"]["n_fss"] == 1
         assert report["result"]["found"] is True
+
+    def test_report_records_resolved_config(self, tmp_path):
+        # omitted fields are recorded at their defaults, so a config that
+        # spells the defaults out gives the same bytes
+        outs = []
+        omitted = {k: v for k, v in self.CONFIG.items() if k != "q1"}
+        for name, payload in (("omitted", omitted), ("spelled", dict(omitted, q1=0.25, n_max=4096))):
+            out = tmp_path / name
+            assert main(["fss", "--config", write_config(tmp_path, payload, name + ".json"),
+                         "--out", str(out)]) == 0
+            outs.append(out)
+        for fname in ("fss_report.json", "fss_manifest.json"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        report = json.loads((outs[0] / "fss_report.json").read_text())
+        assert report["config"]["n_max"] == 4096 and report["config"]["q1"] == 0.25
+
+    def test_rates_beyond_table_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(self.CONFIG, null_param=800.0, alt_param=900.0))
+        assert main(["fss", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "700" in capsys.readouterr().err
 
     def test_missing_target_is_config_error(self, tmp_path, capsys):
         payload = dict(self.CONFIG)
@@ -227,6 +257,11 @@ class TestYellowcard:
         report = json.loads((out / "yellowcard_report.json").read_text())
         assert report["thresholds"]["p_h"] < report["thresholds"]["p_g"]
         assert len(report["alpha"]) == 8
+        # the report records the resolved thresholds, top_n and horizon
+        config = report["config"]
+        assert (config["p_h"], config["p_g"]) == (report["thresholds"]["p_h"],
+                                                  report["thresholds"]["p_g"])
+        assert config["top_n"] == 8 and config["horizon"] == 1000
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, {"top_n": 6, "seed": 9})

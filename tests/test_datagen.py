@@ -16,10 +16,8 @@ from seqfdr.datagen import (
     cholesky,
     copula_uniforms,
     correlation_matrix,
-    dump_fixture,
     invert_marginal,
     cumulative_counts,
-    load_fixture,
 )
 from seqfdr.errors import FactorizationError
 
@@ -86,24 +84,28 @@ class TestCholesky:
 
 class TestInvertMarginal:
     def test_bernoulli_threshold(self):
-        assert invert_marginal(Bernoulli(0.05), 0.05) == 1
-        assert invert_marginal(Bernoulli(0.05), 0.050001) == 0
-        assert invert_marginal(Bernoulli(0.05), 0.0) == 1
+        np.testing.assert_array_equal(
+            invert_marginal(Bernoulli(0.05), np.array([0.05, 0.050001, 0.0])), [1, 0, 1]
+        )
 
     def test_poisson_first_steps(self):
         # F(0) = exp(-1.5) ~ 0.22313
-        assert invert_marginal(Poisson(1.5), 0.22) == 0
-        assert invert_marginal(Poisson(1.5), 0.23) == 1
+        assert invert_marginal(Poisson(1.5), np.array([0.22]))[0] == 0
+        assert invert_marginal(Poisson(1.5), np.array([0.23]))[0] == 1
 
     def test_report_pair(self):
-        amn, oth = invert_marginal(ReportPair(0.6, 9.6), (0.5, 0.5))
-        assert amn >= 0 and oth >= 0
+        amn, oth = invert_marginal(ReportPair(0.6, 9.6), (np.array([0.5]), np.array([0.5])))
+        assert amn[0] >= 0 and oth[0] >= 0
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            invert_marginal(Bernoulli(0.5), 1.0)
-        with pytest.raises(ValueError):
-            invert_marginal(Poisson(1.5), -0.1)
+        # the normal CDF can round up to exactly 1.0: the top of the range
+        assert invert_marginal(Bernoulli(0.5), np.array([1.0]))[0] == 0
+        top = _PoissonCdfTable(1.5).cdf.size - 1
+        assert invert_marginal(Poisson(1.5), np.array([1.0]))[0] == top
+        for bad in (1.0 + 1e-12, -0.1, np.nan):
+            for spec in (Bernoulli(0.5), Poisson(1.5)):
+                with pytest.raises(ValueError):
+                    invert_marginal(spec, np.array([0.5, bad]))
         with pytest.raises(ValueError):
             invert_marginal(ReportPair(1.0, 2.0), 0.5)
 
@@ -246,24 +248,3 @@ class TestStreamSources:
             probs = np.append(probs, 1.0 - probs.sum())
             res = scipy.stats.chisquare(obs, probs * len(x))
             assert res.pvalue > 0.01, (lam, res.pvalue)
-
-
-class TestFixtureRoundTrip:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        trials = [
-            [rng.standard_normal(4), rng.standard_normal(6)],
-            [rng.standard_normal(3), rng.standard_normal(5)],
-        ]
-        path = tmp_path / "fixture.txt"
-        dump_fixture(path, trials)
-        loaded = load_fixture(path)
-        assert len(loaded) == 2
-        for orig, back in zip(trials, loaded):
-            for a, b in zip(orig, back):
-                np.testing.assert_array_equal(a, b)
-
-    def test_empty(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        dump_fixture(path, [])
-        assert load_fixture(path) == []

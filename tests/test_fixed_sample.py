@@ -10,7 +10,6 @@ from seqfdr.datagen import CopulaConfig, Toeplitz
 from seqfdr.errors import ConfigError
 from seqfdr.fixed_sample import (
     FssSearchResult,
-    _bh_counts,
     bh_stepup,
     exact_pvalue,
     find_matching_fss,
@@ -36,35 +35,35 @@ def _poisson_tail(mu, total):
 
 class TestExactPvalue:
     def test_whole_support(self):
-        assert exact_pvalue(BERN, 7, 0) == 1.0
-        assert exact_pvalue(POIS, 3, 0) == 1.0
+        assert exact_pvalue(BERN, 7, np.array([0]))[0] == 1.0
+        assert exact_pvalue(POIS, 3, np.array([0]))[0] == 1.0
 
     def test_extreme_binomial(self):
-        assert exact_pvalue(BERN, 10, 10) == pytest.approx(0.05**10, rel=1e-12)
+        assert exact_pvalue(BERN, 10, np.array([10]))[0] == pytest.approx(0.05**10, rel=1e-12)
 
     def test_binomial_against_direct_sum(self):
         for total in (0, 1, 3, 7, 12):
-            got = exact_pvalue(BERN, 12, total)
+            got = exact_pvalue(BERN, 12, np.array([total]))[0]
             assert got == pytest.approx(_binom_tail(12, 0.05, total), rel=1e-10)
 
     def test_poisson_against_direct_sum(self):
         for total in (0, 1, 4, 9):
-            got = exact_pvalue(POIS, 4, total)
+            got = exact_pvalue(POIS, 4, np.array([total]))[0]
             assert got == pytest.approx(_poisson_tail(6.0, total), rel=1e-9, abs=1e-15)
 
     def test_monotone_in_total(self):
-        ps = [exact_pvalue(POIS, 5, t) for t in range(30)]
-        assert all(a >= b for a, b in zip(ps, ps[1:]))
+        ps = exact_pvalue(POIS, 5, np.arange(30))
+        assert np.all(np.diff(ps) <= 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            exact_pvalue(BERN, 0, 0)
+            exact_pvalue(BERN, 0, np.array([0]))
         with pytest.raises(ValueError):
-            exact_pvalue(BERN, 5, -1)
+            exact_pvalue(BERN, 5, np.array([-1]))
         with pytest.raises(ValueError):
-            exact_pvalue(BERN, 5, 6)
+            exact_pvalue(BERN, 5, np.array([6]))
         with pytest.raises(ConfigError):
-            exact_pvalue(SimpleModel("conditional_binomial", 0.1, 0.2), 5, 1)
+            exact_pvalue(SimpleModel("conditional_binomial", 0.1, 0.2), 5, np.array([1]))
 
 
 def _bh_reference(p, alpha):
@@ -78,59 +77,56 @@ def _bh_reference(p, alpha):
     return frozenset(order[:kstar])
 
 
+def _rejected(mask_row):
+    return frozenset(int(i) for i in np.flatnonzero(mask_row))
+
+
 class TestBhStepup:
     def test_worked_example(self):
-        out = bh_stepup([0.01, 0.04, 0.5], StepVector([0.05, 0.10, 0.15]))
-        assert out == frozenset({0, 1})
+        out = bh_stepup([[0.01, 0.04, 0.5]], StepVector([0.05, 0.10, 0.15]))
+        assert _rejected(out[0]) == frozenset({0, 1})
 
     def test_degenerate_vectors(self):
         alpha = bh_steps(0.2, 4)
-        assert bh_stepup([1.0] * 4, alpha) == frozenset()
-        assert bh_stepup([0.0] * 4, alpha) == frozenset(range(4))
+        assert _rejected(bh_stepup([[1.0] * 4], alpha)[0]) == frozenset()
+        assert _rejected(bh_stepup([[0.0] * 4], alpha)[0]) == frozenset(range(4))
 
     def test_matches_reference_on_random_input(self):
         rng = np.random.default_rng(7)
         alpha = bh_steps(0.3, 6)
-        for _ in range(300):
-            p = np.round(rng.random(6), 2)  # rounding forces ties
-            assert bh_stepup(p, alpha) == _bh_reference(p, alpha.values)
+        p = np.round(rng.random((300, 6)), 2)  # rounding forces ties
+        mask = bh_stepup(p, alpha)
+        for row, mask_row in zip(p, mask):
+            assert _rejected(mask_row) == _bh_reference(row, alpha.values)
 
     def test_set_invariant_under_permutation(self):
         rng = np.random.default_rng(8)
         alpha = bh_steps(0.25, 5)
         p = np.array([0.01, 0.03, 0.03, 0.2, 0.9])
-        base = {p[i] for i in bh_stepup(p, alpha)}
+        base = set(p[bh_stepup(p[None, :], alpha)[0]])
         for _ in range(10):
             perm = rng.permutation(5)
-            assert {p[perm][i] for i in bh_stepup(p[perm], alpha)} == base
-
-    def test_vectorized_counts_agree(self):
-        rng = np.random.default_rng(9)
-        alpha = bh_steps(0.2, 7)
-        null_mask = np.array([True, True, True, False, False, False, True])
-        p = rng.random((200, 7))
-        v, r, w = _bh_counts(p, alpha.values, null_mask)
-        for t in range(200):
-            rej = bh_stepup(p[t], alpha)
-            assert r[t] == len(rej)
-            assert v[t] == sum(null_mask[i] for i in rej)
-            assert w[t] == sum(
-                not null_mask[i] for i in range(7) if i not in rej
-            )
+            assert set(p[perm][bh_stepup(p[perm][None, :], alpha)[0]]) == base
 
     def test_classical_fdr_control_under_independence(self):
         rng = np.random.default_rng(10)
         q, j, reps = 0.2, 8, 10_000
         p = rng.random((reps, j))
-        v, r, _ = _bh_counts(p, bh_steps(q, j).values, np.ones(j, dtype=bool))
-        fdr = np.mean(v / np.maximum(r, 1))
+        rejected = bh_stepup(p, bh_steps(q, j))
+        # every hypothesis is null, so every rejection is false
+        r = rejected.sum(axis=1)
+        fdr = np.mean(r / np.maximum(r, 1))
         assert fdr <= q + 3.0 * math.sqrt(q * (1 - q) / reps)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bh_stepup([0.5], bh_steps(0.1, 2))
+            bh_stepup([[0.5]], bh_steps(0.1, 2))
         with pytest.raises(ValueError):
-            bh_stepup([0.5, 1.5], bh_steps(0.1, 2))
+            bh_stepup([[0.5, 1.5]], bh_steps(0.1, 2))
+        with pytest.raises(ValueError):
+            bh_stepup([[0.5, np.nan]], bh_steps(0.1, 2))
+        with pytest.raises(ValueError):
+            bh_stepup([0.5, 0.5], bh_steps(0.1, 2))
 
 
 class TestFindMatchingFss:
@@ -201,4 +197,10 @@ class TestFindMatchingFss:
             find_matching_fss(
                 SimpleModel("conditional_binomial", 0.1, 0.2),
                 cfg, [True, False], 0.25, 0.5, reps=100,
+            )
+        # rates from 700 up underflow the Poisson table: refused before any draw
+        with pytest.raises(ValueError, match="700"):
+            find_matching_fss(
+                SimpleModel("poisson", 800.0, 900.0), self._config(3),
+                [True, False, False], 0.25, 0.5, reps=50, n_max=8,
             )

@@ -10,7 +10,6 @@ from seqfdr.errors import DataUnderrunError, StageGuardError
 from seqfdr.procedures import (
     Decision,
     TrialResult,
-    decision_rows,
     run_open_ended,
     run_rejective,
     summarize,
@@ -306,19 +305,6 @@ class TestTrialResult:
                     Decision(stream=0, action="accept", step=1, level=1),
                 )
             )
-
-    def test_decision_rows(self):
-        result = run_rejective(_sources([2.5], [0.4]), b=np.array([2.0, 1.0]), n_bar=1)
-        rows = decision_rows(7, result)
-        assert rows[0] == {
-            "trial_id": 7,
-            "stream": 0,
-            "action": "reject",
-            "step": 1,
-            "level": 1,
-            "truncated_flag": 0,
-        }
-        assert rows[1]["truncated_flag"] == 1
 
 
 class TestSummarize:

@@ -16,7 +16,6 @@ from seqfdr.sprt import (
     crossing_counts,
     cumulative_llr,
     lattice_terms,
-    llr_increment,
     llr_increments,
     make_standardizer,
     make_upper_standardizer,
@@ -96,38 +95,40 @@ class TestSurrogates:
 class TestLlrIncrements:
     def test_bernoulli_values(self):
         m = SimpleModel("bernoulli", 0.05, 0.15)
-        assert llr_increment(m, 1) == pytest.approx(math.log(3.0), abs=1e-12)
-        assert llr_increment(m, 0) == pytest.approx(math.log(0.85 / 0.95), abs=1e-12)
+        assert llr_increments(m, np.array([1]))[0] == pytest.approx(math.log(3.0), abs=1e-12)
+        assert llr_increments(m, np.array([0]))[0] == pytest.approx(
+            math.log(0.85 / 0.95), abs=1e-12
+        )
 
     def test_poisson_values(self):
         m = SimpleModel("poisson", 1.5, 2.0)
-        assert llr_increment(m, 0) == pytest.approx(-0.5, abs=1e-12)
-        assert llr_increment(m, 3) == pytest.approx(
+        assert llr_increments(m, np.array([0]))[0] == pytest.approx(-0.5, abs=1e-12)
+        assert llr_increments(m, np.array([3]))[0] == pytest.approx(
             3 * math.log(4.0 / 3.0) - 0.5, abs=1e-12
         )
 
     def test_conditional_binomial_values(self):
         m = SimpleModel("conditional_binomial", 0.05, 0.15)
-        got = llr_increment(m, (5, 100))
+        got = llr_increments(m, np.array([[5, 100]]))[0]
         want = 5 * math.log(3.0) + 95 * math.log(0.85 / 0.95)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_observation_validation(self):
         b = SimpleModel("bernoulli", 0.05, 0.15)
         with pytest.raises(ValueError):
-            llr_increment(b, 2)
+            llr_increments(b, np.array([2]))
         with pytest.raises(ValueError):
-            llr_increment(b, True)
+            llr_increments(b, np.array([True]))
         p = SimpleModel("poisson", 1.5, 2.0)
         with pytest.raises(ValueError):
-            llr_increment(p, -1)
+            llr_increments(p, np.array([-1]))
         with pytest.raises(ValueError):
-            llr_increment(p, 0.5)
+            llr_increments(p, np.array([0.5]))
         c = SimpleModel("conditional_binomial", 0.05, 0.15)
         with pytest.raises(ValueError):
-            llr_increment(c, (5, 3))
+            llr_increments(c, np.array([[5, 3]]))
         with pytest.raises(ValueError):
-            llr_increment(c, 5)
+            llr_increments(c, np.array([5]))
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -136,28 +137,6 @@ class TestLlrIncrements:
             SimpleModel("poisson", 1.0, 1.0)
         with pytest.raises(ValueError):
             SimpleModel("gamma", 1.0, 2.0)
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(7)
-        b = SimpleModel("bernoulli", 0.05, 0.15)
-        obs = rng.integers(0, 2, size=50)
-        np.testing.assert_allclose(
-            llr_increments(b, obs), [llr_increment(b, int(x)) for x in obs], atol=1e-15
-        )
-        p = SimpleModel("poisson", 1.5, 2.0)
-        obs = rng.poisson(1.5, size=50)
-        np.testing.assert_allclose(
-            llr_increments(p, obs), [llr_increment(p, int(x)) for x in obs], atol=1e-14
-        )
-        c = SimpleModel("conditional_binomial", 0.05, 0.15)
-        n = rng.poisson(8.0, size=30)
-        k = rng.binomial(n, 0.1)
-        pairs = np.stack([k, n], axis=1)
-        np.testing.assert_allclose(
-            llr_increments(c, pairs),
-            [llr_increment(c, (int(ki), int(ni))) for ki, ni in pairs],
-            atol=1e-13,
-        )
 
 
 class TestCriticalValues:
@@ -312,8 +291,9 @@ class TestLatticeLlr:
     ], ids=["bern_up", "bern_down", "pois_up", "pois_down"])
     def test_crossing_counts_match_statistic(self, model):
         horizon = 120
-        x, n = np.meshgrid(np.arange(0, 400), np.arange(1, horizon + 1), indexing="ij")
+        x, n = np.arange(0, 400)[:, None], np.arange(1, horizon + 1)[None, :]
         stat = cumulative_llr(model, x, n)
+        assert stat.shape == (400, horizon)
         lattice = [float(stat[3, 6]), float(stat[40, 99])]
         near = [np.nextafter(v, -np.inf) for v in lattice] + [np.nextafter(v, np.inf) for v in lattice]
         for thr in [-3.3, -1.0, 0.0, 0.7, 2.9, *lattice, *near, np.inf, -np.inf]:
