@@ -66,25 +66,6 @@ class CalibrationReport:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "achieved", achieved)
 
-    def as_dict(self) -> dict:
-        return {
-            "b": [float(v) for v in self.b],
-            "reps": self.reps,
-            "achieved": [float(v) for v in self.achieved],
-            "seed": self.seed,
-            "n_bar": self.n_bar,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CalibrationReport":
-        return cls(
-            b=np.asarray(data["b"], dtype=float),
-            reps=int(data["reps"]),
-            achieved=np.asarray(data["achieved"], dtype=float),
-            seed=int(data["seed"]),
-            n_bar=int(data["n_bar"]),
-        )
-
 
 @dataclass(frozen=True)
 class GammaEstimate:
@@ -129,10 +110,6 @@ _NO_SAMPLER = (
     "conditional_binomial streams have no standalone sampling distribution; "
     "simulate the trial-count process explicitly instead"
 )
-
-
-def _as_rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def _sample_obs(model: SimpleModel, param: float, rng: np.random.Generator, shape):
@@ -204,7 +181,8 @@ def mc_truncated_critical_values(
         raise ConfigError(f"reps must be >= 1, got {reps}")
     tails = np.array([math.floor((reps + 1) * a_k) for a_k in alpha.values])
     cal_seed, val_seed = np.random.SeedSequence(seed).spawn(2)
-    maxima = np.sort(_path_maxima(model, model.null_param, n_bar, reps, _as_rng(cal_seed)))
+    rng = np.random.default_rng(cal_seed)
+    maxima = np.sort(_path_maxima(model, model.null_param, n_bar, reps, rng))
     # first index of each distinct value: reps - first[i] maxima are >= maxima[first[i]]
     first = np.flatnonzero(np.diff(maxima, prepend=-np.inf))
     pos = np.searchsorted(first, reps - tails)
@@ -217,7 +195,7 @@ def mc_truncated_critical_values(
             f"sampled maximum alone has {reps - first[-1]}; increase reps"
         )
     b = maxima[first[pos]]
-    fresh = _path_maxima(model, model.null_param, n_bar, reps, _as_rng(val_seed))
+    fresh = _path_maxima(model, model.null_param, n_bar, reps, np.random.default_rng(val_seed))
     achieved = np.array([np.mean(fresh >= bk) for bk in b])
     return CalibrationReport(b=b, reps=reps, achieved=achieved, seed=seed, n_bar=n_bar)
 
@@ -325,11 +303,9 @@ def estimate_gamma(
 ) -> GammaEstimate:
     """Estimate per-stream chances of forcing a rejection or acceptance.
 
-    Boundaries are in the same (raw or standardized) units as the
-    statistic the caller will run; first-crossing events are invariant
-    under the strictly increasing standardization, so raw Wald boundaries
-    are the usual input.  Open-ended mode needs ``a``; truncated mode
-    needs ``n_bar`` and estimates only the rejection-side rate.
+    Boundaries are in LLR units, the scale of the statistic the
+    procedures run.  Open-ended mode needs ``a``; truncated mode needs
+    ``n_bar`` and estimates only the rejection-side rate.
 
     Open-ended mode races each path of ``cumulative_llr`` (up ``>= b[0]``
     before down ``<= a[-1]`` for gamma1, down ``<= a[0]`` before up
@@ -376,7 +352,7 @@ def estimate_gamma(
     tables = {}
     for j, (model, choice, child) in enumerate(zip(models, choices, children)):
         param = model.null_param if choice == "null" else model.alt_param
-        rng = _as_rng(child)
+        rng = np.random.default_rng(child)
         if n_bar is not None:
             maxima = _path_maxima(model, param, n_bar, reps, rng)
             g1[j] = np.mean(maxima >= b[0])

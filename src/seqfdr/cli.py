@@ -189,6 +189,11 @@ class FssConfig(_Streams):
     seed: int
     n_max: int = 4096
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_max < 1:
+            raise ConfigError(f"config.n_max: must be >= 1, got {self.n_max}")
+
 
 @dataclass(frozen=True, kw_only=True)
 class YellowcardConfig:
@@ -281,19 +286,34 @@ def _trials_for_range(
 
 
 def _run_trials(config: SimulationConfig, b_raw, workers: int):
-    """All trials in index order plus summed counters, over ``workers`` processes."""
-    if workers <= 1:
+    """All trials in index order plus summed counters, over ``workers`` processes.
+
+    The pool has one process per nonempty chunk, so never more than
+    ``reps`` processes.
+    """
+    if workers == 1:
         return _trials_for_range(config, b_raw, 0, config.reps)
     bounds = np.linspace(0, config.reps, workers + 1).astype(int)
     chunks = [(s, e) for s, e in zip(bounds[:-1], bounds[1:]) if e > s]
     trials, tally = [], Counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [pool.submit(_trials_for_range, config, b_raw, s, e) for s, e in chunks]
         for fut in futures:
             part, counts = fut.result()
             trials += part
             tally += counts
     return trials, tally
+
+
+def _calibration_seed(seed: int) -> int:
+    """Seed of a rejective batch's calibration, apart from every trial's.
+
+    Trial t draws from child ``(t,)`` of ``SeedSequence(seed)``.  Given
+    ``seed`` itself, the calibration's two samples would draw from children
+    ``(0,)`` and ``(1,)``, the streams of trials 0 and 1.  A word of the
+    root sequence's own state, which no trial draws, seeds it instead.
+    """
+    return int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
 
 
 def run_simulation(config: SimulationConfig, workers: int = 1, counters: dict | None = None):
@@ -304,14 +324,16 @@ def run_simulation(config: SimulationConfig, workers: int = 1, counters: dict | 
     when given, is updated with the engine's work counts: trials, stages
     per trial, statistic-matrix rows drawn, decision steps (summed over
     streams; at most rows times J) and path extensions (blocks drawn after
-    each trial's first).
+    each trial's first).  ``workers`` below 1 is a ``ConfigError``.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     b_raw = None
     if config.mode == "rejective":
         model, _, _ = _sim_pieces(config)
         alpha = scale_for_fdr(bh_steps(config.q1, config.j), config.q1)
         report = mc_truncated_critical_values(
-            model, alpha, config.n_bar, config.calib_reps, config.seed
+            model, alpha, config.n_bar, config.calib_reps, _calibration_seed(config.seed)
         )
         b_raw = report.b
     trials, tally = _run_trials(config, b_raw, workers)

@@ -182,20 +182,18 @@ def _failing_minor(mat: np.ndarray) -> int:
 def copula_uniforms(
     config: CopulaConfig,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
     factor: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw correlated uniform vectors: U = Phi(L Z) with Z standard normal.
+    """Draw ``size`` correlated uniform vectors: U = Phi(L Z), Z standard normal.
 
-    Returns shape (j,) when ``size`` is None, else (size, j).  ``factor``
-    may carry a precomputed Cholesky factor.
+    Returns shape (size, j).  ``factor`` may carry a precomputed Cholesky
+    factor.
     """
     if factor is None:
         factor = cholesky(correlation_matrix(config))
-    n = 1 if size is None else int(size)
-    z = rng.standard_normal((n, config.j))
-    u = ndtr(z @ factor.T)
-    return u[0] if size is None else u
+    z = rng.standard_normal((int(size), config.j))
+    return ndtr(z @ factor.T)
 
 
 def invert_marginal(spec: MarginalSpec, u):

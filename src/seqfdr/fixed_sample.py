@@ -181,6 +181,8 @@ def find_matching_fss(
         raise ConfigError(f"target_fnr must be in (0, 1], got {target_fnr}")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
+    if n_max < 1:
+        raise ConfigError(f"n_max must be >= 1, got {n_max}")
     truth = np.asarray(truth, dtype=bool)
     if truth.shape != (config.j,):
         raise ValueError("truth must assign one flag per stream")

@@ -9,18 +9,15 @@ per-level error contracts intact while making the boundary matrix
 monotone.  The cumulative LLR of a whole path, the form every engine uses,
 is an affine map of integer count totals, so equal lattice points give
 equal floats, and per-step tables of count totals say exactly where it
-crosses a threshold.  A piecewise-linear standardizer maps every stream's
-raw boundaries onto one shared grid so streams with different models can
-be compared on equal footing; streams that share one model compare raw
-statistics directly, since a common strictly increasing map changes no
-ordering and no crossing.
+crosses a threshold.  Every stream of one battery shares one model, so
+the procedures compare raw statistics with one boundary ladder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -31,7 +28,6 @@ __all__ = [
     "SIEGMUND_RHO",
     "SimpleModel",
     "CriticalMatrix",
-    "Standardizer",
     "wald_bounds",
     "wald_bounds_conservative",
     "surrogate_errors",
@@ -40,8 +36,6 @@ __all__ = [
     "lattice_terms",
     "cumulative_llr",
     "crossing_counts",
-    "make_standardizer",
-    "make_upper_standardizer",
 ]
 
 # mean overshoot correction for Brownian-scale random walks
@@ -286,117 +280,6 @@ def stepdown_critical_values(
             a[k], _ = wald_bounds(alpha_t[k], beta.values[k], rho)
             _, b[k] = wald_bounds(alpha.values[k], beta_t[k], rho)
     return CriticalMatrix(a=a, b=b)
-
-
-@dataclass(frozen=True)
-class Standardizer:
-    """Piecewise-linear strictly increasing map onto a standard boundary grid.
-
-    ``raw_knots``/``std_knots`` pin the map; between knots it interpolates,
-    beyond the extreme knots it continues with slope 1.  ``a``/``b`` hold the
-    standardized per-level boundaries (``a`` is None for upper-only maps).
-    """
-
-    raw_knots: np.ndarray
-    std_knots: np.ndarray
-    a: np.ndarray | None
-    b: np.ndarray
-
-    def apply(self, x):
-        arr = np.asarray(x, dtype=float)
-        raw, std = self.raw_knots, self.std_knots
-        out = np.interp(arr, raw, std)
-        below = arr < raw[0]
-        above = arr > raw[-1]
-        if np.any(below):
-            out = np.where(below, std[0] - (raw[0] - arr), out)
-        if np.any(above):
-            out = np.where(above, std[-1] + (arr - raw[-1]), out)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
-
-
-def make_standardizer(
-    crit: CriticalMatrix,
-    lower_targets: Sequence[float] | None = None,
-    upper_targets: Sequence[float] | None = None,
-) -> Standardizer:
-    """Standardizer pinning phi(A_k) = a_k and phi(B_k) = b_k.
-
-    Default grid: a_k = -(J - k + 1) (so levels 1..J sit at -J..-1) and
-    b_k = J - k + 1 (levels 1..J at J..1).  Tied raw boundaries collapse to
-    the earliest level's grid value, keeping the map strictly increasing.
-    """
-    j = crit.j
-    if lower_targets is None:
-        lower_targets = np.arange(-j, 0, dtype=float)
-    if upper_targets is None:
-        upper_targets = np.arange(j, 0, -1, dtype=float)
-    lower_targets = np.asarray(lower_targets, dtype=float)
-    upper_targets = np.asarray(upper_targets, dtype=float)
-    if lower_targets.shape != (j,) or upper_targets.shape != (j,):
-        raise ValueError("targets must have one value per level")
-
-    a_std = _collapse_targets(crit.a, lower_targets)
-    b_std = _collapse_targets(crit.b, upper_targets)
-    # knots in ascending raw order: A_1..A_J then B_J..B_1
-    raw = np.concatenate([crit.a, crit.b[::-1]])
-    std = np.concatenate([a_std, b_std[::-1]])
-    raw_knots, std_knots = _dedupe_knots(raw, std)
-    return Standardizer(raw_knots=raw_knots, std_knots=std_knots, a=a_std, b=b_std)
-
-
-def make_upper_standardizer(
-    b: np.ndarray, targets: Sequence[float] | None = None
-) -> Standardizer:
-    """Standardizer for rejection-only boundary vectors (truncated designs)."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size < 1:
-        raise ValueError("b must be a nonempty 1-D array")
-    if np.any(np.diff(b) > 1e-12):
-        raise ValueError("rejection boundaries must be nonincreasing in level")
-    j = b.size
-    if targets is None:
-        targets = np.arange(j, 0, -1, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if targets.shape != (j,):
-        raise ValueError("targets must have one value per level")
-    b_std = _collapse_targets(b, targets)
-    raw_knots, std_knots = _dedupe_knots(b[::-1], b_std[::-1])
-    return Standardizer(raw_knots=raw_knots, std_knots=std_knots, a=None, b=b_std)
-
-
-def _collapse_targets(raw: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Give tied raw boundaries the target of the earliest tied level."""
-    out = targets.astype(float).copy()
-    start = 0
-    for k in range(1, raw.size + 1):
-        if k == raw.size or raw[k] != raw[start]:
-            out[start:k] = out[start]
-            start = k
-    return out
-
-
-def _dedupe_knots(raw: np.ndarray, std: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    keep = np.ones(raw.size, dtype=bool)
-    for i in range(1, raw.size):
-        if raw[i] == raw[i - 1]:
-            if std[i] != std[i - 1]:
-                raise ValueError(
-                    "duplicate raw boundary with conflicting grid targets "
-                    f"at value {raw[i]:.6g}"
-                )
-            keep[i] = False
-    raw_k = raw[keep]
-    std_k = std[keep]
-    if np.any(np.diff(raw_k) <= 0.0):
-        raise ValueError("raw boundary knots must be strictly increasing after collapse")
-    if np.any(np.diff(std_k) <= 0.0):
-        raise ValueError("grid targets must be strictly increasing after collapse")
-    raw_k.setflags(write=False)
-    std_k.setflags(write=False)
-    return raw_k, std_k
 
 
 def _check_error_pair(alpha: float, beta: float) -> None:

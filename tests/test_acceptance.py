@@ -165,6 +165,7 @@ def test_02_lp_sharpness(record):
     assert ok, line
 
 
+@pytest.mark.slow
 def test_03_error_control_across_dependence(record, cell):
     bad = []
     for rho in (-0.9, -0.6, 0.0, 0.6):
@@ -194,6 +195,7 @@ def _check_table(cell, family, null, alt, table, check_fnr):
     return bad, "; ".join(shown)
 
 
+@pytest.mark.slow
 def test_04_binomial_reference_table(record, cell):
     bad, shown = _check_table(cell, *BERN, TABLE_BERN, check_fnr=True)
     ok = not bad
@@ -202,6 +204,7 @@ def test_04_binomial_reference_table(record, cell):
     assert ok, line
 
 
+@pytest.mark.slow
 def test_05_poisson_reference_table(record, cell):
     bad, shown = _check_table(cell, *POIS, TABLE_POIS, check_fnr=False)
     ok = not bad
@@ -210,6 +213,7 @@ def test_05_poisson_reference_table(record, cell):
     assert ok, line
 
 
+@pytest.mark.slow
 def test_06_fixed_sample_benchmark(record, cell):
     bad, shown = [], []
     for (family, null, alt), m0 in ((BERN, 5), (POIS, 0)):
@@ -283,6 +287,7 @@ def _pfdr_cell(family, null, alt):
     return gamma, summarize(trials, truth)
 
 
+@pytest.mark.slow
 def test_08_pfdr_control(record):
     bad, shown = [], []
     for family, null, alt in (BERN, POIS):

@@ -7,7 +7,6 @@ import pytest
 
 from seqfdr.calibrate import (
     _NEVER,
-    CalibrationReport,
     GammaEstimate,
     _passage_times,
     _path_maxima,
@@ -127,12 +126,6 @@ class TestCriticalValues:
         r1 = mc_truncated_critical_values(POIS, alpha, 8, 1200, 77)
         r2 = mc_truncated_critical_values(POIS, alpha, 8, 1200, 77)
         assert np.array_equal(r1.b, r2.b) and np.array_equal(r1.achieved, r2.achieved)
-
-    def test_round_trip_dict(self):
-        report = mc_truncated_critical_values(BERN, StepVector([0.1, 0.2]), 4, 1000, 1)
-        clone = CalibrationReport.from_dict(report.as_dict())
-        assert np.array_equal(clone.b, report.b)
-        assert clone.reps == report.reps and clone.seed == report.seed
 
     def test_input_validation(self):
         with pytest.raises(ConfigError):

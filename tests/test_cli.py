@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from seqfdr.calibrate import mc_truncated_critical_values
+from seqfdr import cli
 from seqfdr.cli import (
     SimulationConfig,
+    _calibration_seed,
     _run_trials,
     _sim_pieces,
     _trial_paths,
@@ -111,7 +113,7 @@ class TestSimulate:
             crit = stepdown_critical_values(alpha, scale_for_fdr(bh_steps(0.15, 10), 0.15))
             runner = lambda paths: run_open_ended(paths, crit.a, crit.b)
         else:
-            b_raw = mc_truncated_critical_values(model, alpha, 50, 2000, 7).b
+            b_raw = mc_truncated_critical_values(model, alpha, 50, 2000, _calibration_seed(7)).b
             runner = lambda paths: run_rejective(paths, b_raw, 50)
         whole = [runner(np.concatenate(list(_trial_paths(config, pairs, truth, model, t))))
                  for t in range(30)]
@@ -120,6 +122,48 @@ class TestSimulate:
         assert _run_trials(config, b_raw, 1)[0] == whole
         assert _run_trials(config, b_raw, 2)[0] == whole
         assert split == whole
+
+    def test_pool_sized_to_chunks(self, monkeypatch):
+        # reps=2 splits into two chunks, so workers=4 starts two processes
+        sizes = []
+        real_pool = cli.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+        config = SimulationConfig(**dict(OPEN_CONFIG, reps=2))
+        assert _run_trials(config, None, 4) == _run_trials(config, None, 1)
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_rejected(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path, OPEN_CONFIG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--workers", workers]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_calibration_seed_apart_from_trials(self, monkeypatch):
+        # the rejective calibration's two samples draw from none of the
+        # trials' seed sequences (trial t: spawn key (t,) of the run seed)
+        seeds = []
+        real = cli.mc_truncated_critical_values
+
+        def recording(model, alpha, n_bar, reps, seed):
+            seeds.append(seed)
+            return real(model, alpha, n_bar, reps, seed)
+
+        monkeypatch.setattr(cli, "mc_truncated_critical_values", recording)
+        config = SimulationConfig(
+            **dict(OPEN_CONFIG, mode="rejective", n_bar=25, calib_reps=1000, reps=4)
+        )
+        cli.run_simulation(config)
+        calibration = {tuple(child.generate_state(4))
+                       for child in np.random.SeedSequence(seeds[0]).spawn(2)}
+        trials = {tuple(np.random.SeedSequence(entropy=config.seed, spawn_key=(t,))
+                        .generate_state(4)) for t in range(1000)}
+        assert len(calibration) == 2 and not calibration & trials
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, OPEN_CONFIG)
@@ -212,6 +256,12 @@ class TestFss:
         cfg = write_config(tmp_path, dict(self.CONFIG, null_param=800.0, alt_param=900.0))
         assert main(["fss", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "700" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_max", [0, -5])
+    def test_nonpositive_n_max_exit_two(self, tmp_path, capsys, n_max):
+        cfg = write_config(tmp_path, dict(self.CONFIG, n_max=n_max))
+        assert main(["fss", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "config.n_max: must be >= 1" in capsys.readouterr().err
 
     def test_missing_target_is_config_error(self, tmp_path, capsys):
         payload = dict(self.CONFIG)

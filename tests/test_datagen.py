@@ -134,7 +134,6 @@ class TestCopulaUniforms:
     def test_shapes(self):
         cfg = CopulaConfig(4, Toeplitz(-0.6))
         rng = np.random.default_rng(0)
-        assert copula_uniforms(cfg, rng).shape == (4,)
         assert copula_uniforms(cfg, rng, size=7).shape == (7, 4)
 
     def test_deterministic_under_seed(self):

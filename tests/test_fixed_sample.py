@@ -193,6 +193,9 @@ class TestFindMatchingFss:
             find_matching_fss(BERN, cfg, [True, False], 0.25, 0.0, reps=100)
         with pytest.raises(ValueError):
             find_matching_fss(BERN, cfg, [True], 0.25, 0.5, reps=100)
+        for n_max in (0, -5):
+            with pytest.raises(ConfigError, match="n_max"):
+                find_matching_fss(BERN, cfg, [True, False], 0.25, 0.5, reps=100, n_max=n_max)
         with pytest.raises(ConfigError):
             find_matching_fss(
                 SimpleModel("conditional_binomial", 0.1, 0.2),

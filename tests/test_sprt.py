@@ -1,4 +1,4 @@
-"""Tests for Wald boundaries, surrogate levels, and the standardizer."""
+"""Tests for Wald boundaries, surrogate levels, and the lattice LLR."""
 
 import math
 
@@ -17,8 +17,6 @@ from seqfdr.sprt import (
     cumulative_llr,
     lattice_terms,
     llr_increments,
-    make_standardizer,
-    make_upper_standardizer,
     stepdown_critical_values,
     surrogate_errors,
     wald_bounds,
@@ -185,73 +183,6 @@ class TestCriticalValues:
             CriticalMatrix(a=np.array([0.0, -1.0]), b=np.array([5.0, 4.0]))
         with pytest.raises(BoundaryCollapseError):
             CriticalMatrix(a=np.array([-1.0, 2.0]), b=np.array([3.0, 1.0]))
-
-
-class TestStandardizer:
-    def _crit(self, j=4):
-        alpha = scale_for_fdr(bh_steps(0.25, j), 0.25)
-        beta = scale_for_fdr(bh_steps(0.15, j), 0.15)
-        return stepdown_critical_values(alpha, beta)
-
-    def test_knots_map_exactly_to_grid(self):
-        crit = self._crit(4)
-        std = make_standardizer(crit)
-        np.testing.assert_array_equal(std.apply(crit.a), [-4.0, -3.0, -2.0, -1.0])
-        np.testing.assert_array_equal(std.apply(crit.b), [4.0, 3.0, 2.0, 1.0])
-        np.testing.assert_array_equal(std.a, [-4.0, -3.0, -2.0, -1.0])
-        np.testing.assert_array_equal(std.b, [4.0, 3.0, 2.0, 1.0])
-
-    def test_strictly_increasing(self):
-        crit = self._crit(5)
-        std = make_standardizer(crit)
-        xs = np.sort(np.random.default_rng(3).uniform(-20, 20, size=400))
-        ys = std.apply(xs)
-        assert np.all(np.diff(ys) > 0)
-
-    def test_slope_one_extension(self):
-        crit = self._crit(3)
-        std = make_standardizer(crit)
-        assert std.apply(crit.a[0] - 2.5) == pytest.approx(-3.0 - 2.5, abs=1e-12)
-        assert std.apply(crit.b[0] + 1.25) == pytest.approx(3.0 + 1.25, abs=1e-12)
-
-    def test_scalar_and_array_apply(self):
-        crit = self._crit(3)
-        std = make_standardizer(crit)
-        x = float(crit.a[1])
-        assert isinstance(std.apply(x), float)
-        np.testing.assert_array_equal(std.apply(np.array([x])), [std.apply(x)])
-
-    def test_tied_boundaries_collapse_to_shared_knot(self):
-        alpha = StepVector(np.array([0.02, 0.05, 0.05]))
-        beta = StepVector(np.array([0.05, 0.1, 0.1]))
-        crit = stepdown_critical_values(alpha, beta)
-        assert crit.b[1] == crit.b[2] and crit.a[1] == crit.a[2]
-        std = make_standardizer(crit)
-        # earliest level's grid value wins for the shared knot
-        np.testing.assert_array_equal(std.a, [-3.0, -2.0, -2.0])
-        np.testing.assert_array_equal(std.b, [3.0, 2.0, 2.0])
-        assert std.apply(float(crit.a[1])) == -2.0
-        assert std.apply(float(crit.b[1])) == 2.0
-        assert np.all(np.diff(std.raw_knots) > 0)
-
-    def test_conflicting_duplicate_targets_rejected(self):
-        crit = CriticalMatrix(a=np.array([-2.0, -1.0]), b=np.array([3.0, 2.0]))
-        with pytest.raises(ValueError):
-            make_standardizer(crit, lower_targets=[-5, -4], upper_targets=[4, -4.0 + 0])
-        # duplicate raw across the a/b junction is degenerate
-        degen = CriticalMatrix(a=np.array([-2.0, 1.0]), b=np.array([3.0, 1.0]))
-        with pytest.raises(ValueError):
-            make_standardizer(degen)
-
-    def test_upper_only_variant(self):
-        b = np.array([6.0, 4.5, 3.0])
-        std = make_upper_standardizer(b)
-        assert std.a is None
-        np.testing.assert_array_equal(std.apply(b), [3.0, 2.0, 1.0])
-        assert std.apply(7.0) == pytest.approx(3.0 + 1.0)
-        assert std.apply(2.0) == pytest.approx(1.0 - 1.0)
-        with pytest.raises(ValueError):
-            make_upper_standardizer(np.array([1.0, 2.0]))
 
 
 class TestLatticeLlr:

@@ -118,6 +118,9 @@ class TestSolveMax:
         assert v2 == pytest.approx(0.25, abs=1e-12)
 
     def test_against_reference_solver(self):
+        # strong duality: the primal optimum equals that of the dual
+        # min rhs . y  subject to  rows^T y >= objective,  y >= 0,
+        # which is a different program solved on its own
         rng = np.random.default_rng(0)
         for _ in range(25):
             j = int(rng.integers(2, 5))
@@ -125,12 +128,12 @@ class TestSolveMax:
             alpha = StepVector(np.sort(rng.uniform(0.01, 0.7, j)))
             prob = build_problem(alpha, m0)
             value, x = solve_max(prob)
-            ref = linprog(
-                -prob.objective, A_ub=prob.rows, b_ub=prob.rhs,
+            dual = linprog(
+                prob.rhs, A_ub=-prob.rows.T, b_ub=-prob.objective,
                 bounds=(0, None), method="highs",
             )
-            assert ref.status == 0
-            assert value == pytest.approx(-ref.fun, abs=1e-9)
+            assert dual.status == 0
+            assert value == pytest.approx(dual.fun, abs=1e-9)
             assert np.all(prob.rows @ x <= prob.rhs + 1e-9)
             assert np.all(x >= -1e-12)
 
