@@ -485,8 +485,8 @@ def cmd_fss(args) -> int:
         "fnr_se": result.fnr_se,
     }
     _write_csv_row(out / "fss_report.csv", row)
-    _write_json(out / "fss_report.json",
-                {"config_digest": digest, "config": asdict(config), "result": row})
+    _write_json(out / "fss_report.json", {"config_digest": digest, "config": asdict(config),
+                                          "result": row, "curve": result.curve._asdict()})
     _emit(out, RunManifest("fss", digest, config.seed, _versions(), {"total_s": elapsed}))
     print(f"fss: n_fss={result.n_fss} found={result.found} "
           f"achieved_fnr={result.achieved_fnr:.4f} (target {result.target_fnr:.4f})")

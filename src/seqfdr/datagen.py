@@ -1,23 +1,24 @@
 """Correlated count-stream generation through a Gaussian copula.
 
-Each time step draws one latent normal vector per uniform row, correlates
-it with the Cholesky factor of the target correlation matrix, maps it to
-uniforms with the normal CDF, and inverts each coordinate through its
-stream's marginal distribution, a whole array per call
-(``invert_marginal``; the fixed-sample comparator inverts its bulk draws
-the same way).  Marginals are exact; only the dependence is shaped by the
-latent correlation.  A trial's streams come out as cumulative integer
-count totals, one row per step, generated in blocks on demand.
+Each time step draws one latent normal vector per row, correlates it with
+the Cholesky factor of the target correlation matrix, and turns each
+coordinate into a count of its stream's marginal by comparing it with the
+latent cuts of the marginal's CDF (``_latent_counts``): the counts of
+inverting the uniform Phi(y), without evaluating Phi.  The trial engine and
+the fixed-sample comparator share this path (``_count_blocks``).  Marginals
+are exact; only the dependence is shaped by the latent correlation.  Counts
+come out as cumulative integer totals, one row per step, in blocks on demand.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import FactorizationError
 
@@ -202,42 +203,63 @@ def invert_marginal(spec: MarginalSpec, u):
     Bernoulli: 1 where u <= p, else 0.  Poisson: the smallest n with
     F(n) >= u.  ReportPair: ``u`` is a pair of uniform arrays and the
     result the (amnesia, other) pair of count arrays.  Uniforms must lie
-    in [0, 1]; the normal CDF can round a large latent value to exactly 1.
+    in [0, 1]; u = 0 and u = 1 map to the latent values -inf and +inf of
+    ``_latent_counts``, the inversion the engines run on latent normals.
     """
     if isinstance(spec, ReportPair):
         try:
             u1, u2 = u
         except (TypeError, ValueError):
             raise ValueError("ReportPair inversion needs a pair of uniform arrays")
-        u = parts = (np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
-    else:
-        u = np.asarray(u, dtype=float)
-        parts = (u,)
-    for part in parts:
-        # NaN fails both comparisons
-        if part.size and not (part.min() >= 0.0 and part.max() <= 1.0):
-            raise ValueError("uniforms must lie in [0, 1]")
-    return _invert_marginal(spec, u)
+        return (invert_marginal(Poisson(spec.lam_amnesia), u1),
+                invert_marginal(Poisson(spec.lam_other), u2))
+    u = np.asarray(u, dtype=float)
+    # NaN fails both comparisons
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
+        raise ValueError("uniforms must lie in [0, 1]")
+    return _latent_counts(spec, ndtri(u))
 
 
-def _invert_marginal(spec: MarginalSpec, u):
-    """``invert_marginal`` without the range check, for uniforms from ``ndtr``.
+def _latent_counts(spec: Bernoulli | Poisson, y):
+    """Counts of ``spec`` at latent normal values ``y``: its inverse CDF at Phi(y).
 
-    The engines call it once per group of streams and block of draws, where
-    the check would cost about as much as the inversion itself.
+    Each value is compared with the latent cuts of the marginal's CDF
+    levels (``_latent_cuts``), which gives the counts of inverting Phi(y),
+    up to ndtr's rounding, without evaluating ndtr.
     """
     if isinstance(spec, Bernoulli):
-        return (u <= spec.p).astype(np.int64)
+        return (y <= _bernoulli_cut(spec.p)).astype(np.int64)
     if isinstance(spec, Poisson):
-        return _poisson_table(spec.lam).invert(u)
-    if isinstance(spec, ReportPair):
-        return (_poisson_table(spec.lam_amnesia).invert(u[0]),
-                _poisson_table(spec.lam_other).invert(u[1]))
+        return np.searchsorted(_poisson_table(spec.lam).cuts, y, side="left")
     raise ValueError(f"unknown marginal spec {spec!r}")
 
 
+def _latent_cuts(levels: np.ndarray) -> np.ndarray:
+    """Latent cut of each level in [0, 1): ndtr(cut) <= level < ndtr(next double).
+
+    ``y <= cut`` then agrees with ``ndtr(y) <= level`` except where ndtr(y)
+    is within rounding of the level (ndtr wiggles by an ulp); ``ndtri``
+    alone can land several doubles below that edge.  Float bisection on
+    [-40, 40], where ndtr is 0 and 1, down to adjacent doubles.
+    """
+    lo = np.full(levels.shape, -40.0)
+    hi = np.full(levels.shape, 40.0)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not np.any((lo < mid) & (mid < hi)):
+            return lo
+        below = ndtr(mid) <= levels
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli_cut(p: float) -> float:
+    return float(_latent_cuts(np.array([p]))[0])
+
+
 class _PoissonCdfTable:
-    """Forward-recursion Poisson CDF with searchsorted inversion."""
+    """Forward-recursion Poisson CDF and the latent cuts of its levels."""
 
     def __init__(self, lam: float):
         cap = int(lam + 60.0 * math.sqrt(lam + 1.0) + 120.0)
@@ -249,20 +271,16 @@ class _PoissonCdfTable:
         # keep entries until the tail is below float resolution
         stop = int(np.argmax(cdf >= 1.0 - 1e-16)) + 1 if cdf[-1] >= 1.0 - 1e-16 else cap
         self.cdf = cdf[:stop]
+        # a count exceeds n when its latent value exceeds cuts[n]
+        self.cuts = _latent_cuts(self.cdf[:-1])
 
     def invert(self, u: np.ndarray) -> np.ndarray:
         # smallest n with cdf[n] >= u, capped at the table's last index
-        return np.searchsorted(self.cdf[:-1], u, side="left")
+        return np.searchsorted(self.cuts, ndtri(u), side="left")
 
 
-_TABLE_CACHE: dict[float, _PoissonCdfTable] = {}
-
-
-def _poisson_table(lam: float) -> _PoissonCdfTable:
-    table = _TABLE_CACHE.get(lam)
-    if table is None:
-        table = _TABLE_CACHE[lam] = _PoissonCdfTable(lam)
-    return table
+# one table per rate, built on first use
+_poisson_table = functools.lru_cache(maxsize=None)(_PoissonCdfTable)
 
 
 # steps in a trial's first block of counts; each later block doubles the total
@@ -310,40 +328,47 @@ def cumulative_counts(
         rng = np.random.default_rng(config.seed)
     if factor is None:
         factor = cholesky(correlation_matrix(config))
+    pair = pair_flags == {True}
+    # a ReportPair stream reads its two Poisson coordinates from rows 0 and 1
     groups: dict = {}
     for jj, spec in enumerate(marginals):
-        groups.setdefault(spec, []).append(jj)
-    return _count_blocks(factor, [(spec, np.array(cols)) for spec, cols in groups.items()],
-                         pair_flags == {True}, horizon, rng)
+        for key in (((Poisson(spec.lam_amnesia), 0), (Poisson(spec.lam_other), 1)) if pair
+                    else ((spec, 0),)):
+            groups.setdefault(key, []).append(jj)
+    groups = [(spec, (row, np.array(cols))) for (spec, row), cols in groups.items()]
+    blocks = _count_blocks(factor, groups, 2 if pair else 1, horizon, rng, FIRST_ROWS)
+    return ((t[:, 0], t[:, 0] + t[:, 1]) if pair
+            else (t[:, 0], np.arange(done + 1, done + len(t) + 1, dtype=np.int64)[:, None])
+            for done, t in blocks)
 
 
-def _count_blocks(factor, groups, pair, horizon, rng):
+# latent cells (steps x rows x streams) in one block of draws, at most
+_BLOCK_CELLS = 4_000_000
+
+
+def _count_blocks(factor, groups, rows: int, horizon: int, rng, first: int):
+    """Yield ``(done, totals)``: cumulative counts over steps done+1, done+2, ...
+
+    Every step draws ``rows`` rows of J latent normals, right after the
+    previous step's in the generator's stream, so the counts do not depend
+    on the blocking.  ``groups`` holds (marginal, (rows, columns)) pairs
+    that index each step's (rows, J) values.  ``totals`` has shape (steps,
+    rows, J).  The first block has ``first`` steps, each later one as many
+    as all before it, within _BLOCK_CELLS cells.
+    """
     j = factor.shape[0]
-    rows = 2 if pair else 1
-    x_total = np.zeros(j, np.int64)
-    w_total = np.zeros(j, np.int64)
+    cap = max(1, _BLOCK_CELLS // (rows * j))
+    running = np.zeros((rows, j), np.int64)
     done = 0
     while done < horizon:
-        count = min(max(done, FIRST_ROWS), horizon - done)
-        z = rng.standard_normal((count, rows, j))
-        u = ndtr(z.reshape(count * rows, j) @ factor.T).reshape(count, rows, j)
-        x = np.empty((count, j), np.int64)
-        w = np.empty((count, j), np.int64) if pair else None
-        for spec, cols in groups:
-            if pair:
-                amnesia, other = _invert_marginal(spec, (u[:, 0, cols], u[:, 1, cols]))
-                x[:, cols] = amnesia
-                w[:, cols] = amnesia + other
-            else:
-                x[:, cols] = _invert_marginal(spec, u[:, 0, cols])
-        np.cumsum(x, axis=0, out=x)
-        x += x_total
-        x_total = x[-1].copy()
-        if pair:
-            np.cumsum(w, axis=0, out=w)
-            w += w_total
-            w_total = w[-1].copy()
-        else:
-            w = np.arange(done + 1, done + count + 1, dtype=np.int64)[:, None]
+        count = min(max(done, first), cap, horizon - done)
+        z = rng.standard_normal((count * rows, j))
+        y = (z @ factor.T).reshape(count, rows, j)
+        totals = np.empty(y.shape, np.int64)
+        for spec, (row, cols) in groups:
+            totals[:, row, cols] = _latent_counts(spec, y[:, row, cols])
+        np.cumsum(totals, axis=0, out=totals)
+        totals += running
+        running = totals[-1].copy()
+        yield done, totals
         done += count
-        yield x, w

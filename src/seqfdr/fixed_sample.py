@@ -5,15 +5,18 @@ Benjamini-Hochberg step-up rule: draw N observations per stream, form exact
 one-sided p-values, reject with the BH step values rescaled for worst-case
 FDR control (the same constants the sequential boundaries are built from).
 ``exact_pvalue`` and ``bh_stepup`` work on whole (trials, streams) arrays.
-``find_matching_fss`` binary-searches the smallest N whose estimated FNR
-matches the sequential procedure's achieved FNR, which is how the
-expected-sample-size savings are measured.
+``find_matching_fss`` finds the smallest N whose estimated FNR matches the
+sequential procedure's achieved FNR, which is how the expected-sample-size
+savings are measured.  It estimates the whole FNR(N) curve from one nested
+draw: every replicate's count totals grow one step at a time, so all N share
+their random numbers (common random numbers, Glasserman & Yao 1992).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
@@ -24,19 +27,28 @@ from .datagen import (
     CopulaConfig,
     Poisson,
     cholesky,
-    copula_uniforms,
     correlation_matrix,
-    _invert_marginal,
+    _count_blocks,
 )
 from .errors import ConfigError
 from .sprt import SimpleModel
 
 __all__ = [
+    "FnrCurve",
     "FssSearchResult",
     "exact_pvalue",
     "bh_stepup",
     "find_matching_fss",
 ]
+
+
+class FnrCurve(NamedTuple):
+    """BH rates of the search's nested draw at N = 1, 2, ...: one tuple each."""
+
+    n: tuple[int, ...]
+    fnr: tuple[float, ...]
+    fdr: tuple[float, ...]
+    se: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -46,11 +58,12 @@ class FssSearchResult:
     ``found`` is False in two cases.  When no N up to the search ceiling
     pushed the estimated FNR down to the target, ``n_fss`` holds the
     ceiling and the achieved rates describe that boundary candidate.  Below
-    the ceiling, ``n_fss`` is the size the bisection chose, and ``found``
-    is False when the confirmation run's FNR exceeds the target by more
-    than 1.5 of its standard errors (``fnr_se``).  ``reps`` is the
-    per-candidate replicate count; the reported rates come from a
-    confirmation run at four times that.
+    the ceiling, ``n_fss`` is the first N at which the nested curve's FNR
+    reached the target, and ``found`` is False when the confirmation run's
+    FNR exceeds the target by more than 1.5 of its standard errors
+    (``fnr_se``).  ``reps`` is the curve's replicate count; the reported
+    rates come from a confirmation run at four times that.  ``curve``
+    holds the curve from N = 1 to ``n_fss``, with the FNR's standard error.
     """
 
     n_fss: int
@@ -60,6 +73,7 @@ class FssSearchResult:
     reps: int
     found: bool
     fnr_se: float
+    curve: FnrCurve
 
 
 def exact_pvalue(model: SimpleModel, n: int, totals) -> np.ndarray:
@@ -103,53 +117,20 @@ def bh_stepup(pvalues, alpha: StepVector) -> np.ndarray:
     return p <= cutoff[:, None]
 
 
-def _candidate_rates(
-    model: SimpleModel,
-    config: CopulaConfig,
-    truth: np.ndarray,
-    runs: list,
-    alpha: StepVector,
-    n: int,
-    reps: int,
-    seed_seq: np.random.SeedSequence,
-    factor: np.ndarray,
-    chunk_cells: int = 4_000_000,
-):
-    """Simulate reps fixed-sample BH analyses at sample size n.
+# steps in the first block of a nested draw; each later block doubles the total
+_FIRST_STEPS = 16
 
-    ``runs`` holds (first, stop, marginal) for each range of adjacent
-    streams sharing a marginal.  Returns (mean FDP, mean FNP, per-trial
-    FNP standard error).
-    """
-    j = config.j
-    rng = np.random.default_rng(seed_seq)
-    fdp_sum = 0.0
-    fnp_sum = 0.0
-    fnp_sq = 0.0
-    done = 0
-    trial_chunk = max(1, chunk_cells // (n * j))
-    while done < reps:
-        m = min(trial_chunk, reps - done)
-        u = copula_uniforms(config, rng, size=m * n, factor=factor)
-        totals = np.empty((m, j), dtype=np.int64)
-        for lo, hi, spec in runs:
-            counts = _invert_marginal(spec, u[:, lo:hi])
-            totals[:, lo:hi] = counts.reshape(m, n, hi - lo).sum(axis=1)
-        rejected = bh_stepup(exact_pvalue(model, n, totals), alpha)
-        r = rejected.sum(axis=1)
-        v = (rejected & truth).sum(axis=1)
-        w = (~rejected & ~truth).sum(axis=1)
-        fdp = v / np.maximum(r, 1)
-        fnp = w / np.maximum(j - r, 1)
-        fdp_sum += fdp.sum()
-        fnp_sum += fnp.sum()
-        fnp_sq += (fnp * fnp).sum()
-        done += m
-    fdr = fdp_sum / reps
-    fnr = fnp_sum / reps
-    var = max(fnp_sq / reps - fnr * fnr, 0.0)
-    se = math.sqrt(var / reps)
-    return fdr, fnr, se
+
+def _bh_rates(model, n, totals, truth, alpha):
+    """(FNR, FDR, FNR standard error) of BH over the replicates' totals at size n."""
+    # a p-value depends only on (n, total): one table per n
+    rejected = bh_stepup(exact_pvalue(model, n, np.arange(totals.max() + 1))[totals], alpha)
+    j = truth.size
+    r = rejected.sum(axis=1)
+    fdp = (rejected & truth).sum(axis=1) / np.maximum(r, 1)
+    fnp = (~rejected & ~truth).sum(axis=1) / np.maximum(j - r, 1)
+    se = math.sqrt(float(np.var(fnp)) / fnp.size)
+    return float(fnp.mean()), float(fdp.mean()), se
 
 
 def find_matching_fss(
@@ -170,12 +151,13 @@ def find_matching_fss(
     two designs are matched at equal guaranteed error control rather than
     equal nominal level.
 
-    Binary search over N with ``reps`` replicates per candidate, then a
-    confirmation run at 4x reps at the chosen N.  Estimated FNR is
-    nonincreasing in N up to Monte Carlo noise, which is what makes the
-    bisection valid; the confirmation tolerance is 1.5 Monte Carlo
-    standard errors.  The candidate replicate seeds derive from the copula
-    config seed, so results are reproducible.
+    One nested draw of ``reps`` replicates gives the FNR at N = 1, 2, ...
+    on common random numbers, and ``n_fss`` is the first N where it is at
+    or below the target.  A confirmation run at 4x reps, a fresh draw
+    stopped at ``n_fss``, gives the reported rates; the confirmation
+    tolerance is 1.5 Monte Carlo standard errors.  Both draws derive from
+    ``config.seed`` (required), so results are reproducible, and they do
+    not depend on ``n_max`` once it reaches ``n_fss``.
     """
     if not 0.0 < target_fnr <= 1.0:
         raise ConfigError(f"target_fnr must be in (0, 1], got {target_fnr}")
@@ -183,6 +165,8 @@ def find_matching_fss(
         raise ConfigError(f"reps must be >= 1, got {reps}")
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    if config.seed is None:
+        raise ValueError("config.seed must be provided")
     truth = np.asarray(truth, dtype=bool)
     if truth.shape != (config.j,):
         raise ValueError("truth must assign one flag per stream")
@@ -190,42 +174,33 @@ def find_matching_fss(
         raise ConfigError("fixed-sample comparator supports bernoulli and poisson families")
     marginal = Bernoulli if model.family == "bernoulli" else Poisson
     edges = [0, *(np.flatnonzero(np.diff(truth)) + 1), config.j]
-    runs = [(lo, hi, marginal(model.null_param if truth[lo] else model.alt_param))
-            for lo, hi in zip(edges[:-1], edges[1:])]
+    groups = [(marginal(model.null_param if truth[lo] else model.alt_param),
+               (slice(None), slice(lo, hi))) for lo, hi in zip(edges[:-1], edges[1:])]
     # Equal-guarantee comparison: the scaled values control FDR at q1
     # under arbitrary dependence, like the sequential constants do.
     alpha = scale_for_fdr(bh_steps(q1, config.j), q1)
     factor = cholesky(correlation_matrix(config))
 
-    def estimate(n: int, scale: int):
-        seq = np.random.SeedSequence(entropy=config.seed or 0, spawn_key=(n, scale))
-        return _candidate_rates(
-            model, config, truth, runs, alpha, n, reps * scale, seq, factor
-        )
+    def draw(scale: int, n_stop: int):
+        """(n, totals) for n = 1..n_stop: each replicate's (reps, J) count totals."""
+        # 2-tuple spawn keys: apart from each other and from trial t's (t,)
+        seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(0, scale))
+        blocks = _count_blocks(factor, groups, reps * scale, n_stop,
+                               np.random.default_rng(seq), _FIRST_STEPS)
+        return ((n, t) for done, block in blocks for n, t in enumerate(block, done + 1))
 
-    cache: dict[int, float] = {}
-
-    def fnr_at(n: int) -> float:
-        if n not in cache:
-            cache[n] = estimate(n, 1)[1]
-        return cache[n]
-
-    if fnr_at(n_max) > target_fnr:
-        fdr, fnr, se = estimate(n_max, 4)
-        return FssSearchResult(
-            n_fss=n_max, achieved_fnr=float(fnr), achieved_fdr=float(fdr),
-            target_fnr=target_fnr, reps=reps, found=False, fnr_se=float(se),
-        )
-    lo, hi = 1, n_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fnr_at(mid) <= target_fnr:
-            hi = mid
-        else:
-            lo = mid + 1
-    fdr, fnr, se = estimate(lo, 4)
-    found = bool(fnr <= target_fnr + 1.5 * se)
+    curve = []
+    for n, totals in draw(1, n_max):
+        curve.append((n, *_bh_rates(model, n, totals, truth, alpha)))
+        if curve[-1][1] <= target_fnr:
+            break
+    n_fss = curve[-1][0]
+    reached = curve[-1][1] <= target_fnr
+    for _, totals in draw(4, n_fss):
+        pass
+    fnr, fdr, se = _bh_rates(model, n_fss, totals, truth, alpha)
     return FssSearchResult(
-        n_fss=lo, achieved_fnr=float(fnr), achieved_fdr=float(fdr),
-        target_fnr=target_fnr, reps=reps, found=found, fnr_se=float(se),
+        n_fss=n_fss, achieved_fnr=fnr, achieved_fdr=fdr, target_fnr=target_fnr, reps=reps,
+        found=reached and fnr <= target_fnr + 1.5 * se, fnr_se=se,
+        curve=FnrCurve(*(tuple(col) for col in zip(*curve))),
     )

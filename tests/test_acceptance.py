@@ -35,7 +35,8 @@ from scipy import stats
 from scipy.special import ndtri
 
 from seqfdr.calibrate import estimate_gamma, mc_truncated_critical_values
-from seqfdr.cli import SimulationConfig, _sim_pieces, _trial_paths, run_simulation
+from seqfdr.cli import (SimulationConfig, _calibration_seed, _sim_pieces, _trial_paths,
+                        run_simulation)
 from seqfdr.core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
 from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, Toeplitz, copula_uniforms, cumulative_counts
 from seqfdr.fixed_sample import find_matching_fss
@@ -271,8 +272,9 @@ def _pfdr_cell(family, null, alt):
         alpha = scale_for_pfdr(bh_steps(Q1, J), Q1, gamma)
         beta = scale_for_fdr(bh_steps(Q2, J), Q2)
         crit = stepdown_critical_values(alpha, beta)
+        # SEED itself would give stream j the random bits of trial j below
         est = estimate_gamma([model] * J, theta, b=crit.b, a=crit.a,
-                             reps=CALIB_REPS, seed=SEED)
+                             reps=CALIB_REPS, seed=_calibration_seed(SEED))
         if est.gamma1 >= gamma - 3.0 * est.gamma1_se:
             break
         gamma = est.gamma1

@@ -13,6 +13,8 @@ from seqfdr.datagen import (
     ReportPair,
     Toeplitz,
     _PoissonCdfTable,
+    _bernoulli_cut,
+    _latent_counts,
     cholesky,
     copula_uniforms,
     correlation_matrix,
@@ -130,6 +132,36 @@ class TestInvertMarginal:
         assert vals.mean() == pytest.approx(2.0, abs=0.02)
 
 
+def _uniform_rule(spec, y):
+    """The uniform-scale inversion: ndtr, then the marginal's inverse CDF."""
+    u = ndtr(y)
+    if isinstance(spec, Bernoulli):
+        return (u <= spec.p).astype(np.int64)
+    return np.searchsorted(_PoissonCdfTable(spec.lam).cdf[:-1], u, side="left")
+
+
+class TestLatentCounts:
+    SPECS = [Bernoulli(0.05), Bernoulli(0.15), Bernoulli(0.5),
+             Poisson(0.3), Poisson(1.5), Poisson(2.0), Poisson(12.0)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_equals_ndtr_then_inversion(self, spec):
+        if isinstance(spec, Bernoulli):
+            levels = np.array([spec.p])
+            cuts = np.array([_bernoulli_cut(spec.p)])
+        else:
+            levels = _PoissonCdfTable(spec.lam).cdf[:-1]
+            cuts = _PoissonCdfTable(spec.lam).cuts
+        # the cuts, ndtri's estimates and their neighbouring doubles
+        edges = np.concatenate([cuts, ndtri(levels)])
+        y = np.concatenate([
+            np.random.default_rng(17).standard_normal(1_000_000),
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            [-np.inf, np.inf],
+        ])
+        np.testing.assert_array_equal(_latent_counts(spec, y), _uniform_rule(spec, y))
+
+
 class TestCopulaUniforms:
     def test_shapes(self):
         cfg = CopulaConfig(4, Toeplitz(-0.6))
@@ -186,6 +218,21 @@ class TestStreamSources:
         want = (u <= np.array([0.05, 0.15, 0.05])).astype(np.int64)
         np.testing.assert_array_equal(self._obs(horizon=500), want)
         np.testing.assert_array_equal(self._obs(horizon=200), want[:200])
+
+    def test_report_pair_rows_match_uniform_inversion(self):
+        # amnesia counts from each step's first latent row, other reports
+        # from its second
+        cfg = CopulaConfig(2, Toeplitz(0.3))
+        specs = [ReportPair(0.6, 9.6), ReportPair(2.0, 5.0)]
+        z = np.random.default_rng(8).standard_normal((300, 2, 2))
+        y = (z.reshape(600, 2) @ cholesky(correlation_matrix(cfg)).T).reshape(300, 2, 2)
+        amn = np.stack([_uniform_rule(Poisson(s.lam_amnesia), y[:, 0, k])
+                        for k, s in enumerate(specs)], axis=1)
+        oth = np.stack([_uniform_rule(Poisson(s.lam_other), y[:, 1, k])
+                        for k, s in enumerate(specs)], axis=1)
+        got_amn, got_total = _observations(cfg, specs, 300, rng=np.random.default_rng(8))
+        np.testing.assert_array_equal(got_amn, amn)
+        np.testing.assert_array_equal(got_total, amn + oth)
 
     def test_deterministic_under_seed(self):
         np.testing.assert_array_equal(self._obs(seed=77, horizon=50),

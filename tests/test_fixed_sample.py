@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seqfdr import datagen
 from seqfdr.core import StepVector, bh_steps
 from seqfdr.datagen import CopulaConfig, Toeplitz
 from seqfdr.errors import ConfigError
@@ -171,15 +172,50 @@ class TestFindMatchingFss:
         assert out.achieved_fnr > 0.001
 
     def test_unconfirmed_below_ceiling(self):
-        # bisection on 50-rep estimates stops at 47; the 4x-reps confirmation
-        # misses the target by more than 1.5 se, so found is False there too
+        # the 50-rep nested curve first reaches the target at 39; the 4x-reps
+        # confirmation misses it by more than 1.5 se, so found is False there
         out = find_matching_fss(
-            BERN, self._config(3, seed=0), [True, False, False],
+            BERN, self._config(3, seed=1), [True, False, False],
             0.25, 0.10, reps=50, n_max=64,
         )
         assert not out.found
-        assert out.n_fss == 47
+        assert out.n_fss == 39
+        assert out.curve.fnr[-1] <= 0.10
         assert out.achieved_fnr > 0.10 + 1.5 * out.fnr_se
+
+    def test_curve_stops_at_first_crossing(self):
+        target = 0.10
+        out = find_matching_fss(
+            POIS, self._config(4, seed=5), [True, True, False, False],
+            0.25, target, reps=400, n_max=512,
+        )
+        curve = out.curve
+        assert curve.n == tuple(range(1, out.n_fss + 1))
+        assert len(curve.fnr) == len(curve.fdr) == len(curve.se) == out.n_fss
+        assert curve.fnr[-1] <= target
+        assert all(f > target for f in curve.fnr[:-1])
+        # a curve that never reaches the target runs to the ceiling
+        capped = find_matching_fss(
+            POIS, self._config(4, seed=5), [True, True, False, False],
+            0.25, target, reps=400, n_max=out.n_fss - 1,
+        )
+        assert capped.curve.n == curve.n[:-1] and capped.curve.fnr == curve.fnr[:-1]
+        assert all(f > target for f in capped.curve.fnr)
+
+    def test_same_result_for_any_ceiling_from_n_fss(self):
+        # the nested curve's prefix does not depend on how far it may run
+        args = (BERN, self._config(3, seed=4), [True, False, False], 0.25, 0.12)
+        out = find_matching_fss(*args, reps=100, n_max=4096)
+        assert out.n_fss < 4096
+        for n_max in (out.n_fss, out.n_fss + 1, 3 * out.n_fss):
+            assert find_matching_fss(*args, reps=100, n_max=n_max) == out
+
+    def test_block_cap_does_not_change_result(self, monkeypatch):
+        args = (POIS, self._config(3, seed=6), [True, False, False], 0.25, 0.2)
+        out = find_matching_fss(*args, reps=300, n_max=256)
+        # 1000 cells hold one step of 300 replicates: every block is one step
+        monkeypatch.setattr(datagen, "_BLOCK_CELLS", 1000)
+        assert find_matching_fss(*args, reps=300, n_max=256) == out
 
     def test_deterministic(self):
         kw = dict(q1=0.25, target_fnr=0.2, reps=300, n_max=256)
@@ -193,6 +229,10 @@ class TestFindMatchingFss:
             find_matching_fss(BERN, cfg, [True, False], 0.25, 0.0, reps=100)
         with pytest.raises(ValueError):
             find_matching_fss(BERN, cfg, [True], 0.25, 0.5, reps=100)
+        # an unseeded search has no reproducible draw
+        with pytest.raises(ValueError, match="seed"):
+            find_matching_fss(BERN, self._config(2, seed=None), [True, False], 0.25, 0.5,
+                              reps=100)
         for n_max in (0, -5):
             with pytest.raises(ConfigError, match="n_max"):
                 find_matching_fss(BERN, cfg, [True, False], 0.25, 0.5, reps=100, n_max=n_max)
