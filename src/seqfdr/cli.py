@@ -46,11 +46,11 @@ from .datagen import (
     Toeplitz,
     cholesky,
     correlation_matrix,
-    cumulative_counts,
+    count_batch,
 )
 from .errors import ConfigError, DataError, NumericalError
 from .fixed_sample import find_matching_fss
-from .procedures import TrialResult, run_open_ended, run_rejective, summarize
+from .procedures import TrialResult, run_batch, summarize, work_counts
 from .sprt import SimpleModel, cumulative_llr, stepdown_critical_values
 from .worstcase import verify_bound
 from .yellowcard import ExperimentConfig, load_drug_table, run_monitoring, thresholds
@@ -232,72 +232,54 @@ def _copula(config: SimulationConfig | FssConfig) -> CopulaConfig:
     return CopulaConfig(j=config.j, structure=Toeplitz(config.rho), seed=config.seed)
 
 
-def _trial_paths(config: SimulationConfig, pairs, truth, model, t: int, tally=None,
-                 factor=None):
-    """Trial ``t``'s raw LLR matrix as row blocks, drawn as the procedure reads.
-
-    Open-ended trials may draw up to ``horizon`` steps, rejective ones up to
-    ``n_bar``.  ``tally`` (a Counter) accumulates the rows and blocks drawn;
-    ``factor`` is the copula's Cholesky factor, if already computed.
-    """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(t,))
-    )
-    blocks = cumulative_counts(
-        _copula(config),
-        pairs,
-        truth,
-        horizon=config.horizon if config.mode == "open" else config.n_bar,
-        rng=rng,
-        factor=factor,
-    )
-    for x, w in blocks:
-        if tally is not None:
-            tally["matrix_rows"] += len(x)
-            tally["path_blocks"] += 1
-        yield cumulative_llr(model, x, w)
+# trials that run through one stage loop at once, at most
+_TRIAL_BATCH = 256
 
 
-def _trials_for_range(
-    config: SimulationConfig, b_raw, start: int, stop: int
-) -> tuple[list[TrialResult], Counter]:
+def _trials_for_range(config: SimulationConfig, a, b, start: int, stop: int
+                      ) -> tuple[list[TrialResult], Counter]:
     """Run trials [start, stop); per-trial seeds make chunking irrelevant.
 
-    Every stream shares one model, so the procedures compare raw LLRs with
-    the raw boundaries.  Returns the trials and the engine's counters.
+    Trial t draws from child ``(t,)`` of ``SeedSequence(config.seed)``,
+    open-ended trials up to ``horizon`` steps and rejective ones (``a``
+    None) up to ``n_bar``.  Every stream shares one model, so the procedure
+    compares raw LLRs with the raw boundaries ``a``/``b``.  The trials run
+    in batches of ``_TRIAL_BATCH`` through ``run_batch``.  Returns the
+    trials and the engine's counters.
     """
     model, pairs, truth = _sim_pieces(config)
-    if config.mode == "open":
-        alpha = scale_for_fdr(bh_steps(config.q1, config.j), config.q1)
-        beta = scale_for_fdr(bh_steps(config.q2, config.j), config.q2)
-        crit = stepdown_critical_values(alpha, beta)
-        runner = lambda paths: run_open_ended(paths, crit.a, crit.b)
-    else:
-        runner = lambda paths: run_rejective(paths, b_raw, config.n_bar)
     factor = cholesky(correlation_matrix(_copula(config)))
+    horizon = config.horizon if config.mode == "open" else config.n_bar
     tally = Counter()
     out = []
-    for t in range(start, stop):
-        result = runner(_trial_paths(config, pairs, truth, model, t, tally, factor))
-        tally["stages"] += len({d.step for d in result.decisions})
-        tally["decision_steps"] += result.total_samples
-        out.append(result)
+    for lo in range(start, stop, _TRIAL_BATCH):
+        hi = min(lo + _TRIAL_BATCH, stop)
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(t,)))
+                for t in range(lo, hi)]
+        counts = count_batch(_copula(config), pairs, truth, horizon=horizon, rngs=rngs,
+                             factor=factor)
+
+        def take(ids, counts=counts):
+            x, w, steps = counts(ids)
+            return cumulative_llr(model, x, w), steps
+
+        out += run_batch(take, hi - lo, a, b, config.n_bar, tally=tally)
     return out, tally
 
 
-def _run_trials(config: SimulationConfig, b_raw, workers: int):
+def _run_trials(config: SimulationConfig, a, b, workers: int):
     """All trials in index order plus summed counters, over ``workers`` processes.
 
     The pool has one process per nonempty chunk, so never more than
     ``reps`` processes.
     """
     if workers == 1:
-        return _trials_for_range(config, b_raw, 0, config.reps)
-    bounds = np.linspace(0, config.reps, workers + 1).astype(int)
+        return _trials_for_range(config, a, b, 0, config.reps)
+    bounds = np.linspace(0, config.reps, workers + 1).astype(int).tolist()
     chunks = [(s, e) for s, e in zip(bounds[:-1], bounds[1:]) if e > s]
     trials, tally = [], Counter()
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(_trials_for_range, config, b_raw, s, e) for s, e in chunks]
+        futures = [pool.submit(_trials_for_range, config, a, b, s, e) for s, e in chunks]
         for fut in futures:
             part, counts = fut.result()
             trials += part
@@ -321,31 +303,28 @@ def run_simulation(config: SimulationConfig, workers: int = 1, counters: dict | 
 
     Trials are independently seeded by index, so the result is identical
     for any ``workers`` value; chunks merge in index order.  ``counters``,
-    when given, is updated with the engine's work counts: trials, stages
-    per trial, statistic-matrix rows drawn, decision steps (summed over
-    streams; at most rows times J) and path extensions (blocks drawn after
-    each trial's first).  ``workers`` below 1 is a ``ConfigError``.
+    when given, is updated with the engine's work counts
+    (``procedures.work_counts``): trials, stages per trial, statistic-matrix
+    rows drawn, decision steps (summed over streams; at most rows times J)
+    and path extensions (blocks drawn after each trial's first).
+    ``workers`` below 1 is a ``ConfigError``.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    b_raw = None
-    if config.mode == "rejective":
-        model, _, _ = _sim_pieces(config)
-        alpha = scale_for_fdr(bh_steps(config.q1, config.j), config.q1)
-        report = mc_truncated_critical_values(
+    model, _, truth = _sim_pieces(config)
+    alpha = scale_for_fdr(bh_steps(config.q1, config.j), config.q1)
+    if config.mode == "open":
+        beta = scale_for_fdr(bh_steps(config.q2, config.j), config.q2)
+        crit = stepdown_critical_values(alpha, beta)
+        a, b, b_raw = crit.a, crit.b, None
+    else:
+        b_raw = mc_truncated_critical_values(
             model, alpha, config.n_bar, config.calib_reps, _calibration_seed(config.seed)
-        )
-        b_raw = report.b
-    trials, tally = _run_trials(config, b_raw, workers)
+        ).b
+        a, b = None, b_raw
+    trials, tally = _run_trials(config, a, b, workers)
     if counters is not None:
-        counters.update(
-            trials=len(trials),
-            stages_per_trial=tally["stages"] / len(trials),
-            matrix_rows=tally["matrix_rows"],
-            decision_steps=tally["decision_steps"],
-            path_extensions=tally["path_blocks"] - len(trials),
-        )
-    _, _, truth = _sim_pieces(config)
+        counters.update(work_counts(tally))
     return summarize(trials, truth), b_raw
 
 
@@ -537,10 +516,12 @@ def cmd_yellowcard(args) -> int:
     digest = _digest(resolved)
 
     t0 = time.perf_counter()
+    counters: dict = {}
     report = run_monitoring(
         ExperimentConfig(records=tuple(records), q1=config.q1, q2=config.q2, p_h=p_h,
                          p_g=p_g, rho_seed=config.seed, top_n=top_n),
         horizon=config.horizon,
+        counters=counters,
     )
     elapsed = time.perf_counter() - t0
 
@@ -563,7 +544,7 @@ def cmd_yellowcard(args) -> int:
         "beta": list(report.beta),
     })
     _emit(out, RunManifest("yellowcard", digest, config.seed, _versions(),
-                           {"total_s": elapsed}))
+                           {"total_s": elapsed, **counters}))
     accepted = sum(r.action == "accept" for r in report.rows)
     print(f"yellowcard: {len(report.rows)} drugs monitored, "
           f"{accepted} accepted, {len(report.rows) - accepted} rejected")

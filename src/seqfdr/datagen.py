@@ -5,9 +5,11 @@ the Cholesky factor of the target correlation matrix, and turns each
 coordinate into a count of its stream's marginal by comparing it with the
 latent cuts of the marginal's CDF (``_latent_counts``): the counts of
 inverting the uniform Phi(y), without evaluating Phi.  The trial engine and
-the fixed-sample comparator share this path (``_count_blocks``).  Marginals
+the fixed-sample comparator share this path (``_CountBlocks``).  Marginals
 are exact; only the dependence is shaped by the latent correlation.  Counts
-come out as cumulative integer totals, one row per step, in blocks on demand.
+come out as cumulative integer totals, one row per step, in blocks on demand,
+for one trial or for a batch of trials that each draw from their own
+generator.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "copula_uniforms",
     "invert_marginal",
     "cumulative_counts",
+    "count_batch",
 ]
 
 
@@ -308,7 +311,42 @@ def cumulative_counts(
     before it, and the blocks stop at ``horizon`` steps.  Every step draws
     its latent normals in the same order whatever the block, so the counts
     do not depend on how the steps are blocked.  ``factor`` may carry a
-    precomputed Cholesky factor.
+    precomputed Cholesky factor.  This is ``count_batch`` for one trial.
+    """
+    if rng is None:
+        if config.seed is None:
+            raise ValueError("either rng or config.seed must be provided")
+        rng = np.random.default_rng(config.seed)
+    take = count_batch(config, marginals, truth, horizon=horizon, rngs=[rng], factor=factor)
+
+    def blocks():
+        only = np.zeros(1, np.intp)
+        while True:
+            x, w, steps = take(only)
+            if not steps[0]:
+                return
+            yield x, w
+
+    return blocks()
+
+
+def count_batch(
+    config: CopulaConfig,
+    marginals: Sequence,
+    truth: Sequence[bool] | None = None,
+    *,
+    horizon: int,
+    rngs: Sequence[np.random.Generator],
+    factor: np.ndarray | None = None,
+):
+    """Several trials' streams as cumulative count totals, each from its own generator.
+
+    Returns ``take(ids)``, which draws the next block of every listed trial
+    (positions in ``rngs``) and returns ``(x, w, steps)``: the listed
+    trials' blocks, as ``cumulative_counts`` gives them for each generator
+    alone, stacked in the order of ``ids``, and the number of steps in each
+    (0 once the trial has reached ``horizon``).  The arguments are those of
+    ``cumulative_counts``.
     """
     if truth is not None:
         if len(truth) != len(marginals):
@@ -322,10 +360,6 @@ def cumulative_counts(
         raise ValueError("cannot mix ReportPair and scalar marginals in one trial")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if rng is None:
-        if config.seed is None:
-            raise ValueError("either rng or config.seed must be provided")
-        rng = np.random.default_rng(config.seed)
     if factor is None:
         factor = cholesky(correlation_matrix(config))
     pair = pair_flags == {True}
@@ -336,39 +370,89 @@ def cumulative_counts(
                     else ((spec, 0),)):
             groups.setdefault(key, []).append(jj)
     groups = [(spec, (row, np.array(cols))) for (spec, row), cols in groups.items()]
-    blocks = _count_blocks(factor, groups, 2 if pair else 1, horizon, rng, FIRST_ROWS)
-    return ((t[:, 0], t[:, 0] + t[:, 1]) if pair
-            else (t[:, 0], np.arange(done + 1, done + len(t) + 1, dtype=np.int64)[:, None])
-            for done, t in blocks)
+    batch = _CountBlocks(factor, groups, 2 if pair else 1, horizon, rngs, FIRST_ROWS)
+
+    def take(ids):
+        done, steps, t = batch.take(ids)
+        if pair:
+            return t[:, 0], t[:, 0] + t[:, 1], steps
+        # a scalar stream's trial total is the step index
+        starts = np.cumsum(steps) - steps
+        w = np.repeat(done - starts, steps) + np.arange(1, len(t) + 1, dtype=np.int64)
+        return t[:, 0], w[:, None], steps
+
+    return take
 
 
 # latent cells (steps x rows x streams) in one block of draws, at most
 _BLOCK_CELLS = 4_000_000
 
 
-def _count_blocks(factor, groups, rows: int, horizon: int, rng, first: int):
-    """Yield ``(done, totals)``: cumulative counts over steps done+1, done+2, ...
+class _CountBlocks:
+    """Cumulative counts of several trials, each drawn from its own generator.
 
-    Every step draws ``rows`` rows of J latent normals, right after the
-    previous step's in the generator's stream, so the counts do not depend
-    on the blocking.  ``groups`` holds (marginal, (rows, columns)) pairs
-    that index each step's (rows, J) values.  ``totals`` has shape (steps,
-    rows, J).  The first block has ``first`` steps, each later one as many
-    as all before it, within _BLOCK_CELLS cells.
+    Every step of a trial draws ``rows`` rows of J latent normals, right
+    after the trial's previous step in its generator, so a trial's counts
+    depend neither on the blocking nor on the other trials.  ``groups``
+    holds (marginal, (rows, columns)) pairs that index each step's (rows,
+    J) values.  A trial's first block has ``first`` steps, each later one
+    as many as all before it, within _BLOCK_CELLS cells, until ``horizon``.
     """
-    j = factor.shape[0]
-    cap = max(1, _BLOCK_CELLS // (rows * j))
-    running = np.zeros((rows, j), np.int64)
-    done = 0
-    while done < horizon:
-        count = min(max(done, first), cap, horizon - done)
-        z = rng.standard_normal((count * rows, j))
-        y = (z @ factor.T).reshape(count, rows, j)
+
+    def __init__(self, factor, groups, rows: int, horizon: int, rngs, first: int):
+        j = factor.shape[0]
+        self.factor, self.groups, self.rows, self.horizon = factor, groups, rows, horizon
+        self.rngs, self.first = list(rngs), first
+        self.cap = max(1, _BLOCK_CELLS // (rows * j))
+        self.done = np.zeros(len(self.rngs), np.int64)
+        self.running = np.zeros((len(self.rngs), rows, j), np.int64)
+
+    def take(self, ids):
+        """Next block of each listed trial: ``(done, steps, totals)``.
+
+        ``totals`` (steps summed, rows, J) stacks the blocks in the order of
+        ``ids``, ``steps[k]`` of them for the k-th listed trial (0 once it
+        has reached the horizon), whose earlier blocks had ``done[k]``.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        done = self.done[ids]
+        steps = np.minimum(np.minimum(np.maximum(done, self.first), self.cap),
+                           self.horizon - done)
+        ends = np.cumsum(steps)
+        rows, j = self.rows, self.factor.shape[0]
+        z = np.empty((int(ends[-1]) * rows if ids.size else 0, j))
+        y = np.empty_like(z)
+        lo = 0
+        for i, hi in zip(ids.tolist(), (ends * rows).tolist()):
+            if hi > lo:
+                self.rngs[i].standard_normal(out=z[lo:hi])
+                # one product per trial: a stacked product of several trials
+                # may round differently (BLAS picks its kernel by size)
+                np.matmul(z[lo:hi], self.factor.T, out=y[lo:hi])
+            lo = hi
+        y = y.reshape(-1, rows, j)
         totals = np.empty(y.shape, np.int64)
-        for spec, (row, cols) in groups:
+        for spec, (row, cols) in self.groups:
             totals[:, row, cols] = _latent_counts(spec, y[:, row, cols])
         np.cumsum(totals, axis=0, out=totals)
-        totals += running
-        running = totals[-1].copy()
-        yield done, totals
-        done += count
+        # restart each trial's block from its own running totals
+        drawn = steps > 0
+        starts = (ends - steps)[drawn]
+        shift = self.running[ids[drawn]]
+        shift[starts > 0] -= totals[starts[starts > 0] - 1]
+        for lo, hi, add in zip(starts.tolist(), ends[drawn].tolist(), shift):
+            totals[lo:hi] += add
+        self.running[ids[drawn]] = totals[ends[drawn] - 1]
+        self.done[ids] += steps
+        return done, steps, totals
+
+
+def _count_blocks(factor, groups, rows: int, horizon: int, rng, first: int):
+    """Yield ``(done, totals)`` of one generator's trial, block by block (``_CountBlocks``)."""
+    batch = _CountBlocks(factor, groups, rows, horizon, [rng], first)
+    only = np.zeros(1, np.intp)
+    while True:
+        done, steps, totals = batch.take(only)
+        if not steps[0]:
+            return
+        yield int(done[0]), totals

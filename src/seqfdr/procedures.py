@@ -1,19 +1,24 @@
-"""Sequential step-down procedures over a matrix of stream statistics.
+"""Sequential step-down procedures over batches of stream-statistic paths.
 
-All streams are sampled in lockstep, so a trial is one (n, J) statistic
-matrix whose row n - 1 holds every stream's statistic after step n.  A
-stage ends at the first row where some active stream's statistic leaves
-the current continuation interval; the stage then rejects a maximal top
-block and/or accepts a maximal bottom block of the ordered active
-statistics against boundary levels offset by the decisions already made.
-The open-ended variant runs until every stream is decided; the rejective
-variant only rejects, accepting whatever remains at a fixed truncation
-horizon.  The matrix may arrive whole or as an iterator of row blocks
-that is read only as far as the stages need.
+All streams are sampled in lockstep, so a trial's statistics form an
+(n, J) path matrix whose row n - 1 holds every stream's statistic after
+step n.  A stage ends at the first row where some active stream's
+statistic leaves the current continuation interval; the stage then
+rejects a maximal top block and/or accepts a maximal bottom block of the
+ordered active statistics against boundary levels offset by the decisions
+already made.  The open-ended variant runs until every stream is decided;
+the rejective variant only rejects, accepting whatever remains at a fixed
+truncation horizon.  One stage loop runs a whole batch of trials at once
+(``run_batch``): each round runs a stage of every undecided trial, and a
+source hands out the next row block of just the trials that scanned all
+their rows.  ``run_open_ended`` and ``run_rejective`` run one trial, whose
+matrix arrives whole or as an iterator of row blocks read only as far as
+the stages need.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,7 +33,9 @@ __all__ = [
     "MetricsSummary",
     "run_open_ended",
     "run_rejective",
+    "run_batch",
     "summarize",
+    "work_counts",
 ]
 
 
@@ -176,109 +183,206 @@ def summarize(trials: Sequence[TrialResult], truth: Sequence[bool | None]) -> Me
     )
 
 
-def _max_top_block(sorted_vals, b, r):
-    """Largest t such that the top-t ordered statistics clear their offset levels."""
-    sz = len(sorted_vals)
-    t = 0
-    for pos in range(sz, 0, -1):  # 1-based position from the bottom
-        if sorted_vals[pos - 1] >= b[r + sz - pos]:
-            t += 1
-        else:
-            break
-    return t
-
-
-def _max_bottom_block(sorted_vals, a, c):
-    sz = len(sorted_vals)
-    t = 0
-    for pos in range(1, sz + 1):
-        if sorted_vals[pos - 1] <= a[c + pos - 1]:
-            t += 1
-        else:
-            break
-    return t
-
-
-def _step_down(paths, a, b, n_bar, guard) -> TrialResult:
-    """Stage loop shared by both variants.
-
-    ``a`` None means rejections only; ``n_bar`` None means no horizon, so
-    the run ends only when every stream is decided or the paths run out.
-    """
-    j = len(b)
+def _one_trial(paths, j: int):
+    """The source of one trial: its whole (n, J) matrix or an iterator of its row blocks."""
     if isinstance(paths, Iterator):
-        blocks, mat = paths, np.empty((0, j))
+        blocks = paths
     else:
-        blocks, mat = iter(()), np.asarray(paths, dtype=float)
+        mat = np.asarray(paths, dtype=float)
         if mat.ndim != 2 or mat.shape[1] != j:
             raise ValueError("paths must be an (n, J) matrix with one column per boundary level")
-    a = None if a is None else a.tolist()
-    b = b.tolist()
-    decisions: list[Decision | None] = [None] * j
-    active = np.arange(j)
-    r = c = n = stage = 0
+        blocks = iter((mat,))
 
-    def state():
+    def take(ids):
+        for block in blocks:
+            if len(block):
+                return np.asarray(block, dtype=float), np.array([len(block)])
+        return np.empty((0, j)), np.zeros(1, np.intp)
+
+    return take
+
+
+def _step_down(take, trials: int, a, b, n_bar, guard, tally) -> list[TrialResult]:
+    """Stage loop shared by both variants, over a batch of trials at once.
+
+    ``take(ids)`` returns the next row block of every listed trial, stacked
+    in the order of ``ids``, and each block's row count (0: no rows left).
+    ``a`` None means rejections only; ``n_bar`` None means no horizon, so a
+    trial ends only when every stream is decided or its rows run out.  Each
+    round runs one stage of every undecided trial, or reads the next block
+    of those that scanned all their rows without a crossing.  Only the
+    undecided trials' current blocks are held, in one (trials, rows, J)
+    array, with their active streams and continuation intervals; scans
+    never return to earlier blocks.  The array work of a round, the scan
+    for first exits and the ranking of the exit rows, covers every trial
+    at once.  The top and bottom blocks are then read off each ranked row
+    from its ends, one comparison per decided stream and one to stop.
+    """
+    j = b.size
+    b_of = b.tolist() + [np.inf]  # b[r]; r == j once every stream is rejected
+    a_of = None if a is None else a.tolist() + [-np.inf]
+    # per trial: decisions, r, c, active count, last stage's step, stages
+    # done, rows scanned, first row and length of the held block
+    made = [[None] * j for _ in range(trials)]
+    r, c, size = [0] * trials, [0] * trials, [j] * trials
+    n, stages, scan, base, held = ([0] * trials for _ in range(5))
+    failed = {}  # trial -> its error; the first trial's is raised once all have run
+    decision_steps = 0
+    # the undecided trials; row k of the arrays below is live[k]'s
+    live = list(range(trials))
+    block = np.empty((trials, 0, j))
+    act = np.ones((trials, j), bool)
+    hi = np.full(trials, b_of[0])
+    lo = np.full(trials, a_of[0] if a is not None else -np.inf)
+
+    def state(i, k):
         return {
-            "stage": stage,
-            "step": n,
-            "r": r,
-            "c": c,
-            "active": active.tolist(),
-            "decisions": [d for d in decisions if d is not None],
+            "stage": stages[i] + 1,
+            "step": n[i],
+            "r": r[i],
+            "c": c[i],
+            "active": np.flatnonzero(act[k]).tolist(),
+            "decisions": [d for d in made[i] if d is not None],
         }
 
-    while active.size:
-        stage += 1
-        if stage > guard:
-            raise StageGuardError(f"stage count exceeded guard ({guard})", state=state())
-        lo, hi = (None if a is None else a[c]), b[r]
-        scan, hit = n, None
-        while hit is None and scan != n_bar:
-            stop = mat.shape[0] if n_bar is None else min(mat.shape[0], n_bar)
-            if stop > scan:
-                seg = mat[scan:stop, active]
-                out = seg >= hi if lo is None else (seg <= lo) | (seg >= hi)
-                rows = out.any(axis=1)
-                if rows.any():
-                    hit = scan + int(rows.argmax()) + 1
-                scan = stop
-            elif (block := next(blocks, None)) is not None:
-                mat = np.concatenate([mat, block])
-            else:
-                raise DataUnderrunError(
-                    f"streams {active.tolist()} exhausted at step {scan} before any "
-                    "decision boundary was crossed",
-                    state=state(),
-                )
-        n = n_bar if hit is None else hit
-        vals = mat[n - 1, active]
-        order = np.lexsort((active, vals))
-        ranked = active[order]
-        sorted_vals, ids = vals[order].tolist(), ranked.tolist()
-        if hit is None:
+    def ranked_rows(ks, offs):
+        """Each trial's row and its streams ranked: active ones first by
+        statistic, ties by stream index, then the inactive ones."""
+        vals = block[ks, offs]
+        return vals.tolist(), np.lexsort((vals, ~act[ks]), axis=1).tolist()
+
+    if guard < 1:
+        failed.update((i, StageGuardError(f"stage count exceeded guard ({guard})",
+                                          state=state(i, i))) for i in live)
+        live = []
+    while live:
+        # first row at or after each trial's scan where an active stream
+        # leaves the continuation interval
+        starts = [scan[i] - base[i] for i in live]
+        stops = [held[i] if n_bar is None else min(held[i], n_bar - base[i]) for i in live]
+        first, last = min(starts), max(stops)
+        seg = block[:, first:last]
+        out = seg >= hi[:, None, None]
+        if a is not None:
+            out |= seg <= lo[:, None, None]
+        out &= act[:, None, :]
+        rows = out.any(axis=2)
+        if len(live) > 1:
+            at = np.arange(first, last)
+            rows &= (at >= np.array(starts)[:, None]) & (at < np.array(stops)[:, None])
+        hit = rows.any(axis=1).tolist()
+        hits = [k for k, x in enumerate(hit) if x]
+        if hits:
+            exits = rows.argmax(axis=1).tolist()
+            offs = [first + exits[k] for k in hits]
+            for k, vals, ranks, off in zip(hits, *ranked_rows(hits, offs), offs):
+                i = live[k]
+                sz, at_step = size[i], base[i] + off + 1
+                # the top block: the statistic t places from the top clears b[r + t]
+                t_rej = 0
+                while t_rej < sz and vals[ranks[sz - 1 - t_rej]] >= b_of[r[i] + t_rej]:
+                    t_rej += 1
+                # the bottom block: the statistic p places from the bottom
+                # stays at or below a[c + p], short of the rejected ones
+                t_acc = 0
+                if a is not None:
+                    while t_acc < sz - t_rej and vals[ranks[t_acc]] <= a_of[c[i] + t_acc]:
+                        t_acc += 1
+                decided = made[i]
+                for p in range(sz - t_rej, sz):
+                    decided[ranks[p]] = Decision(ranks[p], "reject", at_step, r[i] + sz - p)
+                    act[k, ranks[p]] = False
+                for p in range(t_acc):
+                    decided[ranks[p]] = Decision(ranks[p], "accept", at_step, c[i] + p + 1)
+                    act[k, ranks[p]] = False
+                decision_steps += at_step * (t_rej + t_acc)
+                r[i] += t_rej
+                c[i] += t_acc
+                size[i] = sz - t_rej - t_acc
+                n[i] = scan[i] = at_step
+                stages[i] += 1
+                hi[k] = b_of[r[i]]
+                if a is not None:
+                    lo[k] = a_of[c[i]]
+        missed = [k for k, x in enumerate(hit) if not x]
+        for k in missed:
+            scan[live[k]] = base[live[k]] + stops[k]
+        ends = [k for k in missed if scan[live[k]] == n_bar]
+        if ends:
             # horizon reached: accept the rest, ranked by final statistic
-            for pos, jj in enumerate(ids, start=1):
-                decisions[jj] = Decision(stream=jj, action="accept", step=n, level=pos,
-                                         truncated=True)
-            break
-        sz = len(ids)
-        t_rej = _max_top_block(sorted_vals, b, r) if sorted_vals[-1] >= hi else 0
-        t_acc = 0 if lo is None or sorted_vals[0] > lo else _max_bottom_block(sorted_vals, a, c)
-        # only reachable when a[-1] == b[-1] and a statistic sits exactly there
-        t_acc = min(t_acc, sz - t_rej)
-        for pos in range(sz - t_rej + 1, sz + 1):
-            decisions[ids[pos - 1]] = Decision(
-                stream=ids[pos - 1], action="reject", step=n, level=r + sz - pos + 1
-            )
-        for pos in range(1, t_acc + 1):
-            decisions[ids[pos - 1]] = Decision(
-                stream=ids[pos - 1], action="accept", step=n, level=c + pos
-            )
-        r += t_rej
-        c += t_acc
-        active = np.sort(ranked[t_acc : sz - t_rej])
-    return TrialResult(decisions=tuple(decisions))
+            _, order = ranked_rows(ends, [n_bar - 1 - base[live[k]] for k in ends])
+            for k, ranks in zip(ends, order):
+                i = live[k]
+                for p, s in enumerate(ranks[: size[i]]):
+                    made[i][s] = Decision(s, "accept", n_bar, p + 1, True)
+                    act[k, s] = False
+                decision_steps += n_bar * size[i]
+                size[i] = 0
+                n[i] = n_bar
+                stages[i] += 1
+            missed = [k for k in missed if scan[live[k]] != n_bar]
+        for k in hits:
+            i = live[k]
+            if size[i] and stages[i] >= guard:
+                failed[i] = StageGuardError(f"stage count exceeded guard ({guard})",
+                                            state=state(i, k))
+                size[i] = 0
+        if missed:
+            vals, counts = take(np.array([live[k] for k in missed]))
+            if tally is not None:
+                tally["matrix_rows"] += int(counts.sum())
+                tally["path_blocks"] += len(missed)
+            width = int(counts.max())
+            if width > block.shape[1]:
+                grown = np.empty((len(live), width, j))
+                grown[:, : block.shape[1]] = block
+                block = grown
+            offsets = np.arange(len(vals)) - np.repeat(np.cumsum(counts) - counts, counts)
+            block[np.repeat(missed, counts), offsets] = vals
+            for k, count in zip(missed, counts.tolist()):
+                i = live[k]
+                if not count:
+                    failed[i] = DataUnderrunError(
+                        f"streams {np.flatnonzero(act[k]).tolist()} exhausted at step "
+                        f"{scan[i]} before any decision boundary was crossed",
+                        state=state(i, k),
+                    )
+                    size[i] = 0
+                base[i], held[i] = scan[i], count
+        keep = [k for k, i in enumerate(live) if size[i]]
+        if len(keep) < len(live):
+            live = [live[k] for k in keep]
+            block, act, hi, lo = block[keep], act[keep], hi[keep], lo[keep]
+    if failed:
+        raise failed[min(failed)]
+    if tally is not None:
+        tally["trials"] += trials
+        tally["stages"] += sum(stages)
+        tally["decision_steps"] += decision_steps
+    return [TrialResult(decisions=tuple(decided)) for decided in made]
+
+
+def _open_boundaries(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("boundary vectors must have one entry per stream")
+    if np.any(np.diff(a) < 0.0) or np.any(np.diff(b) > 0.0):
+        raise ValueError("a must be nondecreasing and b nonincreasing")
+    if a[-1] > b[-1]:
+        raise ValueError("boundaries cross: a[-1] > b[-1]")
+    return a, b
+
+
+def _rejective_boundary(b, n_bar: int) -> np.ndarray:
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1 or b.size < 1:
+        raise ValueError("boundary vector must have one entry per stream")
+    if np.any(np.diff(b) > 0.0):
+        raise ValueError("b must be nonincreasing")
+    if n_bar < 1:
+        raise ValueError("n_bar must be at least 1")
+    return b
 
 
 def run_open_ended(
@@ -286,6 +390,8 @@ def run_open_ended(
     a: np.ndarray,
     b: np.ndarray,
     max_stages_guard: int | None = None,
+    *,
+    tally: Counter | None = None,
 ) -> TrialResult:
     """Run the open-ended step-down procedure until every stream is decided.
 
@@ -299,18 +405,12 @@ def run_open_ended(
     cumulative level ``r + size - pos + 1``; an accepted one at bottom
     position ``pos`` with ``c`` prior acceptances gets ``c + pos``.  Ties
     order by stream index.  Errors carry the procedure state (stage, step,
-    r, c, active streams and decisions so far) in ``state``.
+    r, c, active streams and decisions so far) in ``state``.  ``tally`` (a
+    Counter), when given, gains the engine's work counts (``run_batch``).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("boundary vectors must have one entry per stream")
-    if np.any(np.diff(a) < 0.0) or np.any(np.diff(b) > 0.0):
-        raise ValueError("a must be nondecreasing and b nonincreasing")
-    if a[-1] > b[-1]:
-        raise ValueError("boundaries cross: a[-1] > b[-1]")
+    a, b = _open_boundaries(a, b)
     guard = a.size if max_stages_guard is None else int(max_stages_guard)
-    return _step_down(paths, a, b, None, guard)
+    return _step_down(_one_trial(paths, b.size), 1, a, b, None, guard, tally)[0]
 
 
 def run_rejective(paths, b: np.ndarray, n_bar: int) -> TrialResult:
@@ -319,14 +419,45 @@ def run_rejective(paths, b: np.ndarray, n_bar: int) -> TrialResult:
     ``paths`` is as for ``run_open_ended`` and is read no further than
     ``n_bar`` rows.  Stages only reject; if the horizon arrives, every
     still-active stream is accepted there with ``truncated=True`` and
-    levels by ascending order of the final statistics.  ``n_bar = 1``
-    reduces to a one-shot step-down test.
+    levels by ascending order of the final statistics, in one last stage.
+    ``n_bar = 1`` reduces to a one-shot step-down test.
     """
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size < 1:
-        raise ValueError("boundary vector must have one entry per stream")
-    if np.any(np.diff(b) > 0.0):
-        raise ValueError("b must be nonincreasing")
-    if n_bar < 1:
-        raise ValueError("n_bar must be at least 1")
-    return _step_down(paths, None, b, n_bar, b.size)
+    b = _rejective_boundary(b, n_bar)
+    return _step_down(_one_trial(paths, b.size), 1, None, b, n_bar, b.size, None)[0]
+
+
+def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
+              tally: Counter | None = None) -> list[TrialResult]:
+    """Run ``trials`` trials of one procedure at once, through one stage loop.
+
+    ``take(ids)`` reads the trials' statistics: given an array of trial
+    indices in [0, trials), it returns ``(rows, counts)``, the next row
+    block of each listed trial stacked in the order of ``ids`` and the
+    blocks' row counts, 0 for a trial with no rows left.  ``a`` None runs
+    the rejective procedure to ``n_bar`` (``run_rejective``), otherwise the
+    open-ended one (``run_open_ended``).  Each trial decides as it would
+    alone.  When trials fail, the others still run and the error of the
+    first failing trial in index order is raised, as a loop over the trials
+    one at a time would raise it.  ``tally`` (a Counter), when given, gains
+    the work counts: trials, stages, statistic rows and blocks read, and
+    decision steps (summed over streams).
+    """
+    if a is None:
+        b = _rejective_boundary(b, n_bar)
+        return _step_down(take, trials, None, b, n_bar, b.size, tally)
+    a, b = _open_boundaries(a, b)
+    return _step_down(take, trials, a, b, None, a.size, tally)
+
+
+def work_counts(tally: Counter) -> dict:
+    """A run's engine counters as reported: per-trial stages and the totals.
+
+    ``path_extensions`` counts the blocks read after each trial's first.
+    """
+    return {
+        "trials": tally["trials"],
+        "stages_per_trial": tally["stages"] / tally["trials"],
+        "matrix_rows": tally["matrix_rows"],
+        "decision_steps": tally["decision_steps"],
+        "path_extensions": tally["path_blocks"] - tally["trials"],
+    }

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .core import bh_steps, scale_for_fdr
 from .datagen import BlockClusters, CopulaConfig, ReportPair, cumulative_counts
 from .errors import ConfigError, DrugTableError
-from .procedures import run_open_ended
+from .procedures import run_open_ended, work_counts
 from .sprt import SimpleModel, cumulative_llr, stepdown_critical_values
 
 logger = logging.getLogger(__name__)
@@ -214,7 +215,8 @@ def _select_top(config: ExperimentConfig) -> list[DrugRecord]:
     return ranked[: config.top_n]
 
 
-def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000) -> MonitoringReport:
+def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
+                   counters: dict | None = None) -> MonitoringReport:
     """Monitor the top-N drugs' simulated report streams to terminal decisions.
 
     Per year and drug a correlated (target, other) report-count pair is drawn
@@ -227,7 +229,8 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000) -> Monitori
     action (accepts first) then termination year.
 
     Raises DataUnderrunError when a stream is still undecided after
-    ``horizon`` years.
+    ``horizon`` years.  ``counters``, when given, is updated with the
+    engine's work counts, as ``cli.run_simulation`` reports them.
     """
     top = _select_top(config)
     j = len(top)
@@ -257,7 +260,10 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000) -> Monitori
     )
     # one model for every drug: raw LLRs against the raw boundaries
     paths = (cumulative_llr(model, x, w) for x, w in blocks)
-    result = run_open_ended(paths, crit.a, crit.b)
+    tally = Counter()
+    result = run_open_ended(paths, crit.a, crit.b, tally=tally)
+    if counters is not None:
+        counters.update(work_counts(tally))
 
     rows = tuple(
         sorted(

@@ -35,7 +35,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 from seqfdr.calibrate import estimate_gamma, mc_truncated_critical_values
-from seqfdr.cli import (SimulationConfig, _calibration_seed, _sim_pieces, _trial_paths,
+from seqfdr.cli import (SimulationConfig, _calibration_seed, _sim_pieces, _trials_for_range,
                         run_simulation)
 from seqfdr.core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
 from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, Toeplitz, copula_uniforms, cumulative_counts
@@ -281,11 +281,8 @@ def _pfdr_cell(family, null, alt):
     cfg = SimulationConfig(family=family, null_param=null, alt_param=alt, j=J,
                            m0=5, rho=-0.6, q1=Q1, q2=Q2, mode="open",
                            reps=REPS, seed=SEED)
-    m, pairs, truth = _sim_pieces(cfg)
-    trials = [
-        run_open_ended(_trial_paths(cfg, pairs, truth, m, t), crit.a, crit.b)
-        for t in range(cfg.reps)
-    ]
+    _, _, truth = _sim_pieces(cfg)
+    trials, _ = _trials_for_range(cfg, crit.a, crit.b, 0, cfg.reps)
     return gamma, summarize(trials, truth)
 
 

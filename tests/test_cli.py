@@ -2,6 +2,7 @@
 
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +14,16 @@ from seqfdr.cli import (
     SimulationConfig,
     _calibration_seed,
     _run_trials,
+    _copula,
     _sim_pieces,
-    _trial_paths,
     _trials_for_range,
     main,
 )
 from seqfdr.core import bh_steps, scale_for_fdr
+from seqfdr.datagen import cumulative_counts
+from seqfdr.errors import DataUnderrunError
 from seqfdr.procedures import run_open_ended, run_rejective
-from seqfdr.sprt import stepdown_critical_values
+from seqfdr.sprt import cumulative_llr, stepdown_critical_values
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "yellowcard_fixture.csv"
 
@@ -98,30 +101,67 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(b), "--workers", "2"]) == 0
         assert (a / "simulate_report.json").read_bytes() == (b / "simulate_report.json").read_bytes()
 
+    @staticmethod
+    def _trial_matrix(config, t):
+        """Trial t's whole raw LLR matrix, drawn alone from its own seed."""
+        model, pairs, truth = _sim_pieces(config)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(t,)))
+        horizon = config.horizon if config.mode == "open" else config.n_bar
+        blocks = cumulative_counts(_copula(config), pairs, truth, horizon=horizon, rng=rng)
+        return np.concatenate([cumulative_llr(model, x, w) for x, w in blocks])
+
     @pytest.mark.parametrize("mode", ["open", "rejective"])
-    def test_decisions_invariant_to_engine_knobs(self, mode):
-        # the full decision tuples, labels of tied statistics included, do
-        # not depend on workers, trial chunking, or on-demand path extension
+    def test_decisions_invariant_to_engine_knobs(self, mode, monkeypatch):
+        # the full decision tuples, labels of tied statistics included, and
+        # the work counters do not depend on workers, trial chunking, the
+        # trial batch, or on-demand path extension
         config = SimulationConfig(
             family="bernoulli", null_param=0.05, alt_param=0.15, j=10, m0=5, rho=-0.6,
             q1=0.25, q2=0.15, mode=mode, reps=30, seed=7, n_bar=50, calib_reps=2000,
         )
-        model, pairs, truth = _sim_pieces(config)
+        model, _, _ = _sim_pieces(config)
         alpha = scale_for_fdr(bh_steps(0.25, 10), 0.25)
         if mode == "open":
-            b_raw = None
             crit = stepdown_critical_values(alpha, scale_for_fdr(bh_steps(0.15, 10), 0.15))
-            runner = lambda paths: run_open_ended(paths, crit.a, crit.b)
+            a, b = crit.a, crit.b
+            runner = lambda paths: run_open_ended(paths, a, b)
         else:
-            b_raw = mc_truncated_critical_values(model, alpha, 50, 2000, _calibration_seed(7)).b
-            runner = lambda paths: run_rejective(paths, b_raw, 50)
-        whole = [runner(np.concatenate(list(_trial_paths(config, pairs, truth, model, t))))
-                 for t in range(30)]
-        split = [t for s, e in ((0, 7), (7, 19), (19, 30))
-                 for t in _trials_for_range(config, b_raw, s, e)[0]]
-        assert _run_trials(config, b_raw, 1)[0] == whole
-        assert _run_trials(config, b_raw, 2)[0] == whole
-        assert split == whole
+            a, b = None, mc_truncated_critical_values(model, alpha, 50, 2000,
+                                                      _calibration_seed(7)).b
+            runner = lambda paths: run_rejective(paths, b, 50)
+        whole = [runner(self._trial_matrix(config, t)) for t in range(30)]
+        one, tally = _run_trials(config, a, b, 1)
+        assert one == whole
+        assert _run_trials(config, a, b, 2) == (whole, tally)
+        split = [_trials_for_range(config, a, b, s, e) for s, e in ((0, 7), (7, 19), (19, 30))]
+        assert [t for part, _ in split for t in part] == whole
+        assert sum((counts for _, counts in split), Counter()) == tally
+        for batch in (1, 7):
+            monkeypatch.setattr(cli, "_TRIAL_BATCH", batch)
+            assert _run_trials(config, a, b, 1) == (whole, tally)
+
+    def test_batch_underrun_carries_the_trial_state(self):
+        # a 20-step horizon leaves trials undecided, some in their first
+        # stage; the batch raises the error of the first of them in index
+        # order, as that trial alone does, not the first to run out
+        config = SimulationConfig(**dict(OPEN_CONFIG, j=10, m0=5, null_param=0.05,
+                                         alt_param=0.15, rho=-0.6, reps=30, horizon=20))
+        crit = stepdown_critical_values(scale_for_fdr(bh_steps(0.25, 10), 0.25),
+                                        scale_for_fdr(bh_steps(0.15, 10), 0.15))
+        alone = {}
+        for t in range(30):
+            try:
+                run_open_ended(self._trial_matrix(config, t), crit.a, crit.b)
+            except DataUnderrunError as exc:
+                alone[t] = exc
+        stage = {t: exc.state["stage"] for t, exc in alone.items()}
+        assert stage[min(alone)] > min(stage.values())
+        for start in (0, min(alone) + 1):
+            with pytest.raises(DataUnderrunError) as batch:
+                _trials_for_range(config, crit.a, crit.b, start, 30)
+            first = alone[min(t for t in alone if t >= start)]
+            assert str(batch.value) == str(first)
+            assert batch.value.state == first.state
 
     def test_pool_sized_to_chunks(self, monkeypatch):
         # reps=2 splits into two chunks, so workers=4 starts two processes
@@ -134,7 +174,9 @@ class TestSimulate:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
         config = SimulationConfig(**dict(OPEN_CONFIG, reps=2))
-        assert _run_trials(config, None, 4) == _run_trials(config, None, 1)
+        crit = stepdown_critical_values(scale_for_fdr(bh_steps(0.25, 3), 0.25),
+                                        scale_for_fdr(bh_steps(0.15, 3), 0.15))
+        assert _run_trials(config, crit.a, crit.b, 4) == _run_trials(config, crit.a, crit.b, 1)
         assert sizes == [2]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -315,6 +357,13 @@ class TestYellowcard:
         assert (config["p_h"], config["p_g"]) == (report["thresholds"]["p_h"],
                                                   report["thresholds"]["p_g"])
         assert config["top_n"] == 8 and config["horizon"] == 1000
+        # the timings carry the engine's counters, one trial of 8 streams
+        timings = json.loads((out / "yellowcard_timings.json").read_text())
+        steps = sum(int(r["termination_step"]) for r in rows)
+        assert timings["trials"] == 1 and timings["decision_steps"] == steps
+        assert timings["stages_per_trial"] >= len({r["termination_step"] for r in rows})
+        assert timings["matrix_rows"] >= max(int(r["termination_step"]) for r in rows)
+        assert timings["path_extensions"] >= 0
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, {"top_n": 6, "seed": 9})

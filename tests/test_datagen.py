@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 from scipy.special import ndtr, ndtri
 
+from seqfdr import datagen
 from seqfdr.datagen import (
     Bernoulli,
     BlockClusters,
@@ -19,6 +20,7 @@ from seqfdr.datagen import (
     copula_uniforms,
     correlation_matrix,
     invert_marginal,
+    count_batch,
     cumulative_counts,
 )
 from seqfdr.errors import FactorizationError
@@ -294,3 +296,62 @@ class TestStreamSources:
             probs = np.append(probs, 1.0 - probs.sum())
             res = scipy.stats.chisquare(obs, probs * len(x))
             assert res.pvalue > 0.01, (lam, res.pvalue)
+
+
+class TestCountBatch:
+    """``count_batch``: each trial's blocks are those it draws alone."""
+
+    CASES = [
+        (10, [Bernoulli(0.05)] * 5 + [Bernoulli(0.15)] * 5, 300),
+        (10, [Poisson(1.5)] * 5 + [Poisson(2.0)] * 5, 300),
+        # single-step blocks and J >= 32: sizes where BLAS picks other kernels
+        (40, [Poisson(1.5)] * 40, 1),
+        (40, [Bernoulli(0.1)] * 40, 150),
+        (3, [ReportPair(0.6, 9.6), ReportPair(2.0, 5.0), ReportPair(1.0, 1.0)], 200),
+    ]
+
+    @staticmethod
+    def _check(j, specs, horizon):
+        cfg = CopulaConfig(j, Toeplitz(-0.3))
+        seeds = range(9)
+        take = count_batch(cfg, specs, horizon=horizon,
+                           rngs=[np.random.default_rng(s) for s in seeds])
+        got = [[] for _ in seeds]
+        # trials read at different paces, so one call mixes block sizes
+        for ids in ([0, 1, 2, 3, 4, 5, 6, 7, 8], [8, 0, 3], [1, 2, 4, 5, 6, 7], [0, 8],
+                    list(seeds), [3, 0], list(seeds), list(seeds)):
+            x, w, steps = take(np.array(ids))
+            assert len(x) == len(w) == steps.sum()
+            for i, lo, n in zip(ids, np.cumsum(steps) - steps, steps):
+                if n:
+                    got[i].append((x[lo:lo + n], w[lo:lo + n]))
+        for i in seeds:
+            alone = list(cumulative_counts(cfg, specs, horizon=horizon,
+                                           rng=np.random.default_rng(i)))
+            assert 0 < len(got[i]) <= len(alone)
+            assert sum(len(x) for x, _ in alone) == horizon
+            for (x, w), (x1, w1) in zip(got[i], alone):
+                np.testing.assert_array_equal(x, x1)
+                np.testing.assert_array_equal(w, w1)
+                assert x.dtype == x1.dtype == np.int64 and w.shape == w1.shape
+        # every trial reads past its first 64-step block where the horizon allows
+        assert all(sum(len(x) for x, _ in got[i]) == min(horizon, 448) for i in (0, 3, 8))
+
+    @pytest.mark.parametrize("j, specs, horizon", CASES)
+    def test_totals_match_each_trial_alone(self, j, specs, horizon):
+        self._check(j, specs, horizon)
+
+    @pytest.mark.parametrize("j, specs, horizon", CASES)
+    def test_latent_values_match_each_trial_alone(self, j, specs, horizon, monkeypatch):
+        # counts that read the last bit of each latent value: equal totals
+        # mean the batch's copula products equal each trial's to the last bit
+        monkeypatch.setattr(datagen, "_latent_counts",
+                            lambda spec, y: np.ascontiguousarray(y).view(np.int64) & 1)
+        self._check(j, specs, horizon)
+
+    def test_exhausted_trial_reads_zero_steps(self):
+        take = count_batch(CopulaConfig(2, Toeplitz(0.0)), [Bernoulli(0.5)] * 2, horizon=5,
+                           rngs=[np.random.default_rng(1), np.random.default_rng(2)])
+        assert take(np.array([0, 1]))[2].tolist() == [5, 5]
+        x, w, steps = take(np.array([1, 0]))
+        assert steps.tolist() == [0, 0] and x.shape == (0, 2)

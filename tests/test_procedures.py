@@ -1,5 +1,7 @@
 """Tests for the open-ended and rejective step-down procedures."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from seqfdr.errors import DataUnderrunError, StageGuardError
 from seqfdr.procedures import (
     Decision,
     TrialResult,
+    run_batch,
     run_open_ended,
     run_rejective,
     summarize,
+    work_counts,
 )
 from seqfdr.sprt import SimpleModel, cumulative_llr, llr_increments, stepdown_critical_values
 
@@ -194,6 +198,19 @@ class TestRejectiveHandTraces:
         assert d[0] == Decision(stream=0, action="reject", step=2, level=1)
         assert d[1].action == "accept" and d[1].truncated and d[1].step == 2
 
+    def test_truncation_after_a_stage_at_the_horizon_is_a_stage(self):
+        # stage 1 rejects stream 0 at step 2 = n_bar and stage 2 accepts
+        # stream 1 there: two stages at one step
+        paths = _sources([0.5, 2.2], [0.1, 0.3])
+        tally = Counter()
+        [result] = run_batch(lambda ids: (paths, np.array([2])), 1, None, np.array([2.0, 1.0]),
+                             n_bar=2, tally=tally)
+        assert {d.step for d in result.decisions} == {2}
+        assert tally == Counter(trials=1, stages=2, matrix_rows=2, path_blocks=1,
+                                decision_steps=4)
+        assert work_counts(tally) == {"trials": 1, "stages_per_trial": 2.0, "matrix_rows": 2,
+                                      "decision_steps": 4, "path_extensions": 0}
+
     def test_rejections_never_flagged_truncated(self):
         result = run_rejective(
             _sources([2.5], [1.5]), b=np.array([2.0, 1.0]), n_bar=4
@@ -281,6 +298,39 @@ class TestRandomizedInvariants:
             for blk in (1, 7, 64, 1000)
         ]
         assert all(r == runs[0] for r in runs)
+
+    @pytest.mark.parametrize("n_bar", [None, 1, 37])
+    def test_batch_decides_each_trial_as_alone(self, n_bar):
+        # integer-valued paths tie often; each trial hands out its rows in
+        # blocks of its own sizes, so the held blocks differ in width
+        rng = np.random.default_rng(34)
+        j, trials = 5, 25
+        a, b = self._grid(j)
+        mats = [np.round(np.cumsum(rng.normal(0.0, 1.5, size=(300, j)), axis=0))
+                for _ in range(trials)]
+        cuts = [np.cumsum(rng.integers(1, 90, size=300)) for _ in range(trials)]
+        blocks = [np.split(m, c[c < 300]) for m, c in zip(mats, cuts)]
+        read = [0] * trials
+
+        def take(ids):
+            out = []
+            for i in ids:
+                out.append(blocks[i][read[i]] if read[i] < len(blocks[i]) else np.empty((0, j)))
+                read[i] += 1
+            return np.concatenate(out), np.array([len(x) for x in out])
+
+        tally = Counter()
+        if n_bar is None:
+            batch = run_batch(take, trials, a, b, tally=tally)
+            alone = [run_open_ended(m, a, b) for m in mats]
+        else:
+            batch = run_batch(take, trials, None, b, n_bar, tally=tally)
+            alone = [run_rejective(m, b, n_bar) for m in mats]
+        assert batch == alone
+        assert tally["trials"] == trials
+        assert tally["decision_steps"] == sum(t.total_samples for t in alone)
+        assert tally["path_blocks"] == sum(read)
+        assert tally["stages"] >= sum(len({d.step for d in t.decisions}) for t in alone)
 
 
 class TestTrialResult:
