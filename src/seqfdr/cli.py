@@ -120,7 +120,7 @@ def _parse_config(cls, raw: dict, seed: int | None):
 
 @dataclass(frozen=True, kw_only=True)
 class _Streams:
-    """The streams of a simulate or fss run: one model, the m0 nulls first."""
+    """The streams of a simulate or fss run (one model, the m0 nulls first) and its q1."""
 
     family: str
     null_param: float
@@ -128,6 +128,7 @@ class _Streams:
     j: int
     m0: int
     rho: float
+    q1: float = 0.25
 
     def __post_init__(self):
         if self.family not in ("bernoulli", "poisson"):
@@ -140,13 +141,20 @@ class _Streams:
             raise ConfigError(f"config.m0: must lie in [0, j], got {self.m0}")
         if not -1.0 < self.rho < 1.0:
             raise ConfigError(f"config.rho: must lie in (-1, 1), got {self.rho}")
+        hi = 1.0 if self.family == "bernoulli" else float("inf")
+        if not 0.0 < self.null_param < self.alt_param < hi:
+            raise ConfigError(
+                "config.null_param/alt_param: need 0 < null < alt"
+                + (" < 1" if self.family == "bernoulli" else "")
+            )
+        if not 0.0 < self.q1 < 1.0:
+            raise ConfigError(f"config.q1: must lie in (0, 1), got {self.q1}")
 
 
 @dataclass(frozen=True, kw_only=True)
 class SimulationConfig(_Streams):
     """Resolved inputs of one copula simulation batch."""
 
-    q1: float = 0.25
     q2: float = 0.15
     mode: str = "open"  # "open" | "rejective"
     reps: int
@@ -157,15 +165,8 @@ class SimulationConfig(_Streams):
 
     def __post_init__(self):
         super().__post_init__()
-        hi = 1.0 if self.family == "bernoulli" else float("inf")
-        if not 0.0 < self.null_param < self.alt_param < hi:
-            raise ConfigError(
-                "config.null_param/alt_param: need 0 < null < alt"
-                + (" < 1" if self.family == "bernoulli" else "")
-            )
-        for name, q in (("q1", self.q1), ("q2", self.q2)):
-            if not 0.0 < q < 1.0:
-                raise ConfigError(f"config.{name}: must lie in (0, 1), got {q}")
+        if not 0.0 < self.q2 < 1.0:
+            raise ConfigError(f"config.q2: must lie in (0, 1), got {self.q2}")
         if self.mode not in ("open", "rejective"):
             raise ConfigError(f"config.mode: must be 'open' or 'rejective', got {self.mode!r}")
         if self.reps < 1:
@@ -183,7 +184,6 @@ class SimulationConfig(_Streams):
 class FssConfig(_Streams):
     """Resolved inputs of one matched fixed-sample-size search."""
 
-    q1: float = 0.25
     target_fnr: float
     reps: int
     seed: int
@@ -223,9 +223,8 @@ class YellowcardConfig:
 def _sim_pieces(config: _Streams):
     model = SimpleModel(config.family, config.null_param, config.alt_param)
     marginal = Bernoulli if config.family == "bernoulli" else Poisson
-    pairs = [(marginal(config.null_param), marginal(config.alt_param))] * config.j
     truth = [True] * config.m0 + [False] * (config.j - config.m0)
-    return model, pairs, truth
+    return model, [marginal(config.null_param if t else config.alt_param) for t in truth], truth
 
 
 def _copula(config: SimulationConfig | FssConfig) -> CopulaConfig:
@@ -247,7 +246,7 @@ def _trials_for_range(config: SimulationConfig, a, b, start: int, stop: int
     in batches of ``_TRIAL_BATCH`` through ``run_batch``.  Returns the
     trials and the engine's counters.
     """
-    model, pairs, truth = _sim_pieces(config)
+    model, marginals, _ = _sim_pieces(config)
     factor = cholesky(correlation_matrix(_copula(config)))
     horizon = config.horizon if config.mode == "open" else config.n_bar
     tally = Counter()
@@ -256,7 +255,7 @@ def _trials_for_range(config: SimulationConfig, a, b, start: int, stop: int
         hi = min(lo + _TRIAL_BATCH, stop)
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(t,)))
                 for t in range(lo, hi)]
-        counts = count_batch(_copula(config), pairs, truth, horizon=horizon, rngs=rngs,
+        counts = count_batch(_copula(config), marginals, horizon=horizon, rngs=rngs,
                              factor=factor)
 
         def take(ids, counts=counts):

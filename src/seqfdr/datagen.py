@@ -7,9 +7,10 @@ latent cuts of the marginal's CDF (``_latent_counts``): the counts of
 inverting the uniform Phi(y), without evaluating Phi.  The trial engine and
 the fixed-sample comparator share this path (``_CountBlocks``).  Marginals
 are exact; only the dependence is shaped by the latent correlation.  Counts
-come out as cumulative integer totals, one row per step, in blocks on demand,
-for one trial or for a batch of trials that each draw from their own
-generator.
+come out as cumulative integer totals, one row per step, in blocks on demand:
+``count_batch`` returns ``take(ids)``, which hands out the next block of each
+listed trial, every trial drawing from its own generator.  A lone trial is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -35,7 +36,6 @@ __all__ = [
     "cholesky",
     "copula_uniforms",
     "invert_marginal",
-    "cumulative_counts",
     "count_batch",
 ]
 
@@ -277,10 +277,6 @@ class _PoissonCdfTable:
         # a count exceeds n when its latent value exceeds cuts[n]
         self.cuts = _latent_cuts(self.cdf[:-1])
 
-    def invert(self, u: np.ndarray) -> np.ndarray:
-        # smallest n with cdf[n] >= u, capped at the table's last index
-        return np.searchsorted(self.cuts, ndtri(u), side="left")
-
 
 # one table per rate, built on first use
 _poisson_table = functools.lru_cache(maxsize=None)(_PoissonCdfTable)
@@ -290,68 +286,27 @@ _poisson_table = functools.lru_cache(maxsize=None)(_PoissonCdfTable)
 FIRST_ROWS = 64
 
 
-def cumulative_counts(
-    config: CopulaConfig,
-    marginals: Sequence,
-    truth: Sequence[bool] | None = None,
-    *,
-    horizon: int,
-    rng: np.random.Generator | None = None,
-    factor: np.ndarray | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One trial's J streams as cumulative count totals, drawn on demand.
-
-    ``marginals`` holds one MarginalSpec per stream, or (null, alt) pairs
-    with ``truth[j]`` True selecting the null member.  The iterator yields
-    ``(x, w)`` int64 blocks of consecutive steps: ``x[i, j]`` is stream j's
-    success or event total through that step and ``w`` the matching trial
-    total, the step index itself (one column for all streams) for scalar
-    marginals and the cumulative report total for ReportPair streams.  The
-    first block has ``FIRST_ROWS`` steps, each later one as many as all
-    before it, and the blocks stop at ``horizon`` steps.  Every step draws
-    its latent normals in the same order whatever the block, so the counts
-    do not depend on how the steps are blocked.  ``factor`` may carry a
-    precomputed Cholesky factor.  This is ``count_batch`` for one trial.
-    """
-    if rng is None:
-        if config.seed is None:
-            raise ValueError("either rng or config.seed must be provided")
-        rng = np.random.default_rng(config.seed)
-    take = count_batch(config, marginals, truth, horizon=horizon, rngs=[rng], factor=factor)
-
-    def blocks():
-        only = np.zeros(1, np.intp)
-        while True:
-            x, w, steps = take(only)
-            if not steps[0]:
-                return
-            yield x, w
-
-    return blocks()
-
-
 def count_batch(
     config: CopulaConfig,
     marginals: Sequence,
-    truth: Sequence[bool] | None = None,
     *,
     horizon: int,
     rngs: Sequence[np.random.Generator],
     factor: np.ndarray | None = None,
 ):
-    """Several trials' streams as cumulative count totals, each from its own generator.
+    """Trials' J streams (one MarginalSpec each) as cumulative count totals.
 
-    Returns ``take(ids)``, which draws the next block of every listed trial
-    (positions in ``rngs``) and returns ``(x, w, steps)``: the listed
-    trials' blocks, as ``cumulative_counts`` gives them for each generator
-    alone, stacked in the order of ``ids``, and the number of steps in each
-    (0 once the trial has reached ``horizon``).  The arguments are those of
-    ``cumulative_counts``.
+    Returns ``take(ids)``: it draws the next block of steps of every listed
+    trial, each from its own generator (positions in ``rngs``), and returns
+    ``(x, w, steps)``, the int64 blocks stacked in the order of ``ids`` and
+    the steps in each (0 once the trial has reached ``horizon``).
+    ``x[i, j]`` is stream j's success or event total through that step and
+    ``w`` the trial total: the step index (one column for all streams) for
+    scalar marginals, the cumulative report total for ReportPair streams.
+    A trial's first block has ``FIRST_ROWS`` steps, each later one as many
+    as all before it; its counts depend neither on that blocking nor on the
+    other trials.  ``factor`` may carry a precomputed Cholesky factor.
     """
-    if truth is not None:
-        if len(truth) != len(marginals):
-            raise ValueError("truth must have one entry per stream")
-        marginals = [pair[0] if is_null else pair[1] for pair, is_null in zip(marginals, truth)]
     marginals = list(marginals)
     if len(marginals) != config.j:
         raise ValueError(f"expected {config.j} marginals, got {len(marginals)}")
@@ -446,13 +401,3 @@ class _CountBlocks:
         self.done[ids] += steps
         return done, steps, totals
 
-
-def _count_blocks(factor, groups, rows: int, horizon: int, rng, first: int):
-    """Yield ``(done, totals)`` of one generator's trial, block by block (``_CountBlocks``)."""
-    batch = _CountBlocks(factor, groups, rows, horizon, [rng], first)
-    only = np.zeros(1, np.intp)
-    while True:
-        done, steps, totals = batch.take(only)
-        if not steps[0]:
-            return
-        yield int(done[0]), totals

@@ -28,7 +28,7 @@ from .datagen import (
     Poisson,
     cholesky,
     correlation_matrix,
-    _count_blocks,
+    _CountBlocks,
 )
 from .errors import ConfigError
 from .sprt import SimpleModel
@@ -185,9 +185,13 @@ def find_matching_fss(
         """(n, totals) for n = 1..n_stop: each replicate's (reps, J) count totals."""
         # 2-tuple spawn keys: apart from each other and from trial t's (t,)
         seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(0, scale))
-        blocks = _count_blocks(factor, groups, reps * scale, n_stop,
-                               np.random.default_rng(seq), _FIRST_STEPS)
-        return ((n, t) for done, block in blocks for n, t in enumerate(block, done + 1))
+        blocks = _CountBlocks(factor, groups, reps * scale, n_stop,
+                              [np.random.default_rng(seq)], _FIRST_STEPS)
+        while True:
+            done, steps, totals = blocks.take([0])
+            if not steps[0]:
+                return
+            yield from enumerate(totals, int(done[0]) + 1)
 
     curve = []
     for n, totals in draw(1, n_max):

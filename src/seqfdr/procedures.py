@@ -11,15 +11,14 @@ the rejective variant only rejects, accepting whatever remains at a fixed
 truncation horizon.  One stage loop runs a whole batch of trials at once
 (``run_batch``): each round runs a stage of every undecided trial, and a
 source hands out the next row block of just the trials that scanned all
-their rows.  ``run_open_ended`` and ``run_rejective`` run one trial, whose
-matrix arrives whole or as an iterator of row blocks read only as far as
-the stages need.
+their rows.  That source, ``take(ids)``, is the one way rows reach the
+loop; ``run_open_ended`` and ``run_rejective`` run one trial whose whole
+matrix is given.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -184,20 +183,15 @@ def summarize(trials: Sequence[TrialResult], truth: Sequence[bool | None]) -> Me
 
 
 def _one_trial(paths, j: int):
-    """The source of one trial: its whole (n, J) matrix or an iterator of its row blocks."""
-    if isinstance(paths, Iterator):
-        blocks = paths
-    else:
-        mat = np.asarray(paths, dtype=float)
-        if mat.ndim != 2 or mat.shape[1] != j:
-            raise ValueError("paths must be an (n, J) matrix with one column per boundary level")
-        blocks = iter((mat,))
+    """The source of one trial whose whole (n, J) matrix is given."""
+    mat = np.asarray(paths, dtype=float)
+    if mat.ndim != 2 or mat.shape[1] != j:
+        raise ValueError("paths must be an (n, J) matrix with one column per boundary level")
+    blocks = [mat]
 
     def take(ids):
-        for block in blocks:
-            if len(block):
-                return np.asarray(block, dtype=float), np.array([len(block)])
-        return np.empty((0, j)), np.zeros(1, np.intp)
+        block = blocks.pop() if blocks else mat[:0]
+        return block, np.array([len(block)])
 
     return take
 
@@ -390,27 +384,24 @@ def run_open_ended(
     a: np.ndarray,
     b: np.ndarray,
     max_stages_guard: int | None = None,
-    *,
-    tally: Counter | None = None,
 ) -> TrialResult:
     """Run the open-ended step-down procedure until every stream is decided.
 
-    ``paths`` is the (n, J) statistic matrix, row n - 1 holding step n, or
-    an iterator of its consecutive row blocks; running out of rows before
-    every stream is decided raises DataUnderrunError.  ``a``/``b`` are the
-    acceptance/rejection boundary vectors indexed by cumulative level (a
+    ``paths`` is the (n, J) statistic matrix, row n - 1 holding step n
+    (``run_batch`` reads statistics drawn on demand); running out of rows
+    before every stream is decided raises DataUnderrunError.  ``a``/``b`` are
+    the acceptance/rejection boundary vectors indexed by cumulative level (a
     nondecreasing, b nonincreasing, a[-1] <= b[-1]), in the statistic's
     units.  A stream rejected as the position-``pos`` ordered statistic of
     a stage with ``size`` active streams and ``r`` prior rejections gets
     cumulative level ``r + size - pos + 1``; an accepted one at bottom
     position ``pos`` with ``c`` prior acceptances gets ``c + pos``.  Ties
     order by stream index.  Errors carry the procedure state (stage, step,
-    r, c, active streams and decisions so far) in ``state``.  ``tally`` (a
-    Counter), when given, gains the engine's work counts (``run_batch``).
+    r, c, active streams and decisions so far) in ``state``.
     """
     a, b = _open_boundaries(a, b)
     guard = a.size if max_stages_guard is None else int(max_stages_guard)
-    return _step_down(_one_trial(paths, b.size), 1, a, b, None, guard, tally)[0]
+    return _step_down(_one_trial(paths, b.size), 1, a, b, None, guard, None)[0]
 
 
 def run_rejective(paths, b: np.ndarray, n_bar: int) -> TrialResult:

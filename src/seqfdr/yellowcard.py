@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import bh_steps, scale_for_fdr
-from .datagen import BlockClusters, CopulaConfig, ReportPair, cumulative_counts
+from .datagen import BlockClusters, CopulaConfig, ReportPair, count_batch
 from .errors import ConfigError, DrugTableError
-from .procedures import run_open_ended, work_counts
+from .procedures import run_batch, work_counts
 from .sprt import SimpleModel, cumulative_llr, stepdown_critical_values
 
 logger = logging.getLogger(__name__)
@@ -251,17 +251,20 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
     crit = stepdown_critical_values(alpha, beta)
     model = SimpleModel("conditional_binomial", config.p_h, config.p_g)
 
-    marginals = [ReportPair(*derive_rates(r)) for r in top]
-    blocks = cumulative_counts(
+    counts = count_batch(
         CopulaConfig(j=j, structure=structure),
-        marginals,
+        [ReportPair(*derive_rates(r)) for r in top],
         horizon=horizon,
-        rng=np.random.default_rng(stream_seq),
+        rngs=[np.random.default_rng(stream_seq)],
     )
-    # one model for every drug: raw LLRs against the raw boundaries
-    paths = (cumulative_llr(model, x, w) for x, w in blocks)
+
+    def take(ids):
+        x, w, steps = counts(ids)
+        # one model for every drug: raw LLRs against the raw boundaries
+        return cumulative_llr(model, x, w), steps
+
     tally = Counter()
-    result = run_open_ended(paths, crit.a, crit.b, tally=tally)
+    [result] = run_batch(take, 1, crit.a, crit.b, tally=tally)
     if counters is not None:
         counters.update(work_counts(tally))
 

@@ -38,7 +38,7 @@ from seqfdr.calibrate import estimate_gamma, mc_truncated_critical_values
 from seqfdr.cli import (SimulationConfig, _calibration_seed, _sim_pieces, _trials_for_range,
                         run_simulation)
 from seqfdr.core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
-from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, Toeplitz, copula_uniforms, cumulative_counts
+from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, Toeplitz, copula_uniforms, count_batch
 from seqfdr.fixed_sample import find_matching_fss
 from seqfdr.procedures import Decision, run_open_ended, run_rejective, summarize
 from seqfdr.sprt import SimpleModel, stepdown_critical_values
@@ -345,8 +345,11 @@ def test_10_copula_statistics(record):
     cfg = CopulaConfig(j=2, structure=Toeplitz(-0.6))
     n = 100_000
     for family, marg in (("bernoulli", Bernoulli(0.05)), ("poisson", Poisson(1.5))):
-        totals = np.concatenate([x for x, _ in cumulative_counts(
-            cfg, [marg, marg], horizon=n, rng=np.random.default_rng(77))])
+        take = count_batch(cfg, [marg, marg], horizon=n, rngs=[np.random.default_rng(77)])
+        blocks = [take([0])[0]]
+        while len(blocks[-1]):
+            blocks.append(take([0])[0])
+        totals = np.concatenate(blocks)
         x0, x1 = np.diff(totals, axis=0, prepend=0).T
         if family == "bernoulli":
             obs = np.array([np.sum(x0 == 0), np.sum(x0 == 1)])

@@ -20,7 +20,7 @@ from seqfdr.cli import (
     main,
 )
 from seqfdr.core import bh_steps, scale_for_fdr
-from seqfdr.datagen import cumulative_counts
+from seqfdr.datagen import Bernoulli, count_batch
 from seqfdr.errors import DataUnderrunError
 from seqfdr.procedures import run_open_ended, run_rejective
 from seqfdr.sprt import cumulative_llr, stepdown_critical_values
@@ -101,14 +101,24 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(b), "--workers", "2"]) == 0
         assert (a / "simulate_report.json").read_bytes() == (b / "simulate_report.json").read_bytes()
 
+    def test_nulls_draw_the_null_marginal(self):
+        # the m0 nulls come first; each stream draws its own hypothesis's marginal
+        _, marginals, truth = _sim_pieces(SimulationConfig(**OPEN_CONFIG))
+        assert truth == [True, False, False]
+        assert marginals == [Bernoulli(0.25), Bernoulli(0.4), Bernoulli(0.4)]
+
     @staticmethod
     def _trial_matrix(config, t):
-        """Trial t's whole raw LLR matrix, drawn alone from its own seed."""
-        model, pairs, truth = _sim_pieces(config)
+        """Trial t's whole raw LLR matrix, drawn in a batch of one from its own seed."""
+        model, marginals, _ = _sim_pieces(config)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(t,)))
         horizon = config.horizon if config.mode == "open" else config.n_bar
-        blocks = cumulative_counts(_copula(config), pairs, truth, horizon=horizon, rng=rng)
-        return np.concatenate([cumulative_llr(model, x, w) for x, w in blocks])
+        take = count_batch(_copula(config), marginals, horizon=horizon, rngs=[rng])
+        blocks = []
+        while not blocks or len(blocks[-1]):
+            x, w, _ = take([0])
+            blocks.append(cumulative_llr(model, x, w))
+        return np.concatenate(blocks)
 
     @pytest.mark.parametrize("mode", ["open", "rejective"])
     def test_decisions_invariant_to_engine_knobs(self, mode, monkeypatch):
@@ -314,6 +324,23 @@ class TestFss:
         cfg = write_config(tmp_path, payload)
         assert main(["fss", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "config.target_fnr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", OPEN_CONFIG),
+    ("fss", TestFss.CONFIG),
+])
+@pytest.mark.parametrize("change, message", [
+    ({"null_param": 0.4, "alt_param": 0.25}, "config.null_param/alt_param"),
+    ({"null_param": 0.3, "alt_param": 0.3}, "config.null_param/alt_param"),
+    ({"q1": 1.5}, "config.q1"),
+    ({"q1": 0.0}, "config.q1"),
+])
+def test_stream_config_checked_alike(tmp_path, capsys, command, payload, change, message):
+    # simulate and fss share the checks on their streams and on q1
+    cfg = write_config(tmp_path, dict(payload, **change))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestVerifyLp:

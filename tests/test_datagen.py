@@ -21,7 +21,6 @@ from seqfdr.datagen import (
     correlation_matrix,
     invert_marginal,
     count_batch,
-    cumulative_counts,
 )
 from seqfdr.errors import FactorizationError
 
@@ -117,8 +116,7 @@ class TestInvertMarginal:
     def test_matches_scipy_quantiles(self, lam):
         rng = np.random.default_rng(11)
         us = rng.random(400)
-        table = _PoissonCdfTable(lam)
-        mine = table.invert(us)
+        mine = invert_marginal(Poisson(lam), us)
         oracle = scipy.stats.poisson.ppf(us, lam).astype(int)
         np.testing.assert_array_equal(mine, oracle)
 
@@ -130,7 +128,7 @@ class TestInvertMarginal:
     def test_mean_of_inversions(self):
         rng = np.random.default_rng(5)
         us = rng.random(100_000)
-        vals = _PoissonCdfTable(2.0).invert(us)
+        vals = invert_marginal(Poisson(2.0), us)
         assert vals.mean() == pytest.approx(2.0, abs=0.02)
 
 
@@ -194,22 +192,33 @@ class TestCopulaUniforms:
             assert got == pytest.approx(rho, abs=0.02)
 
 
-def _observations(cfg, specs, horizon, truth=None, rng=None):
+def _alone(cfg, specs, horizon, seed):
+    """One trial's (x, w) blocks: ``count_batch`` over one generator, read to the horizon."""
+    take = count_batch(cfg, specs, horizon=horizon, rngs=[np.random.default_rng(seed)])
+    blocks = []
+    while True:
+        x, w, steps = take([0])
+        if not steps[0]:
+            return blocks
+        blocks.append((x, w))
+
+
+def _observations(cfg, specs, horizon, seed):
     """Per-step (x, w) observations of every stream: diffs of the drawn totals."""
-    blocks = list(cumulative_counts(cfg, specs, truth, horizon=horizon, rng=rng))
+    blocks = _alone(cfg, specs, horizon, seed)
     x = np.concatenate([bx for bx, _ in blocks])
     w = np.concatenate([np.broadcast_to(bw, bx.shape) for bx, bw in blocks])
     return np.diff(x, axis=0, prepend=0), np.diff(w, axis=0, prepend=0)
 
 
 class TestStreamSources:
-    """The per-trial count streams drawn by ``cumulative_counts``."""
+    """One trial's count streams, drawn by ``count_batch`` from one generator."""
 
     def _obs(self, seed=3, horizon=500, rho=-0.6, specs=None):
-        cfg = CopulaConfig(3, Toeplitz(rho), seed=seed)
+        cfg = CopulaConfig(3, Toeplitz(rho))
         if specs is None:
             specs = [Bernoulli(0.05), Bernoulli(0.15), Bernoulli(0.05)]
-        return _observations(cfg, specs, horizon)[0]
+        return _observations(cfg, specs, horizon, seed)[0]
 
     def test_block_size_independence(self):
         # horizons 200 and 500 block the steps differently (64+64+72 vs
@@ -232,7 +241,7 @@ class TestStreamSources:
                         for k, s in enumerate(specs)], axis=1)
         oth = np.stack([_uniform_rule(Poisson(s.lam_other), y[:, 1, k])
                         for k, s in enumerate(specs)], axis=1)
-        got_amn, got_total = _observations(cfg, specs, 300, rng=np.random.default_rng(8))
+        got_amn, got_total = _observations(cfg, specs, 300, 8)
         np.testing.assert_array_equal(got_amn, amn)
         np.testing.assert_array_equal(got_total, amn + oth)
 
@@ -241,32 +250,23 @@ class TestStreamSources:
                                       self._obs(seed=77, horizon=50))
 
     def test_horizon_exhaustion(self):
-        cfg = CopulaConfig(3, Toeplitz(-0.6), seed=3)
+        cfg = CopulaConfig(3, Toeplitz(-0.6))
         specs = [Bernoulli(0.05)] * 3
         for horizon, sizes in ((20, [20]), (200, [64, 64, 72]), (256, [64, 64, 128])):
-            blocks = cumulative_counts(cfg, specs, horizon=horizon)
+            blocks = _alone(cfg, specs, horizon, 3)
             assert [len(x) for x, _ in blocks] == sizes
 
     def test_totals_are_cumulative(self):
-        cfg = CopulaConfig(3, Toeplitz(-0.6), seed=3)
+        cfg = CopulaConfig(3, Toeplitz(-0.6))
         specs = [Poisson(1.5)] * 3
-        x, w = map(np.concatenate, zip(*cumulative_counts(cfg, specs, horizon=300)))
+        x, w = map(np.concatenate, zip(*_alone(cfg, specs, 300, 3)))
         assert np.all(np.diff(x, axis=0) >= 0)
         np.testing.assert_array_equal(w[:, 0], np.arange(1, 301))
 
-    def test_truth_selects_marginal(self):
-        cfg = CopulaConfig(2, Toeplitz(0.0), seed=21)
-        pairs = [(Bernoulli(0.05), Bernoulli(0.6))] * 2
-        obs = _observations(cfg, pairs, 4000, truth=[True, False])[0]
-        null_mean = obs[:, 0].mean()
-        alt_mean = obs[:, 1].mean()
-        assert null_mean == pytest.approx(0.05, abs=0.02)
-        assert alt_mean == pytest.approx(0.6, abs=0.03)
-
     def test_report_pair_rows(self):
-        cfg = CopulaConfig(2, Toeplitz(0.3), seed=8)
+        cfg = CopulaConfig(2, Toeplitz(0.3))
         specs = [ReportPair(0.6, 9.6), ReportPair(2.0, 5.0)]
-        amn, total = _observations(cfg, specs, 3000)
+        amn, total = _observations(cfg, specs, 3000, 8)
         obs = np.stack([amn[:, 0], total[:, 0]], axis=1)
         assert obs.shape == (3000, 2)
         assert np.all(obs[:, 0] <= obs[:, 1])
@@ -274,9 +274,10 @@ class TestStreamSources:
         assert obs[:, 1].mean() == pytest.approx(10.2, abs=0.25)
 
     def test_mixing_kinds_rejected(self):
-        cfg = CopulaConfig(2, Toeplitz(0.0), seed=1)
+        cfg = CopulaConfig(2, Toeplitz(0.0))
         with pytest.raises(ValueError):
-            cumulative_counts(cfg, [Bernoulli(0.1), ReportPair(1.0, 2.0)], horizon=10)
+            count_batch(cfg, [Bernoulli(0.1), ReportPair(1.0, 2.0)], horizon=10,
+                        rngs=[np.random.default_rng(1)])
 
     def test_negative_dependence_in_counts(self):
         obs = self._obs(seed=19, horizon=60_000, rho=-0.6).astype(float)
@@ -287,8 +288,8 @@ class TestStreamSources:
         assert r < -3 * se
 
     def test_poisson_marginal_gof(self):
-        cfg = CopulaConfig(2, Toeplitz(-0.6), seed=4)
-        counts = _observations(cfg, [Poisson(1.5), Poisson(2.0)], 40_000)[0]
+        cfg = CopulaConfig(2, Toeplitz(-0.6))
+        counts = _observations(cfg, [Poisson(1.5), Poisson(2.0)], 40_000, 4)[0]
         for x, lam in zip(counts.T, (1.5, 2.0)):
             kmax = 9
             obs = np.bincount(np.minimum(x, kmax), minlength=kmax + 1)
@@ -299,7 +300,7 @@ class TestStreamSources:
 
 
 class TestCountBatch:
-    """``count_batch``: each trial's blocks are those it draws alone."""
+    """``count_batch``: each trial's blocks are those it draws in a batch of one."""
 
     CASES = [
         (10, [Bernoulli(0.05)] * 5 + [Bernoulli(0.15)] * 5, 300),
@@ -326,8 +327,7 @@ class TestCountBatch:
                 if n:
                     got[i].append((x[lo:lo + n], w[lo:lo + n]))
         for i in seeds:
-            alone = list(cumulative_counts(cfg, specs, horizon=horizon,
-                                           rng=np.random.default_rng(i)))
+            alone = _alone(cfg, specs, horizon, i)
             assert 0 < len(got[i]) <= len(alone)
             assert sum(len(x) for x, _ in alone) == horizon
             for (x, w), (x1, w1) in zip(got[i], alone):

@@ -7,7 +7,7 @@ import pytest
 
 from seqfdr.calibrate import mc_truncated_critical_values
 from seqfdr.core import bh_steps, scale_for_fdr
-from seqfdr.datagen import Bernoulli, CopulaConfig, Toeplitz, cumulative_counts
+from seqfdr.datagen import Bernoulli, CopulaConfig, Toeplitz, count_batch
 from seqfdr.errors import DataUnderrunError, StageGuardError
 from seqfdr.procedures import (
     Decision,
@@ -140,10 +140,16 @@ class TestOpenEndedValidation:
         model = SimpleModel("bernoulli", 0.05, 0.15)
         crit = stepdown_critical_values(scale_for_fdr(bh_steps(0.25, 10), 0.25),
                                         scale_for_fdr(bh_steps(0.15, 10), 0.15))
-        blocks = cumulative_counts(CopulaConfig(10, Toeplitz(-0.6), seed=1),
-                                   [Bernoulli(0.05)] * 5 + [Bernoulli(0.15)] * 5, horizon=40)
+        counts = count_batch(CopulaConfig(10, Toeplitz(-0.6)),
+                             [Bernoulli(0.05)] * 5 + [Bernoulli(0.15)] * 5, horizon=40,
+                             rngs=[np.random.default_rng(1)])
+
+        def take(ids):
+            x, w, steps = counts(ids)
+            return cumulative_llr(model, x, w), steps
+
         with pytest.raises(DataUnderrunError) as exc:
-            run_open_ended((cumulative_llr(model, x, w) for x, w in blocks), crit.a, crit.b)
+            run_batch(take, 1, crit.a, crit.b)
         state = exc.value.state
         assert set(state) == STATE_KEYS
         decided = state["decisions"]
@@ -293,10 +299,16 @@ class TestRandomizedInvariants:
         a, b = self._grid(j)
         paths = [np.cumsum(rng.normal(0.0, 1.0, size=300)) for _ in range(j)]
         mat = _sources(*paths)
-        runs = [run_open_ended(mat, a, b)] + [
-            run_open_ended(iter(np.array_split(mat, range(blk, 300, blk))), a, b)
-            for blk in (1, 7, 64, 1000)
-        ]
+        runs = [run_open_ended(mat, a, b)]
+        for blk in (1, 7, 64, 1000):
+            read = [0]
+
+            def take(ids, blk=blk, read=read):
+                block = mat[read[0]:read[0] + blk]
+                read[0] += len(block)
+                return block, np.array([len(block)])
+
+            runs += run_batch(take, 1, a, b)
         assert all(r == runs[0] for r in runs)
 
     @pytest.mark.parametrize("n_bar", [None, 1, 37])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqfdr.core import StepVector, bh_steps, scale_for_fdr
-from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, ReportPair, Toeplitz, cumulative_counts
+from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, ReportPair, Toeplitz, count_batch
 from seqfdr.errors import BoundaryCollapseError
 from seqfdr.sprt import (
     SIEGMUND_RHO,
@@ -201,8 +201,9 @@ class TestLatticeLlr:
     def test_statistic_is_affine_in_integer_totals(self, family, params, specs):
         model = SimpleModel(family, *params)
         slope, step = lattice_terms(model)
-        cfg = CopulaConfig(4, Toeplitz(-0.6), seed=5)
-        blocks = list(cumulative_counts(cfg, specs, horizon=300))
+        take = count_batch(CopulaConfig(4, Toeplitz(-0.6)), specs, horizon=300,
+                           rngs=[np.random.default_rng(5)])
+        blocks = [take([0])[:2] for _ in range(4)]  # 64, 64, 128 and 44 steps
         stat = np.concatenate([cumulative_llr(model, x, w) for x, w in blocks])
         x = np.concatenate([bx for bx, _ in blocks])
         w = np.concatenate([np.broadcast_to(bw, bx.shape) for bx, bw in blocks])
