@@ -1,35 +1,33 @@
-"""Monte Carlo calibration of truncated critical values and first-crossing rates.
+"""Exact calibration of truncated critical values and first-crossing rates.
 
-Two pieces of simulation support feed the procedures:
+Both quantities the procedures need from calibration are probabilities of
+a single i.i.d. stream on the integer count lattice, and one forward
+recursion (``_race``) gives them exactly: it carries the live probability
+mass over count totals step by step and absorbs it where the statistic
+crosses, at the ``sprt.crossing_counts`` tables, so a path crosses at
+exactly the floats the procedures compute.
 
-* ``mc_truncated_critical_values`` calibrates upper boundaries ``B_k`` so
-  that a null LLR path truncated at ``n_bar`` crosses ``B_k`` with
-  probability at most ``alpha_k``.  A single shared sample of path maxima
-  yields all J values, which makes the boundary vector nonincreasing by
-  construction.
-* ``estimate_gamma`` estimates, per stream, the chance that the stream's
+* ``mc_truncated_critical_values`` finds the upper boundaries ``B_k``: the
+  smallest atom of the null path maximum, truncated at ``n_bar``, whose
+  exact tail is at most ``alpha_k``.  A Monte Carlo sample validates them.
+* ``estimate_gamma`` gives, per stream, the chance that the stream's
   statistic produces at least one rejection (resp. acceptance) on its own.
   The maxima over streams are the lower bounds used to tighten step values
-  for positive error rates.  The open-ended races run on the exact lattice
-  statistic: each path is drawn as the steps at which its count total
-  jumps (geometric gaps between Bernoulli successes, binned arrivals of a
-  Poisson process) and compared with per-step count tables, so a path
-  crosses at exactly the values the procedures compute, in O(reps) memory
-  and with no tuning knobs.  Paths still racing at ``horizon`` are
-  non-events and are counted.
+  for positive error rates.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
-import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
+from scipy import stats
 
 from .core import StepVector
-from .errors import ConfigError, InsufficientRepsError
+from .errors import ConfigError
 from .sprt import SimpleModel, crossing_counts, cumulative_llr
 
 __all__ = [
@@ -42,6 +40,14 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 ThetaChoice = Literal["null", "alt"]
+
+# the recursion stops once every race's live mass is below _LIVE_TOL; a
+# Poisson step drops the count tail beyond its 1 - _PMF_TAIL quantile
+_LIVE_TOL = 1e-14
+_PMF_TAIL = 1e-16
+# atoms the boundary search probes per level and pass, splitting each
+# bracket into _PROBES + 1 parts: fewer passes of more rows
+_PROBES = 3
 
 
 @dataclass(frozen=True)
@@ -74,24 +80,23 @@ class GammaEstimate:
     gamma1 bounds P(R > 0) from below: a lone stream crossing the top
     rejection boundary forces at least one rejection.  gamma2 plays the
     same role for P(R < J) and exists only in the open-ended mode; the
-    truncated procedure has no acceptance boundaries to cross.
-    ``undecided_per_stream`` (open-ended only) counts each stream's paths
-    with a race still unsettled at the horizon, which the rates count as
-    non-events.
+    truncated procedure has no acceptance boundaries to cross.  The rates
+    are exact, so the standard errors are 0.  ``live_mass_per_stream``
+    (open-ended only) is the larger of each stream's two races' probability
+    of being still unsettled at the horizon, which the rates leave out.
     """
 
     gamma1: float
     gamma1_per_stream: np.ndarray
     gamma1_se: float
-    reps: int
     theta_choice: tuple[ThetaChoice, ...]
     gamma2: float | None = None
     gamma2_per_stream: np.ndarray | None = None
     gamma2_se: float | None = None
-    undecided_per_stream: np.ndarray | None = None
+    live_mass_per_stream: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("gamma1_per_stream", "gamma2_per_stream"):
+        for name in ("gamma1_per_stream", "gamma2_per_stream", "live_mass_per_stream"):
             arr = getattr(self, name)
             if arr is None:
                 continue
@@ -100,16 +105,94 @@ class GammaEstimate:
                 raise ValueError(f"{name} entries must lie in [0, 1]")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.undecided_per_stream is not None:
-            arr = np.asarray(self.undecided_per_stream, dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, "undecided_per_stream", arr)
 
 
 _NO_SAMPLER = (
     "conditional_binomial streams have no standalone sampling distribution; "
     "simulate the trial-count process explicitly instead"
 )
+
+
+def _count_law(model: SimpleModel, param: float, n=1):
+    """Law of the count total of ``n`` observations at ``param`` (scipy, frozen)."""
+    if model.family == "bernoulli":
+        return stats.binom(n, param)
+    if model.family == "poisson":
+        return stats.poisson(n * param)
+    raise ConfigError(_NO_SAMPLER)
+
+
+@functools.lru_cache(maxsize=None)
+def _step_pmf(model: SimpleModel, param: float) -> np.ndarray:
+    """P(count = x) of one observation at ``param``, cut at a ``_PMF_TAIL`` tail."""
+    law = _count_law(model, param)
+    pmf = law.pmf(np.arange(law.isf(_PMF_TAIL) + 1))
+    pmf.setflags(write=False)
+    return pmf
+
+
+def _race(rows, horizon: int):
+    """Exact first-passage probabilities of i.i.d. count paths, one race per row.
+
+    Row ``(model, param, up, down)`` races the statistic
+    ``cumulative_llr(model, x_n, n)`` of a path of observations at
+    ``param``: up (``>= up``) against down (``<= down``).  A step that
+    crosses both counts as up, as the procedures reject before they
+    accept.  One pass carries every row's live mass over a window of count
+    totals shared by all rows, and absorbs it at the ``crossing_counts``
+    tables.  It stops at ``horizon``, or once every row's live mass is
+    below ``_LIVE_TOL``.  Returns P(up first), P(down first) and the live
+    mass left, per row.
+    """
+    groups = {}
+    for r, (model, param, _, _) in enumerate(rows):
+        groups.setdefault((model, param), []).append(r)
+    # counts x >= top[r, n - 1] and x <= bottom[r, n - 1] are absorbed at
+    # step n; up is the top side where the statistic rises with the count,
+    # and the down side gives up the counts that cross both
+    top = np.empty((len(rows), horizon), dtype=np.int64)
+    bottom = np.empty_like(top)
+    up_top = np.empty(len(rows), dtype=bool)
+    steps = []
+    for (model, param), idx in groups.items():
+        steps.append((idx, _step_pmf(model, param)))
+        t_up, at_least = crossing_counts(model, [rows[r][2] for r in idx], True, horizon)
+        t_down, _ = crossing_counts(model, [rows[r][3] for r in idx], False, horizon)
+        up_top[idx] = at_least
+        if at_least:
+            top[idx], bottom[idx] = t_up, np.minimum(t_down, t_up - 1)
+        else:
+            top[idx], bottom[idx] = np.maximum(t_down, t_up + 1), t_up
+    # a group's rows convolve as one flat array, each row followed by
+    # enough zeros to take its spill
+    spill = max(f.size for _, f in steps) - 1
+    # every row absorbs the counts below floor[n - 1] and from ceil[n - 1] up
+    floor = (bottom.min(axis=0) + 1).tolist()
+    ceil = top.max(axis=0).tolist()
+    won = np.zeros((2, len(rows)))  # absorbed at the top, at the bottom
+    mass = np.ones((len(rows), 1))  # live mass at counts x0, x0 + 1, ...
+    x0 = 0
+    for n in range(horizon):
+        grown = np.zeros((len(rows), mass.shape[1] + spill))
+        grown[:, : mass.shape[1]] = mass
+        for idx, f in steps:
+            flat = grown[idx].ravel()
+            grown[idx] = np.convolve(flat, f)[: flat.size].reshape(len(idx), -1)
+        x = np.arange(x0, x0 + grown.shape[1])
+        above = x >= top[:, n, None]
+        below = x <= bottom[:, n, None]
+        won[0] += grown.sum(axis=1, where=above)
+        won[1] += grown.sum(axis=1, where=below)
+        grown[above | below] = 0.0
+        lo = max(floor[n] - x0, 0)
+        mass = grown[:, lo : max(ceil[n] - x0, lo)]
+        x0 += lo
+        if mass.sum(axis=1).max(initial=0.0) < _LIVE_TOL:
+            break
+    # a sum of probabilities can round a few ulps above 1
+    won = np.minimum(won, 1.0)
+    up, down = np.where(up_top, won, won[::-1])
+    return up, down, np.minimum(mass.sum(axis=1), 1.0)
 
 
 def _sample_obs(model: SimpleModel, param: float, rng: np.random.Generator, shape):
@@ -157,137 +240,55 @@ def mc_truncated_critical_values(
     reps: int,
     seed: int,
 ) -> CalibrationReport:
-    """Calibrate truncated upper boundaries by simulating null path maxima.
+    """Calibrate truncated upper boundaries on the exact null path maximum.
 
-    ``B_k`` is the smallest simulated maximum ``v`` whose sample tail count
-    ``#{maxima >= v}`` is at most ``floor((reps+1) * alpha_k)``, so the
-    calibration sample itself never crosses ``B_k`` more often than the
-    level allows and the crossing contract holds with slack of order
-    1/reps.  Where the cut does not fall inside an atom of the (lattice
-    valued) maximum this is the ``ceil((reps+1) * (1 - alpha_k))``-th
-    smallest maximum; where it does, ``B_k`` is the next sampled value
-    above the atom.  All levels share one sample, hence ``B`` is monotone
-    for free.  A second, independently seeded sample reports the achieved
-    crossing frequencies.
+    ``B_k`` is the smallest atom ``v`` of ``max_{n <= n_bar}`` of the null
+    statistic whose exact tail P0(max >= v) is at most ``alpha_k``.  That
+    tail is a race with no lower boundary and horizon ``n_bar``
+    (``_race``).  The sorted atoms, the values ``cumulative_llr`` takes at
+    the lattice points (x, n) with x within the ``1 - _PMF_TAIL`` quantile
+    of the count total after n steps, are searched by bisection: each pass
+    probes ``_PROBES`` atoms per level, splitting its bracket in
+    ``_PROBES + 1``, with every probe of every level as a row of the same
+    pass.  The tail falls as the atom rises, so ``B`` is nonincreasing and
+    equal levels share a boundary.  A level that no atom meets raises
+    ConfigError naming k.
 
-    ``reps`` should be at least ~1000 for the tail counts to mean
-    anything; a level whose allowed tail count is reached by no sampled
-    value (it is below one replicate, or the largest atom alone exceeds
-    it) raises ``InsufficientRepsError``.
+    ``reps`` and ``seed`` drive only the validation: ``achieved`` holds the
+    crossing frequencies of ``reps`` fresh null paths drawn from ``seed``.
     """
     if n_bar < 1:
         raise ConfigError(f"n_bar must be >= 1, got {n_bar}")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
-    tails = np.array([math.floor((reps + 1) * a_k) for a_k in alpha.values])
-    cal_seed, val_seed = np.random.SeedSequence(seed).spawn(2)
-    rng = np.random.default_rng(cal_seed)
-    maxima = np.sort(_path_maxima(model, model.null_param, n_bar, reps, rng))
-    # first index of each distinct value: reps - first[i] maxima are >= maxima[first[i]]
-    first = np.flatnonzero(np.diff(maxima, prepend=-np.inf))
-    pos = np.searchsorted(first, reps - tails)
-    short = np.flatnonzero(pos == first.size)
-    if short.size:
+    n = np.arange(1, n_bar + 1)[:, None]
+    top = _count_law(model, model.null_param, n).isf(_PMF_TAIL)
+    x = np.arange(int(top.max()) + 1)
+    atoms = np.unique(cumulative_llr(model, x, n)[x <= top])
+    # B_k is atoms[i] for the smallest i in [lo[k], hi[k]] that meets
+    # alpha_k, where i = atoms.size stands for no atom
+    lo = np.zeros(alpha.j, dtype=np.int64)
+    hi = np.full(alpha.j, atoms.size)
+    parts = np.arange(1, _PROBES + 1)
+    while (ks := np.flatnonzero(lo < hi)).size:
+        probe = lo[ks, None] + (hi - lo)[ks, None] * parts // (_PROBES + 1)
+        rows = [(model, model.null_param, atoms[i], -np.inf) for i in probe.ravel()]
+        meets = _race(rows, n_bar)[0].reshape(probe.shape) <= alpha.values[ks, None]
+        # the tail falls along the probes, so the first `fails` of them fail
+        fails = np.count_nonzero(~meets, axis=1)
+        at = np.arange(ks.size)
+        lo[ks] = np.where(fails > 0, probe[at, fails - 1] + 1, lo[ks])
+        hi[ks] = np.where(fails < _PROBES, probe[at, np.minimum(fails, _PROBES - 1)], hi[ks])
+    if (short := np.flatnonzero(lo == atoms.size)).size:
         k = int(short[0])
-        raise InsufficientRepsError(
-            f"level k={k + 1} (alpha={alpha.values[k]:.3g}) allows {tails[k]} of "
-            f"{reps} replicates at or above its boundary, but the largest "
-            f"sampled maximum alone has {reps - first[-1]}; increase reps"
+        raise ConfigError(
+            f"level k={k + 1} (alpha={alpha.values[k]:.3g}) is below the exact "
+            f"tail of every atom of the null path maximum over n_bar={n_bar} steps"
         )
-    b = maxima[first[pos]]
-    fresh = _path_maxima(model, model.null_param, n_bar, reps, np.random.default_rng(val_seed))
+    b = atoms[lo]
+    fresh = _path_maxima(model, model.null_param, n_bar, reps, np.random.default_rng(seed))
     achieved = np.array([np.mean(fresh >= bk) for bk in b])
     return CalibrationReport(b=b, reps=reps, achieved=achieved, seed=seed, n_bar=n_bar)
-
-
-# first-crossing step of a threshold a path never crosses
-_NEVER = np.iinfo(np.int64).max
-
-
-def _race_tables(model: SimpleModel, a1, a_last, b_last, b1, horizon: int) -> list:
-    """Count tables of the race thresholds: up b1, down a_last, down a1, up b_last."""
-    return [
-        crossing_counts(model, thr, upward, horizon)
-        for thr, upward in ((b1, True), (a_last, False), (a1, False), (b_last, True))
-    ]
-
-
-def _segment_crossings(tables: list, x: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """First crossing step of each table within each path's segment [s, e].
-
-    Over the segment the path's count total stays ``x``; an empty segment
-    (``e < s``) crosses nothing.  Returns a (len(tables), paths) int64
-    array holding ``_NEVER`` where the segment does not cross.  The tables
-    are nondecreasing in the step, so an ``at_least`` table is crossed on
-    a prefix of the segment (test its first step) and any other on a
-    suffix (one ``searchsorted``).
-    """
-    out = np.empty((len(tables), x.size), dtype=np.int64)
-    for k, (t, at_least) in enumerate(tables):
-        if at_least:
-            first = s
-            hit = (e >= s) & (x >= t[s - 1])
-        else:
-            first = np.maximum(np.searchsorted(t, x) + 1, s)
-            hit = first <= e
-        out[k] = np.where(hit, first, _NEVER)
-    return out
-
-
-def _passage_times(tables: list, horizon: int, next_jump, reps: int) -> np.ndarray:
-    """First-crossing steps of the four race thresholds for ``reps`` count paths.
-
-    A count path is determined by the steps at which its total jumps:
-    ``next_jump(idx)`` returns the step of the next unit increment of each
-    path in ``idx`` (nondecreasing per path, several may share a step).
-    Each round evaluates every racing path's finished segment of constant
-    count and retires the paths whose two races (rows 0/1 and 2/3) are
-    both settled or whose next jump lies beyond ``horizon``.  Returns a
-    (4, reps) int64 array, ``_NEVER`` where no step up to ``horizon``
-    crosses.
-    """
-    times = np.full((len(tables), reps), _NEVER, dtype=np.int64)
-    idx = np.arange(reps)
-    x = np.zeros(reps, dtype=np.int64)
-    s = np.ones(reps, dtype=np.int64)
-    tm = times.copy()
-    while idx.size:
-        jump = next_jump(idx)
-        # segments arrive in step order, so the minimum keeps each first crossing
-        np.minimum(tm, _segment_crossings(tables, x, s, np.minimum(jump - 1, horizon)), out=tm)
-        x += 1
-        s = jump
-        crossed = tm != _NEVER
-        keep = ~((crossed[0] | crossed[1]) & (crossed[2] | crossed[3])) & (s <= horizon)
-        times[:, idx[~keep]] = tm[:, ~keep]
-        idx, x, s, tm = idx[keep], x[keep], s[keep], tm[:, keep]
-    return times
-
-
-def _jump_sampler(model: SimpleModel, param: float, reps: int, rng: np.random.Generator):
-    """``next_jump`` for ``_passage_times``: i.i.d. count paths at ``param``.
-
-    Bernoulli gaps between successes are geometric; Poisson counts are the
-    arrivals of a rate-``param`` process, an arrival at time ``tau``
-    landing in step ``ceil(tau)``.
-    """
-    if model.family == "bernoulli":
-        last = np.zeros(reps, dtype=np.int64)
-
-        def next_jump(idx):
-            last[idx] += rng.geometric(param, idx.size)
-            return last[idx]
-
-    elif model.family == "poisson":
-        tau = np.zeros(reps)
-
-        def next_jump(idx):
-            tau[idx] += rng.exponential(1.0 / param, idx.size)
-            return np.maximum(np.ceil(tau[idx]), 1.0).astype(np.int64)
-
-    else:
-        raise ConfigError(_NO_SAMPLER)
-    return next_jump
 
 
 def estimate_gamma(
@@ -297,34 +298,31 @@ def estimate_gamma(
     b: np.ndarray,
     a: np.ndarray | None = None,
     n_bar: int | None = None,
-    reps: int,
-    seed: int,
+    reps: int | None = None,
+    seed: int | None = None,
     horizon: int = 10_000,
 ) -> GammaEstimate:
-    """Estimate per-stream chances of forcing a rejection or acceptance.
+    """Exact per-stream chances of forcing a rejection or acceptance.
 
     Boundaries are in LLR units, the scale of the statistic the
     procedures run.  Open-ended mode needs ``a``; truncated mode needs
-    ``n_bar`` and estimates only the rejection-side rate.
+    ``n_bar`` and gives only the rejection-side rate.
 
-    Open-ended mode races each path of ``cumulative_llr`` (up ``>= b[0]``
-    before down ``<= a[-1]`` for gamma1, down ``<= a[0]`` before up
-    ``>= b[-1]`` for gamma2) on the exact lattice: a path is drawn as the
-    steps at which its count total jumps and compared with per-step count
-    tables (``sprt.crossing_counts``), so it crosses at exactly the floats
-    the procedures compute.  A path with a race still unsettled after
-    ``horizon`` steps is a non-event, which understates the rate; such
-    paths are counted in ``undecided_per_stream`` and logged as a warning.
-    The result depends only on the inputs, ``seed``, ``reps`` and
-    ``horizon``.
+    Open-ended mode races each stream's ``cumulative_llr`` up to
+    ``horizon`` steps: up ``>= b[0]`` before down ``<= a[-1]`` for gamma1,
+    down ``<= a[0]`` before up ``>= b[-1]`` for gamma2.  Truncated mode
+    takes gamma1 as the tail P(max_{n <= n_bar} >= b[0]).  One pass of
+    ``_race`` covers the races of every distinct (model, parameter), so
+    the rates are exact and their standard errors 0.  A race whose live
+    mass is still above ``_LIVE_TOL`` at ``horizon`` understates its rate
+    by that mass, which ``live_mass_per_stream`` reports and a warning
+    logs.  ``reps`` and ``seed`` do nothing.
 
-    Streams are simulated independently: the targeted probabilities are
-    marginal, so cross-stream dependence is irrelevant here.
+    The targeted probabilities are marginal, so cross-stream dependence is
+    irrelevant here.
     """
     if (a is None) == (n_bar is None):
         raise ConfigError("pass exactly one of a (open-ended) or n_bar (truncated)")
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if n_bar is not None and n_bar < 1:
@@ -345,45 +343,31 @@ def estimate_gamma(
             raise ValueError("a must be nondecreasing, without NaN, and match b in shape")
         if a[-1] > b[-1]:
             raise ValueError("boundaries overlap: a[-1] > b[-1]")
-    children = np.random.SeedSequence(seed).spawn(len(models))
-    g1 = np.empty(len(models))
-    g2 = np.empty(len(models)) if a is not None else None
-    undecided = np.zeros(len(models), dtype=np.int64) if a is not None else None
-    tables = {}
-    for j, (model, choice, child) in enumerate(zip(models, choices, children)):
+    # each stream reads the rows of its (model, parameter), raced once
+    rows, first, at = [], {}, []
+    for model, choice in zip(models, choices):
         param = model.null_param if choice == "null" else model.alt_param
-        rng = np.random.default_rng(child)
-        if n_bar is not None:
-            maxima = _path_maxima(model, param, n_bar, reps, rng)
-            g1[j] = np.mean(maxima >= b[0])
-            continue
-        if model not in tables:
-            tables[model] = _race_tables(model, a[0], a[-1], b[-1], b[0], horizon)
-        t = _passage_times(tables[model], horizon, _jump_sampler(model, param, reps, rng), reps)
-        g1[j] = np.mean(t[0] < t[1])
-        g2[j] = np.mean(t[2] < t[3])
-        open_race = t == _NEVER
-        undecided[j] = np.count_nonzero((open_race[0] & open_race[1]) | (open_race[2] & open_race[3]))
-    gamma1 = float(g1.max())
-    result = dict(
-        gamma1=gamma1,
-        gamma1_per_stream=g1,
-        gamma1_se=math.sqrt(gamma1 * (1.0 - gamma1) / reps),
-        reps=reps,
-        theta_choice=choices,
-    )
-    if g2 is not None:
-        gamma2 = float(g2.max())
-        result.update(
-            gamma2=gamma2,
-            gamma2_per_stream=g2,
-            gamma2_se=math.sqrt(gamma2 * (1.0 - gamma2) / reps),
-            undecided_per_stream=undecided,
-        )
-        if undecided.any():
+        if (model, param) not in first:
+            first[model, param] = len(rows)
+            if n_bar is None:
+                rows += [(model, param, b[0], a[-1]), (model, param, b[-1], a[0])]
+            else:
+                rows.append((model, param, b[0], -np.inf))
+        at.append(first[model, param])
+    up, down, live = _race(rows, horizon if n_bar is None else n_bar)
+    at = np.array(at)
+    g1 = up[at]
+    result = dict(gamma1=float(g1.max()), gamma1_per_stream=g1, gamma1_se=0.0,
+                  theta_choice=choices)
+    if n_bar is None:
+        g2 = down[at + 1]
+        stuck = np.maximum(live[at], live[at + 1])
+        result.update(gamma2=float(g2.max()), gamma2_per_stream=g2, gamma2_se=0.0,
+                      live_mass_per_stream=stuck)
+        if np.any(stuck > _LIVE_TOL):
             logger.warning(
-                "estimate_gamma: up to %d of %d paths of streams %s were still racing at "
-                "horizon %d and count as non-events, which understates the rates",
-                int(undecided.max()), reps, np.flatnonzero(undecided).tolist(), horizon,
+                "estimate_gamma: up to %.3g of the probability of streams %s was still "
+                "racing at horizon %d and is left out of the rates",
+                float(stuck.max()), np.flatnonzero(stuck > _LIVE_TOL).tolist(), horizon,
             )
     return GammaEstimate(**result)

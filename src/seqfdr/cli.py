@@ -289,10 +289,9 @@ def _run_trials(config: SimulationConfig, a, b, workers: int):
 def _calibration_seed(seed: int) -> int:
     """Seed of a rejective batch's calibration, apart from every trial's.
 
-    Trial t draws from child ``(t,)`` of ``SeedSequence(seed)``.  Given
-    ``seed`` itself, the calibration's two samples would draw from children
-    ``(0,)`` and ``(1,)``, the streams of trials 0 and 1.  A word of the
-    root sequence's own state, which no trial draws, seeds it instead.
+    Trial t draws from child ``(t,)`` of ``SeedSequence(seed)``.  A word of
+    the root sequence's own state, which no trial draws, seeds the
+    calibration's validation sample.
     """
     return int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
 

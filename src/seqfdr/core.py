@@ -78,30 +78,31 @@ def d_bound_at(alpha: StepVector, m: int) -> float:
     """
     if not isinstance(m, (int, np.integer)):
         raise ValueError("m must be an integer")
-    j = alpha.j
-    if m < 0 or m > j:
-        raise ValueError(f"m must lie in [0, {j}], got {m}")
-    if m == 0:
-        return 0.0
-    diffs = np.diff(alpha.values, prepend=0.0)
-    ranks = np.arange(1, j + 1, dtype=float)
-    head = j - m + 1  # ranks 1 .. J-m+1 contribute at weight 1/j
-    first = float(np.sum(diffs[:head] / ranks[:head]))
-    if head < j:
-        tail = diffs[head:] / (ranks[head:] * (ranks[head:] - 1.0))
-        second = (j - m) * float(np.sum(tail))
-    else:
-        second = 0.0
-    return m * (first + second)
+    if m < 0 or m > alpha.j:
+        raise ValueError(f"m must lie in [0, {alpha.j}], got {m}")
+    return float(d_bound(alpha).per_m[m])
 
 
 def d_bound(alpha: StepVector) -> BoundResult:
     """Maximize the per-null-count bound over all possible null counts.
 
     Returns the overall worst-case FDR bound, the first maximizing null
-    count, and the full profile for m = 0 .. J.
+    count, and the full profile for m = 0 .. J.  With Delta_k the step
+    increments, D(alpha, m) = m (sum_{k <= h} Delta_k / k + (J - m)
+    sum_{k > h} Delta_k / (k (k - 1))) for h = J - m + 1: a prefix sum and
+    a suffix sum, both taken once for every m.
     """
-    per_m = np.array([d_bound_at(alpha, m) for m in range(alpha.j + 1)])
+    j = alpha.j
+    diffs = np.diff(alpha.values, prepend=0.0)
+    ranks = np.arange(1, j + 1, dtype=float)
+    prefix = np.cumsum(diffs / ranks)
+    # suffix[h] = sum over 0-based ranks >= h, so suffix[j] = 0
+    late = np.zeros(j + 1)
+    late[1:j] = diffs[1:] / (ranks[1:] * (ranks[1:] - 1.0))
+    suffix = np.cumsum(late[::-1])[::-1]
+    m = np.arange(1, j + 1)
+    head = j - m + 1
+    per_m = np.concatenate(([0.0], m * (prefix[head - 1] + (j - m) * suffix[head])))
     argmax = int(np.argmax(per_m))
     per_m.setflags(write=False)
     return BoundResult(value=float(per_m[argmax]), argmax_m=argmax, per_m=per_m)

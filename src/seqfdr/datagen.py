@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .errors import FactorizationError
 
@@ -34,8 +34,6 @@ __all__ = [
     "ReportPair",
     "correlation_matrix",
     "cholesky",
-    "copula_uniforms",
-    "invert_marginal",
     "count_batch",
 ]
 
@@ -181,46 +179,6 @@ def _failing_minor(mat: np.ndarray) -> int:
         except np.linalg.LinAlgError:
             hi = mid
     return lo
-
-
-def copula_uniforms(
-    config: CopulaConfig,
-    rng: np.random.Generator,
-    size: int,
-    factor: np.ndarray | None = None,
-) -> np.ndarray:
-    """Draw ``size`` correlated uniform vectors: U = Phi(L Z), Z standard normal.
-
-    Returns shape (size, j).  ``factor`` may carry a precomputed Cholesky
-    factor.
-    """
-    if factor is None:
-        factor = cholesky(correlation_matrix(config))
-    z = rng.standard_normal((int(size), config.j))
-    return ndtr(z @ factor.T)
-
-
-def invert_marginal(spec: MarginalSpec, u):
-    """Right-continuous inverse of the marginal CDF, elementwise over ``u``.
-
-    Bernoulli: 1 where u <= p, else 0.  Poisson: the smallest n with
-    F(n) >= u.  ReportPair: ``u`` is a pair of uniform arrays and the
-    result the (amnesia, other) pair of count arrays.  Uniforms must lie
-    in [0, 1]; u = 0 and u = 1 map to the latent values -inf and +inf of
-    ``_latent_counts``, the inversion the engines run on latent normals.
-    """
-    if isinstance(spec, ReportPair):
-        try:
-            u1, u2 = u
-        except (TypeError, ValueError):
-            raise ValueError("ReportPair inversion needs a pair of uniform arrays")
-        return (invert_marginal(Poisson(spec.lam_amnesia), u1),
-                invert_marginal(Poisson(spec.lam_other), u2))
-    u = np.asarray(u, dtype=float)
-    # NaN fails both comparisons
-    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
-        raise ValueError("uniforms must lie in [0, 1]")
-    return _latent_counts(spec, ndtri(u))
 
 
 def _latent_counts(spec: Bernoulli | Poisson, y):

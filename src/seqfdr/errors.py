@@ -16,10 +16,6 @@ class ConfigError(SeqFdrError):
     """A configuration value is missing, malformed, or inconsistent."""
 
 
-class InsufficientRepsError(ConfigError):
-    """Too few Monte Carlo repetitions for the requested quantile."""
-
-
 class DataError(SeqFdrError):
     """Input data is unusable (parse failures, exhausted streams)."""
 
@@ -50,11 +46,3 @@ class FactorizationError(NumericalError):
 
 class SolverError(NumericalError):
     """The linear-programming solver failed to converge."""
-
-
-class StageGuardError(NumericalError):
-    """A sequential procedure exceeded its stage guard."""
-
-    def __init__(self, message: str, state=None):
-        super().__init__(message)
-        self.state = state

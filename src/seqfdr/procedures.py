@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataUnderrunError, StageGuardError
+from .errors import DataUnderrunError
 
 __all__ = [
     "Decision",
@@ -196,7 +196,7 @@ def _one_trial(paths, j: int):
     return take
 
 
-def _step_down(take, trials: int, a, b, n_bar, guard, tally) -> list[TrialResult]:
+def _step_down(take, trials: int, a, b, n_bar, tally) -> list[TrialResult]:
     """Stage loop shared by both variants, over a batch of trials at once.
 
     ``take(ids)`` returns the next row block of every listed trial, stacked
@@ -245,10 +245,6 @@ def _step_down(take, trials: int, a, b, n_bar, guard, tally) -> list[TrialResult
         vals = block[ks, offs]
         return vals.tolist(), np.lexsort((vals, ~act[ks]), axis=1).tolist()
 
-    if guard < 1:
-        failed.update((i, StageGuardError(f"stage count exceeded guard ({guard})",
-                                          state=state(i, i))) for i in live)
-        live = []
     while live:
         # first row at or after each trial's scan where an active stream
         # leaves the continuation interval
@@ -315,12 +311,6 @@ def _step_down(take, trials: int, a, b, n_bar, guard, tally) -> list[TrialResult
                 n[i] = n_bar
                 stages[i] += 1
             missed = [k for k in missed if scan[live[k]] != n_bar]
-        for k in hits:
-            i = live[k]
-            if size[i] and stages[i] >= guard:
-                failed[i] = StageGuardError(f"stage count exceeded guard ({guard})",
-                                            state=state(i, k))
-                size[i] = 0
         if missed:
             vals, counts = take(np.array([live[k] for k in missed]))
             if tally is not None:
@@ -383,7 +373,6 @@ def run_open_ended(
     paths,
     a: np.ndarray,
     b: np.ndarray,
-    max_stages_guard: int | None = None,
 ) -> TrialResult:
     """Run the open-ended step-down procedure until every stream is decided.
 
@@ -400,8 +389,7 @@ def run_open_ended(
     r, c, active streams and decisions so far) in ``state``.
     """
     a, b = _open_boundaries(a, b)
-    guard = a.size if max_stages_guard is None else int(max_stages_guard)
-    return _step_down(_one_trial(paths, b.size), 1, a, b, None, guard, None)[0]
+    return _step_down(_one_trial(paths, b.size), 1, a, b, None, None)[0]
 
 
 def run_rejective(paths, b: np.ndarray, n_bar: int) -> TrialResult:
@@ -414,7 +402,7 @@ def run_rejective(paths, b: np.ndarray, n_bar: int) -> TrialResult:
     ``n_bar = 1`` reduces to a one-shot step-down test.
     """
     b = _rejective_boundary(b, n_bar)
-    return _step_down(_one_trial(paths, b.size), 1, None, b, n_bar, b.size, None)[0]
+    return _step_down(_one_trial(paths, b.size), 1, None, b, n_bar, None)[0]
 
 
 def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
@@ -435,9 +423,9 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
     """
     if a is None:
         b = _rejective_boundary(b, n_bar)
-        return _step_down(take, trials, None, b, n_bar, b.size, tally)
+        return _step_down(take, trials, None, b, n_bar, tally)
     a, b = _open_boundaries(a, b)
-    return _step_down(take, trials, a, b, None, a.size, tally)
+    return _step_down(take, trials, a, b, None, tally)
 
 
 def work_counts(tally: Counter) -> dict:

@@ -1,12 +1,10 @@
 """Wald-style sequential test boundaries and log-likelihood-ratio machinery.
 
 One-parameter simple-vs-simple models supply i.i.d. log-likelihood-ratio
-increments; ``llr_increments`` checks and maps single observations and is
-the float reference for the cumulative form.  A step-down battery of J
-tests needs J acceptance boundaries ``A_1 <= ... <= A_J`` and J rejection
-boundaries ``B_J <= ... <= B_1``; surrogate error levels keep the
-per-level error contracts intact while making the boundary matrix
-monotone.  The cumulative LLR of a whole path, the form every engine uses,
+increments.  A step-down battery of J tests needs J acceptance boundaries
+``A_1 <= ... <= A_J`` and J rejection boundaries ``B_J <= ... <= B_1``;
+surrogate error levels keep the per-level error contracts intact while
+making the boundary matrix monotone.  The cumulative LLR of a whole path, the form every engine uses,
 is an affine map of integer count totals, so equal lattice points give
 equal floats, and per-step tables of count totals say exactly where it
 crosses a threshold.  Every stream of one battery shares one model, so
@@ -29,10 +27,8 @@ __all__ = [
     "SimpleModel",
     "CriticalMatrix",
     "wald_bounds",
-    "wald_bounds_conservative",
     "surrogate_errors",
     "stepdown_critical_values",
-    "llr_increments",
     "lattice_terms",
     "cumulative_llr",
     "crossing_counts",
@@ -78,35 +74,6 @@ class SimpleModel:
         return math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0))
 
 
-def llr_increments(model: SimpleModel, obs) -> np.ndarray:
-    """Log-likelihood-ratio increment of each observation.
-
-    Bernoulli observations are 0/1 values and Poisson observations counts,
-    in an array of any shape; conditional binomial observations are an
-    (n, 2) array of (successes, trials) rows.  Observations must be
-    nonnegative integers (integer-valued floats pass), and successes may
-    not exceed trials.
-    """
-    obs = np.asarray(obs)
-    if obs.dtype.kind not in "iuf" or not np.all((obs >= 0) & (np.mod(obs, 1) == 0)):
-        raise ValueError("observations must be nonnegative integer counts")
-    if model.family == "bernoulli":
-        if np.any(obs > 1):
-            raise ValueError("bernoulli observations must be 0 or 1")
-        c1, c0 = model.log_ratios
-        return np.where(obs == 1, c1, c0)
-    if model.family == "poisson":
-        lam0, lam1 = model.null_param, model.alt_param
-        return obs * math.log(lam1 / lam0) - (lam1 - lam0)
-    if obs.ndim != 2 or obs.shape[1] != 2:
-        raise ValueError("conditional_binomial observations must be (successes, trials) rows")
-    k, n = obs[:, 0], obs[:, 1]
-    if np.any(k > n):
-        raise ValueError("success count exceeds trial count")
-    c1, c0 = model.log_ratios
-    return k * c1 + (n - k) * c0
-
-
 def lattice_terms(model: SimpleModel) -> tuple[float, float]:
     """(per-count, per-trial) terms of the cumulative LLR.
 
@@ -141,7 +108,7 @@ _COUNT_CAP = 2**52
 
 
 def crossing_counts(
-    model: SimpleModel, threshold: float, upward: bool, horizon: int
+    model: SimpleModel, threshold, upward: bool, horizon: int
 ) -> tuple[np.ndarray, bool]:
     """Count totals at which the cumulative LLR crosses ``threshold``, per step.
 
@@ -149,7 +116,8 @@ def crossing_counts(
     ``n = 1..horizon`` such that ``cumulative_llr(model, x, n)`` crosses
     (``>= threshold`` if ``upward``, ``<= threshold`` otherwise) exactly
     when ``x >= t[n - 1]`` (``at_least``) or ``x <= t[n - 1]`` (not
-    ``at_least``).  A closed-form guess is corrected against
+    ``at_least``).  An array of thresholds gives one table per entry,
+    stacked along its shape.  A closed-form guess is corrected against
     ``cumulative_llr`` itself, so the table agrees with the statistic the
     procedures compute to the last bit.  ``slope`` and ``step`` have
     opposite signs for every model, so the table is nondecreasing in n.
@@ -159,12 +127,11 @@ def crossing_counts(
     slope, step = lattice_terms(model)
     at_least = upward == (slope > 0.0)
     never, always = (_COUNT_CAP, 0) if at_least else (-1, _COUNT_CAP)
-    if math.isinf(threshold):
-        crossed = upward == (threshold < 0.0)
-        return np.full(horizon, always if crossed else never, dtype=np.int64), at_least
+    threshold = np.asarray(threshold, dtype=float)[..., None]
     n = np.arange(1, horizon + 1)
     guess = (threshold - n * step) / slope
     guess = np.ceil(guess) if at_least else np.floor(guess)
+    # an infinite threshold's guess is clipped onto never or always
     t = np.clip(guess, min(never, always), max(never, always)).astype(np.int64)
 
     def crossed(x):
@@ -192,12 +159,6 @@ def wald_bounds(alpha: float, beta: float, rho: float = SIEGMUND_RHO) -> tuple[f
     a = math.log(beta / (1.0 - alpha)) + rho
     b = math.log((1.0 - beta) / alpha) - rho
     return a, b
-
-
-def wald_bounds_conservative(alpha: float, beta: float) -> tuple[float, float]:
-    """Boundaries log(beta), -log(alpha): guaranteed error control, wider."""
-    _check_error_pair(alpha, beta)
-    return math.log(beta), -math.log(alpha)
 
 
 def surrogate_errors(alpha: StepVector, beta: StepVector) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +221,6 @@ def stepdown_critical_values(
     alpha: StepVector,
     beta: StepVector,
     rho: float = SIEGMUND_RHO,
-    conservative: bool = False,
 ) -> CriticalMatrix:
     """Boundary matrix for a J-level step-down battery of SPRTs.
 
@@ -273,12 +233,8 @@ def stepdown_critical_values(
     a = np.empty(j)
     b = np.empty(j)
     for k in range(j):
-        if conservative:
-            a[k] = math.log(beta.values[k])
-            b[k] = -math.log(alpha.values[k])
-        else:
-            a[k], _ = wald_bounds(alpha_t[k], beta.values[k], rho)
-            _, b[k] = wald_bounds(alpha.values[k], beta_t[k], rho)
+        a[k], _ = wald_bounds(alpha_t[k], beta.values[k], rho)
+        _, b[k] = wald_bounds(alpha.values[k], beta_t[k], rho)
     return CriticalMatrix(a=a, b=b)
 
 

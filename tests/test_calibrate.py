@@ -1,25 +1,25 @@
-"""Tests for Monte Carlo boundary calibration and first-crossing estimates."""
+"""Tests for the exact lattice calibration and first-crossing rates."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from seqfdr.calibrate import (
-    _NEVER,
     GammaEstimate,
-    _passage_times,
     _path_maxima,
-    _race_tables,
+    _race,
     _sample_obs,
-    _segment_crossings,
     estimate_gamma,
     mc_truncated_critical_values,
 )
 from seqfdr.core import StepVector, bh_steps, scale_for_fdr
-from seqfdr.errors import ConfigError, DataUnderrunError, InsufficientRepsError
+from seqfdr.errors import ConfigError, DataUnderrunError
 from seqfdr.procedures import run_open_ended
-from seqfdr.sprt import SimpleModel, cumulative_llr, lattice_terms, llr_increments
+from seqfdr.sprt import SimpleModel, cumulative_llr, lattice_terms, stepdown_critical_values
+
+from oracles import llr_increments
 
 BERN = SimpleModel("bernoulli", 0.05, 0.15)
 BERN_DOWN = SimpleModel("bernoulli", 0.15, 0.05)
@@ -30,33 +30,75 @@ def _binom_se(p, n):
     return math.sqrt(p * (1.0 - p) / n)
 
 
+def _oracle_race(model, param, up, down, horizon):
+    """(P(up first), P(down first)) by a full-support forward pass.
+
+    Every count total from 0 to a cap far beyond the reachable mass is
+    carried each step, and each total is classified by evaluating
+    ``cumulative_llr`` at it directly, up before down.
+    """
+    if model.family == "bernoulli":
+        pmf, cap = np.array([1.0 - param, param]), horizon
+    else:
+        pmf, cap = stats.poisson.pmf(np.arange(60), param), int(horizon * param + 60)
+    live = np.zeros(cap + 1)
+    live[0] = 1.0
+    x = np.arange(cap + 1)
+    won_up = won_down = 0.0
+    for n in range(1, horizon + 1):
+        live = np.convolve(live, pmf)[: cap + 1]
+        stat = cumulative_llr(model, x, n)
+        hit_up = stat >= up
+        hit_down = (stat <= down) & ~hit_up
+        won_up += live[hit_up].sum()
+        won_down += live[hit_down].sum()
+        live[hit_up | hit_down] = 0.0
+    return won_up, won_down
+
+
+def _atoms(model, n_bar):
+    """Sorted values of the null statistic at every reachable lattice point,
+    with Poisson totals up to 20 per step (a tail below 1e-16 at rate 1.5)."""
+    top = 1 if model.family == "bernoulli" else 20
+    n = np.arange(1, n_bar + 1)[:, None]
+    x = np.arange(n_bar * top + 1)
+    return np.unique(cumulative_llr(model, x, n)[x <= n * top])
+
+
+def _tail(model, v, n_bar):
+    """Exact P0(max_{n <= n_bar} statistic >= v), one race alone."""
+    return _race([(model, model.null_param, v, -np.inf)], n_bar)[0][0]
+
+
 class TestCriticalValues:
-    def test_order_statistic_definition(self):
+    def test_exact_tail_definition(self):
+        # B_k is the smallest atom whose full-support tail is at most alpha_k
         bh = scale_for_fdr(bh_steps(0.25, 10), 0.25)
         cases = (
-            (BERN, StepVector([0.05, 0.10, 0.20]), 7, 2000, 5),
-            (BERN, bh, 3, 3000, 8),
-            (POIS, bh, 4, 3000, 8),
-            (POIS, bh, 25, 3000, 8),
+            (BERN, StepVector([0.05, 0.10, 0.20]), 7),
+            (BERN, bh, 3),
+            (POIS, bh, 4),
+            (BERN_DOWN, StepVector([0.4, 0.5]), 6),
         )
-        for model, alpha, n_bar, reps, seed in cases:
-            report = mc_truncated_critical_values(model, alpha, n_bar, reps, seed)
-            # re-derive the shared calibration sample and apply the tail-count rule
-            cal_seed = np.random.SeedSequence(seed).spawn(2)[0]
-            maxima = np.sort(_path_maxima(model, model.null_param, n_bar, reps,
-                                          np.random.default_rng(cal_seed)))
+        for model, alpha, n_bar in cases:
+            report = mc_truncated_critical_values(model, alpha, n_bar, 500, 5)
+            atoms = _atoms(model, n_bar)
+            tails = np.array([_oracle_race(model, model.null_param, v, -np.inf, n_bar)[0]
+                              for v in atoms])
             for k, a_k in enumerate(alpha.values):
-                allowed = math.floor((reps + 1) * a_k)
-                fits = [v for v in np.unique(maxima) if np.sum(maxima >= v) <= allowed]
-                assert report.b[k] == min(fits)
-                assert np.sum(maxima >= report.b[k]) <= allowed
-            if n_bar == 7:
-                # the plain order statistic for level 1 sits inside the log 3
-                # atom, whose tail (145 of 2000) exceeds the 100 allowed
-                rank = math.ceil((reps + 1) * (1.0 - alpha.values[0]))
-                assert maxima[rank - 1] == pytest.approx(math.log(3.0))
-                assert np.sum(maxima >= maxima[rank - 1]) > 100
-                assert report.b[0] > maxima[rank - 1]
+                assert report.b[k] == atoms[np.flatnonzero(tails <= a_k)[0]]
+
+    def test_check_seven_cells_meet_levels_exactly(self):
+        # at acceptance check 7's cells, B_k's exact tail is within alpha_k
+        # and the next lower atom's tail is not
+        alpha = scale_for_fdr(bh_steps(0.25, 10), 0.25)
+        for model in (BERN, POIS):
+            for n_bar in (25, 50):
+                b = mc_truncated_critical_values(model, alpha, n_bar, 100, 1).b
+                atoms = _atoms(model, n_bar)
+                for k, a_k in enumerate(alpha.values):
+                    below = atoms[np.searchsorted(atoms, b[k]) - 1]
+                    assert _tail(model, b[k], n_bar) <= a_k < _tail(model, below, n_bar)
 
     def test_maxima_are_exact_lattice_values(self):
         # equal (count, n) pairs give equal floats: every maximum is the
@@ -90,14 +132,10 @@ class TestCriticalValues:
         report = mc_truncated_critical_values(BERN, alpha, 12, 3000, 11)
         assert np.all(np.diff(report.b) <= 0.0)
 
-    def test_insufficient_reps_names_level(self):
-        with pytest.raises(InsufficientRepsError, match="k=1"):
-            mc_truncated_critical_values(BERN, StepVector([0.01, 0.5]), 5, 10, 0)
-
     def test_atom_above_allowed_tail_raises(self):
-        # one observation: the maximum is c1 with probability 0.05, an atom
-        # far above the 10 of 1000 replicates that level 1 allows
-        with pytest.raises(InsufficientRepsError, match="k=1"):
+        # one observation: the maximum is c1 with probability 0.05, so no
+        # atom has a tail within level 1's 0.01
+        with pytest.raises(ConfigError, match="k=1"):
             mc_truncated_critical_values(BERN, StepVector([0.01, 0.1]), 1, 1000, 0)
         report = mc_truncated_critical_values(BERN, StepVector([0.1]), 1, 1000, 0)
         assert report.b[0] == pytest.approx(math.log(3.0))
@@ -112,14 +150,16 @@ class TestCriticalValues:
                 assert hit <= a_k + 3.0 * _binom_se(a_k, reps)
 
     def test_contract_stable_in_reps(self):
-        # the calibration sample's tail at B_k never exceeds its allowance,
-        # even where the cut meets an atom of the maximum, so the fresh
-        # rate stays within sampling noise of alpha_k at every sample size
+        # reps and seed size and seed the validation sample only: the
+        # boundaries, and so their exact crossing rates, are the same at
+        # every sample size
         alpha = StepVector([0.02, 0.05, 0.10])
-        for reps in (1000, 4000):
-            report = mc_truncated_critical_values(BERN, alpha, 25, reps, 3)
-            for a_k, hit in zip(alpha.values, report.achieved):
-                assert hit <= a_k + 3.0 * _binom_se(a_k, reps)
+        reports = [mc_truncated_critical_values(BERN, alpha, 25, reps, seed)
+                   for reps, seed in ((1000, 3), (4000, 3), (4000, 8))]
+        for report in reports:
+            assert np.array_equal(report.b, reports[0].b)
+        for b_k, a_k in zip(reports[0].b, alpha.values):
+            assert _tail(BERN, b_k, 25) <= a_k
 
     def test_deterministic(self):
         alpha = StepVector([0.05, 0.2])
@@ -137,46 +177,57 @@ class TestCriticalValues:
             mc_truncated_critical_values(cond, StepVector([0.5]), 5, 1000, 0)
 
 
+def _direct_races(model, param, a1, a_last, b_last, b1, n_direct, seed):
+    """Both open-ended races of ``n_direct`` paths, simulated step by step.
+
+    Returns the frequencies of up ``b1`` before down ``a_last`` and of down
+    ``a1`` before up ``b_last``.
+    """
+    slope, step = lattice_terms(model)
+    rng = np.random.default_rng(seed)
+    hits1 = hits2 = 0
+    for _ in range(n_direct):
+        x = n = 0
+        first = {}
+        while True:
+            n += 1
+            x += int(rng.random() < param) if model.family == "bernoulli" else int(rng.poisson(param))
+            cum = x * slope + n * step
+            for key, crossed in (("b1", cum >= b1), ("a_last", cum <= a_last),
+                                 ("a1", cum <= a1), ("b_last", cum >= b_last)):
+                if crossed:
+                    first.setdefault(key, n)
+            if cum >= b1 or cum <= a1:
+                break
+        never = math.inf
+        hits1 += first.get("b1", never) < first.get("a_last", never)
+        hits2 += first.get("a1", never) < first.get("b_last", never)
+    return hits1 / n_direct, hits2 / n_direct
+
+
 class TestGammaOpenEnded:
     A = np.array([-4.0, -3.0, -2.0])
     B = np.array([2.0, 1.5, 1.0])
 
     @pytest.mark.parametrize("model,choice", [
         (BERN, "alt"),
+        (BERN, "null"),
         (POIS, "null"),
         (POIS, "alt"),
         (BERN_DOWN, "alt"),
-    ], ids=["bernoulli-alt", "poisson-null", "poisson-alt", "bernoulli_down-alt"])
+    ], ids=["bernoulli-alt", "bernoulli-null", "poisson-null", "poisson-alt",
+            "bernoulli_down-alt"])
     def test_alt_stream_matches_direct_simulation(self, model, choice):
         est = estimate_gamma(
             [model] * 3, [choice] * 3, a=self.A, b=self.B, reps=4000, seed=13
         )
-        # brute-force both races with an explicit per-path, per-step loop
+        assert est.gamma1_se == est.gamma2_se == 0.0
         param = model.null_param if choice == "null" else model.alt_param
-        slope, step = lattice_terms(model)
-        rng = np.random.default_rng(99)
         n_direct = 1500
-        hits1 = hits2 = 0
-        for _ in range(n_direct):
-            x = n = 0
-            first = {}
-            while True:
-                n += 1
-                x += int(rng.random() < param) if model.family == "bernoulli" else int(rng.poisson(param))
-                cum = x * slope + n * step
-                for key, crossed in (("b1", cum >= self.B[0]), ("a_last", cum <= self.A[-1]),
-                                     ("a1", cum <= self.A[0]), ("b_last", cum >= self.B[-1])):
-                    if crossed:
-                        first.setdefault(key, n)
-                if cum >= self.B[0] or cum <= self.A[0]:
-                    break
-            never = math.inf
-            hits1 += first.get("b1", never) < first.get("a_last", never)
-            hits2 += first.get("a1", never) < first.get("b_last", never)
-        for got, hits in ((est.gamma1, hits1), (est.gamma2, hits2)):
-            direct = hits / n_direct
-            tol = 3.0 * (_binom_se(direct, n_direct) + _binom_se(got, est.reps))
-            assert abs(got - direct) <= tol
+        direct = _direct_races(model, param, self.A[0], self.A[-1], self.B[-1], self.B[0],
+                               n_direct, seed=99)
+        for got, freq in zip((est.gamma1, est.gamma2), direct):
+            assert abs(got - freq) <= 3.0 * _binom_se(got, n_direct)
             assert 0.0 < got < 1.0
 
     def test_infinite_upper_boundary_kills_gamma1(self):
@@ -221,65 +272,38 @@ class TestGammaOpenEnded:
         kw = dict(a=self.A[:2], b=self.B[:2], reps=500, seed=4)
         with caplog.at_level("WARNING", logger="seqfdr.calibrate"):
             short = estimate_gamma([BERN, POIS], ["alt", "null"], horizon=3, **kw)
-        assert short.undecided_per_stream.shape == (2,)
-        assert np.all(short.undecided_per_stream > 0)
+        assert short.live_mass_per_stream.shape == (2,)
+        assert np.all(short.live_mass_per_stream > 1e-3)
         assert "horizon 3" in caplog.text
         caplog.clear()
         with caplog.at_level("WARNING", logger="seqfdr.calibrate"):
             full = estimate_gamma([BERN, POIS], ["alt", "null"], **kw)
-        assert np.all(full.undecided_per_stream == 0) and not caplog.text
-        # undecided paths are non-events, which only understates the rates
+        assert np.all(full.live_mass_per_stream < 1e-14) and not caplog.text
+        # mass still racing is left out, which only understates the rates
         assert np.all(short.gamma1_per_stream <= full.gamma1_per_stream)
+        assert np.all(short.gamma1_per_stream + short.live_mass_per_stream
+                      >= full.gamma1_per_stream)
+
+    def test_certain_crossing_is_a_rate_of_one(self):
+        # every count crosses b at step 1, and the Poisson(1.35) step
+        # probabilities add up to one ulp above 1
+        model = SimpleModel("poisson", 1.35, 2.0)
+        est = estimate_gamma([model], ["null"], a=np.array([-5.0]), b=np.array([-4.0]),
+                             horizon=1)
+        assert est.gamma1 == 1.0 and est.gamma2 == 0.0
 
     def test_deterministic(self):
-        kw = dict(a=self.A[:2], b=self.B[:2], reps=1200, seed=42)
-        e1 = estimate_gamma([BERN, POIS], ["alt", "alt"], **kw)
-        e2 = estimate_gamma([BERN, POIS], ["alt", "alt"], **kw)
+        # exact rates: reps and seed change nothing
+        kw = dict(a=self.A[:2], b=self.B[:2])
+        e1 = estimate_gamma([BERN, POIS], ["alt", "alt"], reps=1200, seed=42, **kw)
+        e2 = estimate_gamma([BERN, POIS], ["alt", "alt"], reps=7, seed=9, **kw)
         assert np.array_equal(e1.gamma1_per_stream, e2.gamma1_per_stream)
         assert np.array_equal(e1.gamma2_per_stream, e2.gamma2_per_stream)
-
-
-def _feed(jumps, horizon):
-    """``next_jump`` replaying fixed jump steps; exhausted paths jump past ``horizon``."""
-    width = max(len(j) for j in jumps) + 1
-    padded = np.full((len(jumps), width), horizon + 1, dtype=np.int64)
-    for row, steps in zip(padded, jumps):
-        row[: len(steps)] = steps
-    pos = np.zeros(len(jumps), dtype=np.int64)
-
-    def next_jump(idx):
-        out = padded[idx, pos[idx]]
-        pos[idx] = np.minimum(pos[idx] + 1, width - 1)
-        return out
-
-    return next_jump
-
-
-def _jumps_of(counts):
-    """Jump steps of a path with per-step counts ``counts`` (steps 1..n)."""
-    return np.repeat(np.arange(1, len(counts) + 1), counts)
-
-
-def _brute_times(model, thresholds, counts):
-    """First step at which cumulative_llr crosses each (threshold, upward) pair."""
-    n = np.arange(1, len(counts) + 1)
-    stat = cumulative_llr(model, np.cumsum(counts), n)
-    out = []
-    for thr, upward in thresholds:
-        hit = np.flatnonzero(stat >= thr if upward else stat <= thr)
-        out.append(int(hit[0]) + 1 if hit.size else _NEVER)
-    return out
-
-
-def _races(t):
-    """Settle step and winner of both races: (first, up_b1 won, down_a_last won, ...)."""
-    t = np.asarray(t)
-    return np.stack([np.minimum(t[0], t[1]), t[0] < t[1], t[1] < t[0],
-                     np.minimum(t[2], t[3]), t[2] < t[3], t[3] < t[2]])
+        assert np.array_equal(e1.live_mass_per_stream, e2.live_mass_per_stream)
 
 
 class TestLatticeRace:
-    """The open-ended gamma race on jump times against per-step brute force."""
+    """The forward recursion against per-step evaluation of the statistic."""
 
     MODELS = {
         "bernoulli": (BERN, 0.12),
@@ -288,130 +312,124 @@ class TestLatticeRace:
     }
 
     @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_segments_match_per_step_statistic(self, name):
-        model, _ = self.MODELS[name]
-        horizon = 80
-        a1, a_last, b_last, b1 = -3.0, -1.5, 1.0, 2.5
-        tables = _race_tables(model, a1, a_last, b_last, b1, horizon)
-        thresholds = ((b1, True), (a_last, False), (a1, False), (b_last, True))
-        rng = np.random.default_rng(3)
-        m = 2000
-        x = rng.integers(0, 90, m)
-        s = rng.integers(1, horizon + 1, m)
-        e = np.minimum(s + rng.integers(-2, 40, m), horizon)
-        got = _segment_crossings(tables, x, s, e)
-        for i in range(m):
-            steps = np.arange(s[i], e[i] + 1)
-            stat = cumulative_llr(model, np.full(steps.size, x[i]), steps)
-            for k, (thr, upward) in enumerate(thresholds):
-                hit = steps[stat >= thr if upward else stat <= thr]
-                assert got[k, i] == (hit[0] if hit.size else _NEVER)
-
-    @pytest.mark.parametrize("name", sorted(MODELS))
     def test_races_match_per_step_brute_force(self, name):
         model, param = self.MODELS[name]
-        horizon = 60
-        rng = np.random.default_rng(11)
-        if model.family == "bernoulli":
-            counts = (rng.random((400, horizon)) < param).astype(np.int64)
-        else:
-            counts = rng.poisson(param, (400, horizon))
-            assert np.any(counts > 1)  # several arrivals share a step
-        # one threshold sits on a lattice point some path reaches
-        b1 = float(cumulative_llr(model, counts[0, :7].sum(), 7))
-        lo, hi = sorted((b1, 0.5 * b1))
-        for a1, a_last, b_last, b1 in ((-3.0, -1.0, 1.0, 3.0), (-2.5, -2.5, hi, hi),
-                                       (-np.inf, -1.2, 0.8, np.inf), (min(lo, -0.1) - 2.0, -0.1, 0.1, hi)):
-            tables = _race_tables(model, a1, a_last, b_last, b1, horizon)
-            thresholds = ((b1, True), (a_last, False), (a1, False), (b_last, True))
-            t = _passage_times(tables, horizon, _feed([_jumps_of(c) for c in counts], horizon),
-                               len(counts))
-            want = np.array([_brute_times(model, thresholds, c) for c in counts]).T
-            assert np.array_equal(_races(t), _races(want))
+        horizon = 40
+        # one threshold sits on a lattice point, and one pair coincides
+        on = float(cumulative_llr(model, 3 if model.family == "poisson" else 1, 7))
+        lo, hi = sorted((on, 0.5 * on))
+        pairs = ((3.0, -1.0), (hi, -2.5), (np.inf, -1.2), (0.8, -np.inf),
+                 (hi, min(lo, -0.1) - 2.0), (on, on))
+        rows = [(model, p, up, down) for p in (model.null_param, param) for up, down in pairs]
+        up, down, live = _race(rows, horizon)
+        for r, (_, p, u, d) in enumerate(rows):
+            want = _oracle_race(model, p, u, d, horizon)
+            assert up[r] == pytest.approx(want[0], abs=1e-13)
+            assert down[r] == pytest.approx(want[1], abs=1e-13)
+            assert up[r] + down[r] + live[r] == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_rows_in_one_pass_match_each_alone(self, name):
+        # a row's rates do not depend on the rows that share its pass, even
+        # when their windows of live counts lie far apart; a row alone may
+        # stop once its live mass is below 1e-14, before the shared pass
+        model, param = self.MODELS[name]
+        rows = [(model, param, 2.5, -1.5), (model, model.null_param, 0.7, -3.0),
+                (POIS, 1.5, 6.0, -6.0), (BERN, 0.05, np.inf, -0.5)]
+        together = _race(rows, 300)
+        for r, row in enumerate(rows):
+            alone = _race([row], 300)
+            for got, want in zip(together, alone):
+                assert got[r] == pytest.approx(want[0], abs=1e-13)
 
     def test_threshold_hit_exactly_is_crossed(self):
-        horizon = 30
-        up = float(cumulative_llr(BERN, 2, 3))  # jumps at steps 2 and 3
-        t = _passage_times(_race_tables(BERN, -np.inf, -np.inf, up, up, horizon), horizon,
-                           _feed([[2, 3]], horizon), 1)
-        assert t[0, 0] == 3 and t[3, 0] == 3
-        down = float(cumulative_llr(BERN, 1, 12))  # one jump at step 1, then drift
-        for thr, step in ((down, 12), (np.nextafter(down, -np.inf), 13)):
-            t = _passage_times(_race_tables(BERN, thr, thr, np.inf, np.inf, horizon), horizon,
-                               _feed([[1]], horizon), 1)
-            assert t[1, 0] == step and t[2, 0] == step
+        # the one-step statistic is c1 or c0: a threshold on either atom is
+        # crossed there, one ulp beyond it is not
+        c1, c0 = BERN.log_ratios
+        rows = [(BERN, 0.05, c1, -np.inf), (BERN, 0.05, np.nextafter(c1, np.inf), -np.inf),
+                (BERN, 0.05, np.inf, c0), (BERN, 0.05, np.inf, np.nextafter(c0, -np.inf))]
+        up, down, _ = _race(rows, 1)
+        assert up.tolist() == [0.05, 0.0, 0.0, 0.0]
+        assert down.tolist() == [0.0, 0.0, 0.95, 0.0]
 
     def test_shared_step_counts_only_its_final_total(self):
-        # three arrivals in step 2: the totals 1 and 2 at step 2 are not
-        # points of the path, so a down threshold at (1, 2) is not crossed there
-        model = POIS
-        down = float(cumulative_llr(model, 1, 2))
-        tables = _race_tables(model, down, down, np.inf, np.inf, 10)
-        t = _passage_times(tables, 10, _feed([[2, 2, 2]], 10), 1)
-        want = _brute_times(model, ((down, False),), [0, 3] + [0] * 8)[0]
-        assert t[1, 0] == want == 4
+        # three arrivals in step 2 pass the totals 1 and 2 without being
+        # points of the path; only the step's final total is compared
+        down = float(cumulative_llr(POIS, 1, 2))
+        pmf = stats.poisson.pmf(np.arange(80), 1.5)
+        x1, x2 = np.meshgrid(np.arange(80), np.arange(80), indexing="ij")
+        prob = pmf[x1] * pmf[x2]
+        first = cumulative_llr(POIS, x1, 1) <= down
+        second = cumulative_llr(POIS, x1 + x2, 2) <= down
+        want = prob[first].sum() + prob[~first & second].sum()
+        got = _race([(POIS, 1.5, np.inf, down)], 2)[1][0]
+        assert got == pytest.approx(want, abs=1e-15)
+        assert not np.any(first & (x1 == 0))  # a path may start at 0 and cross only at step 2
 
     def test_horizon_cuts_paths(self):
-        down = float(cumulative_llr(BERN, 1, 12))
-        for horizon, want in ((11, _NEVER), (12, 12)):
-            tables = _race_tables(BERN, down, down, np.inf, np.inf, horizon)
-            t = _passage_times(tables, horizon, _feed([[1]], horizon), 1)
-            assert t[1, 0] == want
-        # a jump beyond the horizon ends the path without being counted
-        up = float(cumulative_llr(BERN, 2, 9))
-        tables = _race_tables(BERN, -np.inf, -np.inf, up, up, 8)
-        assert _passage_times(tables, 8, _feed([[1, 9]], 8), 1)[0, 0] == _NEVER
+        # three successes reach 3 c1, which no path reaches before step 3
+        up = float(cumulative_llr(BERN, 3, 3))
+        for horizon, want in ((2, 0.0), (3, 0.05**3)):
+            hit, down, live = _race([(BERN, 0.05, up, -np.inf)], horizon)
+            assert hit[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert down[0] == 0.0 and live[0] == pytest.approx(1.0 - want)
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_single_stream_race_is_the_procedure(self, name):
-        # at J = 1, (ev1, ev2) is run_open_ended's (reject, accept) on the
-        # same cumulative count path, and the race settles at its step
+        # at J = 1, run_open_ended rejects when the up race wins, and a path
+        # still racing at the horizon runs out of rows
         model, param = self.MODELS[name]
-        horizon = 150
+        horizon, paths = 400, 1500
         rng = np.random.default_rng(5)
         if model.family == "bernoulli":
-            counts = (rng.random((300, horizon)) < param).astype(np.int64)
+            counts = (rng.random((paths, horizon)) < param).astype(np.int64)
         else:
-            counts = rng.poisson(param, (300, horizon))
-        n = np.arange(1, horizon + 1)
-        lattice = float(cumulative_llr(model, counts[1, :9].sum(), 9))
-        for a1, b1 in ((-2.2, 2.9), (min(lattice, 0.0) - 1.0, max(lattice, 0.0) + 0.1),
-                       (min(lattice, 0.0), max(lattice, 0.0))):
-            tables = _race_tables(model, a1, a1, b1, b1, horizon)
-            t = _passage_times(tables, horizon, _feed([_jumps_of(c) for c in counts], horizon),
-                               len(counts))
-            undecided = 0
-            for i, c in enumerate(counts):
-                paths = cumulative_llr(model, np.cumsum(c), n)[:, None]
+            counts = rng.poisson(param, (paths, horizon))
+        stat = cumulative_llr(model, np.cumsum(counts, axis=1), np.arange(1, horizon + 1))
+        for a1, b1 in ((-2.2, 2.9), (-1.0, 1.0)):
+            up, down, live = _race([(model, param, b1, a1)], horizon)
+            rejects = undecided = 0
+            for row in stat:
                 try:
-                    d = run_open_ended(paths, np.array([a1]), np.array([b1])).decisions[0]
+                    d = run_open_ended(row[:, None], np.array([a1]), np.array([b1])).decisions[0]
                 except DataUnderrunError:
                     undecided += 1
-                    assert min(t[:, i]) == _NEVER
                     continue
-                assert (t[0, i] < t[1, i], t[2, i] < t[3, i]) == (
-                    d.action == "reject", d.action == "accept")
-                assert min(t[0, i], t[1, i]) == d.step
-            assert undecided < len(counts) // 10
+                rejects += d.action == "reject"
+            for freq, p in ((rejects / paths, up[0]), (undecided / paths, live[0])):
+                assert abs(freq - p) <= 3.0 * _binom_se(max(p, 1.0 / paths), paths)
 
+    def test_all_null_fdr_caps(self):
+        # FDR(m0 = J) <= J P0(B_1 before A_1) at the default boundaries
+        # (J = 10, q1 = 0.25, q2 = 0.15): regression values of the recursion
+        crit = stepdown_critical_values(scale_for_fdr(bh_steps(0.25, 10), 0.25),
+                                        scale_for_fdr(bh_steps(0.15, 10), 0.15))
+        for model, cap in ((BERN, 0.1656), (POIS, 0.1854)):
+            up, _, live = _race([(model, model.null_param, crit.b[0], crit.a[0])], 10_000)
+            assert live[0] < 1e-14
+            assert 10 * up[0] == pytest.approx(cap, abs=1e-4)
 
 
 class TestGammaTruncated:
     def test_matches_vectorized_oracle(self):
         b = np.array([1.2, 0.6])
         n_bar, reps = 20, 4000
-        est = estimate_gamma([POIS], ["alt"], b=b, n_bar=n_bar, reps=reps, seed=17)
         rng = np.random.default_rng(4)
-        obs = rng.poisson(POIS.alt_param, (reps, n_bar))
-        oracle = np.mean(np.cumsum(llr_increments(POIS, obs), axis=1).max(axis=1) >= b[0])
-        tol = 3.0 * 2.0 * _binom_se(max(oracle, 1e-3), reps)
-        assert abs(est.gamma1 - oracle) <= tol
+        for model in (BERN, POIS):
+            for choice in ("null", "alt"):
+                est = estimate_gamma([model], [choice], b=b, n_bar=n_bar, reps=reps, seed=17)
+                param = model.null_param if choice == "null" else model.alt_param
+                obs = _sample_obs(model, param, rng, (reps, n_bar))
+                oracle = np.mean(np.cumsum(llr_increments(model, obs), axis=1).max(axis=1) >= b[0])
+                assert abs(est.gamma1 - oracle) <= 3.0 * _binom_se(est.gamma1, reps)
+                assert est.gamma1 == pytest.approx(
+                    _oracle_race(model, param, b[0], -np.inf, n_bar)[0], abs=1e-13)
 
     def test_no_acceptance_side(self):
         est = estimate_gamma([BERN], ["null"], b=np.array([2.0]), n_bar=10, reps=1000, seed=2)
         assert est.gamma2 is None
         assert est.gamma2_per_stream is None and est.gamma2_se is None
-        assert est.undecided_per_stream is None
+        assert est.live_mass_per_stream is None
 
     def test_mode_selection_is_exclusive(self):
         with pytest.raises(ConfigError):
@@ -437,6 +455,5 @@ class TestGammaTruncated:
                 gamma1=0.5,
                 gamma1_per_stream=np.array([1.5]),
                 gamma1_se=0.0,
-                reps=10,
                 theta_choice=("alt",),
             )

@@ -113,6 +113,14 @@ class TestDBound:
         assert res.value == pytest.approx(1.84, abs=1e-9)
         assert res.argmax_m == 8
 
+    def test_wide_profiles_match_naive_double_loop(self):
+        # prefix and suffix sums against per-m fsum, to a few ulps
+        for j in (10, 60, 200):
+            for alpha in (bh_steps(0.05, j), bl_steps(0.05, j), bl_steps(0.5, j)):
+                per_m = d_bound(alpha).per_m
+                want = [naive_bound(alpha.values, m) for m in range(j + 1)]
+                np.testing.assert_allclose(per_m, want, rtol=1e-14, atol=0.0)
+
     @settings(max_examples=150, deadline=None)
     @given(step_vectors())
     def test_matches_naive_double_loop(self, alpha):

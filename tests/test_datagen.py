@@ -17,12 +17,12 @@ from seqfdr.datagen import (
     _bernoulli_cut,
     _latent_counts,
     cholesky,
-    copula_uniforms,
     correlation_matrix,
-    invert_marginal,
     count_batch,
 )
 from seqfdr.errors import FactorizationError
+
+from oracles import copula_uniforms, invert_marginal
 
 
 class TestCorrelationMatrix:

@@ -4,11 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqfdr.calibrate import mc_truncated_critical_values
 from seqfdr.core import bh_steps, scale_for_fdr
 from seqfdr.datagen import Bernoulli, CopulaConfig, Toeplitz, count_batch
-from seqfdr.errors import DataUnderrunError, StageGuardError
+from seqfdr.errors import DataUnderrunError
 from seqfdr.procedures import (
     Decision,
     TrialResult,
@@ -18,7 +19,9 @@ from seqfdr.procedures import (
     summarize,
     work_counts,
 )
-from seqfdr.sprt import SimpleModel, cumulative_llr, llr_increments, stepdown_critical_values
+from seqfdr.sprt import SimpleModel, cumulative_llr, stepdown_critical_values
+
+from oracles import llr_increments
 
 STATE_KEYS = {"stage", "step", "r", "c", "active", "decisions"}
 
@@ -121,20 +124,6 @@ class TestOpenEndedValidation:
         assert exc.value.state["active"] == [0, 1]
         assert exc.value.state["decisions"] == []
 
-    def test_stage_guard(self):
-        with pytest.raises(StageGuardError) as exc:
-            run_open_ended(
-                _sources([3.5, 3.5], [1.5, 1.5, 1.5, 3.5]),
-                a=np.array([-2.0, -1.0]),
-                b=np.array([3.0, 1.8]),
-                max_stages_guard=1,
-            )
-        state = exc.value.state
-        assert set(state) == STATE_KEYS
-        assert (state["stage"], state["step"], state["r"], state["c"]) == (2, 1, 1, 0)
-        assert state["active"] == [1]
-        assert state["decisions"] == [Decision(stream=0, action="reject", step=1, level=1)]
-
     def test_underrun_of_drawn_paths_carries_state(self):
         # a 40-step horizon ends this seeded trial after its first stages
         model = SimpleModel("bernoulli", 0.05, 0.15)
@@ -231,17 +220,17 @@ class TestRejectiveHandTraces:
 
     def test_path_on_calibrated_boundary_is_rejected(self):
         # stream 0's statistic first reaches the calibrated B_1 exactly, at
-        # step 35; a float cumsum of its increments lands one ulp below
+        # step 13; a float cumsum of its increments lands a few ulps below
         model = SimpleModel("bernoulli", 0.05, 0.15)
         alpha = scale_for_fdr(bh_steps(0.25, 10), 0.25)
-        b = mc_truncated_critical_values(model, alpha, 50, 20_000, 7).b
+        b = mc_truncated_critical_values(model, alpha, 50, 1000, 7).b
         obs = np.zeros((50, 10), dtype=np.int64)
-        obs[[0, 3, 9, 20, 25, 34], 0] = 1
+        obs[[0, 1, 2, 12], 0] = 1
         paths = cumulative_llr(model, np.cumsum(obs, axis=0), np.arange(1, 51)[:, None])
-        assert paths[34, 0] == b[0] and paths[:34, 0].max() < b[0]
-        assert np.cumsum(llr_increments(model, obs[:35, 0]))[-1] < b[0]
+        assert paths[12, 0] == b[0] and paths[:12, 0].max() < b[0]
+        assert np.cumsum(llr_increments(model, obs[:13, 0]))[-1] < b[0]
         d = _by_stream(run_rejective(paths, b, n_bar=50))
-        assert d[0] == Decision(stream=0, action="reject", step=35, level=1)
+        assert d[0] == Decision(stream=0, action="reject", step=13, level=1)
         assert all(d[j].truncated and d[j].step == 50 for j in range(1, 10))
 
     def test_underrun_before_horizon(self):
@@ -291,6 +280,30 @@ class TestRandomizedInvariants:
                     assert paths[d.stream][d.step - 1] >= b[d.level - 1]
                 else:
                     assert d.truncated and d.step == n_bar
+
+    @settings(max_examples=80, deadline=None)
+    @given(j=st.integers(1, 6), n=st.integers(1, 40), cut=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1), rejective=st.booleans())
+    def test_every_stage_decides(self, j, n, cut, seed, rejective):
+        # a stage ends where an active statistic leaves the interval: the top
+        # one clears b[r] or the bottom one is at or below a[c], so every
+        # stage decides a stream, stages land on distinct steps (the
+        # rejective horizon's truncation apart) and a trial has at most J
+        rng = np.random.default_rng(seed)
+        a, b = self._grid(j)
+        mat = np.cumsum(rng.integers(-2, 3, size=(n, j)), axis=0).astype(float)
+        mat = np.vstack([mat, np.full((1, j), 100.0)])  # every trial decides by its last row
+        blocks = [mat]
+
+        def take(ids):
+            block = blocks.pop() if blocks else mat[:0]
+            return block, np.array([len(block)])
+
+        tally = Counter()
+        n_bar = max(1, n + 1 - cut) if rejective else None
+        [result] = run_batch(take, 1, None if rejective else a, b, n_bar, tally=tally)
+        assert tally["stages"] == len({(d.step, d.truncated) for d in result.decisions})
+        assert work_counts(tally)["stages_per_trial"] <= j
 
     def test_block_size_irrelevant(self):
         # the matrix read on demand in row blocks of any size decides like the whole

