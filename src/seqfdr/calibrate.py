@@ -7,9 +7,10 @@ mass over count totals step by step and absorbs it where the statistic
 crosses, at the ``sprt.crossing_counts`` tables, so a path crosses at
 exactly the floats the procedures compute.
 
-* ``mc_truncated_critical_values`` finds the upper boundaries ``B_k``: the
+* ``truncated_critical_values`` finds the upper boundaries ``B_k``: the
   smallest atom of the null path maximum, truncated at ``n_bar``, whose
-  exact tail is at most ``alpha_k``.  A Monte Carlo sample validates them.
+  exact tail is at most ``alpha_k``.  ``mc_truncated_critical_values``
+  adds a Monte Carlo sample that validates them.
 * ``estimate_gamma`` gives, per stream, the chance that the stream's
   statistic produces at least one rejection (resp. acceptance) on its own.
   The maxima over streams are the lower bounds used to tighten step values
@@ -33,6 +34,7 @@ from .sprt import SimpleModel, crossing_counts, cumulative_llr
 __all__ = [
     "CalibrationReport",
     "GammaEstimate",
+    "truncated_critical_values",
     "mc_truncated_critical_values",
     "estimate_gamma",
 ]
@@ -233,14 +235,8 @@ def _path_maxima(
     return out
 
 
-def mc_truncated_critical_values(
-    model: SimpleModel,
-    alpha: StepVector,
-    n_bar: int,
-    reps: int,
-    seed: int,
-) -> CalibrationReport:
-    """Calibrate truncated upper boundaries on the exact null path maximum.
+def truncated_critical_values(model: SimpleModel, alpha: StepVector, n_bar: int) -> np.ndarray:
+    """Truncated upper boundaries ``B``, calibrated on the exact null path maximum.
 
     ``B_k`` is the smallest atom ``v`` of ``max_{n <= n_bar}`` of the null
     statistic whose exact tail P0(max >= v) is at most ``alpha_k``.  That
@@ -253,14 +249,9 @@ def mc_truncated_critical_values(
     pass.  The tail falls as the atom rises, so ``B`` is nonincreasing and
     equal levels share a boundary.  A level that no atom meets raises
     ConfigError naming k.
-
-    ``reps`` and ``seed`` drive only the validation: ``achieved`` holds the
-    crossing frequencies of ``reps`` fresh null paths drawn from ``seed``.
     """
     if n_bar < 1:
         raise ConfigError(f"n_bar must be >= 1, got {n_bar}")
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
     n = np.arange(1, n_bar + 1)[:, None]
     top = _count_law(model, model.null_param, n).isf(_PMF_TAIL)
     x = np.arange(int(top.max()) + 1)
@@ -285,7 +276,24 @@ def mc_truncated_critical_values(
             f"level k={k + 1} (alpha={alpha.values[k]:.3g}) is below the exact "
             f"tail of every atom of the null path maximum over n_bar={n_bar} steps"
         )
-    b = atoms[lo]
+    return atoms[lo]
+
+
+def mc_truncated_critical_values(
+    model: SimpleModel,
+    alpha: StepVector,
+    n_bar: int,
+    reps: int,
+    seed: int,
+) -> CalibrationReport:
+    """``truncated_critical_values`` plus a fresh-sample validation.
+
+    ``achieved`` holds the crossing frequencies of ``reps`` fresh null
+    paths drawn from ``seed``; ``B`` does not depend on either.
+    """
+    if reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {reps}")
+    b = truncated_critical_values(model, alpha, n_bar)
     fresh = _path_maxima(model, model.null_param, n_bar, reps, np.random.default_rng(seed))
     achieved = np.array([np.mean(fresh >= bk) for bk in b])
     return CalibrationReport(b=b, reps=reps, achieved=achieved, seed=seed, n_bar=n_bar)
@@ -313,10 +321,11 @@ def estimate_gamma(
     down ``<= a[0]`` before up ``>= b[-1]`` for gamma2.  Truncated mode
     takes gamma1 as the tail P(max_{n <= n_bar} >= b[0]).  One pass of
     ``_race`` covers the races of every distinct (model, parameter), so
-    the rates are exact and their standard errors 0.  A race whose live
-    mass is still above ``_LIVE_TOL`` at ``horizon`` understates its rate
-    by that mass, which ``live_mass_per_stream`` reports and a warning
-    logs.  ``reps`` and ``seed`` do nothing.
+    the rates are exact and their standard errors 0; a race to an infinite
+    threshold is not run and gives 0.  A race whose live mass is still
+    above ``_LIVE_TOL`` at ``horizon`` understates its rate by that mass,
+    which ``live_mass_per_stream`` reports and a warning logs.  ``reps``
+    and ``seed`` do nothing.
 
     The targeted probabilities are marginal, so cross-stream dependence is
     irrelevant here.
@@ -343,25 +352,34 @@ def estimate_gamma(
             raise ValueError("a must be nondecreasing, without NaN, and match b in shape")
         if a[-1] > b[-1]:
             raise ValueError("boundaries overlap: a[-1] > b[-1]")
-    # each stream reads the rows of its (model, parameter), raced once
-    rows, first, at = [], {}, []
-    for model, choice in zip(models, choices):
-        param = model.null_param if choice == "null" else model.alt_param
-        if (model, param) not in first:
-            first[model, param] = len(rows)
-            if n_bar is None:
-                rows += [(model, param, b[0], a[-1]), (model, param, b[-1], a[0])]
-            else:
-                rows.append((model, param, b[0], -np.inf))
-        at.append(first[model, param])
-    up, down, live = _race(rows, horizon if n_bar is None else n_bar)
-    at = np.array(at)
-    g1 = up[at]
+    # each stream reads the races of its (model, parameter), raced once:
+    # gamma1's race is up to b[0] against a[-1] (nothing below when
+    # truncated), gamma2's down to a[0] against b[-1].  A race to an
+    # infinite threshold cannot be won, so it gets no row: rate 0 and live
+    # mass 0.
+    keys = [(model, model.null_param if c == "null" else model.alt_param)
+            for model, c in zip(models, choices)]
+    params = list(dict.fromkeys(keys))
+    at = np.array([params.index(key) for key in keys])
+    races = [(b[0], -np.inf if a is None else a[-1])]
+    if a is not None:
+        races.append((b[-1], a[0]))
+    run = [0] if b[0] < np.inf else []
+    if a is not None and a[0] > -np.inf:
+        run.append(1)
+    rate, left = np.zeros((2, len(params))), np.zeros((2, len(params)))
+    if run:
+        rows = [(model, param, *races[q]) for model, param in params for q in run]
+        up, down, live = (x.reshape(len(params), len(run)).T
+                          for x in _race(rows, horizon if n_bar is None else n_bar))
+        for row, q in enumerate(run):
+            rate[q], left[q] = (up, down)[q][row], live[row]
+    g1 = rate[0, at]
     result = dict(gamma1=float(g1.max()), gamma1_per_stream=g1, gamma1_se=0.0,
                   theta_choice=choices)
     if n_bar is None:
-        g2 = down[at + 1]
-        stuck = np.maximum(live[at], live[at + 1])
+        g2 = rate[1, at]
+        stuck = np.maximum(left[0, at], left[1, at])
         result.update(gamma2=float(g2.max()), gamma2_per_stream=g2, gamma2_se=0.0,
                       live_mass_per_stream=stuck)
         if np.any(stuck > _LIVE_TOL):

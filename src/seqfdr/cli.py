@@ -37,7 +37,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .calibrate import mc_truncated_critical_values
+from .calibrate import truncated_critical_values
 from .core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
 from .datagen import (
     Bernoulli,
@@ -50,7 +50,7 @@ from .datagen import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .fixed_sample import find_matching_fss
-from .procedures import TrialResult, run_batch, summarize, work_counts
+from .procedures import Decisions, run_batch, summarize, work_counts
 from .sprt import SimpleModel, cumulative_llr, stepdown_critical_values
 from .worstcase import verify_bound
 from .yellowcard import ExperimentConfig, load_drug_table, run_monitoring, thresholds
@@ -161,7 +161,7 @@ class SimulationConfig(_Streams):
     seed: int
     n_bar: int | None = None
     horizon: int = 5000
-    calib_reps: int = 20000
+    calib_reps: int = 20000  # validated but unused: the calibration is exact
 
     def __post_init__(self):
         super().__post_init__()
@@ -236,7 +236,7 @@ _TRIAL_BATCH = 256
 
 
 def _trials_for_range(config: SimulationConfig, a, b, start: int, stop: int
-                      ) -> tuple[list[TrialResult], Counter]:
+                      ) -> tuple[Decisions, Counter]:
     """Run trials [start, stop); per-trial seeds make chunking irrelevant.
 
     Trial t draws from child ``(t,)`` of ``SeedSequence(config.seed)``,
@@ -244,13 +244,13 @@ def _trials_for_range(config: SimulationConfig, a, b, start: int, stop: int
     None) up to ``n_bar``.  Every stream shares one model, so the procedure
     compares raw LLRs with the raw boundaries ``a``/``b``.  The trials run
     in batches of ``_TRIAL_BATCH`` through ``run_batch``.  Returns the
-    trials and the engine's counters.
+    trials' decisions and the engine's counters.
     """
     model, marginals, _ = _sim_pieces(config)
     factor = cholesky(correlation_matrix(_copula(config)))
     horizon = config.horizon if config.mode == "open" else config.n_bar
     tally = Counter()
-    out = []
+    parts = []
     for lo in range(start, stop, _TRIAL_BATCH):
         hi = min(lo + _TRIAL_BATCH, stop)
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(t,)))
@@ -262,38 +262,28 @@ def _trials_for_range(config: SimulationConfig, a, b, start: int, stop: int
             x, w, steps = counts(ids)
             return cumulative_llr(model, x, w), steps
 
-        out += run_batch(take, hi - lo, a, b, config.n_bar, tally=tally)
-    return out, tally
+        parts.append(run_batch(take, hi - lo, a, b, config.n_bar, tally=tally))
+    return Decisions(*map(np.concatenate, zip(*parts))), tally
 
 
 def _run_trials(config: SimulationConfig, a, b, workers: int):
-    """All trials in index order plus summed counters, over ``workers`` processes.
+    """All trials' decisions in index order plus summed counters.
 
-    The pool has one process per nonempty chunk, so never more than
-    ``reps`` processes.
+    The trials run over ``workers`` processes.  The pool has one process
+    per nonempty chunk, so never more than ``reps`` processes.
     """
     if workers == 1:
         return _trials_for_range(config, a, b, 0, config.reps)
     bounds = np.linspace(0, config.reps, workers + 1).astype(int).tolist()
     chunks = [(s, e) for s, e in zip(bounds[:-1], bounds[1:]) if e > s]
-    trials, tally = [], Counter()
+    parts, tally = [], Counter()
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [pool.submit(_trials_for_range, config, a, b, s, e) for s, e in chunks]
         for fut in futures:
             part, counts = fut.result()
-            trials += part
+            parts.append(part)
             tally += counts
-    return trials, tally
-
-
-def _calibration_seed(seed: int) -> int:
-    """Seed of a rejective batch's calibration, apart from every trial's.
-
-    Trial t draws from child ``(t,)`` of ``SeedSequence(seed)``.  A word of
-    the root sequence's own state, which no trial draws, seeds the
-    calibration's validation sample.
-    """
-    return int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+    return Decisions(*map(np.concatenate, zip(*parts))), tally
 
 
 def run_simulation(config: SimulationConfig, workers: int = 1, counters: dict | None = None):
@@ -316,14 +306,12 @@ def run_simulation(config: SimulationConfig, workers: int = 1, counters: dict | 
         crit = stepdown_critical_values(alpha, beta)
         a, b, b_raw = crit.a, crit.b, None
     else:
-        b_raw = mc_truncated_critical_values(
-            model, alpha, config.n_bar, config.calib_reps, _calibration_seed(config.seed)
-        ).b
+        b_raw = truncated_critical_values(model, alpha, config.n_bar)
         a, b = None, b_raw
-    trials, tally = _run_trials(config, a, b, workers)
+    decisions, tally = _run_trials(config, a, b, workers)
     if counters is not None:
         counters.update(work_counts(tally))
-    return summarize(trials, truth), b_raw
+    return summarize(decisions, truth), b_raw
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataUnderrunError
 
 __all__ = [
-    "Decision",
-    "TrialResult",
+    "Decisions",
     "MetricsSummary",
     "run_open_ended",
     "run_rejective",
@@ -38,69 +37,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Terminal decision for one stream.
+class Decisions(NamedTuple):
+    """Terminal decisions of a batch of trials: one (trials, J) array each.
 
-    ``level`` is the cumulative boundary rank the statistic crossed (for
-    truncation acceptances, the ascending rank among the streams accepted
-    together at the horizon).
+    Row i, column s is stream s of trial i: whether it was rejected (else
+    accepted), its decision step, the cumulative boundary rank its
+    statistic crossed (for truncation acceptances, the ascending rank among
+    the streams accepted together at the horizon) and whether it was
+    accepted at the truncation horizon.
     """
 
-    stream: int
-    action: str  # "reject" | "accept"
-    step: int
-    level: int
-    truncated: bool = False
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """Decisions for all streams of one trial."""
-
-    decisions: tuple[Decision, ...]
-
-    def __post_init__(self):
-        by_stream = sorted(self.decisions, key=lambda d: d.stream)
-        if [d.stream for d in by_stream] != list(range(len(by_stream))):
-            raise ValueError("decisions must cover streams 0..J-1 exactly once")
-        object.__setattr__(self, "decisions", tuple(by_stream))
-
-    @property
-    def j(self) -> int:
-        return len(self.decisions)
-
-    @property
-    def n_rejected(self) -> int:
-        return sum(d.action == "reject" for d in self.decisions)
-
-    @property
-    def max_n(self) -> int:
-        return max(d.step for d in self.decisions)
-
-    @property
-    def total_samples(self) -> int:
-        # lockstep sampling: each stream is observed up to its decision step
-        return sum(d.step for d in self.decisions)
-
-    def error_counts(self, truth: Sequence[bool | None]) -> tuple[int, int, int]:
-        """(false rejections, false acceptances, total rejections).
-
-        ``truth[j]`` True marks a true null, False a true signal, None a
-        stream excluded from the error counts (but not from R).
-        """
-        if len(truth) != self.j:
-            raise ValueError("truth must have one entry per stream")
-        v = w = r = 0
-        for d, t in zip(self.decisions, truth):
-            if d.action == "reject":
-                r += 1
-                if t is True:
-                    v += 1
-            else:
-                if t is False:
-                    w += 1
-        return v, w, r
+    rejected: np.ndarray  # bool
+    step: np.ndarray  # int64
+    level: np.ndarray  # int64
+    truncated: np.ndarray  # bool
 
 
 @dataclass(frozen=True)
@@ -134,37 +84,45 @@ class MetricsSummary:
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    if values.size == 0:
-        raise ValueError("cannot summarize zero trials")
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
     return mean, se
 
 
-def summarize(trials: Sequence[TrialResult], truth: Sequence[bool | None]) -> MetricsSummary:
-    """Trial-averaged FDR/FNR (and their positive variants) plus sample sizes."""
+def summarize(decisions: Decisions, truth: Sequence[bool | None]) -> MetricsSummary:
+    """Trial-averaged FDR/FNR (and their positive variants) plus sample sizes.
+
+    ``truth[s]`` True marks stream s a true null, False a true signal, None
+    a stream excluded from the error counts V and W (but not from R).
+    Streams are sampled in lockstep, so a trial's sample size is its last
+    decision step and a stream's is its own decision step.
+    """
+    rejected, step = decisions.rejected, decisions.step
+    trials, j = rejected.shape
     if not trials:
         raise ValueError("cannot summarize zero trials")
-    j = trials[0].j
-    counts = np.array([t.error_counts(truth) for t in trials], dtype=float)
-    v, w, r = counts[:, 0], counts[:, 1], counts[:, 2]
+    if len(truth) != j:
+        raise ValueError("truth must have one entry per stream")
+    null = np.array([t is True for t in truth])
+    signal = np.array([t is False for t in truth])
+    v = np.count_nonzero(rejected & null, axis=1)
+    w = np.count_nonzero(~rejected & signal, axis=1)
+    r = np.count_nonzero(rejected, axis=1)
     fdp = v / np.maximum(r, 1.0)
     fnp = w / np.maximum(j - r, 1.0)
     fdr, fdr_se = _mean_se(fdp)
     fnr, fnr_se = _mean_se(fnp)
-    with_rej = r >= 1.0
+    with_rej = r >= 1
     not_all_rej = r < j
     pfdr = pfdr_se = pfnr = pfnr_se = None
     if with_rej.any():
         pfdr, pfdr_se = _mean_se(fdp[with_rej])
     if not_all_rej.any():
         pfnr, pfnr_se = _mean_se(fnp[not_all_rej])
-    max_n, max_n_se = _mean_se(np.array([t.max_n for t in trials], dtype=float))
-    stream_n, stream_n_se = _mean_se(
-        np.array([t.total_samples / t.j for t in trials], dtype=float)
-    )
+    max_n, max_n_se = _mean_se(step.max(axis=1).astype(float))
+    stream_n, stream_n_se = _mean_se(step.sum(axis=1) / j)
     return MetricsSummary(
-        n_trials=len(trials),
+        n_trials=trials,
         fdr=fdr,
         fdr_se=fdr_se,
         fnr=fnr,
@@ -196,7 +154,7 @@ def _one_trial(paths, j: int):
     return take
 
 
-def _step_down(take, trials: int, a, b, n_bar, tally) -> list[TrialResult]:
+def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
     """Stage loop shared by both variants, over a batch of trials at once.
 
     ``take(ids)`` returns the next row block of every listed trial, stacked
@@ -215,9 +173,11 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> list[TrialResult]:
     j = b.size
     b_of = b.tolist() + [np.inf]  # b[r]; r == j once every stream is rejected
     a_of = None if a is None else a.tolist() + [-np.inf]
-    # per trial: decisions, r, c, active count, last stage's step, stages
-    # done, rows scanned, first row and length of the held block
-    made = [[None] * j for _ in range(trials)]
+    # per trial: its streams' decisions (step 0: undecided), r, c, active
+    # count, last stage's step, stages done, rows scanned, first row and
+    # length of the held block
+    rejected, truncated = ([[False] * j for _ in range(trials)] for _ in range(2))
+    step, level = ([[0] * j for _ in range(trials)] for _ in range(2))
     r, c, size = [0] * trials, [0] * trials, [j] * trials
     n, stages, scan, base, held = ([0] * trials for _ in range(5))
     failed = {}  # trial -> its error; the first trial's is raised once all have run
@@ -236,7 +196,11 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> list[TrialResult]:
             "r": r[i],
             "c": c[i],
             "active": np.flatnonzero(act[k]).tolist(),
-            "decisions": [d for d in made[i] if d is not None],
+            "decisions": [
+                {"stream": s, "action": "reject" if rejected[i][s] else "accept",
+                 "step": step[i][s], "level": level[i][s], "truncated": truncated[i][s]}
+                for s in range(j) if step[i][s]
+            ],
         }
 
     def ranked_rows(ks, offs):
@@ -278,13 +242,13 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> list[TrialResult]:
                 if a is not None:
                     while t_acc < sz - t_rej and vals[ranks[t_acc]] <= a_of[c[i] + t_acc]:
                         t_acc += 1
-                decided = made[i]
-                for p in range(sz - t_rej, sz):
-                    decided[ranks[p]] = Decision(ranks[p], "reject", at_step, r[i] + sz - p)
-                    act[k, ranks[p]] = False
-                for p in range(t_acc):
-                    decided[ranks[p]] = Decision(ranks[p], "accept", at_step, c[i] + p + 1)
-                    act[k, ranks[p]] = False
+                rej, stp, lvl = rejected[i], step[i], level[i]
+                for p, s in enumerate(ranks[sz - t_rej : sz], sz - t_rej):
+                    rej[s], stp[s], lvl[s] = True, at_step, r[i] + sz - p
+                    act[k, s] = False
+                for p, s in enumerate(ranks[:t_acc]):
+                    stp[s], lvl[s] = at_step, c[i] + p + 1
+                    act[k, s] = False
                 decision_steps += at_step * (t_rej + t_acc)
                 r[i] += t_rej
                 c[i] += t_acc
@@ -304,7 +268,7 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> list[TrialResult]:
             for k, ranks in zip(ends, order):
                 i = live[k]
                 for p, s in enumerate(ranks[: size[i]]):
-                    made[i][s] = Decision(s, "accept", n_bar, p + 1, True)
+                    step[i][s], level[i][s], truncated[i][s] = n_bar, p + 1, True
                     act[k, s] = False
                 decision_steps += n_bar * size[i]
                 size[i] = 0
@@ -343,7 +307,8 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> list[TrialResult]:
         tally["trials"] += trials
         tally["stages"] += sum(stages)
         tally["decision_steps"] += decision_steps
-    return [TrialResult(decisions=tuple(decided)) for decided in made]
+    return Decisions(np.array(rejected, bool), np.array(step, np.int64),
+                     np.array(level, np.int64), np.array(truncated, bool))
 
 
 def _open_boundaries(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -369,17 +334,14 @@ def _rejective_boundary(b, n_bar: int) -> np.ndarray:
     return b
 
 
-def run_open_ended(
-    paths,
-    a: np.ndarray,
-    b: np.ndarray,
-) -> TrialResult:
+def run_open_ended(paths, a: np.ndarray, b: np.ndarray) -> Decisions:
     """Run the open-ended step-down procedure until every stream is decided.
 
-    ``paths`` is the (n, J) statistic matrix, row n - 1 holding step n
-    (``run_batch`` reads statistics drawn on demand); running out of rows
-    before every stream is decided raises DataUnderrunError.  ``a``/``b`` are
-    the acceptance/rejection boundary vectors indexed by cumulative level (a
+    Returns the trial's ``Decisions``, one row.  ``paths`` is the (n, J)
+    statistic matrix, row n - 1 holding step n (``run_batch`` reads
+    statistics drawn on demand); running out of rows before every stream
+    is decided raises DataUnderrunError.  ``a``/``b`` are the
+    acceptance/rejection boundary vectors indexed by cumulative level (a
     nondecreasing, b nonincreasing, a[-1] <= b[-1]), in the statistic's
     units.  A stream rejected as the position-``pos`` ordered statistic of
     a stage with ``size`` active streams and ``r`` prior rejections gets
@@ -389,10 +351,10 @@ def run_open_ended(
     r, c, active streams and decisions so far) in ``state``.
     """
     a, b = _open_boundaries(a, b)
-    return _step_down(_one_trial(paths, b.size), 1, a, b, None, None)[0]
+    return _step_down(_one_trial(paths, b.size), 1, a, b, None, None)
 
 
-def run_rejective(paths, b: np.ndarray, n_bar: int) -> TrialResult:
+def run_rejective(paths, b: np.ndarray, n_bar: int) -> Decisions:
     """Run the rejective (truncated) step-down procedure up to ``n_bar`` steps.
 
     ``paths`` is as for ``run_open_ended`` and is read no further than
@@ -402,11 +364,11 @@ def run_rejective(paths, b: np.ndarray, n_bar: int) -> TrialResult:
     ``n_bar = 1`` reduces to a one-shot step-down test.
     """
     b = _rejective_boundary(b, n_bar)
-    return _step_down(_one_trial(paths, b.size), 1, None, b, n_bar, None)[0]
+    return _step_down(_one_trial(paths, b.size), 1, None, b, n_bar, None)
 
 
 def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
-              tally: Counter | None = None) -> list[TrialResult]:
+              tally: Counter | None = None) -> Decisions:
     """Run ``trials`` trials of one procedure at once, through one stage loop.
 
     ``take(ids)`` reads the trials' statistics: given an array of trial
@@ -414,10 +376,11 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
     block of each listed trial stacked in the order of ``ids`` and the
     blocks' row counts, 0 for a trial with no rows left.  ``a`` None runs
     the rejective procedure to ``n_bar`` (``run_rejective``), otherwise the
-    open-ended one (``run_open_ended``).  Each trial decides as it would
-    alone.  When trials fail, the others still run and the error of the
-    first failing trial in index order is raised, as a loop over the trials
-    one at a time would raise it.  ``tally`` (a Counter), when given, gains
+    open-ended one (``run_open_ended``).  Returns one ``Decisions`` row per
+    trial, in index order; each trial decides as it would alone.  When
+    trials fail, the others still run and the error of the first failing
+    trial in index order is raised, as a loop over the trials one at a time
+    would raise it.  ``tally`` (a Counter), when given, gains
     the work counts: trials, stages, statistic rows and blocks read, and
     decision steps (summed over streams).
     """

@@ -110,7 +110,7 @@ class DecisionRow:
 
 @dataclass(frozen=True)
 class MonitoringReport:
-    """Decision table plus everything needed to reproduce it.
+    """The decision table plus everything needed to reproduce it.
 
     ``rho_by_cluster`` pairs each original cluster label with its drawn
     correlation decay; ``alpha``/``beta`` are the scaled step values the
@@ -264,7 +264,7 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
         return cumulative_llr(model, x, w), steps
 
     tally = Counter()
-    [result] = run_batch(take, 1, crit.a, crit.b, tally=tally)
+    decisions = run_batch(take, 1, crit.a, crit.b, tally=tally)
     if counters is not None:
         counters.update(work_counts(tally))
 
@@ -272,13 +272,14 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
         sorted(
             (
                 DecisionRow(
-                    drug=top[d.stream].name,
-                    action=d.action,
-                    termination_step=d.step,
-                    termination_level=d.level,
-                    truncated=d.truncated,
+                    drug=record.name,
+                    action="reject" if rejected else "accept",
+                    termination_step=step,
+                    termination_level=level,
+                    truncated=truncated,
                 )
-                for d in result.decisions
+                for record, rejected, step, level, truncated
+                in zip(top, *(field[0].tolist() for field in decisions))
             ),
             key=lambda row: (row.action, row.termination_step, row.drug),
         )

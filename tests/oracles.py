@@ -3,7 +3,8 @@
 None of these runs in the package: each is the plain, direct form of
 something the package computes another way (per-observation increments
 against the lattice statistic, uniforms against latent cuts, the
-conservative Wald boundaries against the corrected ones).
+conservative Wald boundaries against the corrected ones, per-trial error
+counts against array reductions).
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from seqfdr.datagen import Poisson, ReportPair, _latent_counts, cholesky, correlation_matrix
+from seqfdr.procedures import MetricsSummary
 from seqfdr.sprt import CriticalMatrix, _check_error_pair
 
 
@@ -88,3 +90,63 @@ def invert_marginal(spec, u):
     if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("uniforms must lie in [0, 1]")
     return _latent_counts(spec, ndtri(u))
+
+
+def error_counts(rejected, truth) -> tuple[int, int, int]:
+    """(false rejections, false acceptances, total rejections) of one trial.
+
+    ``rejected`` is the trial's row of ``Decisions.rejected``.  ``truth[j]``
+    True marks a true null, False a true signal, None a stream excluded
+    from the error counts (but not from R).
+    """
+    if len(truth) != len(rejected):
+        raise ValueError("truth must have one entry per stream")
+    v = w = r = 0
+    for rej, t in zip(rejected, truth):
+        if rej:
+            r += 1
+            if t is True:
+                v += 1
+        elif t is False:
+            w += 1
+    return v, w, r
+
+
+def _mean_se(values):
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+    return mean, se
+
+
+def summarize(decisions, truth) -> MetricsSummary:
+    """``procedures.summarize`` one trial at a time, in Python integers.
+
+    Per trial: the error counts, the largest decision step (the trial's
+    sample size under lockstep sampling) and the total of the steps over
+    the J streams.
+    """
+    trials = [[row.tolist() for row in field] for field in decisions]
+    rejected, step = trials[0], trials[1]
+    j = len(truth)
+    counts = np.array([error_counts(row, truth) for row in rejected], dtype=float)
+    v, w, r = counts[:, 0], counts[:, 1], counts[:, 2]
+    fdp = v / np.maximum(r, 1.0)
+    fnp = w / np.maximum(j - r, 1.0)
+    with_rej, not_all_rej = r >= 1.0, r < j
+    pfdr = pfdr_se = pfnr = pfnr_se = None
+    if with_rej.any():
+        pfdr, pfdr_se = _mean_se(fdp[with_rej])
+    if not_all_rej.any():
+        pfnr, pfnr_se = _mean_se(fnp[not_all_rej])
+    fdr, fdr_se = _mean_se(fdp)
+    fnr, fnr_se = _mean_se(fnp)
+    max_n, max_n_se = _mean_se(np.array([max(row) for row in step], dtype=float))
+    stream_n, stream_n_se = _mean_se(np.array([sum(row) / len(row) for row in step]))
+    return MetricsSummary(
+        n_trials=len(rejected), fdr=fdr, fdr_se=fdr_se, fnr=fnr, fnr_se=fnr_se,
+        pfdr=pfdr, pfdr_se=pfdr_se, pfnr=pfnr, pfnr_se=pfnr_se,
+        mean_max_n=max_n, mean_max_n_se=max_n_se,
+        mean_stream_n=stream_n, mean_stream_n_se=stream_n_se,
+        n_trials_with_rejection=int(with_rej.sum()),
+        n_trials_with_acceptance=int(not_all_rej.sum()),
+    )

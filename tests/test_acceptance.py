@@ -39,7 +39,7 @@ from seqfdr.cli import SimulationConfig, _sim_pieces, _trials_for_range, run_sim
 from seqfdr.core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
 from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, Toeplitz, count_batch
 from seqfdr.fixed_sample import find_matching_fss
-from seqfdr.procedures import Decision, run_open_ended, run_rejective, summarize
+from seqfdr.procedures import run_open_ended, run_rejective, summarize
 from seqfdr.sprt import SimpleModel, stepdown_critical_values
 from seqfdr.worstcase import verify_bound
 from seqfdr.yellowcard import ExperimentConfig, DrugRecord, load_drug_table, run_monitoring, thresholds
@@ -308,31 +308,31 @@ def test_08_pfdr_control(record):
     assert ok, line
 
 
+def _by_stream(result):
+    """Per stream of a one-trial result: (action, step, level, truncated)."""
+    return [("reject" if rejected else "accept", step, level, truncated)
+            for rejected, step, level, truncated in zip(*(f[0].tolist() for f in result))]
+
+
 def test_09_procedure_hand_traces(record):
     split = run_open_ended(
         np.array([[0.5, -0.3], [2.5, -2.5]]),
         a=np.array([-2.0, -1.0]), b=np.array([2.0, 1.0]),
     )
-    by = {d.stream: d for d in split.decisions}
-    ok = (by[0] == Decision(stream=0, action="reject", step=2, level=1)
-          and by[1] == Decision(stream=1, action="accept", step=2, level=1))
+    ok = _by_stream(split) == [("reject", 2, 1, False), ("accept", 2, 1, False)]
 
     trunc = run_rejective(
         np.array([[0.5, 0.1], [1.2, 0.4], [1.5, 0.6]]),
         b=np.array([2.0, 1.0]), n_bar=3,
     )
-    by = {d.stream: d for d in trunc.decisions}
-    ok = ok and all(d.action == "accept" and d.step == 3 and d.truncated
-                    for d in trunc.decisions)
-    ok = ok and by[1].level == 1 and by[0].level == 2
+    # accepted at the horizon, levels by ascending final statistic
+    ok = ok and _by_stream(trunc) == [("accept", 3, 2, True), ("accept", 3, 1, True)]
 
     stages = run_rejective(
         np.array([[2.5, 0.1], [np.nan, 1.3]]),
         b=np.array([2.0, 1.0]), n_bar=5,
     )
-    by = {d.stream: d for d in stages.decisions}
-    ok = ok and (by[0] == Decision(stream=0, action="reject", step=1, level=1)
-                 and by[1] == Decision(stream=1, action="reject", step=2, level=2))
+    ok = ok and _by_stream(stages) == [("reject", 1, 1, False), ("reject", 2, 2, False)]
     line = record(9, "hand-traced procedure semantics", ok,
                   "dual-crossing, truncation-accept and two-stage traces exact"
                   if ok else "a trace diverged from its worked decisions")

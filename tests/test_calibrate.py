@@ -1,5 +1,6 @@
 """Tests for the exact lattice calibration and first-crossing rates."""
 
+import logging
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from seqfdr.calibrate import (
     _sample_obs,
     estimate_gamma,
     mc_truncated_critical_values,
+    truncated_critical_values,
 )
 from seqfdr.core import StepVector, bh_steps, scale_for_fdr
 from seqfdr.errors import ConfigError, DataUnderrunError
@@ -158,6 +160,7 @@ class TestCriticalValues:
                    for reps, seed in ((1000, 3), (4000, 3), (4000, 8))]
         for report in reports:
             assert np.array_equal(report.b, reports[0].b)
+        assert np.array_equal(truncated_critical_values(BERN, alpha, 25), reports[0].b)
         for b_k, a_k in zip(reports[0].b, alpha.values):
             assert _tail(BERN, b_k, 25) <= a_k
 
@@ -170,6 +173,8 @@ class TestCriticalValues:
     def test_input_validation(self):
         with pytest.raises(ConfigError):
             mc_truncated_critical_values(BERN, StepVector([0.1]), 0, 1000, 0)
+        with pytest.raises(ConfigError, match="n_bar"):
+            truncated_critical_values(BERN, StepVector([0.1]), 0)
         with pytest.raises(ConfigError):
             mc_truncated_critical_values(BERN, StepVector([0.1]), 5, 0, 0)
         cond = SimpleModel("conditional_binomial", 0.05, 0.09)
@@ -230,17 +235,36 @@ class TestGammaOpenEnded:
             assert abs(got - freq) <= 3.0 * _binom_se(got, n_direct)
             assert 0.0 < got < 1.0
 
-    def test_infinite_upper_boundary_kills_gamma1(self):
-        est = estimate_gamma(
-            [BERN, BERN],
-            ["alt", "null"],
-            a=np.array([-2.0, -1.0]),
-            b=np.array([np.inf, 0.5]),
-            reps=1000,
-            seed=3,
-        )
+    def test_infinite_upper_boundary_kills_gamma1(self, caplog):
+        # gamma1's race to b[0] = +inf cannot be won, so it is not run: the
+        # alt stream, drifting up, leaves no mass racing to the horizon
+        with caplog.at_level(logging.WARNING, logger="seqfdr.calibrate"):
+            est = estimate_gamma(
+                [BERN, BERN],
+                ["alt", "null"],
+                a=np.array([-2.0, -1.0]),
+                b=np.array([np.inf, 0.5]),
+                reps=1000,
+                seed=3,
+            )
         assert est.gamma1 == 0.0
         assert np.all(est.gamma1_per_stream == 0.0)
+        assert np.all(est.live_mass_per_stream < 1e-14)
+        assert caplog.records == []
+
+    def test_infinite_lower_boundary_kills_gamma2(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="seqfdr.calibrate"):
+            est = estimate_gamma([BERN, BERN], ["alt", "null"], a=np.array([-np.inf, -1.0]),
+                                 b=np.array([2.0, 1.0]))
+            trunc = estimate_gamma([BERN], ["alt"], b=np.array([np.inf]), n_bar=50)
+        assert est.gamma2 == 0.0 and np.all(est.gamma2_per_stream == 0.0)
+        assert np.all(est.live_mass_per_stream < 1e-14)
+        # gamma1 is still the race up to b[0] against a[-1]
+        for got, param in zip(est.gamma1_per_stream, (BERN.alt_param, BERN.null_param)):
+            assert got == pytest.approx(_race([(BERN, param, 2.0, -1.0)], 10_000)[0][0],
+                                        rel=1e-12)
+        assert trunc.gamma1 == 0.0
+        assert caplog.records == []
 
     def test_maximum_dominates_streams(self):
         est = estimate_gamma(
@@ -391,11 +415,11 @@ class TestLatticeRace:
             rejects = undecided = 0
             for row in stat:
                 try:
-                    d = run_open_ended(row[:, None], np.array([a1]), np.array([b1])).decisions[0]
+                    d = run_open_ended(row[:, None], np.array([a1]), np.array([b1]))
                 except DataUnderrunError:
                     undecided += 1
                     continue
-                rejects += d.action == "reject"
+                rejects += bool(d.rejected[0, 0])
             for freq, p in ((rejects / paths, up[0]), (undecided / paths, live[0])):
                 assert abs(freq - p) <= 3.0 * _binom_se(max(p, 1.0 / paths), paths)
 

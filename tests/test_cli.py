@@ -8,11 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqfdr.calibrate import mc_truncated_critical_values
+from seqfdr.calibrate import truncated_critical_values
 from seqfdr import cli
 from seqfdr.cli import (
     SimulationConfig,
-    _calibration_seed,
     _run_trials,
     _copula,
     _sim_pieces,
@@ -22,7 +21,7 @@ from seqfdr.cli import (
 from seqfdr.core import bh_steps, scale_for_fdr
 from seqfdr.datagen import Bernoulli, count_batch
 from seqfdr.errors import DataUnderrunError
-from seqfdr.procedures import run_open_ended, run_rejective
+from seqfdr.procedures import Decisions, run_open_ended, run_rejective
 from seqfdr.sprt import cumulative_llr, stepdown_critical_values
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "yellowcard_fixture.csv"
@@ -32,6 +31,12 @@ OPEN_CONFIG = {
     "j": 3, "m0": 1, "rho": 0.0, "q1": 0.25, "q2": 0.15,
     "mode": "open", "reps": 25, "seed": 5,
 }
+
+
+def _same(x, y):
+    """Two runs' (decisions, counters), the decisions compared field by field."""
+    (dx, cx), (dy, cy) = x, y
+    return all(np.array_equal(p, q) for p, q in zip(dx, dy)) and cx == cy
 
 
 def write_config(tmp_path, payload, name="config.json") -> str:
@@ -136,19 +141,19 @@ class TestSimulate:
             a, b = crit.a, crit.b
             runner = lambda paths: run_open_ended(paths, a, b)
         else:
-            a, b = None, mc_truncated_critical_values(model, alpha, 50, 2000,
-                                                      _calibration_seed(7)).b
+            a, b = None, truncated_critical_values(model, alpha, 50)
             runner = lambda paths: run_rejective(paths, b, 50)
-        whole = [runner(self._trial_matrix(config, t)) for t in range(30)]
+        alone = [runner(self._trial_matrix(config, t)) for t in range(30)]
+        whole = Decisions(*map(np.concatenate, zip(*alone)))
         one, tally = _run_trials(config, a, b, 1)
-        assert one == whole
-        assert _run_trials(config, a, b, 2) == (whole, tally)
+        assert all(np.array_equal(p, q) for p, q in zip(one, whole))
+        assert _same(_run_trials(config, a, b, 2), (whole, tally))
         split = [_trials_for_range(config, a, b, s, e) for s, e in ((0, 7), (7, 19), (19, 30))]
-        assert [t for part, _ in split for t in part] == whole
-        assert sum((counts for _, counts in split), Counter()) == tally
+        merged = Decisions(*map(np.concatenate, zip(*(part for part, _ in split))))
+        assert _same((merged, sum((counts for _, counts in split), Counter())), (whole, tally))
         for batch in (1, 7):
             monkeypatch.setattr(cli, "_TRIAL_BATCH", batch)
-            assert _run_trials(config, a, b, 1) == (whole, tally)
+            assert _same(_run_trials(config, a, b, 1), (whole, tally))
 
     def test_batch_underrun_carries_the_trial_state(self):
         # a 20-step horizon leaves trials undecided, some in their first
@@ -186,7 +191,8 @@ class TestSimulate:
         config = SimulationConfig(**dict(OPEN_CONFIG, reps=2))
         crit = stepdown_critical_values(scale_for_fdr(bh_steps(0.25, 3), 0.25),
                                         scale_for_fdr(bh_steps(0.15, 3), 0.15))
-        assert _run_trials(config, crit.a, crit.b, 4) == _run_trials(config, crit.a, crit.b, 1)
+        assert _same(_run_trials(config, crit.a, crit.b, 4),
+                     _run_trials(config, crit.a, crit.b, 1))
         assert sizes == [2]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -195,26 +201,6 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
                      "--workers", workers]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
-
-    def test_calibration_seed_apart_from_trials(self, monkeypatch):
-        # the rejective calibration's validation sample draws from none of
-        # the trials' seed sequences (trial t: spawn key (t,) of the run seed)
-        seeds = []
-        real = cli.mc_truncated_critical_values
-
-        def recording(model, alpha, n_bar, reps, seed):
-            seeds.append(seed)
-            return real(model, alpha, n_bar, reps, seed)
-
-        monkeypatch.setattr(cli, "mc_truncated_critical_values", recording)
-        config = SimulationConfig(
-            **dict(OPEN_CONFIG, mode="rejective", n_bar=25, calib_reps=1000, reps=4)
-        )
-        cli.run_simulation(config)
-        calibration = tuple(np.random.SeedSequence(seeds[0]).generate_state(4))
-        trials = {tuple(np.random.SeedSequence(entropy=config.seed, spawn_key=(t,))
-                        .generate_state(4)) for t in range(1000)}
-        assert calibration not in trials
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, OPEN_CONFIG)

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqfdr.calibrate import mc_truncated_critical_values
+from seqfdr.calibrate import truncated_critical_values
 from seqfdr.core import bh_steps, scale_for_fdr
 from seqfdr.datagen import Bernoulli, CopulaConfig, Toeplitz, count_batch
 from seqfdr.errors import DataUnderrunError
 from seqfdr.procedures import (
-    Decision,
-    TrialResult,
+    Decisions,
     run_batch,
     run_open_ended,
     run_rejective,
@@ -21,7 +20,7 @@ from seqfdr.procedures import (
 )
 from seqfdr.sprt import SimpleModel, cumulative_llr, stepdown_critical_values
 
-from oracles import llr_increments
+from oracles import error_counts, llr_increments, summarize as summarize_per_trial
 
 STATE_KEYS = {"stage", "step", "r", "c", "active", "decisions"}
 
@@ -35,7 +34,17 @@ def _sources(*paths):
 
 
 def _by_stream(result):
-    return {d.stream: d for d in result.decisions}
+    """Per stream of a one-trial result: (action, step, level, truncated)."""
+    return [("reject" if rejected else "accept", step, level, truncated)
+            for rejected, step, level, truncated in zip(*(f[0].tolist() for f in result))]
+
+
+def _same(x, y):
+    return all(np.array_equal(p, q) for p, q in zip(x, y))
+
+
+def _stack(parts):
+    return Decisions(*map(np.concatenate, zip(*parts)))
 
 
 class TestOpenEndedHandTraces:
@@ -47,16 +56,18 @@ class TestOpenEndedHandTraces:
             b=np.array([2.0, 1.0]),
         )
         d = _by_stream(result)
-        assert d[0] == Decision(stream=0, action="reject", step=2, level=1)
-        assert d[1] == Decision(stream=1, action="accept", step=2, level=1)
-        assert result.max_n == 2
-        assert result.total_samples == 4
+        assert d[0] == ("reject", 2, 1, False)
+        assert d[1] == ("accept", 2, 1, False)
+        assert [f.dtype for f in result] == [bool, np.int64, np.int64, bool]
+        assert all(f.shape == (1, 2) for f in result)
+        assert result.step.max() == 2
+        assert result.step.sum() == 4
 
     def test_single_stream_is_plain_sprt(self):
         up = run_open_ended(_sources([0.2, 0.8, 1.4]), a=np.array([-1.0]), b=np.array([1.0]))
-        assert up.decisions[0] == Decision(stream=0, action="reject", step=3, level=1)
+        assert _by_stream(up)[0] == ("reject", 3, 1, False)
         down = run_open_ended(_sources([0.2, -1.2]), a=np.array([-1.0]), b=np.array([1.0]))
-        assert down.decisions[0] == Decision(stream=0, action="accept", step=2, level=1)
+        assert _by_stream(down)[0] == ("accept", 2, 1, False)
 
     def test_identical_paths_reject_together(self):
         j = 4
@@ -66,10 +77,10 @@ class TestOpenEndedHandTraces:
             a=-np.arange(j, 0, -1, dtype=float),
             b=np.arange(j, 0, -1, dtype=float),
         )
-        assert result.n_rejected == j
-        assert {d.step for d in result.decisions} == {5}
+        assert result.rejected.sum() == j
+        assert set(result.step[0].tolist()) == {5}
         # ties order by stream index, so stream 0 sits lowest and gets level J
-        assert [d.level for d in result.decisions] == [4, 3, 2, 1]
+        assert result.level[0].tolist() == [4, 3, 2, 1]
 
     def test_two_stage_cascade(self):
         # stage 1 rejects stream 0 at level 1; stage 2 fires both rules at
@@ -81,9 +92,9 @@ class TestOpenEndedHandTraces:
             b=np.array([3.0, 2.0, 1.0]),
         )
         d = _by_stream(result)
-        assert d[0] == Decision(stream=0, action="reject", step=1, level=1)
-        assert d[1] == Decision(stream=1, action="reject", step=3, level=2)
-        assert d[2] == Decision(stream=2, action="accept", step=3, level=1)
+        assert d[0] == ("reject", 1, 1, False)
+        assert d[1] == ("reject", 3, 2, False)
+        assert d[2] == ("accept", 3, 1, False)
 
     def test_acceptance_block_uses_offset_levels(self):
         # both streams sink together; bottom block accepted at levels 1, 2
@@ -93,8 +104,8 @@ class TestOpenEndedHandTraces:
             b=np.array([2.0, 1.0]),
         )
         d = _by_stream(result)
-        assert d[0] == Decision(stream=0, action="accept", step=2, level=1)
-        assert d[1] == Decision(stream=1, action="accept", step=2, level=2)
+        assert d[0] == ("accept", 2, 1, False)
+        assert d[1] == ("accept", 2, 2, False)
 
 
 class TestOpenEndedValidation:
@@ -143,10 +154,12 @@ class TestOpenEndedValidation:
         assert set(state) == STATE_KEYS
         decided = state["decisions"]
         assert state["stage"] >= 2 and 0 < len(decided) < 10
-        assert sorted(state["active"] + [d.stream for d in decided]) == list(range(10))
-        assert state["r"] == sum(d.action == "reject" for d in decided)
-        assert state["c"] == sum(d.action == "accept" for d in decided)
-        assert state["step"] == max(d.step for d in decided) < 40
+        assert all(set(d) == {"stream", "action", "step", "level", "truncated"}
+                   for d in decided)
+        assert sorted(state["active"] + [d["stream"] for d in decided]) == list(range(10))
+        assert state["r"] == sum(d["action"] == "reject" for d in decided)
+        assert state["c"] == sum(d["action"] == "accept" for d in decided)
+        assert state["step"] == max(d["step"] for d in decided) < 40
 
 
 class TestRejectiveHandTraces:
@@ -157,10 +170,9 @@ class TestRejectiveHandTraces:
             n_bar=3,
         )
         d = _by_stream(result)
-        assert d[0].action == "accept" and d[0].step == 3 and d[0].truncated
-        assert d[1].action == "accept" and d[1].step == 3 and d[1].truncated
         # truncation levels rank the final statistics ascending
-        assert d[1].level == 1 and d[0].level == 2
+        assert d[0] == ("accept", 3, 2, True)
+        assert d[1] == ("accept", 3, 1, True)
 
     def test_two_stage_rejections(self):
         result = run_rejective(
@@ -169,8 +181,8 @@ class TestRejectiveHandTraces:
             n_bar=5,
         )
         d = _by_stream(result)
-        assert d[0] == Decision(stream=0, action="reject", step=1, level=1)
-        assert d[1] == Decision(stream=1, action="reject", step=2, level=2)
+        assert d[0] == ("reject", 1, 1, False)
+        assert d[1] == ("reject", 2, 2, False)
 
     def test_horizon_one_is_fixed_sample_stepdown(self):
         result = run_rejective(
@@ -179,9 +191,9 @@ class TestRejectiveHandTraces:
             n_bar=1,
         )
         d = _by_stream(result)
-        assert d[0] == Decision(stream=0, action="reject", step=1, level=1)
-        assert d[1].action == "accept" and d[1].truncated and d[1].step == 1
-        assert d[2].action == "accept" and d[2].truncated and d[2].step == 1
+        assert d[0] == ("reject", 1, 1, False)
+        assert d[1] == ("accept", 1, 2, True)
+        assert d[2] == ("accept", 1, 1, True)
 
     def test_crossing_at_horizon_rejects_then_truncates(self):
         result = run_rejective(
@@ -190,17 +202,17 @@ class TestRejectiveHandTraces:
             n_bar=2,
         )
         d = _by_stream(result)
-        assert d[0] == Decision(stream=0, action="reject", step=2, level=1)
-        assert d[1].action == "accept" and d[1].truncated and d[1].step == 2
+        assert d[0] == ("reject", 2, 1, False)
+        assert d[1] == ("accept", 2, 1, True)
 
     def test_truncation_after_a_stage_at_the_horizon_is_a_stage(self):
         # stage 1 rejects stream 0 at step 2 = n_bar and stage 2 accepts
         # stream 1 there: two stages at one step
         paths = _sources([0.5, 2.2], [0.1, 0.3])
         tally = Counter()
-        [result] = run_batch(lambda ids: (paths, np.array([2])), 1, None, np.array([2.0, 1.0]),
-                             n_bar=2, tally=tally)
-        assert {d.step for d in result.decisions} == {2}
+        result = run_batch(lambda ids: (paths, np.array([2])), 1, None, np.array([2.0, 1.0]),
+                           n_bar=2, tally=tally)
+        assert set(result.step[0].tolist()) == {2}
         assert tally == Counter(trials=1, stages=2, matrix_rows=2, path_blocks=1,
                                 decision_steps=4)
         assert work_counts(tally) == {"trials": 1, "stages_per_trial": 2.0, "matrix_rows": 2,
@@ -210,7 +222,8 @@ class TestRejectiveHandTraces:
         result = run_rejective(
             _sources([2.5], [1.5]), b=np.array([2.0, 1.0]), n_bar=4
         )
-        assert all(not d.truncated for d in result.decisions if d.action == "reject")
+        assert all(not truncated for action, _, _, truncated in _by_stream(result)
+                   if action == "reject")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -223,15 +236,15 @@ class TestRejectiveHandTraces:
         # step 13; a float cumsum of its increments lands a few ulps below
         model = SimpleModel("bernoulli", 0.05, 0.15)
         alpha = scale_for_fdr(bh_steps(0.25, 10), 0.25)
-        b = mc_truncated_critical_values(model, alpha, 50, 1000, 7).b
+        b = truncated_critical_values(model, alpha, 50)
         obs = np.zeros((50, 10), dtype=np.int64)
         obs[[0, 1, 2, 12], 0] = 1
         paths = cumulative_llr(model, np.cumsum(obs, axis=0), np.arange(1, 51)[:, None])
         assert paths[12, 0] == b[0] and paths[:12, 0].max() < b[0]
         assert np.cumsum(llr_increments(model, obs[:13, 0]))[-1] < b[0]
         d = _by_stream(run_rejective(paths, b, n_bar=50))
-        assert d[0] == Decision(stream=0, action="reject", step=13, level=1)
-        assert all(d[j].truncated and d[j].step == 50 for j in range(1, 10))
+        assert d[0] == ("reject", 13, 1, False)
+        assert all(truncated and step == 50 for _, step, _, truncated in d[1:])
 
     def test_underrun_before_horizon(self):
         with pytest.raises(DataUnderrunError):
@@ -250,19 +263,20 @@ class TestRandomizedInvariants:
             paths = [np.cumsum(rng.normal(0.0, 2.0, size=200)) for _ in range(j)]
             result = run_open_ended(_sources(*paths), a, b)
             again = run_open_ended(_sources(*paths), a, b)
-            assert result == again  # deterministic
-            assert len(result.decisions) == j
-            levels_r = sorted(d.level for d in result.decisions if d.action == "reject")
-            levels_a = sorted(d.level for d in result.decisions if d.action == "accept")
+            assert _same(result, again)  # deterministic
+            decided = _by_stream(result)
+            assert len(decided) == j
+            levels_r = sorted(level for action, _, level, _ in decided if action == "reject")
+            levels_a = sorted(level for action, _, level, _ in decided if action == "accept")
             # cumulative levels partition 1..R and 1..J-R
             assert levels_r == list(range(1, len(levels_r) + 1))
             assert levels_a == list(range(1, len(levels_a) + 1))
-            for d in result.decisions:
-                value = paths[d.stream][d.step - 1]
-                if d.action == "reject":
-                    assert value >= b[d.level - 1]
+            for stream, (action, step, level, _) in enumerate(decided):
+                value = paths[stream][step - 1]
+                if action == "reject":
+                    assert value >= b[level - 1]
                 else:
-                    assert value <= a[d.level - 1]
+                    assert value <= a[level - 1]
 
     def test_rejective_consistency(self):
         rng = np.random.default_rng(32)
@@ -272,14 +286,14 @@ class TestRandomizedInvariants:
             n_bar = int(rng.integers(1, 40))
             paths = [np.cumsum(rng.normal(0.0, 2.0, size=n_bar)) for _ in range(j)]
             result = run_rejective(_sources(*paths), b, n_bar)
-            assert result == run_rejective(_sources(*paths), b, n_bar)
-            for d in result.decisions:
-                assert d.step <= n_bar
-                if d.action == "reject":
-                    assert not d.truncated
-                    assert paths[d.stream][d.step - 1] >= b[d.level - 1]
+            assert _same(result, run_rejective(_sources(*paths), b, n_bar))
+            for stream, (action, step, level, truncated) in enumerate(_by_stream(result)):
+                assert step <= n_bar
+                if action == "reject":
+                    assert not truncated
+                    assert paths[stream][step - 1] >= b[level - 1]
                 else:
-                    assert d.truncated and d.step == n_bar
+                    assert truncated and step == n_bar
 
     @settings(max_examples=80, deadline=None)
     @given(j=st.integers(1, 6), n=st.integers(1, 40), cut=st.integers(0, 40),
@@ -301,8 +315,9 @@ class TestRandomizedInvariants:
 
         tally = Counter()
         n_bar = max(1, n + 1 - cut) if rejective else None
-        [result] = run_batch(take, 1, None if rejective else a, b, n_bar, tally=tally)
-        assert tally["stages"] == len({(d.step, d.truncated) for d in result.decisions})
+        result = run_batch(take, 1, None if rejective else a, b, n_bar, tally=tally)
+        assert tally["stages"] == len(set(zip(result.step[0].tolist(),
+                                              result.truncated[0].tolist())))
         assert work_counts(tally)["stages_per_trial"] <= j
 
     def test_block_size_irrelevant(self):
@@ -321,8 +336,8 @@ class TestRandomizedInvariants:
                 read[0] += len(block)
                 return block, np.array([len(block)])
 
-            runs += run_batch(take, 1, a, b)
-        assert all(r == runs[0] for r in runs)
+            runs.append(run_batch(take, 1, a, b))
+        assert all(_same(r, runs[0]) for r in runs)
 
     @pytest.mark.parametrize("n_bar", [None, 1, 37])
     def test_batch_decides_each_trial_as_alone(self, n_bar):
@@ -351,14 +366,14 @@ class TestRandomizedInvariants:
         else:
             batch = run_batch(take, trials, None, b, n_bar, tally=tally)
             alone = [run_rejective(m, b, n_bar) for m in mats]
-        assert batch == alone
+        assert _same(batch, _stack(alone))
         assert tally["trials"] == trials
-        assert tally["decision_steps"] == sum(t.total_samples for t in alone)
+        assert tally["decision_steps"] == sum(t.step.sum() for t in alone)
         assert tally["path_blocks"] == sum(read)
-        assert tally["stages"] >= sum(len({d.step for d in t.decisions}) for t in alone)
+        assert tally["stages"] >= sum(len(set(t.step[0].tolist())) for t in alone)
 
 
-class TestTrialResult:
+class TestErrorCounts:
     def test_error_counts(self):
         result = run_open_ended(
             _sources([0.5, 2.5], [-0.3, -2.5]),
@@ -366,40 +381,37 @@ class TestTrialResult:
             b=np.array([2.0, 1.0]),
         )
         # stream 0 rejected, stream 1 accepted
-        assert result.error_counts([True, False]) == (1, 1, 1)
-        assert result.error_counts([False, True]) == (0, 0, 1)
-        assert result.error_counts([None, False]) == (0, 1, 1)
+        rejected = result.rejected[0]
+        assert error_counts(rejected, [True, False]) == (1, 1, 1)
+        assert error_counts(rejected, [False, True]) == (0, 0, 1)
+        assert error_counts(rejected, [None, False]) == (0, 1, 1)
         with pytest.raises(ValueError):
-            result.error_counts([True])
-
-    def test_decision_coverage_validated(self):
+            error_counts(rejected, [True])
+        for truth in ([True, False], [False, True], [None, False]):
+            v, w, r = error_counts(rejected, truth)
+            out = summarize(result, truth)
+            assert (out.fdr, out.fnr) == (v / max(r, 1), w / max(2 - r, 1))
         with pytest.raises(ValueError):
-            TrialResult(
-                decisions=(
-                    Decision(stream=0, action="reject", step=1, level=1),
-                    Decision(stream=0, action="accept", step=1, level=1),
-                )
-            )
+            summarize(result, [True])
 
 
 class TestSummarize:
-    def _trial(self, j, reject_streams, step=3):
-        decisions = []
-        for s in range(j):
-            action = "reject" if s in reject_streams else "accept"
-            decisions.append(
-                Decision(stream=s, action=action, step=step, level=1)
-            )
-        return TrialResult(decisions=tuple(decisions))
+    def _trials(self, j, *reject_streams, step=3):
+        """One trial per set of rejected streams, every stream decided at ``step``."""
+        rejected = np.array([[s in streams for s in range(j)] for streams in reject_streams],
+                            bool).reshape(len(reject_streams), j)
+        ones = np.ones(rejected.shape, np.int64)
+        return Decisions(rejected, step * ones, ones, np.zeros_like(rejected))
 
     def test_worked_example(self):
         j = 5
         truth = [True, True, False, False, False]
-        trials = [
-            self._trial(j, {0, 2}),      # V=1, R=2
-            self._trial(j, set()),       # V=0, R=0
-            self._trial(j, {0, 1, 2, 3}),  # V=2, R=4
-        ]
+        trials = self._trials(
+            j,
+            {0, 2},        # V=1, R=2
+            set(),         # V=0, R=0
+            {0, 1, 2, 3},  # V=2, R=4
+        )
         out = summarize(trials, truth)
         assert out.fdr == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert out.pfdr == pytest.approx(0.5, abs=1e-15)
@@ -412,31 +424,47 @@ class TestSummarize:
 
     def test_all_correct(self):
         truth = [True, False]
-        trials = [self._trial(2, {1})]
-        out = summarize(trials, truth)
+        out = summarize(self._trials(2, {1}), truth)
         assert out.fdr == 0.0 and out.fnr == 0.0
 
     def test_truth_all_false_makes_fdr_zero(self):
         truth = [False, False, False]
         rng = np.random.default_rng(4)
-        trials = [
-            self._trial(3, set(np.nonzero(rng.random(3) < 0.5)[0])) for _ in range(20)
-        ]
+        trials = self._trials(
+            3, *(set(np.nonzero(rng.random(3) < 0.5)[0]) for _ in range(20))
+        )
         assert summarize(trials, truth).fdr == 0.0
 
     def test_pfdr_absent_without_rejections(self):
         truth = [True, True]
-        trials = [self._trial(2, set()), self._trial(2, set())]
-        out = summarize(trials, truth)
+        out = summarize(self._trials(2, set(), set()), truth)
         assert out.pfdr is None and out.pfdr_se is None
         assert out.pfnr is not None
 
     def test_empty_trials_error(self):
-        with pytest.raises(ValueError):
-            summarize([], [True])
+        with pytest.raises(ValueError, match="zero trials"):
+            summarize(self._trials(1), [True])
 
     def test_as_dict_round_trip(self):
-        out = summarize([self._trial(2, {0})], [True, False])
+        out = summarize(self._trials(2, {0}), [True, False])
         d = out.as_dict()
         assert d["n_trials"] == 1
         assert set(d) == set(out.__dataclass_fields__)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), trials=st.integers(1, 8), j=st.integers(1, 6))
+    def test_matches_per_trial_reference(self, data, trials, j):
+        # random decisions, with a trial that rejects nothing and one that
+        # rejects every stream among them, against the per-trial arithmetic
+        cells = st.lists(st.lists(st.booleans(), min_size=j, max_size=j),
+                         min_size=trials, max_size=trials)
+        rejected = np.array([[False] * j, [True] * j] + data.draw(cells))
+        steps = st.lists(st.integers(1, 10**6), min_size=j, max_size=j)
+        step = np.array(data.draw(st.lists(steps, min_size=len(rejected),
+                                           max_size=len(rejected))), np.int64)
+        order = np.array(data.draw(st.permutations(range(len(rejected)))))
+        decisions = Decisions(rejected[order], step[order], np.ones_like(step),
+                              np.zeros_like(rejected))
+        truth = data.draw(st.lists(st.sampled_from([True, False, None]),
+                                   min_size=j, max_size=j))
+        assert summarize(decisions, truth) == summarize_per_trial(decisions, truth)
