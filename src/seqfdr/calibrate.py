@@ -29,7 +29,7 @@ from scipy import stats
 
 from .core import StepVector
 from .errors import ConfigError
-from .sprt import SimpleModel, crossing_counts, cumulative_llr
+from .sprt import SimpleModel, check_ladders, crossing_counts, cumulative_llr
 
 __all__ = [
     "CalibrationReport",
@@ -47,6 +47,8 @@ ThetaChoice = Literal["null", "alt"]
 # Poisson step drops the count tail beyond its 1 - _PMF_TAIL quantile
 _LIVE_TOL = 1e-14
 _PMF_TAIL = 1e-16
+# observations _path_maxima draws at once, at most
+_CHUNK_ELEMS = 10_000_000
 # atoms the boundary search probes per level and pass, splitting each
 # bracket into _PROBES + 1 parts: fewer passes of more rows
 _PROBES = 3
@@ -212,7 +214,6 @@ def _path_maxima(
     n_bar: int,
     reps: int,
     rng: np.random.Generator,
-    chunk_elems: int = 10_000_000,
 ) -> np.ndarray:
     """Running-maximum of ``reps`` i.i.d. LLR paths of length ``n_bar``.
 
@@ -222,7 +223,7 @@ def _path_maxima(
     """
     trials = np.arange(1, n_bar + 1)
     out = np.empty(reps, dtype=float)
-    path_chunk = max(1, chunk_elems // max(n_bar, 1))
+    path_chunk = max(1, _CHUNK_ELEMS // n_bar)
     done = 0
     while done < reps:
         m = min(path_chunk, reps - done)
@@ -343,29 +344,19 @@ def estimate_gamma(
     for c in choices:
         if c not in ("null", "alt"):
             raise ValueError(f"theta_choice entries must be 'null' or 'alt', got {c!r}")
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size == 0 or np.any(np.isnan(b)) or np.any(np.diff(b) > 0.0):
-        raise ValueError("b must be a nonempty nonincreasing vector without NaN")
-    if a is not None:
-        a = np.asarray(a, dtype=float)
-        if a.shape != b.shape or np.any(np.isnan(a)) or np.any(np.diff(a) < 0.0):
-            raise ValueError("a must be nondecreasing, without NaN, and match b in shape")
-        if a[-1] > b[-1]:
-            raise ValueError("boundaries overlap: a[-1] > b[-1]")
+    a, b = check_ladders(a, b)
     # each stream reads the races of its (model, parameter), raced once:
-    # gamma1's race is up to b[0] against a[-1] (nothing below when
-    # truncated), gamma2's down to a[0] against b[-1].  A race to an
+    # gamma1's race is up to b[0] against a[-1], gamma2's down to a[0]
+    # against b[-1]; truncated, the ladder a is all -inf.  A race to an
     # infinite threshold cannot be won, so it gets no row: rate 0 and live
     # mass 0.
     keys = [(model, model.null_param if c == "null" else model.alt_param)
             for model, c in zip(models, choices)]
     params = list(dict.fromkeys(keys))
     at = np.array([params.index(key) for key in keys])
-    races = [(b[0], -np.inf if a is None else a[-1])]
-    if a is not None:
-        races.append((b[-1], a[0]))
+    races = [(b[0], a[-1]), (b[-1], a[0])]
     run = [0] if b[0] < np.inf else []
-    if a is not None and a[0] > -np.inf:
+    if a[0] > -np.inf:
         run.append(1)
     rate, left = np.zeros((2, len(params))), np.zeros((2, len(params)))
     if run:

@@ -56,7 +56,6 @@ from .worstcase import verify_bound
 from .yellowcard import ExperimentConfig, load_drug_table, run_monitoring, thresholds
 
 __all__ = [
-    "RunManifest",
     "SimulationConfig",
     "FssConfig",
     "YellowcardConfig",
@@ -241,14 +240,16 @@ def _trials_for_range(config: SimulationConfig, a, b, start: int, stop: int
 
     Trial t draws from child ``(t,)`` of ``SeedSequence(config.seed)``,
     open-ended trials up to ``horizon`` steps and rejective ones (``a``
-    None) up to ``n_bar``.  Every stream shares one model, so the procedure
-    compares raw LLRs with the raw boundaries ``a``/``b``.  The trials run
-    in batches of ``_TRIAL_BATCH`` through ``run_batch``.  Returns the
-    trials' decisions and the engine's counters.
+    None) up to ``n_bar``; an open-ended config's ``n_bar`` is ignored.
+    Every stream shares one model, so the procedure compares raw LLRs with
+    the raw boundaries ``a``/``b``.  The trials run in batches of
+    ``_TRIAL_BATCH`` through ``run_batch``.  Returns the trials' decisions
+    and the engine's counters.
     """
     model, marginals, _ = _sim_pieces(config)
     factor = cholesky(correlation_matrix(_copula(config)))
-    horizon = config.horizon if config.mode == "open" else config.n_bar
+    n_bar = None if a is not None else config.n_bar
+    horizon = config.horizon if n_bar is None else n_bar
     tally = Counter()
     parts = []
     for lo in range(start, stop, _TRIAL_BATCH):
@@ -262,7 +263,7 @@ def _trials_for_range(config: SimulationConfig, a, b, start: int, stop: int
             x, w, steps = counts(ids)
             return cumulative_llr(model, x, w), steps
 
-        parts.append(run_batch(take, hi - lo, a, b, config.n_bar, tally=tally))
+        parts.append(run_batch(take, hi - lo, a, b, n_bar, tally=tally))
     return Decisions(*map(np.concatenate, zip(*parts))), tally
 
 
@@ -317,17 +318,6 @@ def run_simulation(config: SimulationConfig, workers: int = 1, counters: dict | 
 # ---------------------------------------------------------------------------
 # report emission
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record tying every report of a run to its configuration."""
-
-    command: str
-    config_digest: str
-    seed: int | None
-    versions: dict
-    timings: dict
-
-
 def _versions() -> dict:
     return {
         "seqfdr": __version__,
@@ -353,16 +343,12 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _emit(out: Path, manifest: RunManifest) -> None:
+def _emit(out: Path, command: str, config_digest: str, seed: int | None, timings: dict) -> None:
     """Manifest and timings land in separate files: reports stay diffable."""
-    stable = {
-        "command": manifest.command,
-        "config_digest": manifest.config_digest,
-        "seed": manifest.seed,
-        "versions": manifest.versions,
-    }
-    _write_json(out / f"{manifest.command}_manifest.json", stable)
-    _write_json(out / f"{manifest.command}_timings.json", manifest.timings)
+    stable = {"command": command, "config_digest": config_digest, "seed": seed,
+              "versions": _versions()}
+    _write_json(out / f"{command}_manifest.json", stable)
+    _write_json(out / f"{command}_timings.json", timings)
 
 
 def _write_csv_row(path: Path, payload: dict) -> None:
@@ -419,8 +405,7 @@ def cmd_simulate(args) -> int:
     if b_raw is not None:
         payload["calibration_b"] = [float(v) for v in b_raw]
     _write_json(out / "simulate_report.json", payload)
-    _emit(out, RunManifest("simulate", digest, config.seed, _versions(),
-                           {"total_s": elapsed, **counters}))
+    _emit(out, "simulate", digest, config.seed, {"total_s": elapsed, **counters})
     print(
         f"simulate: {config.family} j={config.j} m0={config.m0} mode={config.mode} "
         f"reps={config.reps} -> fdr={summary.fdr:.4f} fnr={summary.fnr:.4f} "
@@ -452,7 +437,7 @@ def cmd_fss(args) -> int:
     _write_csv_row(out / "fss_report.csv", row)
     _write_json(out / "fss_report.json", {"config_digest": digest, "config": asdict(config),
                                           "result": row, "curve": result.curve._asdict()})
-    _emit(out, RunManifest("fss", digest, config.seed, _versions(), {"total_s": elapsed}))
+    _emit(out, "fss", digest, config.seed, {"total_s": elapsed})
     print(f"fss: n_fss={result.n_fss} found={result.found} "
           f"achieved_fnr={result.achieved_fnr:.4f} (target {result.target_fnr:.4f})")
     return 0
@@ -487,7 +472,7 @@ def cmd_verify_lp(args) -> int:
         writer.writerows(rows)
     digest = _digest({"schemes": schemes, "q": args.q,
                       "j_min": args.j_min, "j_max": args.j_max})
-    _emit(out, RunManifest("verify_lp", digest, None, _versions(), {}))
+    _emit(out, "verify_lp", digest, None, {})
     return 0
 
 
@@ -529,8 +514,7 @@ def cmd_yellowcard(args) -> int:
         "alpha": list(report.alpha),
         "beta": list(report.beta),
     })
-    _emit(out, RunManifest("yellowcard", digest, config.seed, _versions(),
-                           {"total_s": elapsed, **counters}))
+    _emit(out, "yellowcard", digest, config.seed, {"total_s": elapsed, **counters})
     accepted = sum(r.action == "accept" for r in report.rows)
     print(f"yellowcard: {len(report.rows)} drugs monitored, "
           f"{accepted} accepted, {len(report.rows) - accepted} rejected")

@@ -8,12 +8,12 @@ rejects a maximal top block and/or accepts a maximal bottom block of the
 ordered active statistics against boundary levels offset by the decisions
 already made.  The open-ended variant runs until every stream is decided;
 the rejective variant only rejects, accepting whatever remains at a fixed
-truncation horizon.  One stage loop runs a whole batch of trials at once
+truncation horizon.  Both run one stage loop, the rejective one with an
+acceptance ladder of -inf, over a whole batch of trials at once
 (``run_batch``): each round runs a stage of every undecided trial, and a
 source hands out the next row block of just the trials that scanned all
 their rows.  That source, ``take(ids)``, is the one way rows reach the
-loop; ``run_open_ended`` and ``run_rejective`` run one trial whose whole
-matrix is given.
+loop.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataUnderrunError
+from .sprt import check_ladders
 
 __all__ = [
     "Decisions",
     "MetricsSummary",
-    "run_open_ended",
-    "run_rejective",
     "run_batch",
     "summarize",
     "work_counts",
@@ -94,8 +93,9 @@ def summarize(decisions: Decisions, truth: Sequence[bool | None]) -> MetricsSumm
 
     ``truth[s]`` True marks stream s a true null, False a true signal, None
     a stream excluded from the error counts V and W (but not from R).
-    Streams are sampled in lockstep, so a trial's sample size is its last
-    decision step and a stream's is its own decision step.
+    Python and NumPy booleans are accepted; any other entry raises
+    ValueError.  Streams are sampled in lockstep, so a trial's sample size
+    is its last decision step and a stream's is its own decision step.
     """
     rejected, step = decisions.rejected, decisions.step
     trials, j = rejected.shape
@@ -103,8 +103,10 @@ def summarize(decisions: Decisions, truth: Sequence[bool | None]) -> MetricsSumm
         raise ValueError("cannot summarize zero trials")
     if len(truth) != j:
         raise ValueError("truth must have one entry per stream")
-    null = np.array([t is True for t in truth])
-    signal = np.array([t is False for t in truth])
+    if not all(t is None or isinstance(t, (bool, np.bool_)) for t in truth):
+        raise ValueError("truth entries must be True, False or None")
+    null = np.array([t is not None and bool(t) for t in truth], bool)
+    signal = np.array([t is not None and not t for t in truth], bool)
     v = np.count_nonzero(rejected & null, axis=1)
     w = np.count_nonzero(~rejected & signal, axis=1)
     r = np.count_nonzero(rejected, axis=1)
@@ -140,39 +142,25 @@ def summarize(decisions: Decisions, truth: Sequence[bool | None]) -> MetricsSumm
     )
 
 
-def _one_trial(paths, j: int):
-    """The source of one trial whose whole (n, J) matrix is given."""
-    mat = np.asarray(paths, dtype=float)
-    if mat.ndim != 2 or mat.shape[1] != j:
-        raise ValueError("paths must be an (n, J) matrix with one column per boundary level")
-    blocks = [mat]
-
-    def take(ids):
-        block = blocks.pop() if blocks else mat[:0]
-        return block, np.array([len(block)])
-
-    return take
-
-
 def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
     """Stage loop shared by both variants, over a batch of trials at once.
 
     ``take(ids)`` returns the next row block of every listed trial, stacked
     in the order of ``ids``, and each block's row count (0: no rows left).
-    ``a`` None means rejections only; ``n_bar`` None means no horizon, so a
-    trial ends only when every stream is decided or its rows run out.  Each
-    round runs one stage of every undecided trial, or reads the next block
-    of those that scanned all their rows without a crossing.  Only the
-    undecided trials' current blocks are held, in one (trials, rows, J)
-    array, with their active streams and continuation intervals; scans
-    never return to earlier blocks.  The array work of a round, the scan
-    for first exits and the ranking of the exit rows, covers every trial
-    at once.  The top and bottom blocks are then read off each ranked row
-    from its ends, one comparison per decided stream and one to stop.
+    ``n_bar`` None means no horizon, so a trial ends only when every stream
+    is decided or its rows run out.  Each round runs one stage of every
+    undecided trial, or reads the next block of those that scanned all
+    their rows without a crossing.  Only the undecided trials' current
+    blocks are held, in one (trials, rows, J) array, with their active
+    streams and continuation intervals; scans never return to earlier
+    blocks.  The array work of a round, the scan for first exits and the
+    ranking of the exit rows, covers every trial at once.  The top and
+    bottom blocks are then read off each ranked row from its ends, one
+    comparison per decided stream and one to stop.
     """
     j = b.size
     b_of = b.tolist() + [np.inf]  # b[r]; r == j once every stream is rejected
-    a_of = None if a is None else a.tolist() + [-np.inf]
+    a_of = a.tolist() + [-np.inf]  # a[c]; c == j once every stream is accepted
     # per trial: its streams' decisions (step 0: undecided), r, c, active
     # count, last stage's step, stages done, rows scanned, first row and
     # length of the held block
@@ -187,7 +175,7 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
     block = np.empty((trials, 0, j))
     act = np.ones((trials, j), bool)
     hi = np.full(trials, b_of[0])
-    lo = np.full(trials, a_of[0] if a is not None else -np.inf)
+    lo = np.full(trials, a_of[0])
 
     def state(i, k):
         return {
@@ -216,9 +204,7 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
         stops = [held[i] if n_bar is None else min(held[i], n_bar - base[i]) for i in live]
         first, last = min(starts), max(stops)
         seg = block[:, first:last]
-        out = seg >= hi[:, None, None]
-        if a is not None:
-            out |= seg <= lo[:, None, None]
+        out = (seg >= hi[:, None, None]) | (seg <= lo[:, None, None])
         out &= act[:, None, :]
         rows = out.any(axis=2)
         if len(live) > 1:
@@ -239,9 +225,8 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
                 # the bottom block: the statistic p places from the bottom
                 # stays at or below a[c + p], short of the rejected ones
                 t_acc = 0
-                if a is not None:
-                    while t_acc < sz - t_rej and vals[ranks[t_acc]] <= a_of[c[i] + t_acc]:
-                        t_acc += 1
+                while t_acc < sz - t_rej and vals[ranks[t_acc]] <= a_of[c[i] + t_acc]:
+                    t_acc += 1
                 rej, stp, lvl = rejected[i], step[i], level[i]
                 for p, s in enumerate(ranks[sz - t_rej : sz], sz - t_rej):
                     rej[s], stp[s], lvl[s] = True, at_step, r[i] + sz - p
@@ -255,9 +240,7 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
                 size[i] = sz - t_rej - t_acc
                 n[i] = scan[i] = at_step
                 stages[i] += 1
-                hi[k] = b_of[r[i]]
-                if a is not None:
-                    lo[k] = a_of[c[i]]
+                hi[k], lo[k] = b_of[r[i]], a_of[c[i]]
         missed = [k for k, x in enumerate(hit) if not x]
         for k in missed:
             scan[live[k]] = base[live[k]] + stops[k]
@@ -311,62 +294,6 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
                      np.array(level, np.int64), np.array(truncated, bool))
 
 
-def _open_boundaries(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("boundary vectors must have one entry per stream")
-    if np.any(np.diff(a) < 0.0) or np.any(np.diff(b) > 0.0):
-        raise ValueError("a must be nondecreasing and b nonincreasing")
-    if a[-1] > b[-1]:
-        raise ValueError("boundaries cross: a[-1] > b[-1]")
-    return a, b
-
-
-def _rejective_boundary(b, n_bar: int) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size < 1:
-        raise ValueError("boundary vector must have one entry per stream")
-    if np.any(np.diff(b) > 0.0):
-        raise ValueError("b must be nonincreasing")
-    if n_bar < 1:
-        raise ValueError("n_bar must be at least 1")
-    return b
-
-
-def run_open_ended(paths, a: np.ndarray, b: np.ndarray) -> Decisions:
-    """Run the open-ended step-down procedure until every stream is decided.
-
-    Returns the trial's ``Decisions``, one row.  ``paths`` is the (n, J)
-    statistic matrix, row n - 1 holding step n (``run_batch`` reads
-    statistics drawn on demand); running out of rows before every stream
-    is decided raises DataUnderrunError.  ``a``/``b`` are the
-    acceptance/rejection boundary vectors indexed by cumulative level (a
-    nondecreasing, b nonincreasing, a[-1] <= b[-1]), in the statistic's
-    units.  A stream rejected as the position-``pos`` ordered statistic of
-    a stage with ``size`` active streams and ``r`` prior rejections gets
-    cumulative level ``r + size - pos + 1``; an accepted one at bottom
-    position ``pos`` with ``c`` prior acceptances gets ``c + pos``.  Ties
-    order by stream index.  Errors carry the procedure state (stage, step,
-    r, c, active streams and decisions so far) in ``state``.
-    """
-    a, b = _open_boundaries(a, b)
-    return _step_down(_one_trial(paths, b.size), 1, a, b, None, None)
-
-
-def run_rejective(paths, b: np.ndarray, n_bar: int) -> Decisions:
-    """Run the rejective (truncated) step-down procedure up to ``n_bar`` steps.
-
-    ``paths`` is as for ``run_open_ended`` and is read no further than
-    ``n_bar`` rows.  Stages only reject; if the horizon arrives, every
-    still-active stream is accepted there with ``truncated=True`` and
-    levels by ascending order of the final statistics, in one last stage.
-    ``n_bar = 1`` reduces to a one-shot step-down test.
-    """
-    b = _rejective_boundary(b, n_bar)
-    return _step_down(_one_trial(paths, b.size), 1, None, b, n_bar, None)
-
-
 def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
               tally: Counter | None = None) -> Decisions:
     """Run ``trials`` trials of one procedure at once, through one stage loop.
@@ -374,21 +301,38 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
     ``take(ids)`` reads the trials' statistics: given an array of trial
     indices in [0, trials), it returns ``(rows, counts)``, the next row
     block of each listed trial stacked in the order of ``ids`` and the
-    blocks' row counts, 0 for a trial with no rows left.  ``a`` None runs
-    the rejective procedure to ``n_bar`` (``run_rejective``), otherwise the
-    open-ended one (``run_open_ended``).  Returns one ``Decisions`` row per
-    trial, in index order; each trial decides as it would alone.  When
-    trials fail, the others still run and the error of the first failing
-    trial in index order is raised, as a loop over the trials one at a time
-    would raise it.  ``tally`` (a Counter), when given, gains
-    the work counts: trials, stages, statistic rows and blocks read, and
-    decision steps (summed over streams).
+    blocks' row counts, 0 for a trial with no rows left.  Row n - 1 of a
+    trial holds every stream's statistic after step n.  ``a``/``b`` are the
+    acceptance/rejection ladders indexed by cumulative level, in the
+    statistic's units (``sprt.check_ladders``).  Exactly one of ``a`` and
+    ``n_bar`` is given: ``a`` runs the open-ended procedure until every
+    stream is decided; ``n_bar`` runs the rejective one, whose stages only
+    reject and which reads no further than ``n_bar`` rows.  If the horizon
+    arrives, every still-active stream is accepted there with
+    ``truncated`` set and levels by ascending order of the final
+    statistics, in one last stage; ``n_bar = 1`` is a one-shot step-down
+    test.
+
+    A stream rejected as the position-``pos`` ordered statistic of a stage
+    with ``size`` active streams and ``r`` prior rejections gets cumulative
+    level ``r + size - pos + 1``; an accepted one at bottom position
+    ``pos`` with ``c`` prior acceptances gets ``c + pos``.  Ties order by
+    stream index.  Returns one ``Decisions`` row per trial, in index order;
+    each trial decides as it would alone.  A trial whose rows run out
+    before every stream is decided fails with DataUnderrunError, whose
+    ``state`` holds the procedure state (stage, step, r, c, active streams
+    and decisions so far).  The other trials still run, and the error of
+    the first failing trial in index order is raised, as a loop over the
+    trials one at a time would raise it.  ``tally`` (a Counter), when
+    given, gains the work counts: trials, stages, statistic rows and
+    blocks read, and decision steps (summed over streams).
     """
-    if a is None:
-        b = _rejective_boundary(b, n_bar)
-        return _step_down(take, trials, None, b, n_bar, tally)
-    a, b = _open_boundaries(a, b)
-    return _step_down(take, trials, a, b, None, tally)
+    if (a is None) == (n_bar is None):
+        raise ValueError("give exactly one of a (open-ended) and n_bar (rejective)")
+    if n_bar is not None and n_bar < 1:
+        raise ValueError("n_bar must be at least 1")
+    a, b = check_ladders(a, b)
+    return _step_down(take, trials, a, b, n_bar, tally)
 
 
 def work_counts(tally: Counter) -> dict:

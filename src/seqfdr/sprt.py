@@ -26,6 +26,7 @@ __all__ = [
     "SIEGMUND_RHO",
     "SimpleModel",
     "CriticalMatrix",
+    "check_ladders",
     "wald_bounds",
     "surrogate_errors",
     "stepdown_critical_values",
@@ -195,10 +196,12 @@ class CriticalMatrix:
         b = np.asarray(self.b, dtype=float).copy()
         if a.shape != b.shape or a.ndim != 1 or a.size < 1:
             raise ValueError("a and b must be 1-D arrays of equal positive length")
+        if np.isnan(a).any() or np.isnan(b).any():
+            raise ValueError("boundaries must not be NaN")
         tol = 1e-12
-        if np.any(np.diff(a) < -tol):
+        if np.any(a[1:] < a[:-1] - tol):
             raise ValueError("acceptance boundaries must be nondecreasing in level")
-        if np.any(np.diff(b) > tol):
+        if np.any(b[1:] > b[:-1] + tol):
             raise ValueError("rejection boundaries must be nonincreasing in level")
         collapsed = np.nonzero(a > b)[0]
         if collapsed.size:
@@ -215,6 +218,28 @@ class CriticalMatrix:
     @property
     def j(self) -> int:
         return int(self.a.size)
+
+
+def check_ladders(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """A step-down battery's acceptance and rejection ladders, checked, as floats.
+
+    ``b`` is nonincreasing and ``a`` nondecreasing in level, with one entry
+    per stream and ``a[-1] <= b[-1]``; NaN, another shape or order raises
+    ValueError.  ``a`` None gives the truncated procedure's ladder, all
+    -inf, which no finite statistic reaches.  Neighbours are compared
+    directly, since the difference of two infinite entries is NaN.
+    """
+    b = np.asarray(b, dtype=float)
+    a = np.full(b.shape, -np.inf) if a is None else np.asarray(a, dtype=float)
+    if b.ndim != 1 or b.size < 1 or a.shape != b.shape:
+        raise ValueError("boundary ladders must have one entry per stream")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("boundary ladders must not hold NaN")
+    if np.any(a[1:] < a[:-1]) or np.any(b[1:] > b[:-1]):
+        raise ValueError("a must be nondecreasing and b nonincreasing")
+    if a[-1] > b[-1]:
+        raise ValueError("boundaries cross: a[-1] > b[-1]")
+    return a, b
 
 
 def stepdown_critical_values(

@@ -4,7 +4,9 @@ None of these runs in the package: each is the plain, direct form of
 something the package computes another way (per-observation increments
 against the lattice statistic, uniforms against latent cuts, the
 conservative Wald boundaries against the corrected ones, per-trial error
-counts against array reductions).
+counts against array reductions, one stage at a time on a whole matrix
+against the batched stage loop).  ``MatrixSource`` hands given statistic
+matrices to ``procedures.run_batch``.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from seqfdr.datagen import Poisson, ReportPair, _latent_counts, cholesky, correlation_matrix
+from seqfdr.errors import DataUnderrunError
 from seqfdr.procedures import MetricsSummary
 from seqfdr.sprt import CriticalMatrix, _check_error_pair
 
@@ -150,3 +153,84 @@ def summarize(decisions, truth) -> MetricsSummary:
         n_trials_with_rejection=int(with_rej.sum()),
         n_trials_with_acceptance=int(not_all_rej.sum()),
     )
+
+
+class MatrixSource:
+    """``take(ids)`` for ``run_batch`` over trials whose whole (n, J)
+    statistic matrices are given.
+
+    Trial i's rows come in blocks of ``sizes[i]``'s sizes in turn, the
+    last block taking what is left, or all at once when ``sizes`` is None;
+    then blocks of no rows.  ``read[i]`` counts the blocks trial i was
+    handed, the empty ones included.
+    """
+
+    def __init__(self, mats, sizes=None):
+        self.blocks = []
+        for i, mat in enumerate(mats):
+            mat = np.asarray(mat, dtype=float)
+            cuts = np.cumsum([len(mat)] if sizes is None else sizes[i])
+            self.blocks.append(np.split(mat, cuts[cuts < len(mat)]) + [mat[:0]])
+        self.read = [0] * len(self.blocks)
+
+    def __call__(self, ids):
+        out = []
+        for i in ids:
+            blocks = self.blocks[i]
+            out.append(blocks[min(self.read[i], len(blocks) - 1)])
+            self.read[i] += 1
+        return np.concatenate(out), np.array([len(block) for block in out])
+
+
+def step_down(mat, a, b, n_bar=None):
+    """One trial of ``procedures.run_batch``, one row and one stage at a time.
+
+    ``mat`` is the trial's whole (n, J) statistic matrix; ``a`` None runs
+    the rejective procedure to ``n_bar``.  At each row the active streams
+    are ordered by statistic, ties by stream index; the top block takes
+    the statistic t places from the top while it clears ``b[r + t]``, and
+    the bottom block the one p places from the bottom while it stays at
+    or below ``a[c + p]``, short of the top block.  A row where both
+    blocks are empty is no stage.  Returns the trial's ``(rejected, step,
+    level, truncated)`` lists; rows that run out first raise
+    DataUnderrunError with the state the package reports.
+    """
+    mat = np.asarray(mat, dtype=float)
+    j = mat.shape[1]
+    rejected, truncated = [False] * j, [False] * j
+    step, level = [0] * j, [0] * j
+    active = list(range(j))
+    r = c = stages = last = t = 0
+    while active:
+        if t == n_bar:
+            # the horizon: accept the rest, ranked by final statistic
+            row = mat[t - 1].tolist()
+            for p, s in enumerate(sorted(active, key=lambda s: (row[s], s))):
+                step[s], level[s], truncated[s] = t, p + 1, True
+            break
+        if t == len(mat):
+            raise DataUnderrunError("rows ran out", state={
+                "stage": stages + 1, "step": last, "r": r, "c": c, "active": active,
+                "decisions": [{"stream": s, "action": "reject" if rejected[s] else "accept",
+                               "step": step[s], "level": level[s], "truncated": truncated[s]}
+                              for s in range(j) if step[s]],
+            })
+        row = mat[t].tolist()
+        t += 1
+        order = sorted(active, key=lambda s: (row[s], s))
+        top = 0
+        while top < len(order) and row[order[-1 - top]] >= b[r + top]:
+            top += 1
+        bottom = 0
+        while a is not None and bottom < len(order) - top and row[order[bottom]] <= a[c + bottom]:
+            bottom += 1
+        if not top + bottom:
+            continue
+        for k in range(top):
+            s = order[-1 - k]
+            rejected[s], step[s], level[s] = True, t, r + k + 1
+        for k in range(bottom):
+            step[order[k]], level[order[k]] = t, c + k + 1
+        r, c, stages, last = r + top, c + bottom, stages + 1, t
+        active = [s for s in active if not step[s]]
+    return rejected, step, level, truncated

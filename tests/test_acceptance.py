@@ -39,12 +39,12 @@ from seqfdr.cli import SimulationConfig, _sim_pieces, _trials_for_range, run_sim
 from seqfdr.core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
 from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, Toeplitz, count_batch
 from seqfdr.fixed_sample import find_matching_fss
-from seqfdr.procedures import run_open_ended, run_rejective, summarize
+from seqfdr.procedures import run_batch, summarize
 from seqfdr.sprt import SimpleModel, stepdown_critical_values
 from seqfdr.worstcase import verify_bound
 from seqfdr.yellowcard import ExperimentConfig, DrugRecord, load_drug_table, run_monitoring, thresholds
 
-from oracles import copula_uniforms
+from oracles import MatrixSource, copula_uniforms
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "yellowcard_fixture.csv"
 
@@ -315,22 +315,22 @@ def _by_stream(result):
 
 
 def test_09_procedure_hand_traces(record):
-    split = run_open_ended(
-        np.array([[0.5, -0.3], [2.5, -2.5]]),
+    split = run_batch(
+        MatrixSource([[[0.5, -0.3], [2.5, -2.5]]]), 1,
         a=np.array([-2.0, -1.0]), b=np.array([2.0, 1.0]),
     )
     ok = _by_stream(split) == [("reject", 2, 1, False), ("accept", 2, 1, False)]
 
-    trunc = run_rejective(
-        np.array([[0.5, 0.1], [1.2, 0.4], [1.5, 0.6]]),
-        b=np.array([2.0, 1.0]), n_bar=3,
+    trunc = run_batch(
+        MatrixSource([[[0.5, 0.1], [1.2, 0.4], [1.5, 0.6]]]), 1,
+        a=None, b=np.array([2.0, 1.0]), n_bar=3,
     )
     # accepted at the horizon, levels by ascending final statistic
     ok = ok and _by_stream(trunc) == [("accept", 3, 2, True), ("accept", 3, 1, True)]
 
-    stages = run_rejective(
-        np.array([[2.5, 0.1], [np.nan, 1.3]]),
-        b=np.array([2.0, 1.0]), n_bar=5,
+    stages = run_batch(
+        MatrixSource([[[2.5, 0.1], [np.nan, 1.3]]]), 1,
+        a=None, b=np.array([2.0, 1.0]), n_bar=5,
     )
     ok = ok and _by_stream(stages) == [("reject", 1, 1, False), ("reject", 2, 2, False)]
     line = record(9, "hand-traced procedure semantics", ok,

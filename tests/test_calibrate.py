@@ -18,10 +18,10 @@ from seqfdr.calibrate import (
 )
 from seqfdr.core import StepVector, bh_steps, scale_for_fdr
 from seqfdr.errors import ConfigError, DataUnderrunError
-from seqfdr.procedures import run_open_ended
+from seqfdr.procedures import run_batch
 from seqfdr.sprt import SimpleModel, cumulative_llr, lattice_terms, stepdown_critical_values
 
-from oracles import llr_increments
+from oracles import MatrixSource, llr_increments
 
 BERN = SimpleModel("bernoulli", 0.05, 0.15)
 BERN_DOWN = SimpleModel("bernoulli", 0.15, 0.05)
@@ -400,8 +400,8 @@ class TestLatticeRace:
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_single_stream_race_is_the_procedure(self, name):
-        # at J = 1, run_open_ended rejects when the up race wins, and a path
-        # still racing at the horizon runs out of rows
+        # at J = 1, the open-ended procedure rejects when the up race wins,
+        # and a path still racing at the horizon runs out of rows
         model, param = self.MODELS[name]
         horizon, paths = 400, 1500
         rng = np.random.default_rng(5)
@@ -415,7 +415,7 @@ class TestLatticeRace:
             rejects = undecided = 0
             for row in stat:
                 try:
-                    d = run_open_ended(row[:, None], np.array([a1]), np.array([b1]))
+                    d = run_batch(MatrixSource([row[:, None]]), 1, [a1], [b1])
                 except DataUnderrunError:
                     undecided += 1
                     continue

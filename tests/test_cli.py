@@ -17,12 +17,15 @@ from seqfdr.cli import (
     _sim_pieces,
     _trials_for_range,
     main,
+    run_simulation,
 )
 from seqfdr.core import bh_steps, scale_for_fdr
 from seqfdr.datagen import Bernoulli, count_batch
 from seqfdr.errors import DataUnderrunError
-from seqfdr.procedures import Decisions, run_open_ended, run_rejective
+from seqfdr.procedures import Decisions, run_batch
 from seqfdr.sprt import cumulative_llr, stepdown_critical_values
+
+from oracles import MatrixSource
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "yellowcard_fixture.csv"
 
@@ -138,12 +141,11 @@ class TestSimulate:
         alpha = scale_for_fdr(bh_steps(0.25, 10), 0.25)
         if mode == "open":
             crit = stepdown_critical_values(alpha, scale_for_fdr(bh_steps(0.15, 10), 0.15))
-            a, b = crit.a, crit.b
-            runner = lambda paths: run_open_ended(paths, a, b)
+            a, b, n_bar = crit.a, crit.b, None
         else:
-            a, b = None, truncated_critical_values(model, alpha, 50)
-            runner = lambda paths: run_rejective(paths, b, 50)
-        alone = [runner(self._trial_matrix(config, t)) for t in range(30)]
+            a, b, n_bar = None, truncated_critical_values(model, alpha, 50), 50
+        alone = [run_batch(MatrixSource([self._trial_matrix(config, t)]), 1, a, b, n_bar)
+                 for t in range(30)]
         whole = Decisions(*map(np.concatenate, zip(*alone)))
         one, tally = _run_trials(config, a, b, 1)
         assert all(np.array_equal(p, q) for p, q in zip(one, whole))
@@ -166,7 +168,7 @@ class TestSimulate:
         alone = {}
         for t in range(30):
             try:
-                run_open_ended(self._trial_matrix(config, t), crit.a, crit.b)
+                run_batch(MatrixSource([self._trial_matrix(config, t)]), 1, crit.a, crit.b)
             except DataUnderrunError as exc:
                 alone[t] = exc
         stage = {t: exc.state["stage"] for t, exc in alone.items()}
@@ -219,6 +221,13 @@ class TestSimulate:
         report = json.loads((out / "simulate_report.json").read_text())
         b = report["calibration_b"]
         assert len(b) == 3 and all(x >= y for x, y in zip(b, b[1:]))
+
+    def test_open_mode_ignores_n_bar(self):
+        # an open config may carry the rejective horizon; the open run
+        # neither stops there nor fails on it
+        plain = run_simulation(SimulationConfig(**OPEN_CONFIG))
+        assert run_simulation(SimulationConfig(**OPEN_CONFIG, n_bar=2)) == plain
+        assert plain[0].mean_max_n > 2
 
     def test_zero_reps_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(OPEN_CONFIG, reps=0))

@@ -10,17 +10,16 @@ from seqfdr.calibrate import truncated_critical_values
 from seqfdr.core import bh_steps, scale_for_fdr
 from seqfdr.datagen import Bernoulli, CopulaConfig, Toeplitz, count_batch
 from seqfdr.errors import DataUnderrunError
-from seqfdr.procedures import (
-    Decisions,
-    run_batch,
-    run_open_ended,
-    run_rejective,
-    summarize,
-    work_counts,
-)
+from seqfdr.procedures import Decisions, run_batch, summarize, work_counts
 from seqfdr.sprt import SimpleModel, cumulative_llr, stepdown_critical_values
 
-from oracles import error_counts, llr_increments, summarize as summarize_per_trial
+from oracles import (
+    MatrixSource,
+    error_counts,
+    llr_increments,
+    step_down,
+    summarize as summarize_per_trial,
+)
 
 STATE_KEYS = {"stage", "step", "r", "c", "active", "decisions"}
 
@@ -31,6 +30,16 @@ def _sources(*paths):
     for j, p in enumerate(paths):
         mat[: len(p), j] = p
     return mat
+
+
+def _open(paths, a, b):
+    """The open-ended procedure on one trial's whole matrix."""
+    return run_batch(MatrixSource([paths]), 1, a, b)
+
+
+def _rejective(paths, b, n_bar):
+    """The rejective procedure on one trial's whole matrix."""
+    return run_batch(MatrixSource([paths]), 1, None, b, n_bar)
 
 
 def _by_stream(result):
@@ -50,7 +59,7 @@ def _stack(parts):
 class TestOpenEndedHandTraces:
     def test_two_stream_split_decision(self):
         # one rejection and one acceptance in the same stage
-        result = run_open_ended(
+        result = _open(
             _sources([0.5, 2.5], [-0.3, -2.5]),
             a=np.array([-2.0, -1.0]),
             b=np.array([2.0, 1.0]),
@@ -64,15 +73,15 @@ class TestOpenEndedHandTraces:
         assert result.step.sum() == 4
 
     def test_single_stream_is_plain_sprt(self):
-        up = run_open_ended(_sources([0.2, 0.8, 1.4]), a=np.array([-1.0]), b=np.array([1.0]))
+        up = _open(_sources([0.2, 0.8, 1.4]), a=np.array([-1.0]), b=np.array([1.0]))
         assert _by_stream(up)[0] == ("reject", 3, 1, False)
-        down = run_open_ended(_sources([0.2, -1.2]), a=np.array([-1.0]), b=np.array([1.0]))
+        down = _open(_sources([0.2, -1.2]), a=np.array([-1.0]), b=np.array([1.0]))
         assert _by_stream(down)[0] == ("accept", 2, 1, False)
 
     def test_identical_paths_reject_together(self):
         j = 4
         path = [0.1, 0.5, 1.2, 2.0, 4.5]  # crosses b_1 = 4 at n = 5
-        result = run_open_ended(
+        result = _open(
             _sources(*[path] * j),
             a=-np.arange(j, 0, -1, dtype=float),
             b=np.arange(j, 0, -1, dtype=float),
@@ -86,7 +95,7 @@ class TestOpenEndedHandTraces:
         # stage 1 rejects stream 0 at level 1; stage 2 fires both rules at
         # once, rejecting stream 1 at the relaxed level-2 boundary and
         # accepting stream 2 at level 1
-        result = run_open_ended(
+        result = _open(
             _sources([3.5, 3.5, 3.5], [1.5, 1.6, 2.3], [-0.5, -0.6, -3.2]),
             a=np.array([-3.0, -2.0, -1.0]),
             b=np.array([3.0, 2.0, 1.0]),
@@ -98,7 +107,7 @@ class TestOpenEndedHandTraces:
 
     def test_acceptance_block_uses_offset_levels(self):
         # both streams sink together; bottom block accepted at levels 1, 2
-        result = run_open_ended(
+        result = _open(
             _sources([-0.5, -2.5], [-0.4, -1.2]),
             a=np.array([-2.0, -1.0]),
             b=np.array([2.0, 1.0]),
@@ -111,15 +120,15 @@ class TestOpenEndedHandTraces:
 class TestOpenEndedValidation:
     def test_boundary_shape_and_order(self):
         with pytest.raises(ValueError):
-            run_open_ended(_sources([0.0]), a=np.array([-1.0, 0.0]), b=np.array([1.0]))
+            _open(_sources([0.0]), a=np.array([-1.0, 0.0]), b=np.array([1.0]))
         with pytest.raises(ValueError):
-            run_open_ended(
+            _open(
                 _sources([0.0], [0.0]),
                 a=np.array([-1.0, -2.0]),
                 b=np.array([2.0, 1.0]),
             )
         with pytest.raises(ValueError):
-            run_open_ended(
+            _open(
                 _sources([0.0], [0.0]),
                 a=np.array([-2.0, 2.0]),
                 b=np.array([2.0, 1.0]),
@@ -127,7 +136,7 @@ class TestOpenEndedValidation:
 
     def test_underrun_carries_state(self):
         with pytest.raises(DataUnderrunError) as exc:
-            run_open_ended(
+            _open(
                 _sources([0.5, 0.6], [0.1, 0.2]),
                 a=np.array([-2.0, -1.0]),
                 b=np.array([2.0, 1.0]),
@@ -162,9 +171,39 @@ class TestOpenEndedValidation:
         assert state["step"] == max(d["step"] for d in decided) < 40
 
 
+class TestRunBatchArguments:
+    def test_nan_in_either_ladder_raises(self):
+        mat = _sources([0.5, 2.5], [-0.3, -2.5])
+        nan = np.array([np.nan, 1.0])
+        with pytest.raises(ValueError, match="NaN"):
+            _open(mat, a=np.array([-2.0, -1.0]), b=nan)
+        with pytest.raises(ValueError, match="NaN"):
+            _open(mat, a=-nan, b=np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match="NaN"):
+            _rejective(mat, b=nan, n_bar=2)
+
+    def test_exactly_one_of_a_and_n_bar(self):
+        mat = _sources([0.5, 2.5], [-0.3, -2.5])
+        a, b = np.array([-2.0, -1.0]), np.array([2.0, 1.0])
+        with pytest.raises(ValueError, match="exactly one"):
+            run_batch(MatrixSource([mat]), 1, a, b, n_bar=50)
+        with pytest.raises(ValueError, match="exactly one"):
+            run_batch(MatrixSource([mat]), 1, None, b)
+
+    def test_infinite_ladders_run_without_warnings(self):
+        # the rejective ladder is all -inf, and an open ladder may hold
+        # infinite entries: no check takes their differences
+        up = _sources([0.5, 2.5], [0.3, 1.5])
+        d = _by_stream(_open(up, a=np.array([-np.inf, -np.inf]), b=np.array([2.0, 1.0])))
+        assert d == [("reject", 2, 1, False), ("reject", 2, 2, False)]
+        mat = _sources([0.5, 2.5], [-0.3, -2.5])
+        d = _by_stream(_rejective(mat, b=np.array([np.inf, np.inf]), n_bar=2))
+        assert d == [("accept", 2, 2, True), ("accept", 2, 1, True)]
+
+
 class TestRejectiveHandTraces:
     def test_no_crossing_accepts_all_at_horizon(self):
-        result = run_rejective(
+        result = _rejective(
             _sources([0.5, 1.2, 1.5], [0.1, 0.4, 0.6]),
             b=np.array([2.0, 1.0]),
             n_bar=3,
@@ -175,7 +214,7 @@ class TestRejectiveHandTraces:
         assert d[1] == ("accept", 3, 1, True)
 
     def test_two_stage_rejections(self):
-        result = run_rejective(
+        result = _rejective(
             _sources([2.5], [0.1, 1.3]),
             b=np.array([2.0, 1.0]),
             n_bar=5,
@@ -185,7 +224,7 @@ class TestRejectiveHandTraces:
         assert d[1] == ("reject", 2, 2, False)
 
     def test_horizon_one_is_fixed_sample_stepdown(self):
-        result = run_rejective(
+        result = _rejective(
             _sources([3.5], [1.5], [0.5]),
             b=np.array([3.0, 2.0, 1.0]),
             n_bar=1,
@@ -196,7 +235,7 @@ class TestRejectiveHandTraces:
         assert d[2] == ("accept", 1, 1, True)
 
     def test_crossing_at_horizon_rejects_then_truncates(self):
-        result = run_rejective(
+        result = _rejective(
             _sources([0.5, 2.2], [0.1, 0.3]),
             b=np.array([2.0, 1.0]),
             n_bar=2,
@@ -210,7 +249,7 @@ class TestRejectiveHandTraces:
         # stream 1 there: two stages at one step
         paths = _sources([0.5, 2.2], [0.1, 0.3])
         tally = Counter()
-        result = run_batch(lambda ids: (paths, np.array([2])), 1, None, np.array([2.0, 1.0]),
+        result = run_batch(MatrixSource([paths]), 1, None, np.array([2.0, 1.0]),
                            n_bar=2, tally=tally)
         assert set(result.step[0].tolist()) == {2}
         assert tally == Counter(trials=1, stages=2, matrix_rows=2, path_blocks=1,
@@ -219,7 +258,7 @@ class TestRejectiveHandTraces:
                                       "decision_steps": 4, "path_extensions": 0}
 
     def test_rejections_never_flagged_truncated(self):
-        result = run_rejective(
+        result = _rejective(
             _sources([2.5], [1.5]), b=np.array([2.0, 1.0]), n_bar=4
         )
         assert all(not truncated for action, _, _, truncated in _by_stream(result)
@@ -227,9 +266,9 @@ class TestRejectiveHandTraces:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_rejective(_sources([0.0]), b=np.array([1.0]), n_bar=0)
+            _rejective(_sources([0.0]), b=np.array([1.0]), n_bar=0)
         with pytest.raises(ValueError):
-            run_rejective(_sources([0.0], [0.0]), b=np.array([1.0, 2.0]), n_bar=3)
+            _rejective(_sources([0.0], [0.0]), b=np.array([1.0, 2.0]), n_bar=3)
 
     def test_path_on_calibrated_boundary_is_rejected(self):
         # stream 0's statistic first reaches the calibrated B_1 exactly, at
@@ -242,13 +281,13 @@ class TestRejectiveHandTraces:
         paths = cumulative_llr(model, np.cumsum(obs, axis=0), np.arange(1, 51)[:, None])
         assert paths[12, 0] == b[0] and paths[:12, 0].max() < b[0]
         assert np.cumsum(llr_increments(model, obs[:13, 0]))[-1] < b[0]
-        d = _by_stream(run_rejective(paths, b, n_bar=50))
+        d = _by_stream(_rejective(paths, b, n_bar=50))
         assert d[0] == ("reject", 13, 1, False)
         assert all(truncated and step == 50 for _, step, _, truncated in d[1:])
 
     def test_underrun_before_horizon(self):
         with pytest.raises(DataUnderrunError):
-            run_rejective(_sources([0.5], [0.1]), b=np.array([2.0, 1.0]), n_bar=5)
+            _rejective(_sources([0.5], [0.1]), b=np.array([2.0, 1.0]), n_bar=5)
 
 
 class TestRandomizedInvariants:
@@ -261,8 +300,8 @@ class TestRandomizedInvariants:
             j = int(rng.integers(2, 7))
             a, b = self._grid(j)
             paths = [np.cumsum(rng.normal(0.0, 2.0, size=200)) for _ in range(j)]
-            result = run_open_ended(_sources(*paths), a, b)
-            again = run_open_ended(_sources(*paths), a, b)
+            result = _open(_sources(*paths), a, b)
+            again = _open(_sources(*paths), a, b)
             assert _same(result, again)  # deterministic
             decided = _by_stream(result)
             assert len(decided) == j
@@ -285,8 +324,8 @@ class TestRandomizedInvariants:
             _, b = self._grid(j)
             n_bar = int(rng.integers(1, 40))
             paths = [np.cumsum(rng.normal(0.0, 2.0, size=n_bar)) for _ in range(j)]
-            result = run_rejective(_sources(*paths), b, n_bar)
-            assert _same(result, run_rejective(_sources(*paths), b, n_bar))
+            result = _rejective(_sources(*paths), b, n_bar)
+            assert _same(result, _rejective(_sources(*paths), b, n_bar))
             for stream, (action, step, level, truncated) in enumerate(_by_stream(result)):
                 assert step <= n_bar
                 if action == "reject":
@@ -307,15 +346,10 @@ class TestRandomizedInvariants:
         a, b = self._grid(j)
         mat = np.cumsum(rng.integers(-2, 3, size=(n, j)), axis=0).astype(float)
         mat = np.vstack([mat, np.full((1, j), 100.0)])  # every trial decides by its last row
-        blocks = [mat]
-
-        def take(ids):
-            block = blocks.pop() if blocks else mat[:0]
-            return block, np.array([len(block)])
-
         tally = Counter()
         n_bar = max(1, n + 1 - cut) if rejective else None
-        result = run_batch(take, 1, None if rejective else a, b, n_bar, tally=tally)
+        result = run_batch(MatrixSource([mat]), 1, None if rejective else a, b, n_bar,
+                           tally=tally)
         assert tally["stages"] == len(set(zip(result.step[0].tolist(),
                                               result.truncated[0].tolist())))
         assert work_counts(tally)["stages_per_trial"] <= j
@@ -327,16 +361,9 @@ class TestRandomizedInvariants:
         a, b = self._grid(j)
         paths = [np.cumsum(rng.normal(0.0, 1.0, size=300)) for _ in range(j)]
         mat = _sources(*paths)
-        runs = [run_open_ended(mat, a, b)]
+        runs = [_open(mat, a, b)]
         for blk in (1, 7, 64, 1000):
-            read = [0]
-
-            def take(ids, blk=blk, read=read):
-                block = mat[read[0]:read[0] + blk]
-                read[0] += len(block)
-                return block, np.array([len(block)])
-
-            runs.append(run_batch(take, 1, a, b))
+            runs.append(run_batch(MatrixSource([mat], [[blk] * len(mat)]), 1, a, b))
         assert all(_same(r, runs[0]) for r in runs)
 
     @pytest.mark.parametrize("n_bar", [None, 1, 37])
@@ -348,34 +375,54 @@ class TestRandomizedInvariants:
         a, b = self._grid(j)
         mats = [np.round(np.cumsum(rng.normal(0.0, 1.5, size=(300, j)), axis=0))
                 for _ in range(trials)]
-        cuts = [np.cumsum(rng.integers(1, 90, size=300)) for _ in range(trials)]
-        blocks = [np.split(m, c[c < 300]) for m, c in zip(mats, cuts)]
-        read = [0] * trials
-
-        def take(ids):
-            out = []
-            for i in ids:
-                out.append(blocks[i][read[i]] if read[i] < len(blocks[i]) else np.empty((0, j)))
-                read[i] += 1
-            return np.concatenate(out), np.array([len(x) for x in out])
-
+        take = MatrixSource(mats, [rng.integers(1, 90, size=300) for _ in range(trials)])
         tally = Counter()
         if n_bar is None:
             batch = run_batch(take, trials, a, b, tally=tally)
-            alone = [run_open_ended(m, a, b) for m in mats]
+            alone = [_open(m, a, b) for m in mats]
         else:
             batch = run_batch(take, trials, None, b, n_bar, tally=tally)
-            alone = [run_rejective(m, b, n_bar) for m in mats]
+            alone = [_rejective(m, b, n_bar) for m in mats]
         assert _same(batch, _stack(alone))
         assert tally["trials"] == trials
         assert tally["decision_steps"] == sum(t.step.sum() for t in alone)
-        assert tally["path_blocks"] == sum(read)
+        assert tally["path_blocks"] == sum(take.read)
         assert tally["stages"] >= sum(len(set(t.step[0].tolist())) for t in alone)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(j=st.integers(1, 6), trials=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           rejective=st.booleans())
+    def test_batch_matches_per_stage_reference(self, j, trials, seed, rejective):
+        # integer paths tie with each other and with the integer ladders;
+        # each trial hands out its rows in blocks of random sizes, and
+        # without a last decisive row a trial may run out of rows
+        rng = np.random.default_rng(seed)
+        b = -np.sort(-rng.integers(1, 7, size=j)).astype(float)
+        a = None if rejective else np.sort(rng.integers(-6, 2, size=j)).astype(float)
+        n_bar = int(rng.integers(1, 30)) if rejective else None
+        mats = []
+        for _ in range(trials):
+            mat = np.cumsum(rng.integers(-2, 3, size=(int(rng.integers(0, 30)), j)), axis=0)
+            if rng.random() < 0.8:
+                mat = np.vstack([mat, rng.choice([-100, 100], size=(1, j))])
+            mats.append(mat)
+        take = MatrixSource(mats, [rng.integers(1, 8, size=31) for _ in range(trials)])
+        try:
+            want = [step_down(mat, a, b, n_bar) for mat in mats]
+        except DataUnderrunError as exc:
+            with pytest.raises(DataUnderrunError) as got:
+                run_batch(take, trials, a, b, n_bar)
+            assert got.value.state == exc.state
+            return
+        result = run_batch(take, trials, a, b, n_bar)
+        assert _same(result, [np.array(field) for field in zip(*want)])
 
 
 class TestErrorCounts:
     def test_error_counts(self):
-        result = run_open_ended(
+        result = _open(
             _sources([0.5, 2.5], [-0.3, -2.5]),
             a=np.array([-2.0, -1.0]),
             b=np.array([2.0, 1.0]),
@@ -440,6 +487,18 @@ class TestSummarize:
         out = summarize(self._trials(2, set(), set()), truth)
         assert out.pfdr is None and out.pfdr_se is None
         assert out.pfnr is not None
+
+    def test_truth_as_numpy_bools(self):
+        trials = self._trials(2, {0}, {0, 1}, set())
+        want = summarize(trials, [True, False])
+        assert want.fdr == 0.5
+        assert summarize(trials, np.array([True, False])) == want
+        assert summarize(trials, [np.True_, None]) == summarize(trials, [True, None])
+
+    @pytest.mark.parametrize("truth", [[1, 0], np.array([1, 0]), [True, "no"], [True, 0.0]])
+    def test_truth_entries_other_than_bool_or_none_raise(self, truth):
+        with pytest.raises(ValueError, match="True, False or None"):
+            summarize(self._trials(2, {0}), truth)
 
     def test_empty_trials_error(self):
         with pytest.raises(ValueError, match="zero trials"):

@@ -13,6 +13,7 @@ from seqfdr.sprt import (
     SIEGMUND_RHO,
     CriticalMatrix,
     SimpleModel,
+    check_ladders,
     crossing_counts,
     cumulative_llr,
     lattice_terms,
@@ -183,6 +184,45 @@ class TestCriticalValues:
             CriticalMatrix(a=np.array([0.0, -1.0]), b=np.array([5.0, 4.0]))
         with pytest.raises(BoundaryCollapseError):
             CriticalMatrix(a=np.array([-1.0, 2.0]), b=np.array([3.0, 1.0]))
+
+    def test_matrix_rejects_nan(self):
+        for a, b in (([np.nan], [1.0]), ([-1.0], [np.nan]), ([-1.0, np.nan], [2.0, 1.0])):
+            with pytest.raises(ValueError, match="NaN"):
+                CriticalMatrix(a=np.array(a), b=np.array(b))
+
+    def test_matrix_order_tolerance(self):
+        # order slips within 1e-12 pass, as do infinite entries
+        crit = CriticalMatrix(a=np.array([-1.0, -1.0 - 1e-13]), b=np.array([2.0, 2.0 + 1e-13]))
+        assert crit.j == 2
+        CriticalMatrix(a=np.array([-np.inf, -np.inf]), b=np.array([np.inf, np.inf]))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            CriticalMatrix(a=np.array([-1.0, -1.0 - 1e-11]), b=np.array([2.0, 2.0]))
+        with pytest.raises(ValueError, match="nonincreasing"):
+            CriticalMatrix(a=np.array([-1.0, -1.0]), b=np.array([2.0, 2.0 + 1e-11]))
+
+
+class TestCheckLadders:
+    def test_floats_and_the_truncated_ladder(self):
+        a, b = check_ladders([-2, -1], [2, 1])
+        assert a.dtype == b.dtype == float
+        assert a.tolist() == [-2.0, -1.0] and b.tolist() == [2.0, 1.0]
+        a, b = check_ladders(None, [np.inf, 1.0])
+        assert a.tolist() == [-np.inf, -np.inf] and b.tolist() == [np.inf, 1.0]
+
+    @pytest.mark.parametrize("a, b, match", [
+        ([np.nan], [1.0], "NaN"),
+        ([-1.0], [np.nan], "NaN"),
+        (None, [2.0, np.nan], "NaN"),
+        ([-1.0, 0.0], [1.0], "one entry per stream"),
+        (None, [[1.0]], "one entry per stream"),
+        (None, [], "one entry per stream"),
+        ([-1.0, -2.0], [2.0, 1.0], "nondecreasing"),
+        (None, [1.0, 2.0], "nonincreasing"),
+        ([-1.0, 2.0], [2.0, 1.0], "cross"),
+    ])
+    def test_rejects(self, a, b, match):
+        with pytest.raises(ValueError, match=match):
+            check_ladders(a, b)
 
 
 class TestLatticeLlr:
