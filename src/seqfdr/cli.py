@@ -39,15 +39,7 @@ import scipy
 from . import __version__
 from .calibrate import truncated_critical_values
 from .core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
-from .datagen import (
-    Bernoulli,
-    CopulaConfig,
-    Poisson,
-    Toeplitz,
-    cholesky,
-    correlation_matrix,
-    count_batch,
-)
+from .datagen import Bernoulli, CopulaConfig, CountBlocks, Poisson, Toeplitz
 from .errors import ConfigError, DataError, NumericalError
 from .fixed_sample import find_matching_fss
 from .procedures import Decisions, run_batch, summarize, work_counts
@@ -90,7 +82,8 @@ def _parse_config(cls, raw: dict, seed: int | None):
 
     Each field's name, type and default come from ``cls``; a field set to
     null takes its default.  ``seed``, when given, overrides the config's
-    own.  Errors name the offending field as ``config.<name>``.
+    own, and a seed must not be negative.  Errors name the offending field
+    as ``config.<name>``.
     """
     fields = dataclass_fields(cls)
     for key in sorted(set(raw) - {f.name for f in fields}):
@@ -113,6 +106,8 @@ def _parse_config(cls, raw: dict, seed: int | None):
             value = float(value)
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigError(f"{path}: expected {_KINDS[kind]}, got {value!r}")
+        if f.name == "seed" and value < 0:
+            raise ConfigError(f"{path}: must be >= 0, got {value}")
         values[f.name] = value
     return cls(**values)
 
@@ -247,7 +242,6 @@ def _trials_for_range(config: SimulationConfig, a, b, start: int, stop: int
     and the engine's counters.
     """
     model, marginals, _ = _sim_pieces(config)
-    factor = cholesky(correlation_matrix(_copula(config)))
     n_bar = None if a is not None else config.n_bar
     horizon = config.horizon if n_bar is None else n_bar
     tally = Counter()
@@ -256,12 +250,12 @@ def _trials_for_range(config: SimulationConfig, a, b, start: int, stop: int
         hi = min(lo + _TRIAL_BATCH, stop)
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(t,)))
                 for t in range(lo, hi)]
-        counts = count_batch(_copula(config), marginals, horizon=horizon, rngs=rngs,
-                             factor=factor)
+        blocks = CountBlocks(_copula(config), [marginals], horizon=horizon, rngs=rngs)
 
-        def take(ids, counts=counts):
-            x, w, steps = counts(ids)
-            return cumulative_llr(model, x, w), steps
+        def take(ids, blocks=blocks):
+            n, steps, totals = blocks.take(ids)
+            # a scalar stream's trial total is its step number
+            return cumulative_llr(model, totals[:, 0], n[:, None]), steps
 
         parts.append(run_batch(take, hi - lo, a, b, n_bar, tally=tally))
     return Decisions(*map(np.concatenate, zip(*parts))), tally

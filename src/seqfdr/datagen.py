@@ -4,13 +4,13 @@ Each time step draws one latent normal vector per row, correlates it with
 the Cholesky factor of the target correlation matrix, and turns each
 coordinate into a count of its stream's marginal by comparing it with the
 latent cuts of the marginal's CDF (``_latent_counts``): the counts of
-inverting the uniform Phi(y), without evaluating Phi.  The trial engine and
-the fixed-sample comparator share this path (``_CountBlocks``).  Marginals
-are exact; only the dependence is shaped by the latent correlation.  Counts
-come out as cumulative integer totals, one row per step, in blocks on demand:
-``count_batch`` returns ``take(ids)``, which hands out the next block of each
-listed trial, every trial drawing from its own generator.  A lone trial is a
-batch of one.
+inverting the uniform Phi(y), without evaluating Phi.  Marginals are exact;
+only the dependence is shaped by the latent correlation.  ``CountBlocks``
+is the one way counts are drawn, for the trial engine, the monitoring demo
+and the fixed-sample search alike: its ``take(ids)`` hands out the next
+block of cumulative integer totals, one row per step, of each listed
+trial, every trial drawing from its own generator.  A lone trial is a batch
+of one; each caller maps the raw totals to its own statistic.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ __all__ = [
     "CopulaConfig",
     "Bernoulli",
     "Poisson",
-    "ReportPair",
     "correlation_matrix",
     "cholesky",
-    "count_batch",
+    "CountBlocks",
 ]
 
 
@@ -107,46 +106,20 @@ class Poisson:
             raise ValueError(f"rate must lie in (0, 700) for table inversion, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class ReportPair:
-    """Two independent-rate Poisson coordinates consumed as one stream.
-
-    Models per-period (target, other) report counts; inverted from two
-    uniforms per time step.
-    """
-
-    lam_amnesia: float
-    lam_other: float
-
-    def __post_init__(self):
-        for name, lam in (("lam_amnesia", self.lam_amnesia), ("lam_other", self.lam_other)):
-            if not 0.0 < lam < 700.0:
-                raise ValueError(f"{name} must lie in (0, 700), got {lam}")
-
-
-MarginalSpec = Bernoulli | Poisson | ReportPair
-
-
 def correlation_matrix(config: CopulaConfig) -> np.ndarray:
     """Dense latent correlation matrix for the configured structure."""
     j = config.j
     s = config.structure
-    if isinstance(s, Toeplitz):
-        powers = s.rho ** np.arange(j, dtype=float)
-        idx = np.abs(np.subtract.outer(np.arange(j), np.arange(j)))
-        return powers[idx]
-    mat = np.eye(j)
-    labels = np.asarray(s.cluster_of)
-    for c, rho in enumerate(s.rho_of_cluster):
-        members = np.nonzero(labels == c)[0]
-        if members.size < 2:
-            continue
-        # original stream indices set the decay distance, so this is a
-        # principal submatrix of a full Toeplitz matrix (hence PD)
-        dist = np.abs(np.subtract.outer(members, members))
-        mat[np.ix_(members, members)] = rho ** dist.astype(float)
-    np.fill_diagonal(mat, 1.0)
-    return mat
+    # a Toeplitz structure is one cluster of every stream
+    labels = np.zeros(j, np.intp) if isinstance(s, Toeplitz) else np.asarray(s.cluster_of)
+    rhos = [s.rho] if isinstance(s, Toeplitz) else s.rho_of_cluster
+    rho = np.asarray(rhos, dtype=float)[labels]
+    idx = np.arange(j)
+    # original stream indices set the decay distance, so each cluster's
+    # block is a principal submatrix of a full Toeplitz matrix (hence PD)
+    dist = np.abs(np.subtract.outer(idx, idx)).astype(float)
+    same = labels[:, None] == labels[None, :]
+    return np.power(rho[:, None], dist, out=np.zeros((j, j)), where=same)
 
 
 def cholesky(mat: np.ndarray) -> np.ndarray:
@@ -243,96 +216,60 @@ _poisson_table = functools.lru_cache(maxsize=None)(_PoissonCdfTable)
 # steps in a trial's first block of counts; each later block doubles the total
 FIRST_ROWS = 64
 
-
-def count_batch(
-    config: CopulaConfig,
-    marginals: Sequence,
-    *,
-    horizon: int,
-    rngs: Sequence[np.random.Generator],
-    factor: np.ndarray | None = None,
-):
-    """Trials' J streams (one MarginalSpec each) as cumulative count totals.
-
-    Returns ``take(ids)``: it draws the next block of steps of every listed
-    trial, each from its own generator (positions in ``rngs``), and returns
-    ``(x, w, steps)``, the int64 blocks stacked in the order of ``ids`` and
-    the steps in each (0 once the trial has reached ``horizon``).
-    ``x[i, j]`` is stream j's success or event total through that step and
-    ``w`` the trial total: the step index (one column for all streams) for
-    scalar marginals, the cumulative report total for ReportPair streams.
-    A trial's first block has ``FIRST_ROWS`` steps, each later one as many
-    as all before it; its counts depend neither on that blocking nor on the
-    other trials.  ``factor`` may carry a precomputed Cholesky factor.
-    """
-    marginals = list(marginals)
-    if len(marginals) != config.j:
-        raise ValueError(f"expected {config.j} marginals, got {len(marginals)}")
-    pair_flags = {isinstance(m, ReportPair) for m in marginals}
-    if len(pair_flags) > 1:
-        raise ValueError("cannot mix ReportPair and scalar marginals in one trial")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if factor is None:
-        factor = cholesky(correlation_matrix(config))
-    pair = pair_flags == {True}
-    # a ReportPair stream reads its two Poisson coordinates from rows 0 and 1
-    groups: dict = {}
-    for jj, spec in enumerate(marginals):
-        for key in (((Poisson(spec.lam_amnesia), 0), (Poisson(spec.lam_other), 1)) if pair
-                    else ((spec, 0),)):
-            groups.setdefault(key, []).append(jj)
-    groups = [(spec, (row, np.array(cols))) for (spec, row), cols in groups.items()]
-    batch = _CountBlocks(factor, groups, 2 if pair else 1, horizon, rngs, FIRST_ROWS)
-
-    def take(ids):
-        done, steps, t = batch.take(ids)
-        if pair:
-            return t[:, 0], t[:, 0] + t[:, 1], steps
-        # a scalar stream's trial total is the step index
-        starts = np.cumsum(steps) - steps
-        w = np.repeat(done - starts, steps) + np.arange(1, len(t) + 1, dtype=np.int64)
-        return t[:, 0], w[:, None], steps
-
-    return take
-
-
 # latent cells (steps x rows x streams) in one block of draws, at most
 _BLOCK_CELLS = 4_000_000
 
 
-class _CountBlocks:
+class CountBlocks:
     """Cumulative counts of several trials, each drawn from its own generator.
 
-    Every step of a trial draws ``rows`` rows of J latent normals, right
-    after the trial's previous step in its generator, so a trial's counts
-    depend neither on the blocking nor on the other trials.  ``groups``
-    holds (marginal, (rows, columns)) pairs that index each step's (rows,
-    J) values.  A trial's first block has ``first`` steps, each later one
-    as many as all before it, within _BLOCK_CELLS cells, until ``horizon``.
+    ``rows`` holds one list of J marginals (``Bernoulli``/``Poisson``) per
+    latent row of a step, and every step of a trial draws ``replicates``
+    times that many rows of J latent normals, right after the trial's
+    previous step in its generator (one position of ``rngs`` per trial).
+    A trial's first block has ``first`` steps, each later one as many as
+    all before it, within _BLOCK_CELLS cells, until ``horizon``; its counts
+    depend neither on that blocking nor on the other trials.
     """
 
-    def __init__(self, factor, groups, rows: int, horizon: int, rngs, first: int):
-        j = factor.shape[0]
-        self.factor, self.groups, self.rows, self.horizon = factor, groups, rows, horizon
-        self.rngs, self.first = list(rngs), first
-        self.cap = max(1, _BLOCK_CELLS // (rows * j))
+    def __init__(self, config: CopulaConfig, rows: Sequence[Sequence], *, horizon: int,
+                 rngs: Sequence[np.random.Generator], first: int = FIRST_ROWS,
+                 replicates: int = 1):
+        j = config.j
+        if not rows or any(len(row) != j for row in rows):
+            raise ValueError(f"expected rows of {j} marginals")
+        if horizon < 1:
+            raise ValueError("horizon must be at least 1")
+        self.factor = cholesky(correlation_matrix(config))
+        cells: dict = {}
+        for r, row in enumerate(rows):
+            for jj, spec in enumerate(row):
+                cells.setdefault((spec, r), []).append(jj)
+        # adjacent columns as a slice, which indexes a view instead of a copy
+        self.groups = [(spec, r, slice(cols[0], cols[-1] + 1)
+                        if cols[-1] - cols[0] == len(cols) - 1 else np.array(cols))
+                       for (spec, r), cols in cells.items()]
+        self.step_shape = (replicates, len(rows), j)
+        self.horizon, self.rngs, self.first = horizon, list(rngs), first
+        self.cap = max(1, _BLOCK_CELLS // math.prod(self.step_shape))
         self.done = np.zeros(len(self.rngs), np.int64)
-        self.running = np.zeros((len(self.rngs), rows, j), np.int64)
+        self.running = np.zeros((len(self.rngs), replicates * len(rows), j), np.int64)
 
     def take(self, ids):
-        """Next block of each listed trial: ``(done, steps, totals)``.
+        """Next block of each listed trial: ``(n, steps, totals)``.
 
-        ``totals`` (steps summed, rows, J) stacks the blocks in the order of
-        ``ids``, ``steps[k]`` of them for the k-th listed trial (0 once it
-        has reached the horizon), whose earlier blocks had ``done[k]``.
+        ``totals`` (steps summed, replicates x rows, J) stacks the blocks
+        in the order of ``ids``, ``steps[k]`` of them for the k-th listed
+        trial (0 once it has reached the horizon); row ``i * len(rows) + r``
+        of a step holds replicate i's totals of latent row r.  ``n`` is each
+        block row's step number, counted from 1 in its trial.
         """
         ids = np.asarray(ids, dtype=np.intp)
         done = self.done[ids]
         steps = np.minimum(np.minimum(np.maximum(done, self.first), self.cap),
                            self.horizon - done)
         ends = np.cumsum(steps)
-        rows, j = self.rows, self.factor.shape[0]
+        rows, j = self.running.shape[1:]
         z = np.empty((int(ends[-1]) * rows if ids.size else 0, j))
         y = np.empty_like(z)
         lo = 0
@@ -343,10 +280,11 @@ class _CountBlocks:
                 # may round differently (BLAS picks its kernel by size)
                 np.matmul(z[lo:hi], self.factor.T, out=y[lo:hi])
             lo = hi
-        y = y.reshape(-1, rows, j)
-        totals = np.empty(y.shape, np.int64)
-        for spec, (row, cols) in self.groups:
-            totals[:, row, cols] = _latent_counts(spec, y[:, row, cols])
+        totals = np.empty((len(y) // rows, rows, j), np.int64)
+        y_cells = y.reshape(-1, *self.step_shape)
+        t_cells = totals.reshape(y_cells.shape)
+        for spec, r, cols in self.groups:
+            t_cells[:, :, r, cols] = _latent_counts(spec, y_cells[:, :, r, cols])
         np.cumsum(totals, axis=0, out=totals)
         # restart each trial's block from its own running totals
         drawn = steps > 0
@@ -357,5 +295,5 @@ class _CountBlocks:
             totals[lo:hi] += add
         self.running[ids[drawn]] = totals[ends[drawn] - 1]
         self.done[ids] += steps
-        return done, steps, totals
-
+        n = np.repeat(done - (ends - steps), steps) + np.arange(1, len(totals) + 1)
+        return n, steps, totals

@@ -9,7 +9,9 @@ FDR control (the same constants the sequential boundaries are built from).
 sequential procedure's achieved FNR, which is how the expected-sample-size
 savings are measured.  It estimates the whole FNR(N) curve from one nested
 draw: every replicate's count totals grow one step at a time, so all N share
-their random numbers (common random numbers, Glasserman & Yao 1992).
+their random numbers (common random numbers, Glasserman & Yao 1992).  The
+draw is one ``datagen.CountBlocks`` trial whose steps carry all replicates,
+the copula path the sequential trials run on.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ import numpy as np
 from scipy import stats
 
 from .core import StepVector, bh_steps, scale_for_fdr
-from .datagen import (
-    Bernoulli,
-    CopulaConfig,
-    Poisson,
-    cholesky,
-    correlation_matrix,
-    _CountBlocks,
-)
+from .datagen import Bernoulli, CopulaConfig, CountBlocks, Poisson
 from .errors import ConfigError
 from .sprt import SimpleModel
 
@@ -173,25 +168,23 @@ def find_matching_fss(
     if model.family not in ("bernoulli", "poisson"):
         raise ConfigError("fixed-sample comparator supports bernoulli and poisson families")
     marginal = Bernoulli if model.family == "bernoulli" else Poisson
-    edges = [0, *(np.flatnonzero(np.diff(truth)) + 1), config.j]
-    groups = [(marginal(model.null_param if truth[lo] else model.alt_param),
-               (slice(None), slice(lo, hi))) for lo, hi in zip(edges[:-1], edges[1:])]
+    marginals = [marginal(model.null_param if t else model.alt_param) for t in truth]
     # Equal-guarantee comparison: the scaled values control FDR at q1
     # under arbitrary dependence, like the sequential constants do.
     alpha = scale_for_fdr(bh_steps(q1, config.j), q1)
-    factor = cholesky(correlation_matrix(config))
 
     def draw(scale: int, n_stop: int):
         """(n, totals) for n = 1..n_stop: each replicate's (reps, J) count totals."""
         # 2-tuple spawn keys: apart from each other and from trial t's (t,)
         seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(0, scale))
-        blocks = _CountBlocks(factor, groups, reps * scale, n_stop,
-                              [np.random.default_rng(seq)], _FIRST_STEPS)
+        blocks = CountBlocks(config, [marginals], horizon=n_stop,
+                             rngs=[np.random.default_rng(seq)], first=_FIRST_STEPS,
+                             replicates=reps * scale)
         while True:
-            done, steps, totals = blocks.take([0])
+            n, steps, totals = blocks.take([0])
             if not steps[0]:
                 return
-            yield from enumerate(totals, int(done[0]) + 1)
+            yield from zip(n.tolist(), totals)
 
     curve = []
     for n, totals in draw(1, n_max):

@@ -7,8 +7,10 @@ fractions p_h and p_g at the 50th and 90th percentiles of the full table,
 and monitors simulated report streams for the top-N most-reported drugs
 with the open-ended step-down procedure.  Dependence enters through a
 per-cluster latent copula whose decay parameters are drawn once per
-experiment.  The output mirrors a terminal-action table: one row per drug
-with the action, the termination year, and the crossed boundary level.
+experiment; each year draws two latent rows per drug through
+``datagen.CountBlocks``, one for the target reports and one for the rest.
+The output mirrors a terminal-action table: one row per drug with the
+action, the termination year, and the crossed boundary level.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import bh_steps, scale_for_fdr
-from .datagen import BlockClusters, CopulaConfig, ReportPair, count_batch
+from .datagen import BlockClusters, CopulaConfig, CountBlocks, Poisson
 from .errors import ConfigError, DrugTableError
 from .procedures import run_batch, work_counts
 from .sprt import SimpleModel, cumulative_llr, stepdown_critical_values
@@ -70,8 +72,8 @@ class ExperimentConfig:
 
     ``p_h``/``p_g`` are the null and signal reaction fractions (usually the
     table percentiles from :func:`thresholds`); ``rho_seed`` drives both the
-    per-cluster correlation draw and the report streams; ``top_n`` caps the
-    number of monitored drugs, most-reported first.
+    per-cluster correlation draw and the report streams; ``top_n`` is the
+    number of monitored drugs, most-reported first, at most the table's.
     """
 
     records: tuple[DrugRecord, ...]
@@ -95,6 +97,10 @@ class ExperimentConfig:
             raise ConfigError(f"top_n must be at least 1, got {self.top_n}")
         if not self.records:
             raise ConfigError("records must be nonempty")
+        if self.top_n > len(self.records):
+            raise ConfigError(
+                f"top_n must be at most the table's {len(self.records)} drugs, got {self.top_n}"
+            )
 
 
 @dataclass(frozen=True)
@@ -130,12 +136,14 @@ class MonitoringReport:
 def load_drug_table(path) -> list[DrugRecord]:
     """Parse a drug report CSV with header name,amnesia_count,other_count,years,cluster.
 
-    Structural problems (missing columns, malformed numbers) raise
-    DrugTableError with the file location; rows that parse but violate the
-    record invariants (negative counts, nonpositive years) are dropped with
-    a logged warning naming the line.  An empty file yields an empty list.
+    Structural problems (missing columns, malformed numbers, a repeated
+    drug name) raise DrugTableError with the file location; rows that
+    parse but violate the record invariants (negative counts, nonpositive
+    years) are dropped with a logged warning naming the line.  An empty
+    file yields an empty list.
     """
     records: list[DrugRecord] = []
+    first_line: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -155,6 +163,11 @@ def load_drug_table(path) -> list[DrugRecord]:
                 raise DrugTableError(f"{path}:{line}: malformed row ({exc})") from exc
             if not name:
                 raise DrugTableError(f"{path}:{line}: empty drug name")
+            if name in first_line:
+                raise DrugTableError(
+                    f"{path}:{line}: drug {name!r} repeats line {first_line[name]}"
+                )
+            first_line[name] = line
             try:
                 records.append(DrugRecord(name, amnesia, other, years, cluster))
             except ValueError as exc:
@@ -251,17 +264,17 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
     crit = stepdown_critical_values(alpha, beta)
     model = SimpleModel("conditional_binomial", config.p_h, config.p_g)
 
-    counts = count_batch(
-        CopulaConfig(j=j, structure=structure),
-        [ReportPair(*derive_rates(r)) for r in top],
-        horizon=horizon,
-        rngs=[np.random.default_rng(stream_seq)],
-    )
+    # latent row 0 draws each drug's target reports, row 1 its other reports
+    rates = [derive_rates(r) for r in top]
+    blocks = CountBlocks(CopulaConfig(j=j, structure=structure),
+                         [[Poisson(lam) for lam in row] for row in zip(*rates)],
+                         horizon=horizon, rngs=[np.random.default_rng(stream_seq)])
 
     def take(ids):
-        x, w, steps = counts(ids)
+        _, steps, totals = blocks.take(ids)
+        x = totals[:, 0]
         # one model for every drug: raw LLRs against the raw boundaries
-        return cumulative_llr(model, x, w), steps
+        return cumulative_llr(model, x, x + totals[:, 1]), steps
 
     tally = Counter()
     decisions = run_batch(take, 1, crit.a, crit.b, tally=tally)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from seqfdr.datagen import Poisson, ReportPair, _latent_counts, cholesky, correlation_matrix
+from seqfdr.datagen import _latent_counts, cholesky, correlation_matrix
 from seqfdr.errors import DataUnderrunError
 from seqfdr.procedures import MetricsSummary
 from seqfdr.sprt import CriticalMatrix, _check_error_pair
@@ -60,34 +60,23 @@ def conservative_critical_values(alpha, beta) -> CriticalMatrix:
     return CriticalMatrix(a=np.log(beta.values), b=-np.log(alpha.values))
 
 
-def copula_uniforms(config, rng, size, factor=None) -> np.ndarray:
+def copula_uniforms(config, rng, size) -> np.ndarray:
     """Draw ``size`` correlated uniform vectors: U = Phi(L Z), Z standard normal.
 
-    Returns shape (size, j).  ``factor`` may carry a precomputed Cholesky
-    factor.
+    Returns shape (size, j).
     """
-    if factor is None:
-        factor = cholesky(correlation_matrix(config))
     z = rng.standard_normal((int(size), config.j))
-    return ndtr(z @ factor.T)
+    return ndtr(z @ cholesky(correlation_matrix(config)).T)
 
 
 def invert_marginal(spec, u):
     """Right-continuous inverse of the marginal CDF, elementwise over ``u``.
 
     Bernoulli: 1 where u <= p, else 0.  Poisson: the smallest n with
-    F(n) >= u.  ReportPair: ``u`` is a pair of uniform arrays and the
-    result the (amnesia, other) pair of count arrays.  Uniforms must lie
-    in [0, 1]; u = 0 and u = 1 map to the latent values -inf and +inf of
-    ``_latent_counts``, the inversion the engines run on latent normals.
+    F(n) >= u.  Uniforms must lie in [0, 1]; u = 0 and u = 1 map to the
+    latent values -inf and +inf of ``_latent_counts``, the inversion the
+    engines run on latent normals.
     """
-    if isinstance(spec, ReportPair):
-        try:
-            u1, u2 = u
-        except (TypeError, ValueError):
-            raise ValueError("ReportPair inversion needs a pair of uniform arrays")
-        return (invert_marginal(Poisson(spec.lam_amnesia), u1),
-                invert_marginal(Poisson(spec.lam_other), u2))
     u = np.asarray(u, dtype=float)
     # NaN fails both comparisons
     if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):

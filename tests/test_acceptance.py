@@ -37,7 +37,7 @@ from scipy.special import ndtri
 from seqfdr.calibrate import estimate_gamma, mc_truncated_critical_values
 from seqfdr.cli import SimulationConfig, _sim_pieces, _trials_for_range, run_simulation
 from seqfdr.core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
-from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, Toeplitz, count_batch
+from seqfdr.datagen import Bernoulli, CopulaConfig, CountBlocks, Poisson, Toeplitz
 from seqfdr.fixed_sample import find_matching_fss
 from seqfdr.procedures import run_batch, summarize
 from seqfdr.sprt import SimpleModel, stepdown_critical_values
@@ -353,10 +353,10 @@ def test_10_copula_statistics(record):
     cfg = CopulaConfig(j=2, structure=Toeplitz(-0.6))
     n = 100_000
     for family, marg in (("bernoulli", Bernoulli(0.05)), ("poisson", Poisson(1.5))):
-        take = count_batch(cfg, [marg, marg], horizon=n, rngs=[np.random.default_rng(77)])
-        blocks = [take([0])[0]]
+        counts = CountBlocks(cfg, [[marg, marg]], horizon=n, rngs=[np.random.default_rng(77)])
+        blocks = [counts.take([0])[2][:, 0]]
         while len(blocks[-1]):
-            blocks.append(take([0])[0])
+            blocks.append(counts.take([0])[2][:, 0])
         totals = np.concatenate(blocks)
         x0, x1 = np.diff(totals, axis=0, prepend=0).T
         if family == "bernoulli":

@@ -1,5 +1,7 @@
-"""Public surface: exported names resolve and the README quick start runs."""
+"""Public surface: exported names resolve, modules keep out of each other's
+private names, and the README quick start runs."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -27,3 +29,16 @@ def test_exports_resolve_and_quick_start_runs(capsys):
     # one decision line per stream: stream, action, step, level
     assert sorted(int(line.split()[0]) for line in lines) == list(range(10))
     assert {line.split()[1] for line in lines} <= {"accept", "reject"}
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name with one leading underscore is its module's own business;
+    # dunders such as the package's __version__ are not private
+    offences = []
+    for path in sorted(Path(seqfdr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("seqfdr")):
+                offences += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                             if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not offences, offences

@@ -20,7 +20,7 @@ from seqfdr.cli import (
     run_simulation,
 )
 from seqfdr.core import bh_steps, scale_for_fdr
-from seqfdr.datagen import Bernoulli, count_batch
+from seqfdr.datagen import Bernoulli, CountBlocks
 from seqfdr.errors import DataUnderrunError
 from seqfdr.procedures import Decisions, run_batch
 from seqfdr.sprt import cumulative_llr, stepdown_critical_values
@@ -121,11 +121,11 @@ class TestSimulate:
         model, marginals, _ = _sim_pieces(config)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(t,)))
         horizon = config.horizon if config.mode == "open" else config.n_bar
-        take = count_batch(_copula(config), marginals, horizon=horizon, rngs=[rng])
+        counts = CountBlocks(_copula(config), [marginals], horizon=horizon, rngs=[rng])
         blocks = []
         while not blocks or len(blocks[-1]):
-            x, w, _ = take([0])
-            blocks.append(cumulative_llr(model, x, w))
+            n, _, totals = counts.take([0])
+            blocks.append(cumulative_llr(model, totals[:, 0], n[:, None]))
         return np.concatenate(blocks)
 
     @pytest.mark.parametrize("mode", ["open", "rejective"])
@@ -337,6 +337,23 @@ def test_stream_config_checked_alike(tmp_path, capsys, command, payload, change,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", OPEN_CONFIG),
+    ("fss", TestFss.CONFIG),
+    ("yellowcard", {"top_n": 4, "seed": 2}),
+])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_exit_two(tmp_path, capsys, command, payload, via):
+    # a negative seed is refused by name, from --seed or from the config
+    args = [command, str(FIXTURE)] if command == "yellowcard" else [command]
+    if via == "flag":
+        args += ["--config", write_config(tmp_path, payload), "--seed", "-1"]
+    else:
+        args += ["--config", write_config(tmp_path, dict(payload, seed=-5))]
+    assert main(args + ["--out", str(tmp_path / "x")]) == 2
+    assert "config.seed: must be >= 0" in capsys.readouterr().err
+
+
 class TestVerifyLp:
     def test_bh_sweep_attained(self, tmp_path):
         out = tmp_path / "v"
@@ -399,6 +416,21 @@ class TestYellowcard:
         bad.write_text("name,amnesia_count,other_count,years,cluster\nA,x,2,3,0\n")
         assert main(["yellowcard", str(bad), "--seed", "1", "--out", str(tmp_path / "x")]) == 3
         assert ":2:" in capsys.readouterr().err
+
+    def test_repeated_drug_exit_three(self, tmp_path, capsys):
+        table = tmp_path / "dup.csv"
+        table.write_text("name,amnesia_count,other_count,years,cluster\n"
+                         "A,1,2,3,0\nB,2,2,3,0\nA,5,2,3,1\n")
+        assert main(["yellowcard", str(table), "--seed", "1", "--out", str(tmp_path / "x")]) == 3
+        assert ":4:" in capsys.readouterr().err
+
+    def test_top_n_above_table_exit_two(self, tmp_path, capsys):
+        # the fixture holds 60 drugs
+        cfg = write_config(tmp_path, {"top_n": 100, "seed": 4})
+        out = tmp_path / "out"
+        assert main(["yellowcard", str(FIXTURE), "--config", cfg, "--out", str(out)]) == 2
+        assert "top_n" in capsys.readouterr().err
+        assert not (out / "yellowcard_report.json").exists()
 
     def test_seed_required(self, tmp_path, capsys):
         assert main(["yellowcard", str(FIXTURE), "--out", str(tmp_path / "x")]) == 2

@@ -10,15 +10,14 @@ from seqfdr.datagen import (
     Bernoulli,
     BlockClusters,
     CopulaConfig,
+    CountBlocks,
     Poisson,
-    ReportPair,
     Toeplitz,
     _PoissonCdfTable,
     _bernoulli_cut,
     _latent_counts,
     cholesky,
     correlation_matrix,
-    count_batch,
 )
 from seqfdr.errors import FactorizationError
 
@@ -97,8 +96,10 @@ class TestInvertMarginal:
         assert invert_marginal(Poisson(1.5), np.array([0.23]))[0] == 1
 
     def test_report_pair(self):
-        amn, oth = invert_marginal(ReportPair(0.6, 9.6), (np.array([0.5]), np.array([0.5])))
-        assert amn[0] >= 0 and oth[0] >= 0
+        # a (target, other) report pair inverts as two Poisson marginals
+        u = np.array([0.5])
+        assert invert_marginal(Poisson(0.6), u)[0] == scipy.stats.poisson.ppf(0.5, 0.6) == 0
+        assert invert_marginal(Poisson(9.6), u)[0] == scipy.stats.poisson.ppf(0.5, 9.6)
 
     def test_domain_errors(self):
         # the normal CDF can round up to exactly 1.0: the top of the range
@@ -109,8 +110,6 @@ class TestInvertMarginal:
             for spec in (Bernoulli(0.5), Poisson(1.5)):
                 with pytest.raises(ValueError):
                     invert_marginal(spec, np.array([0.5, bad]))
-        with pytest.raises(ValueError):
-            invert_marginal(ReportPair(1.0, 2.0), 0.5)
 
     @pytest.mark.parametrize("lam", [0.3, 1.5, 2.0, 37.5, 250.0])
     def test_matches_scipy_quantiles(self, lam):
@@ -192,33 +191,35 @@ class TestCopulaUniforms:
             assert got == pytest.approx(rho, abs=0.02)
 
 
-def _alone(cfg, specs, horizon, seed):
-    """One trial's (x, w) blocks: ``count_batch`` over one generator, read to the horizon."""
-    take = count_batch(cfg, specs, horizon=horizon, rngs=[np.random.default_rng(seed)])
-    blocks = []
+def _alone(cfg, rows, horizon, seed):
+    """One trial's (n, totals) blocks: ``CountBlocks`` over one generator, read to the horizon."""
+    blocks = CountBlocks(cfg, rows, horizon=horizon, rngs=[np.random.default_rng(seed)])
+    drawn = []
     while True:
-        x, w, steps = take([0])
+        n, steps, totals = blocks.take([0])
         if not steps[0]:
-            return blocks
-        blocks.append((x, w))
+            return drawn
+        drawn.append((n, totals))
 
 
-def _observations(cfg, specs, horizon, seed):
-    """Per-step (x, w) observations of every stream: diffs of the drawn totals."""
-    blocks = _alone(cfg, specs, horizon, seed)
-    x = np.concatenate([bx for bx, _ in blocks])
-    w = np.concatenate([np.broadcast_to(bw, bx.shape) for bx, bw in blocks])
-    return np.diff(x, axis=0, prepend=0), np.diff(w, axis=0, prepend=0)
+def _observations(cfg, rows, horizon, seed):
+    """Per-step (steps, rows, J) counts: diffs of the drawn totals."""
+    totals = np.concatenate([t for _, t in _alone(cfg, rows, horizon, seed)])
+    return np.diff(totals, axis=0, prepend=0)
+
+
+# a (target, other) report pair per stream: its two Poisson rates on two latent rows
+PAIR_ROWS = [[Poisson(0.6), Poisson(2.0)], [Poisson(9.6), Poisson(5.0)]]
 
 
 class TestStreamSources:
-    """One trial's count streams, drawn by ``count_batch`` from one generator."""
+    """One trial's count streams, drawn by ``CountBlocks`` from one generator."""
 
     def _obs(self, seed=3, horizon=500, rho=-0.6, specs=None):
         cfg = CopulaConfig(3, Toeplitz(rho))
         if specs is None:
             specs = [Bernoulli(0.05), Bernoulli(0.15), Bernoulli(0.05)]
-        return _observations(cfg, specs, horizon, seed)[0]
+        return _observations(cfg, [specs], horizon, seed)[:, 0]
 
     def test_block_size_independence(self):
         # horizons 200 and 500 block the steps differently (64+64+72 vs
@@ -234,16 +235,37 @@ class TestStreamSources:
         # amnesia counts from each step's first latent row, other reports
         # from its second
         cfg = CopulaConfig(2, Toeplitz(0.3))
-        specs = [ReportPair(0.6, 9.6), ReportPair(2.0, 5.0)]
         z = np.random.default_rng(8).standard_normal((300, 2, 2))
         y = (z.reshape(600, 2) @ cholesky(correlation_matrix(cfg)).T).reshape(300, 2, 2)
-        amn = np.stack([_uniform_rule(Poisson(s.lam_amnesia), y[:, 0, k])
-                        for k, s in enumerate(specs)], axis=1)
-        oth = np.stack([_uniform_rule(Poisson(s.lam_other), y[:, 1, k])
-                        for k, s in enumerate(specs)], axis=1)
-        got_amn, got_total = _observations(cfg, specs, 300, 8)
-        np.testing.assert_array_equal(got_amn, amn)
-        np.testing.assert_array_equal(got_total, amn + oth)
+        want = np.stack([np.stack([_uniform_rule(spec, y[:, r, k]) for k, spec in enumerate(row)],
+                                  axis=1) for r, row in enumerate(PAIR_ROWS)], axis=1)
+        np.testing.assert_array_equal(_observations(cfg, PAIR_ROWS, 300, 8), want)
+
+    def test_replicate_rows_follow_the_draw_order(self):
+        # row i * len(rows) + r of a step is replicate i's latent row r,
+        # in the order the generator draws them
+        cfg = CopulaConfig(2, Toeplitz(0.3))
+        z = np.random.default_rng(8).standard_normal((40 * 3 * 2, 2))
+        y = (z @ cholesky(correlation_matrix(cfg)).T).reshape(40, 3, 2, 2)
+        want = np.stack([np.stack([_uniform_rule(spec, y[:, :, r, k]) for k, spec in enumerate(row)],
+                                  axis=-1) for r, row in enumerate(PAIR_ROWS)], axis=2)
+        blocks = CountBlocks(cfg, PAIR_ROWS, horizon=40, rngs=[np.random.default_rng(8)],
+                             first=16, replicates=3)
+        drawn = [blocks.take([0]) for _ in range(3)]  # 16, 16 and 8 steps
+        assert [steps[0] for _, steps, _ in drawn] == [16, 16, 8]
+        np.testing.assert_array_equal(np.concatenate([n for n, _, _ in drawn]), np.arange(1, 41))
+        totals = np.concatenate([t for _, _, t in drawn])
+        assert totals.shape == (40, 6, 2)
+        np.testing.assert_array_equal(np.diff(totals, axis=0, prepend=0),
+                                      want.reshape(40, 6, 2))
+
+    def test_rows_must_carry_one_marginal_per_stream(self):
+        cfg = CopulaConfig(2, Toeplitz(0.0))
+        for rows in ([], [[Bernoulli(0.1)]], [[Bernoulli(0.1)] * 2, [Poisson(1.0)]]):
+            with pytest.raises(ValueError):
+                CountBlocks(cfg, rows, horizon=10, rngs=[np.random.default_rng(1)])
+        with pytest.raises(ValueError):
+            CountBlocks(cfg, [[Bernoulli(0.1)] * 2], horizon=0, rngs=[np.random.default_rng(1)])
 
     def test_deterministic_under_seed(self):
         np.testing.assert_array_equal(self._obs(seed=77, horizon=50),
@@ -253,31 +275,24 @@ class TestStreamSources:
         cfg = CopulaConfig(3, Toeplitz(-0.6))
         specs = [Bernoulli(0.05)] * 3
         for horizon, sizes in ((20, [20]), (200, [64, 64, 72]), (256, [64, 64, 128])):
-            blocks = _alone(cfg, specs, horizon, 3)
-            assert [len(x) for x, _ in blocks] == sizes
+            blocks = _alone(cfg, [specs], horizon, 3)
+            assert [len(t) for _, t in blocks] == sizes
 
     def test_totals_are_cumulative(self):
         cfg = CopulaConfig(3, Toeplitz(-0.6))
         specs = [Poisson(1.5)] * 3
-        x, w = map(np.concatenate, zip(*_alone(cfg, specs, 300, 3)))
-        assert np.all(np.diff(x, axis=0) >= 0)
-        np.testing.assert_array_equal(w[:, 0], np.arange(1, 301))
+        n, totals = map(np.concatenate, zip(*_alone(cfg, [specs], 300, 3)))
+        assert np.all(np.diff(totals, axis=0) >= 0)
+        np.testing.assert_array_equal(n, np.arange(1, 301))
 
     def test_report_pair_rows(self):
         cfg = CopulaConfig(2, Toeplitz(0.3))
-        specs = [ReportPair(0.6, 9.6), ReportPair(2.0, 5.0)]
-        amn, total = _observations(cfg, specs, 3000, 8)
-        obs = np.stack([amn[:, 0], total[:, 0]], axis=1)
+        counts = _observations(cfg, PAIR_ROWS, 3000, 8)
+        obs = np.stack([counts[:, 0, 0], counts[:, 0, 0] + counts[:, 1, 0]], axis=1)
         assert obs.shape == (3000, 2)
         assert np.all(obs[:, 0] <= obs[:, 1])
         assert obs[:, 0].mean() == pytest.approx(0.6, abs=0.06)
         assert obs[:, 1].mean() == pytest.approx(10.2, abs=0.25)
-
-    def test_mixing_kinds_rejected(self):
-        cfg = CopulaConfig(2, Toeplitz(0.0))
-        with pytest.raises(ValueError):
-            count_batch(cfg, [Bernoulli(0.1), ReportPair(1.0, 2.0)], horizon=10,
-                        rngs=[np.random.default_rng(1)])
 
     def test_negative_dependence_in_counts(self):
         obs = self._obs(seed=19, horizon=60_000, rho=-0.6).astype(float)
@@ -289,7 +304,7 @@ class TestStreamSources:
 
     def test_poisson_marginal_gof(self):
         cfg = CopulaConfig(2, Toeplitz(-0.6))
-        counts = _observations(cfg, [Poisson(1.5), Poisson(2.0)], 40_000, 4)[0]
+        counts = _observations(cfg, [[Poisson(1.5), Poisson(2.0)]], 40_000, 4)[:, 0]
         for x, lam in zip(counts.T, (1.5, 2.0)):
             kmax = 9
             obs = np.bincount(np.minimum(x, kmax), minlength=kmax + 1)
@@ -300,42 +315,46 @@ class TestStreamSources:
 
 
 class TestCountBatch:
-    """``count_batch``: each trial's blocks are those it draws in a batch of one."""
+    """``CountBlocks``: each trial's blocks are those it draws in a batch of one."""
 
+    # ``specs`` holds the marginals of each latent row of a step
     CASES = [
-        (10, [Bernoulli(0.05)] * 5 + [Bernoulli(0.15)] * 5, 300),
-        (10, [Poisson(1.5)] * 5 + [Poisson(2.0)] * 5, 300),
+        (10, [[Bernoulli(0.05)] * 5 + [Bernoulli(0.15)] * 5], 300),
+        (10, [[Poisson(1.5)] * 5 + [Poisson(2.0)] * 5], 300),
         # single-step blocks and J >= 32: sizes where BLAS picks other kernels
-        (40, [Poisson(1.5)] * 40, 1),
-        (40, [Bernoulli(0.1)] * 40, 150),
-        (3, [ReportPair(0.6, 9.6), ReportPair(2.0, 5.0), ReportPair(1.0, 1.0)], 200),
+        (40, [[Poisson(1.5)] * 40], 1),
+        (40, [[Bernoulli(0.1)] * 40], 150),
+        (3, [[Poisson(0.6), Poisson(2.0), Poisson(1.0)],
+             [Poisson(9.6), Poisson(5.0), Poisson(1.0)]], 200),
+        # scattered columns of one marginal: an index array, not a slice
+        (4, [[Bernoulli(0.05), Bernoulli(0.15)] * 2], 100),
     ]
 
     @staticmethod
     def _check(j, specs, horizon):
         cfg = CopulaConfig(j, Toeplitz(-0.3))
         seeds = range(9)
-        take = count_batch(cfg, specs, horizon=horizon,
-                           rngs=[np.random.default_rng(s) for s in seeds])
+        blocks = CountBlocks(cfg, specs, horizon=horizon,
+                             rngs=[np.random.default_rng(s) for s in seeds])
         got = [[] for _ in seeds]
         # trials read at different paces, so one call mixes block sizes
         for ids in ([0, 1, 2, 3, 4, 5, 6, 7, 8], [8, 0, 3], [1, 2, 4, 5, 6, 7], [0, 8],
                     list(seeds), [3, 0], list(seeds), list(seeds)):
-            x, w, steps = take(np.array(ids))
-            assert len(x) == len(w) == steps.sum()
-            for i, lo, n in zip(ids, np.cumsum(steps) - steps, steps):
-                if n:
-                    got[i].append((x[lo:lo + n], w[lo:lo + n]))
+            n, steps, totals = blocks.take(np.array(ids))
+            assert len(n) == len(totals) == steps.sum()
+            for i, lo, k in zip(ids, np.cumsum(steps) - steps, steps):
+                if k:
+                    got[i].append((n[lo:lo + k], totals[lo:lo + k]))
         for i in seeds:
             alone = _alone(cfg, specs, horizon, i)
             assert 0 < len(got[i]) <= len(alone)
-            assert sum(len(x) for x, _ in alone) == horizon
-            for (x, w), (x1, w1) in zip(got[i], alone):
-                np.testing.assert_array_equal(x, x1)
-                np.testing.assert_array_equal(w, w1)
-                assert x.dtype == x1.dtype == np.int64 and w.shape == w1.shape
+            assert sum(len(t) for _, t in alone) == horizon
+            for (n, t), (n1, t1) in zip(got[i], alone):
+                np.testing.assert_array_equal(t, t1)
+                np.testing.assert_array_equal(n, n1)
+                assert t.dtype == t1.dtype == np.int64 and t.shape == t1.shape
         # every trial reads past its first 64-step block where the horizon allows
-        assert all(sum(len(x) for x, _ in got[i]) == min(horizon, 448) for i in (0, 3, 8))
+        assert all(sum(len(t) for _, t in got[i]) == min(horizon, 448) for i in (0, 3, 8))
 
     @pytest.mark.parametrize("j, specs, horizon", CASES)
     def test_totals_match_each_trial_alone(self, j, specs, horizon):
@@ -350,8 +369,8 @@ class TestCountBatch:
         self._check(j, specs, horizon)
 
     def test_exhausted_trial_reads_zero_steps(self):
-        take = count_batch(CopulaConfig(2, Toeplitz(0.0)), [Bernoulli(0.5)] * 2, horizon=5,
-                           rngs=[np.random.default_rng(1), np.random.default_rng(2)])
-        assert take(np.array([0, 1]))[2].tolist() == [5, 5]
-        x, w, steps = take(np.array([1, 0]))
-        assert steps.tolist() == [0, 0] and x.shape == (0, 2)
+        blocks = CountBlocks(CopulaConfig(2, Toeplitz(0.0)), [[Bernoulli(0.5)] * 2], horizon=5,
+                             rngs=[np.random.default_rng(1), np.random.default_rng(2)])
+        assert blocks.take(np.array([0, 1]))[1].tolist() == [5, 5]
+        n, steps, totals = blocks.take(np.array([1, 0]))
+        assert steps.tolist() == [0, 0] and totals.shape == (0, 1, 2) and n.shape == (0,)

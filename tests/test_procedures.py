@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqfdr.calibrate import truncated_critical_values
 from seqfdr.core import bh_steps, scale_for_fdr
-from seqfdr.datagen import Bernoulli, CopulaConfig, Toeplitz, count_batch
+from seqfdr.datagen import Bernoulli, CopulaConfig, CountBlocks, Toeplitz
 from seqfdr.errors import DataUnderrunError
 from seqfdr.procedures import Decisions, run_batch, summarize, work_counts
 from seqfdr.sprt import SimpleModel, cumulative_llr, stepdown_critical_values
@@ -149,13 +149,13 @@ class TestOpenEndedValidation:
         model = SimpleModel("bernoulli", 0.05, 0.15)
         crit = stepdown_critical_values(scale_for_fdr(bh_steps(0.25, 10), 0.25),
                                         scale_for_fdr(bh_steps(0.15, 10), 0.15))
-        counts = count_batch(CopulaConfig(10, Toeplitz(-0.6)),
-                             [Bernoulli(0.05)] * 5 + [Bernoulli(0.15)] * 5, horizon=40,
+        blocks = CountBlocks(CopulaConfig(10, Toeplitz(-0.6)),
+                             [[Bernoulli(0.05)] * 5 + [Bernoulli(0.15)] * 5], horizon=40,
                              rngs=[np.random.default_rng(1)])
 
         def take(ids):
-            x, w, steps = counts(ids)
-            return cumulative_llr(model, x, w), steps
+            n, steps, totals = blocks.take(ids)
+            return cumulative_llr(model, totals[:, 0], n[:, None]), steps
 
         with pytest.raises(DataUnderrunError) as exc:
             run_batch(take, 1, crit.a, crit.b)

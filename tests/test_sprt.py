@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqfdr.core import StepVector, bh_steps, scale_for_fdr
-from seqfdr.datagen import Bernoulli, CopulaConfig, Poisson, ReportPair, Toeplitz, count_batch
+from seqfdr.datagen import Bernoulli, CopulaConfig, CountBlocks, Poisson, Toeplitz
 from seqfdr.errors import BoundaryCollapseError
 from seqfdr.sprt import (
     SIEGMUND_RHO,
@@ -234,19 +234,25 @@ class TestLatticeLlr:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("family,params,specs", [
-        ("bernoulli", (0.05, 0.15), [Bernoulli(0.05), Bernoulli(0.15)] * 2),
-        ("poisson", (1.5, 2.0), [Poisson(1.5), Poisson(2.0)] * 2),
-        ("conditional_binomial", (0.05, 0.15), [ReportPair(0.6, 9.6), ReportPair(2.0, 5.0)] * 2),
+        ("bernoulli", (0.05, 0.15), [[Bernoulli(0.05), Bernoulli(0.15)] * 2]),
+        ("poisson", (1.5, 2.0), [[Poisson(1.5), Poisson(2.0)] * 2]),
+        # (target, other) report pairs: x from latent row 0, w = x + row 1
+        ("conditional_binomial", (0.05, 0.15),
+         [[Poisson(0.6), Poisson(2.0)] * 2, [Poisson(9.6), Poisson(5.0)] * 2]),
     ])
     def test_statistic_is_affine_in_integer_totals(self, family, params, specs):
         model = SimpleModel(family, *params)
         slope, step = lattice_terms(model)
-        take = count_batch(CopulaConfig(4, Toeplitz(-0.6)), specs, horizon=300,
-                           rngs=[np.random.default_rng(5)])
-        blocks = [take([0])[:2] for _ in range(4)]  # 64, 64, 128 and 44 steps
-        stat = np.concatenate([cumulative_llr(model, x, w) for x, w in blocks])
-        x = np.concatenate([bx for bx, _ in blocks])
-        w = np.concatenate([np.broadcast_to(bw, bx.shape) for bx, bw in blocks])
+        blocks = CountBlocks(CopulaConfig(4, Toeplitz(-0.6)), specs, horizon=300,
+                             rngs=[np.random.default_rng(5)])
+        points = []
+        for _ in range(4):  # 64, 64, 128 and 44 steps
+            n, _, totals = blocks.take([0])
+            x = totals[:, 0]
+            points.append((x, x + totals[:, 1]) if len(specs) == 2
+                          else (x, np.broadcast_to(n[:, None], x.shape)))
+        stat = np.concatenate([cumulative_llr(model, x, w) for x, w in points])
+        x, w = (np.concatenate(v) for v in zip(*points))
         for (n, j), value in np.ndenumerate(stat):
             assert value == float(x[n, j]) * slope + float(w[n, j]) * step
         # equal lattice points give equal floats, across steps and streams

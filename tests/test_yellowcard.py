@@ -85,6 +85,12 @@ class TestLoadDrugTable:
         with pytest.raises(DrugTableError, match=":2:"):
             load_drug_table(path)
 
+    def test_repeated_name_names_both_lines(self, tmp_path):
+        # two rows of one drug would give two indistinguishable report rows
+        path = write_table(tmp_path, "A,1,2,3,0\nB,1,2,3,0\nA,4,5,6,1\n")
+        with pytest.raises(DrugTableError, match=r":4: drug 'A' repeats line 2"):
+            load_drug_table(path)
+
     def test_empty_name_rejected(self, tmp_path):
         path = write_table(tmp_path, " ,1,2,3,0\n")
         with pytest.raises(DrugTableError, match="name"):
@@ -171,6 +177,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             self.make(top_n=0)
 
+    def test_top_n_at_most_table(self):
+        assert self.make(top_n=2).top_n == 2
+        with pytest.raises(ConfigError, match="top_n"):
+            self.make(top_n=3)
+
     def test_records_nonempty(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(records=(), **self.BASE)
@@ -217,9 +228,10 @@ class TestRunMonitoring:
         keys = [(r.action, r.termination_step, r.drug) for r in report.rows]
         assert keys == sorted(keys)
 
-    def test_top_n_clamps_to_table(self):
+    def test_top_n_of_whole_table(self):
+        # a top_n above the table size is a ConfigError (TestExperimentConfig)
         recs = [DrugRecord(f"d{i}", 20 + i, 180, 1.0, i) for i in range(5)]
-        report = run_monitoring(config_for(recs, top_n=50))
+        report = run_monitoring(config_for(recs, top_n=5))
         assert len(report.rows) == 5
 
     def test_selects_most_reported(self):
