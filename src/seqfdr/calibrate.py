@@ -5,7 +5,11 @@ a single i.i.d. stream on the integer count lattice, and one forward
 recursion (``_race``) gives them exactly: it carries the live probability
 mass over count totals step by step and absorbs it where the statistic
 crosses, at the ``sprt.crossing_counts`` tables, so a path crosses at
-exactly the floats the procedures compute.
+exactly the floats the procedures compute.  It runs a block of steps per
+Python pass: each step only convolves the live mass with the step pmf and
+masks off what crosses, and once per block come the masks, the absorbed
+mass, the stop test and the trim of the count window.  The race stops at
+the first step at which every race's live mass is below ``_LIVE_TOL``.
 
 * ``truncated_critical_values`` finds the upper boundaries ``B_k``: the
   smallest atom of the null path maximum, truncated at ``n_bar``, whose
@@ -49,6 +53,10 @@ _LIVE_TOL = 1e-14
 _PMF_TAIL = 1e-16
 # observations _path_maxima draws at once, at most
 _CHUNK_ELEMS = 10_000_000
+# _race advances up to _BLOCK steps per pass, over at most _BLOCK_CELLS
+# (step, row, count) cells when a window is wide
+_BLOCK = 64
+_BLOCK_CELLS = 2**20
 # atoms the boundary search probes per level and pass, splitting each
 # bracket into _PROBES + 1 parts: fewer passes of more rows
 _PROBES = 3
@@ -135,6 +143,28 @@ def _step_pmf(model: SimpleModel, param: float) -> np.ndarray:
     return pmf
 
 
+def _crossing_tables(rows, groups, n: int):
+    """Absorbing counts of every row at steps ``1..n``.
+
+    Counts ``x >= top[r, n - 1]`` and ``x <= bottom[r, n - 1]`` are absorbed
+    at step n; up is the top side where the statistic rises with the count,
+    and the down side gives up the counts that cross both.  ``up_top[r]``
+    says whether row r's up side is its top side.
+    """
+    top = np.empty((len(rows), n), dtype=np.int64)
+    bottom = np.empty_like(top)
+    up_top = np.empty(len(rows), dtype=bool)
+    for model, _, sl in groups:
+        t_up, at_least = crossing_counts(model, [row[2] for row in rows[sl]], True, n)
+        t_down, _ = crossing_counts(model, [row[3] for row in rows[sl]], False, n)
+        up_top[sl] = at_least
+        if at_least:
+            top[sl], bottom[sl] = t_up, np.minimum(t_down, t_up - 1)
+        else:
+            top[sl], bottom[sl] = np.maximum(t_down, t_up + 1), t_up
+    return top, bottom, up_top
+
+
 def _race(rows, horizon: int):
     """Exact first-passage probabilities of i.i.d. count paths, one race per row.
 
@@ -142,61 +172,86 @@ def _race(rows, horizon: int):
     ``cumulative_llr(model, x_n, n)`` of a path of observations at
     ``param``: up (``>= up``) against down (``<= down``).  A step that
     crosses both counts as up, as the procedures reject before they
-    accept.  One pass carries every row's live mass over a window of count
-    totals shared by all rows, and absorbs it at the ``crossing_counts``
-    tables.  It stops at ``horizon``, or once every row's live mass is
-    below ``_LIVE_TOL``.  Returns P(up first), P(down first) and the live
-    mass left, per row.
+    accept.  The rows carry their live mass over a window of count totals
+    shared by all rows, and absorb it at the ``crossing_counts`` tables.
+
+    The recursion runs a block of up to ``_BLOCK`` steps per pass over a
+    (steps, rows, counts) array, with fewer steps where that array would
+    pass ``_BLOCK_CELLS`` cells.  Its counts are those a path can reach in
+    the block, below the largest count still live before the block's last
+    step.  Each step only convolves each (model, param) group's live mass
+    with the step pmf and multiplies it by that step's live mask.  Once per
+    block come the crossing masks, the mass absorbed on each side, the stop
+    test and the trim of the window to the counts still live.  The race
+    stops at ``horizon``, or at the first step at which every row's live
+    mass is below ``_LIVE_TOL``, and takes its rates and live mass at that
+    step.  Returns P(up first), P(down first) and the live mass left, per
+    row.
     """
-    groups = {}
-    for r, (model, param, _, _) in enumerate(rows):
-        groups.setdefault((model, param), []).append(r)
-    # counts x >= top[r, n - 1] and x <= bottom[r, n - 1] are absorbed at
-    # step n; up is the top side where the statistic rises with the count,
-    # and the down side gives up the counts that cross both
-    top = np.empty((len(rows), horizon), dtype=np.int64)
-    bottom = np.empty_like(top)
-    up_top = np.empty(len(rows), dtype=bool)
-    steps = []
-    for (model, param), idx in groups.items():
-        steps.append((idx, _step_pmf(model, param)))
-        t_up, at_least = crossing_counts(model, [rows[r][2] for r in idx], True, horizon)
-        t_down, _ = crossing_counts(model, [rows[r][3] for r in idx], False, horizon)
-        up_top[idx] = at_least
-        if at_least:
-            top[idx], bottom[idx] = t_up, np.minimum(t_down, t_up - 1)
-        else:
-            top[idx], bottom[idx] = np.maximum(t_down, t_up + 1), t_up
-    # a group's rows convolve as one flat array, each row followed by
-    # enough zeros to take its spill
-    spill = max(f.size for _, f in steps) - 1
-    # every row absorbs the counts below floor[n - 1] and from ceil[n - 1] up
-    floor = (bottom.min(axis=0) + 1).tolist()
-    ceil = top.max(axis=0).tolist()
+    # a (model, param) group's rows are one slice of the pass and convolve
+    # as one flat array
+    keys = list(dict.fromkeys(row[:2] for row in rows))
+    order = sorted(range(len(rows)), key=lambda r: keys.index(rows[r][:2]))
+    rows = [rows[r] for r in order]
+    groups, at = [], 0
+    for model, param in keys:
+        size = sum(row[:2] == (model, param) for row in rows)
+        groups.append((model, _step_pmf(model, param), slice(at, at + size)))
+        at += size
+    spill = max(f.size for _, f, _ in groups) - 1
+    built = 0  # steps in the crossing tables, grown by doubling as blocks need them
     won = np.zeros((2, len(rows)))  # absorbed at the top, at the bottom
     mass = np.ones((len(rows), 1))  # live mass at counts x0, x0 + 1, ...
-    x0 = 0
-    for n in range(horizon):
-        grown = np.zeros((len(rows), mass.shape[1] + spill))
-        grown[:, : mass.shape[1]] = mass
-        for idx, f in steps:
-            flat = grown[idx].ravel()
-            grown[idx] = np.convolve(flat, f)[: flat.size].reshape(len(idx), -1)
-        x = np.arange(x0, x0 + grown.shape[1])
-        above = x >= top[:, n, None]
-        below = x <= bottom[:, n, None]
-        won[0] += grown.sum(axis=1, where=above)
-        won[1] += grown.sum(axis=1, where=below)
-        grown[above | below] = 0.0
-        lo = max(floor[n] - x0, 0)
-        mass = grown[:, lo : max(ceil[n] - x0, lo)]
-        x0 += lo
-        if mass.sum(axis=1).max(initial=0.0) < _LIVE_TOL:
+    x0 = n = 0
+    while n < horizon:
+        width = mass.shape[1]
+        block = min(_BLOCK, horizon - n, _BLOCK_CELLS // (len(rows) * (width + _BLOCK * spill)))
+        block = max(block, 1)
+        if n + block > built:
+            built = min(horizon, max(2 * built, n + block))
+            top, bottom, up_top = _crossing_tables(rows, groups, built)
+            # every row absorbs the counts below floor[n - 1] and from ceil[n - 1] up
+            floor = bottom.min(axis=0) + 1
+            ceil = top.max(axis=0)
+        # the mass entering a step of the block lies below x0 + entering, and
+        # a step moves it up by at most spill counts, so no row spills into
+        # the next
+        entering = max(width, ceil[n + block - 2] - x0) if block > 1 else width
+        cols = min(width + block * spill, entering + spill)
+        x = np.arange(x0, x0 + cols)
+        above = x >= top[:, n : n + block].T[:, :, None]
+        below = x <= bottom[:, n : n + block].T[:, :, None]
+        keep = ~(above | below)
+        grown = np.empty((block, len(rows), cols))  # each step's mass before absorbing
+        padded = np.zeros((len(rows), cols))
+        padded[:, :width] = mass
+        mass = padded
+        # flat views of each group's rows, in the live mass and in every step
+        convs = [(mass[sl].ravel(), grown[:, sl].reshape(block, -1), f) for _, f, sl in groups]
+        for i in range(block):
+            for now, into, f in convs:
+                into[i] = np.convolve(now, f)[: now.size]
+            np.multiply(grown[i], keep[i], out=mass)
+        left = grown.sum(axis=2, where=keep)
+        settled = np.flatnonzero(left.max(axis=1, initial=0.0) < _LIVE_TOL)
+        if settled.size:
+            block = int(settled[0]) + 1
+        gained = np.stack([grown[:block].sum(axis=2, where=above[:block]),
+                           grown[:block].sum(axis=2, where=below[:block])])
+        # add the block's gains one step at a time, in order
+        won = np.cumsum(np.concatenate([won[:, None], gained], axis=1), axis=1)[:, -1]
+        left = left[block - 1]
+        n += block
+        if settled.size:
             break
+        lo = max(floor[n - 1] - x0, 0)
+        mass = mass[:, lo : max(ceil[n - 1] - x0, lo)]
+        x0 += lo
     # a sum of probabilities can round a few ulps above 1
     won = np.minimum(won, 1.0)
     up, down = np.where(up_top, won, won[::-1])
-    return up, down, np.minimum(mass.sum(axis=1), 1.0)
+    back = np.argsort(order)
+    return up[back], down[back], np.minimum(left, 1.0)[back]
 
 
 def _sample_obs(model: SimpleModel, param: float, rng: np.random.Generator, shape):

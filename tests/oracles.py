@@ -5,8 +5,9 @@ something the package computes another way (per-observation increments
 against the lattice statistic, uniforms against latent cuts, the
 conservative Wald boundaries against the corrected ones, per-trial error
 counts against array reductions, one stage at a time on a whole matrix
-against the batched stage loop).  ``MatrixSource`` hands given statistic
-matrices to ``procedures.run_batch``.
+against the batched stage loop, one lattice step at a time against a
+block of steps per pass).  ``MatrixSource`` hands given statistic matrices
+to ``procedures.run_batch``.
 """
 
 import math
@@ -14,10 +15,11 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from seqfdr.calibrate import _LIVE_TOL, _step_pmf
 from seqfdr.datagen import _latent_counts, cholesky, correlation_matrix
 from seqfdr.errors import DataUnderrunError
 from seqfdr.procedures import MetricsSummary
-from seqfdr.sprt import CriticalMatrix, _check_error_pair
+from seqfdr.sprt import CriticalMatrix, _check_error_pair, crossing_counts
 
 
 def llr_increments(model, obs) -> np.ndarray:
@@ -223,3 +225,62 @@ def step_down(mat, a, b, n_bar=None):
         r, c, stages, last = r + top, c + bottom, stages + 1, t
         active = [s for s in active if not step[s]]
     return rejected, step, level, truncated
+
+
+def race_by_step(rows, horizon):
+    """``calibrate._race`` one lattice step per pass.
+
+    Each step convolves every (model, param) group's live mass with its
+    step pmf, absorbs the mass at or beyond each row's crossing counts,
+    trims the window of count totals shared by all rows, and stops once
+    every row's live mass is below ``_LIVE_TOL``.  Returns P(up first),
+    P(down first) and the live mass left, per row.
+    """
+    groups = {}
+    for r, (model, param, _, _) in enumerate(rows):
+        groups.setdefault((model, param), []).append(r)
+    # counts x >= top[r, n - 1] and x <= bottom[r, n - 1] are absorbed at
+    # step n; up is the top side where the statistic rises with the count,
+    # and the down side gives up the counts that cross both
+    top = np.empty((len(rows), horizon), dtype=np.int64)
+    bottom = np.empty_like(top)
+    up_top = np.empty(len(rows), dtype=bool)
+    steps = []
+    for (model, param), idx in groups.items():
+        steps.append((idx, _step_pmf(model, param)))
+        t_up, at_least = crossing_counts(model, [rows[r][2] for r in idx], True, horizon)
+        t_down, _ = crossing_counts(model, [rows[r][3] for r in idx], False, horizon)
+        up_top[idx] = at_least
+        if at_least:
+            top[idx], bottom[idx] = t_up, np.minimum(t_down, t_up - 1)
+        else:
+            top[idx], bottom[idx] = np.maximum(t_down, t_up + 1), t_up
+    # a group's rows convolve as one flat array, each row followed by
+    # enough zeros to take its spill
+    spill = max(f.size for _, f in steps) - 1
+    # every row absorbs the counts below floor[n - 1] and from ceil[n - 1] up
+    floor = (bottom.min(axis=0) + 1).tolist()
+    ceil = top.max(axis=0).tolist()
+    won = np.zeros((2, len(rows)))  # absorbed at the top, at the bottom
+    mass = np.ones((len(rows), 1))  # live mass at counts x0, x0 + 1, ...
+    x0 = 0
+    for n in range(horizon):
+        grown = np.zeros((len(rows), mass.shape[1] + spill))
+        grown[:, : mass.shape[1]] = mass
+        for idx, f in steps:
+            flat = grown[idx].ravel()
+            grown[idx] = np.convolve(flat, f)[: flat.size].reshape(len(idx), -1)
+        x = np.arange(x0, x0 + grown.shape[1])
+        above = x >= top[:, n, None]
+        below = x <= bottom[:, n, None]
+        won[0] += grown.sum(axis=1, where=above)
+        won[1] += grown.sum(axis=1, where=below)
+        grown[above | below] = 0.0
+        lo = max(floor[n] - x0, 0)
+        mass = grown[:, lo : max(ceil[n] - x0, lo)]
+        x0 += lo
+        if mass.sum(axis=1).max(initial=0.0) < _LIVE_TOL:
+            break
+    won = np.minimum(won, 1.0)
+    up, down = np.where(up_top, won, won[::-1])
+    return up, down, np.minimum(mass.sum(axis=1), 1.0)

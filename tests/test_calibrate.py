@@ -2,12 +2,15 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from seqfdr.calibrate import (
+    _BLOCK,
     GammaEstimate,
     _path_maxima,
     _race,
@@ -21,7 +24,7 @@ from seqfdr.errors import ConfigError, DataUnderrunError
 from seqfdr.procedures import run_batch
 from seqfdr.sprt import SimpleModel, cumulative_llr, lattice_terms, stepdown_critical_values
 
-from oracles import MatrixSource, llr_increments
+from oracles import MatrixSource, llr_increments, race_by_step
 
 BERN = SimpleModel("bernoulli", 0.05, 0.15)
 BERN_DOWN = SimpleModel("bernoulli", 0.15, 0.05)
@@ -101,6 +104,35 @@ class TestCriticalValues:
                 for k, a_k in enumerate(alpha.values):
                     below = atoms[np.searchsorted(atoms, b[k]) - 1]
                     assert _tail(model, b[k], n_bar) <= a_k < _tail(model, below, n_bar)
+
+    # check 7's boundaries (J = 10, q1 = 0.25) bit for bit, as the
+    # one-step-per-pass recursion gave them; the bernoulli n_bar = 50 cell
+    # is also the one the rejective simulate cell calibrates
+    PINNED = {
+        ("bernoulli", 25): [
+            2.9485158982395214, 2.5036133577986237, 2.1835805149020846, 2.058710817357726,
+            1.863547672005546, 1.738677974461187, 1.6274523393509628, 1.5162267042407382,
+            1.4050010691305141, 1.2937754340202896],
+        ("bernoulli", 50): [
+            3.3934184386804187, 2.907583710937118, 2.517257420232758, 2.267518025144041,
+            2.0859989422259946, 1.947485182247502, 1.8226154847031433, 1.7113898495929192,
+            1.600164214482695, 1.5025826418066042],
+        ("poisson", 25): [
+            3.027549014324932, 2.5688725358123303, 2.294964970523015, 2.0891386520660276,
+            1.9181442460052054, 1.8014565796142468, 1.6782773041320551, 1.5891386520660276,
+            1.4935083909087687, 1.4181442460052054],
+        ("poisson", 50): [
+            3.5623809267210973, 3.0007912889800004, 2.6580111878783566, 2.411652636913974,
+            2.226883723690687, 2.0623809267210973, 1.9254271440764406, 1.8087394776854815,
+            1.699334709365754, 1.6037044482084966],
+    }
+
+    @pytest.mark.parametrize("family, n_bar", sorted(PINNED))
+    def test_check_seven_cells_are_pinned(self, family, n_bar):
+        alpha = scale_for_fdr(bh_steps(0.25, 10), 0.25)
+        model = BERN if family == "bernoulli" else POIS
+        b = truncated_critical_values(model, alpha, n_bar)
+        assert b.tolist() == self.PINNED[family, n_bar]
 
     def test_maxima_are_exact_lattice_values(self):
         # equal (count, n) pairs give equal floats: every maximum is the
@@ -326,6 +358,18 @@ class TestGammaOpenEnded:
         assert np.array_equal(e1.live_mass_per_stream, e2.live_mass_per_stream)
 
 
+@st.composite
+def _race_rows(draw):
+    """One ``_race`` row: bernoulli or poisson, either parameter, thresholds
+    near 0 (races that settle within a block) or far, infinite or equal."""
+    model = draw(st.sampled_from([BERN, BERN_DOWN, POIS]))
+    param = draw(st.sampled_from([model.null_param, model.alt_param]))
+    up = draw(st.one_of(st.just(np.inf), st.floats(-0.5, 0.8), st.floats(0.8, 4.0)))
+    down = draw(st.one_of(st.just(-np.inf), st.just(up), st.floats(-0.8, 0.5),
+                          st.floats(-4.0, -0.8)))
+    return model, param, up, down
+
+
 class TestLatticeRace:
     """The forward recursion against per-step evaluation of the statistic."""
 
@@ -365,6 +409,42 @@ class TestLatticeRace:
             alone = _race([row], 300)
             for got, want in zip(together, alone):
                 assert got[r] == pytest.approx(want[0], abs=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(_race_rows(), min_size=1, max_size=4),
+           horizon=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
+    # both stop in the middle of a block: at step 3, and at step 77
+    @example(rows=[(BERN, 0.05, 0.5, -0.3)], horizon=2 * _BLOCK + 1)
+    @example(rows=[(POIS, 1.5, 0.3, -0.6), (POIS, 2.0, 0.3, -0.6)], horizon=2 * _BLOCK + 1)
+    def test_blocks_match_the_per_step_loop(self, rows, horizon):
+        # a block of steps per pass gives the rates and live mass of one
+        # step per pass up to summation order, and stops at the same step:
+        # the live mass shrinks by a part at each step that absorbs, so a
+        # step more or less shows in it even below _LIVE_TOL
+        got = _race(rows, horizon)
+        want = race_by_step(rows, horizon)
+        for g, w in zip(got, want):
+            assert np.allclose(g, w, rtol=0.0, atol=1e-13)
+        assert np.allclose(got[2], want[2], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("model", [BERN, POIS], ids=["bernoulli", "poisson"])
+    def test_unsettled_race_stays_banded(self, model):
+        # a null stream raced up with no lower boundary is still racing at
+        # the horizon, over a window of counts that grows with n: 17k counts
+        # for poisson at n = 10000, where a dense counts-by-counts step
+        # operator would take gigabytes
+        rows = [(model, model.null_param, 3.0, -np.inf)]
+        tracemalloc.start()
+        try:
+            got = _race(rows, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        want = race_by_step(rows, 10_000)
+        assert want[2][0] > 0.9
+        for g, w in zip(got, want):
+            assert np.allclose(g, w, rtol=0.0, atol=1e-13)
 
     def test_threshold_hit_exactly_is_crossed(self):
         # the one-step statistic is c1 or c0: a threshold on either atom is
