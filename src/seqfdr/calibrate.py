@@ -3,18 +3,19 @@
 Both quantities the procedures need from calibration are probabilities of
 a single i.i.d. stream on the integer count lattice, and one forward
 recursion (``_race``) gives them exactly: it carries the live probability
-mass over count totals step by step and absorbs it where the statistic
-crosses, at the ``sprt.crossing_counts`` tables, so a path crosses at
-exactly the floats the procedures compute.  It runs a block of steps per
-Python pass: each step only convolves the live mass with the step pmf and
-masks off what crosses, and once per block come the masks, the absorbed
-mass, the stop test and the trim of the count window.  The race stops at
-the first step at which every race's live mass is below ``_LIVE_TOL``.
+mass over count totals step by step, under the model's count law
+(``SimpleModel.law``), and absorbs it where the statistic crosses, at the
+``sprt.crossing_counts`` tables, so a path crosses at exactly the floats
+the procedures compute.  It runs a block of steps per Python pass: each
+step only convolves the live mass with the step pmf and masks off what
+crosses, and once per block come the masks, the absorbed mass, the stop
+test and the trim of the count window.  The race stops at the first step
+at which every race's live mass is below ``_LIVE_TOL``.
 
 * ``truncated_critical_values`` finds the upper boundaries ``B_k``: the
   smallest atom of the null path maximum, truncated at ``n_bar``, whose
   exact tail is at most ``alpha_k``.  ``mc_truncated_critical_values``
-  adds a Monte Carlo sample that validates them.
+  adds a Monte Carlo sample (``SimpleModel.sample``) that validates them.
 * ``estimate_gamma`` gives, per stream, the chance that the stream's
   statistic produces at least one rejection (resp. acceptance) on its own.
   The maxima over streams are the lower bounds used to tighten step values
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .core import StepVector
 from .errors import ConfigError
@@ -119,26 +119,11 @@ class GammaEstimate:
             object.__setattr__(self, name, arr)
 
 
-_NO_SAMPLER = (
-    "conditional_binomial streams have no standalone sampling distribution; "
-    "simulate the trial-count process explicitly instead"
-)
-
-
-def _count_law(model: SimpleModel, param: float, n=1):
-    """Law of the count total of ``n`` observations at ``param`` (scipy, frozen)."""
-    if model.family == "bernoulli":
-        return stats.binom(n, param)
-    if model.family == "poisson":
-        return stats.poisson(n * param)
-    raise ConfigError(_NO_SAMPLER)
-
-
 @functools.lru_cache(maxsize=None)
 def _step_pmf(model: SimpleModel, param: float) -> np.ndarray:
     """P(count = x) of one observation at ``param``, cut at a ``_PMF_TAIL`` tail."""
-    law = _count_law(model, param)
-    pmf = law.pmf(np.arange(law.isf(_PMF_TAIL) + 1))
+    dist, args = model.law(param)
+    pmf = dist.pmf(np.arange(dist.isf(_PMF_TAIL, *args) + 1), *args)
     pmf.setflags(write=False)
     return pmf
 
@@ -146,23 +131,17 @@ def _step_pmf(model: SimpleModel, param: float) -> np.ndarray:
 def _crossing_tables(rows, groups, n: int):
     """Absorbing counts of every row at steps ``1..n``.
 
-    Counts ``x >= top[r, n - 1]`` and ``x <= bottom[r, n - 1]`` are absorbed
-    at step n; up is the top side where the statistic rises with the count,
-    and the down side gives up the counts that cross both.  ``up_top[r]``
-    says whether row r's up side is its top side.
+    Counts ``x >= top[r, n - 1]`` (up) and ``x <= bottom[r, n - 1]`` (down)
+    are absorbed at step n; the down side gives up the counts that cross
+    both.
     """
     top = np.empty((len(rows), n), dtype=np.int64)
     bottom = np.empty_like(top)
-    up_top = np.empty(len(rows), dtype=bool)
     for model, _, sl in groups:
-        t_up, at_least = crossing_counts(model, [row[2] for row in rows[sl]], True, n)
-        t_down, _ = crossing_counts(model, [row[3] for row in rows[sl]], False, n)
-        up_top[sl] = at_least
-        if at_least:
-            top[sl], bottom[sl] = t_up, np.minimum(t_down, t_up - 1)
-        else:
-            top[sl], bottom[sl] = np.maximum(t_down, t_up + 1), t_up
-    return top, bottom, up_top
+        top[sl] = crossing_counts(model, [row[2] for row in rows[sl]], True, n)
+        bottom[sl] = np.minimum(crossing_counts(model, [row[3] for row in rows[sl]], False, n),
+                                top[sl] - 1)
+    return top, bottom
 
 
 def _race(rows, horizon: int):
@@ -200,7 +179,7 @@ def _race(rows, horizon: int):
         at += size
     spill = max(f.size for _, f, _ in groups) - 1
     built = 0  # steps in the crossing tables, grown by doubling as blocks need them
-    won = np.zeros((2, len(rows)))  # absorbed at the top, at the bottom
+    won = np.zeros((2, len(rows)))  # absorbed up, down
     mass = np.ones((len(rows), 1))  # live mass at counts x0, x0 + 1, ...
     x0 = n = 0
     while n < horizon:
@@ -209,7 +188,7 @@ def _race(rows, horizon: int):
         block = max(block, 1)
         if n + block > built:
             built = min(horizon, max(2 * built, n + block))
-            top, bottom, up_top = _crossing_tables(rows, groups, built)
+            top, bottom = _crossing_tables(rows, groups, built)
             # every row absorbs the counts below floor[n - 1] and from ceil[n - 1] up
             floor = bottom.min(axis=0) + 1
             ceil = top.max(axis=0)
@@ -248,19 +227,9 @@ def _race(rows, horizon: int):
         mass = mass[:, lo : max(ceil[n - 1] - x0, lo)]
         x0 += lo
     # a sum of probabilities can round a few ulps above 1
-    won = np.minimum(won, 1.0)
-    up, down = np.where(up_top, won, won[::-1])
+    up, down = np.minimum(won, 1.0)
     back = np.argsort(order)
     return up[back], down[back], np.minimum(left, 1.0)[back]
-
-
-def _sample_obs(model: SimpleModel, param: float, rng: np.random.Generator, shape):
-    """Draw observations from the stated family at sampling parameter ``param``."""
-    if model.family == "bernoulli":
-        return (rng.random(shape) < param).astype(np.int8)
-    if model.family == "poisson":
-        return rng.poisson(param, shape)
-    raise ConfigError(_NO_SAMPLER)
 
 
 def _path_maxima(
@@ -282,7 +251,7 @@ def _path_maxima(
     done = 0
     while done < reps:
         m = min(path_chunk, reps - done)
-        obs = _sample_obs(model, param, rng, (m, n_bar))
+        obs = model.sample(param, rng, (m, n_bar))
         cum = obs.astype(float)
         np.cumsum(cum, axis=1, out=cum)
         cumulative_llr(model, cum, trials, out=cum)
@@ -309,7 +278,8 @@ def truncated_critical_values(model: SimpleModel, alpha: StepVector, n_bar: int)
     if n_bar < 1:
         raise ConfigError(f"n_bar must be >= 1, got {n_bar}")
     n = np.arange(1, n_bar + 1)[:, None]
-    top = _count_law(model, model.null_param, n).isf(_PMF_TAIL)
+    dist, args = model.law(model.null_param, n)
+    top = dist.isf(_PMF_TAIL, *args)
     x = np.arange(int(top.max()) + 1)
     atoms = np.unique(cumulative_llr(model, x, n)[x <= top])
     # B_k is atoms[i] for the smallest i in [lo[k], hi[k]] that meets

@@ -39,7 +39,7 @@ import scipy
 from . import __version__
 from .calibrate import truncated_critical_values
 from .core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
-from .datagen import Bernoulli, CopulaConfig, CountBlocks, Poisson, Toeplitz
+from .datagen import CopulaConfig, CountBlocks, Toeplitz
 from .errors import ConfigError, DataError, NumericalError
 from .fixed_sample import find_matching_fss
 from .procedures import Decisions, run_batch, summarize, work_counts
@@ -216,9 +216,8 @@ class YellowcardConfig:
 
 def _sim_pieces(config: _Streams):
     model = SimpleModel(config.family, config.null_param, config.alt_param)
-    marginal = Bernoulli if config.family == "bernoulli" else Poisson
     truth = [True] * config.m0 + [False] * (config.j - config.m0)
-    return model, [marginal(config.null_param if t else config.alt_param) for t in truth], truth
+    return model, model.marginals(truth), truth
 
 
 def _copula(config: SimulationConfig | FssConfig) -> CopulaConfig:

@@ -2,8 +2,10 @@
 
 The sequential procedures are benchmarked against the fixed-sample
 Benjamini-Hochberg step-up rule: draw N observations per stream, form exact
-one-sided p-values, reject with the BH step values rescaled for worst-case
-FDR control (the same constants the sequential boundaries are built from).
+upper-tail p-values under the null's count law (``SimpleModel.law``; the
+alternative lies above the null), reject with the BH step values rescaled
+for worst-case FDR control (the same constants the sequential boundaries
+are built from).
 ``exact_pvalue`` and ``bh_stepup`` work on whole (trials, streams) arrays.
 ``find_matching_fss`` finds the smallest N whose estimated FNR matches the
 sequential procedure's achieved FNR, which is how the expected-sample-size
@@ -11,7 +13,7 @@ savings are measured.  It estimates the whole FNR(N) curve from one nested
 draw: every replicate's count totals grow one step at a time, so all N share
 their random numbers (common random numbers, Glasserman & Yao 1992).  The
 draw is one ``datagen.CountBlocks`` trial whose steps carry all replicates,
-the copula path the sequential trials run on.
+the copula path the sequential trials run on, with the model's marginals.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .core import StepVector, bh_steps, scale_for_fdr
-from .datagen import Bernoulli, CopulaConfig, CountBlocks, Poisson
+from .datagen import CopulaConfig, CountBlocks
 from .errors import ConfigError
 from .sprt import SimpleModel
 
@@ -74,22 +75,17 @@ class FssSearchResult:
 def exact_pvalue(model: SimpleModel, n: int, totals) -> np.ndarray:
     """One-sided upper-tail p-values of count totals, each over n draws.
 
-    Bernoulli streams aggregate to Binomial(n, p), Poisson streams to
-    Poisson(n * lambda); in both cases the p-value is the null probability
-    of a total at least as large as observed.
+    The p-value is the null probability (``model.law``) of a total at least
+    as large as observed: the alternative lies above the null.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     totals = np.asarray(totals)
-    if totals.size and totals.min() < 0:
-        raise ValueError("count totals must be >= 0")
-    if model.family == "bernoulli":
-        if totals.size and totals.max() > n:
-            raise ValueError(f"count totals exceed the sample size {n}")
-        return stats.binom.sf(totals - 1, n, model.null_param)
-    if model.family == "poisson":
-        return stats.poisson.sf(totals - 1, n * model.null_param)
-    raise ConfigError("fixed-sample comparator supports bernoulli and poisson families")
+    dist, args = model.law(model.null_param, n)
+    lo, hi = dist.support(*args)
+    if totals.size and not (lo <= totals.min() and totals.max() <= hi):
+        raise ValueError(f"count totals must lie in [{lo:g}, {hi:g}] over {n} draws")
+    return dist.sf(totals - 1, *args)
 
 
 def bh_stepup(pvalues, alpha: StepVector) -> np.ndarray:
@@ -165,10 +161,7 @@ def find_matching_fss(
     truth = np.asarray(truth, dtype=bool)
     if truth.shape != (config.j,):
         raise ValueError("truth must assign one flag per stream")
-    if model.family not in ("bernoulli", "poisson"):
-        raise ConfigError("fixed-sample comparator supports bernoulli and poisson families")
-    marginal = Bernoulli if model.family == "bernoulli" else Poisson
-    marginals = [marginal(model.null_param if t else model.alt_param) for t in truth]
+    marginals = model.marginals(truth)
     # Equal-guarantee comparison: the scaled values control FDR at q1
     # under arbitrary dependence, like the sequential constants do.
     alpha = scale_for_fdr(bh_steps(q1, config.j), q1)

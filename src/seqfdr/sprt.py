@@ -1,14 +1,17 @@
 """Wald-style sequential test boundaries and log-likelihood-ratio machinery.
 
 One-parameter simple-vs-simple models supply i.i.d. log-likelihood-ratio
-increments.  A step-down battery of J tests needs J acceptance boundaries
-``A_1 <= ... <= A_J`` and J rejection boundaries ``B_J <= ... <= B_1``;
-surrogate error levels keep the per-level error contracts intact while
-making the boundary matrix monotone.  The cumulative LLR of a whole path, the form every engine uses,
-is an affine map of integer count totals, so equal lattice points give
-equal floats, and per-step tables of count totals say exactly where it
-crosses a threshold.  Every stream of one battery shares one model, so
-the procedures compare raw statistics with one boundary ladder.
+increments, with the alternative above the null, and each owns what its
+family means: the count law, the sampler and the copula marginals.  A
+step-down battery of J tests needs J acceptance boundaries ``A_1 <= ... <=
+A_J`` and J rejection boundaries ``B_J <= ... <= B_1``; surrogate error
+levels keep the per-level error contracts intact while making the boundary
+matrix monotone.  The cumulative LLR of a whole path, the form every engine
+uses, is an affine map of integer count totals that rises with the count,
+so equal lattice points give equal floats, and per-step tables of count
+totals say exactly where it crosses a threshold.  Every stream of one
+battery shares one model, so the procedures compare raw statistics with
+one boundary ladder.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+from scipy import stats
 
 from .core import StepVector
-from .errors import BoundaryCollapseError
+from .datagen import Bernoulli, Poisson
+from .errors import BoundaryCollapseError, ConfigError
 
 __all__ = [
     "SIEGMUND_RHO",
@@ -43,13 +48,14 @@ Family = Literal["bernoulli", "poisson", "conditional_binomial"]
 
 @dataclass(frozen=True)
 class SimpleModel:
-    """Simple null vs simple alternative for one data stream.
+    """Simple null vs simple alternative (``null_param < alt_param``) for one stream.
 
     family:
         "bernoulli": success probabilities, observation in {0, 1}.
         "poisson": rates, observation a count.
         "conditional_binomial": success probabilities applied to a
-            (successes, trials) pair; the trial count carries no evidence.
+            (successes, trials) pair; the trial count carries no evidence,
+            and no law, sampler or marginals of its own.
     """
 
     family: Family
@@ -63,8 +69,8 @@ class SimpleModel:
         for name, value in (("null_param", self.null_param), ("alt_param", self.alt_param)):
             if not lo < value < hi:
                 raise ValueError(f"{name}={value} outside ({lo}, {hi}) for {self.family}")
-        if self.null_param == self.alt_param:
-            raise ValueError("null and alternative parameters must differ")
+        if not self.null_param < self.alt_param:
+            raise ValueError(f"alt_param={self.alt_param} must exceed null_param={self.null_param}")
 
     @property
     def log_ratios(self) -> tuple[float, float]:
@@ -73,6 +79,33 @@ class SimpleModel:
             raise ValueError("log_ratios undefined for the poisson family")
         p0, p1 = self.null_param, self.alt_param
         return math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0))
+
+    def _counts(self) -> str:
+        """The family, when its observations are counts with a law of their own."""
+        if self.family == "conditional_binomial":
+            raise ConfigError("conditional_binomial streams have no standalone count law; "
+                              "simulate the trial-count process explicitly instead")
+        return self.family
+
+    def law(self, param: float, n=1):
+        """Law of the count total of ``n`` (may be an array) observations at
+        ``param``: Binomial(n, p) or Poisson(n lambda), as the unfrozen scipy
+        distribution and its shape arguments, used as ``dist.pmf(x, *args)``."""
+        if self._counts() == "bernoulli":
+            return stats.binom, (n, param)
+        return stats.poisson, (n * param,)
+
+    def sample(self, param: float, rng: np.random.Generator, shape) -> np.ndarray:
+        """Observations of ``shape`` drawn i.i.d. at ``param``."""
+        if self._counts() == "bernoulli":
+            return (rng.random(shape) < param).astype(np.int8)
+        return rng.poisson(param, shape)
+
+    def marginals(self, truth) -> list[Bernoulli | Poisson]:
+        """Copula marginal of each stream: the null's where ``truth`` is True,
+        the alternative's elsewhere."""
+        spec = Bernoulli if self._counts() == "bernoulli" else Poisson
+        return [spec(self.null_param if t else self.alt_param) for t in truth]
 
 
 def lattice_terms(model: SimpleModel) -> tuple[float, float]:
@@ -108,30 +141,26 @@ def cumulative_llr(model: SimpleModel, x, w, out: np.ndarray | None = None) -> n
 _COUNT_CAP = 2**52
 
 
-def crossing_counts(
-    model: SimpleModel, threshold, upward: bool, horizon: int
-) -> tuple[np.ndarray, bool]:
+def crossing_counts(model: SimpleModel, threshold, upward: bool, horizon: int) -> np.ndarray:
     """Count totals at which the cumulative LLR crosses ``threshold``, per step.
 
-    Returns ``(t, at_least)``: an int64 table with ``t[n - 1]`` for steps
-    ``n = 1..horizon`` such that ``cumulative_llr(model, x, n)`` crosses
-    (``>= threshold`` if ``upward``, ``<= threshold`` otherwise) exactly
-    when ``x >= t[n - 1]`` (``at_least``) or ``x <= t[n - 1]`` (not
-    ``at_least``).  An array of thresholds gives one table per entry,
-    stacked along its shape.  A closed-form guess is corrected against
+    Returns an int64 table with ``t[n - 1]`` for steps ``n = 1..horizon``
+    such that ``cumulative_llr(model, x, n)`` crosses exactly when
+    ``x >= t[n - 1]`` if ``upward`` (the statistic ``>= threshold``), or
+    ``x <= t[n - 1]`` otherwise (``<= threshold``): the statistic rises with
+    the count.  An array of thresholds gives one table per entry, stacked
+    along its shape.  A closed-form guess is corrected against
     ``cumulative_llr`` itself, so the table agrees with the statistic the
-    procedures compute to the last bit.  ``slope`` and ``step`` have
-    opposite signs for every model, so the table is nondecreasing in n.
-    An infinite threshold gives a constant table that no count, or every
-    count, satisfies.
+    procedures compute to the last bit.  The per-trial term is negative for
+    every model, so the table is nondecreasing in n.  An infinite threshold
+    gives a constant table that no count, or every count, satisfies.
     """
     slope, step = lattice_terms(model)
-    at_least = upward == (slope > 0.0)
-    never, always = (_COUNT_CAP, 0) if at_least else (-1, _COUNT_CAP)
+    never, always = (_COUNT_CAP, 0) if upward else (-1, _COUNT_CAP)
     threshold = np.asarray(threshold, dtype=float)[..., None]
     n = np.arange(1, horizon + 1)
     guess = (threshold - n * step) / slope
-    guess = np.ceil(guess) if at_least else np.floor(guess)
+    guess = np.ceil(guess) if upward else np.floor(guess)
     # an infinite threshold's guess is clipped onto never or always
     t = np.clip(guess, min(never, always), max(never, always)).astype(np.int64)
 
@@ -140,12 +169,12 @@ def crossing_counts(
         return stat >= threshold if upward else stat <= threshold
 
     # the crossing set is {x >= t} or {x <= t}: move t onto its edge
-    inward = -1 if at_least else 1
+    inward = -1 if upward else 1
     while np.any(fix := (t != always) & crossed(t + inward)):
         t[fix] += inward
     while np.any(fix := (t != never) & ~crossed(t)):
         t[fix] -= inward
-    return t, at_least
+    return t
 
 
 def wald_bounds(alpha: float, beta: float, rho: float = SIEGMUND_RHO) -> tuple[float, float]:
@@ -196,13 +225,6 @@ class CriticalMatrix:
         b = np.asarray(self.b, dtype=float).copy()
         if a.shape != b.shape or a.ndim != 1 or a.size < 1:
             raise ValueError("a and b must be 1-D arrays of equal positive length")
-        if np.isnan(a).any() or np.isnan(b).any():
-            raise ValueError("boundaries must not be NaN")
-        tol = 1e-12
-        if np.any(a[1:] < a[:-1] - tol):
-            raise ValueError("acceptance boundaries must be nondecreasing in level")
-        if np.any(b[1:] > b[:-1] + tol):
-            raise ValueError("rejection boundaries must be nonincreasing in level")
         collapsed = np.nonzero(a > b)[0]
         if collapsed.size:
             k = int(collapsed[0]) + 1
@@ -210,6 +232,7 @@ class CriticalMatrix:
                 f"acceptance boundary exceeds rejection boundary at level k={k}: "
                 f"A_{k}={a[k - 1]:.6g} > B_{k}={b[k - 1]:.6g}"
             )
+        check_ladders(a, b)
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)

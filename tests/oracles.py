@@ -239,29 +239,24 @@ def race_by_step(rows, horizon):
     groups = {}
     for r, (model, param, _, _) in enumerate(rows):
         groups.setdefault((model, param), []).append(r)
-    # counts x >= top[r, n - 1] and x <= bottom[r, n - 1] are absorbed at
-    # step n; up is the top side where the statistic rises with the count,
-    # and the down side gives up the counts that cross both
+    # counts x >= top[r, n - 1] (up) and x <= bottom[r, n - 1] (down) are
+    # absorbed at step n, and the down side gives up the counts that cross
+    # both
     top = np.empty((len(rows), horizon), dtype=np.int64)
     bottom = np.empty_like(top)
-    up_top = np.empty(len(rows), dtype=bool)
     steps = []
     for (model, param), idx in groups.items():
         steps.append((idx, _step_pmf(model, param)))
-        t_up, at_least = crossing_counts(model, [rows[r][2] for r in idx], True, horizon)
-        t_down, _ = crossing_counts(model, [rows[r][3] for r in idx], False, horizon)
-        up_top[idx] = at_least
-        if at_least:
-            top[idx], bottom[idx] = t_up, np.minimum(t_down, t_up - 1)
-        else:
-            top[idx], bottom[idx] = np.maximum(t_down, t_up + 1), t_up
+        top[idx] = crossing_counts(model, [rows[r][2] for r in idx], True, horizon)
+        bottom[idx] = np.minimum(crossing_counts(model, [rows[r][3] for r in idx], False, horizon),
+                                 top[idx] - 1)
     # a group's rows convolve as one flat array, each row followed by
     # enough zeros to take its spill
     spill = max(f.size for _, f in steps) - 1
     # every row absorbs the counts below floor[n - 1] and from ceil[n - 1] up
     floor = (bottom.min(axis=0) + 1).tolist()
     ceil = top.max(axis=0).tolist()
-    won = np.zeros((2, len(rows)))  # absorbed at the top, at the bottom
+    won = np.zeros((2, len(rows)))  # absorbed up, down
     mass = np.ones((len(rows), 1))  # live mass at counts x0, x0 + 1, ...
     x0 = 0
     for n in range(horizon):
@@ -281,6 +276,5 @@ def race_by_step(rows, horizon):
         x0 += lo
         if mass.sum(axis=1).max(initial=0.0) < _LIVE_TOL:
             break
-    won = np.minimum(won, 1.0)
-    up, down = np.where(up_top, won, won[::-1])
+    up, down = np.minimum(won, 1.0)
     return up, down, np.minimum(mass.sum(axis=1), 1.0)

@@ -1,5 +1,5 @@
 """Public surface: exported names resolve, modules keep out of each other's
-private names, and the README quick start runs."""
+private names and of the model family, and the README quick start runs."""
 
 import ast
 import importlib
@@ -42,3 +42,14 @@ def test_no_module_imports_another_modules_private_name():
                 offences += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                              if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not offences, offences
+
+
+def test_only_the_model_and_the_cli_read_the_family():
+    # what a family means (its law, sampler, marginals and statistic) is
+    # SimpleModel's business; the CLI checks the user's config field by name
+    readers = set()
+    for path in sorted(Path(seqfdr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "family":
+                readers.add(path.name)
+    assert readers == {"sprt.py", "cli.py"}, readers

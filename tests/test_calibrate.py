@@ -14,7 +14,6 @@ from seqfdr.calibrate import (
     GammaEstimate,
     _path_maxima,
     _race,
-    _sample_obs,
     estimate_gamma,
     mc_truncated_critical_values,
     truncated_critical_values,
@@ -27,7 +26,6 @@ from seqfdr.sprt import SimpleModel, cumulative_llr, lattice_terms, stepdown_cri
 from oracles import MatrixSource, llr_increments, race_by_step
 
 BERN = SimpleModel("bernoulli", 0.05, 0.15)
-BERN_DOWN = SimpleModel("bernoulli", 0.15, 0.05)
 POIS = SimpleModel("poisson", 1.5, 2.0)
 
 
@@ -83,7 +81,6 @@ class TestCriticalValues:
             (BERN, StepVector([0.05, 0.10, 0.20]), 7),
             (BERN, bh, 3),
             (POIS, bh, 4),
-            (BERN_DOWN, StepVector([0.4, 0.5]), 6),
         )
         for model, alpha, n_bar in cases:
             report = mc_truncated_critical_values(model, alpha, n_bar, 500, 5)
@@ -147,8 +144,7 @@ class TestCriticalValues:
                 step = -(model.alt_param - model.null_param)
             maxima = _path_maxima(model, model.null_param, n_bar, reps,
                                   np.random.default_rng(31))
-            obs = _sample_obs(model, model.null_param, np.random.default_rng(31),
-                              (reps, n_bar))
+            obs = model.sample(model.null_param, np.random.default_rng(31), (reps, n_bar))
             counts = np.cumsum(obs, axis=1)
             n = np.arange(1, n_bar + 1)
             lattice = set((counts * slope + n * step).ravel().tolist())
@@ -251,9 +247,7 @@ class TestGammaOpenEnded:
         (BERN, "null"),
         (POIS, "null"),
         (POIS, "alt"),
-        (BERN_DOWN, "alt"),
-    ], ids=["bernoulli-alt", "bernoulli-null", "poisson-null", "poisson-alt",
-            "bernoulli_down-alt"])
+    ], ids=["bernoulli-alt", "bernoulli-null", "poisson-null", "poisson-alt"])
     def test_alt_stream_matches_direct_simulation(self, model, choice):
         est = estimate_gamma(
             [model] * 3, [choice] * 3, a=self.A, b=self.B, reps=4000, seed=13
@@ -362,7 +356,7 @@ class TestGammaOpenEnded:
 def _race_rows(draw):
     """One ``_race`` row: bernoulli or poisson, either parameter, thresholds
     near 0 (races that settle within a block) or far, infinite or equal."""
-    model = draw(st.sampled_from([BERN, BERN_DOWN, POIS]))
+    model = draw(st.sampled_from([BERN, POIS]))
     param = draw(st.sampled_from([model.null_param, model.alt_param]))
     up = draw(st.one_of(st.just(np.inf), st.floats(-0.5, 0.8), st.floats(0.8, 4.0)))
     down = draw(st.one_of(st.just(-np.inf), st.just(up), st.floats(-0.8, 0.5),
@@ -375,7 +369,6 @@ class TestLatticeRace:
 
     MODELS = {
         "bernoulli": (BERN, 0.12),
-        "bernoulli_down": (BERN_DOWN, 0.1),
         "poisson": (SimpleModel("poisson", 2.0, 2.6), 2.6),
     }
 
@@ -523,7 +516,7 @@ class TestGammaTruncated:
             for choice in ("null", "alt"):
                 est = estimate_gamma([model], [choice], b=b, n_bar=n_bar, reps=reps, seed=17)
                 param = model.null_param if choice == "null" else model.alt_param
-                obs = _sample_obs(model, param, rng, (reps, n_bar))
+                obs = model.sample(param, rng, (reps, n_bar))
                 oracle = np.mean(np.cumsum(llr_increments(model, obs), axis=1).max(axis=1) >= b[0])
                 assert abs(est.gamma1 - oracle) <= 3.0 * _binom_se(est.gamma1, reps)
                 assert est.gamma1 == pytest.approx(

@@ -241,6 +241,13 @@ class TestFindMatchingFss:
                 SimpleModel("conditional_binomial", 0.1, 0.2),
                 cfg, [True, False], 0.25, 0.5, reps=100,
             )
+        # an alternative below the null, which upper-tail p-values cannot
+        # test, is refused before any draw
+        with pytest.raises(ValueError, match="must exceed"):
+            find_matching_fss(
+                SimpleModel("bernoulli", 0.15, 0.05),
+                cfg, [True, False], 0.25, 0.5, reps=100,
+            )
         # rates from 700 up underflow the Poisson table: refused before any draw
         with pytest.raises(ValueError, match="700"):
             find_matching_fss(

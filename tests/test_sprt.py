@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqfdr.core import StepVector, bh_steps, scale_for_fdr
 from seqfdr.datagen import Bernoulli, CopulaConfig, CountBlocks, Poisson, Toeplitz
-from seqfdr.errors import BoundaryCollapseError
+from seqfdr.errors import BoundaryCollapseError, ConfigError
 from seqfdr.sprt import (
     SIEGMUND_RHO,
     CriticalMatrix,
@@ -130,12 +130,28 @@ class TestLlrIncrements:
             llr_increments(c, np.array([5]))
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            SimpleModel("bernoulli", 0.0, 0.5)
-        with pytest.raises(ValueError):
-            SimpleModel("poisson", 1.0, 1.0)
-        with pytest.raises(ValueError):
-            SimpleModel("gamma", 1.0, 2.0)
+        for family, null, alt, match in (
+            ("bernoulli", 0.0, 0.5, "outside"),
+            ("gamma", 1.0, 2.0, "unknown family"),
+            # the alternative must lie above the null, in every family
+            ("bernoulli", 0.15, 0.05, "must exceed"),
+            ("bernoulli", 0.1, 0.1, "must exceed"),
+            ("poisson", 2.0, 1.5, "must exceed"),
+            ("poisson", 1.0, 1.0, "must exceed"),
+            ("conditional_binomial", 0.15, 0.05, "must exceed"),
+            ("conditional_binomial", 0.1, 0.1, "must exceed"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                SimpleModel(family, null, alt)
+
+    def test_conditional_binomial_has_no_count_law(self):
+        # its trial count is not modelled, so it has no law, sampler or
+        # marginals of its own: one ConfigError for all three
+        c = SimpleModel("conditional_binomial", 0.05, 0.15)
+        for call in (lambda: c.law(0.05, 4), lambda: c.marginals([True, False]),
+                     lambda: c.sample(0.05, np.random.default_rng(0), (2, 3))):
+            with pytest.raises(ConfigError, match="conditional_binomial"):
+                call()
 
 
 class TestCriticalValues:
@@ -191,14 +207,16 @@ class TestCriticalValues:
                 CriticalMatrix(a=np.array(a), b=np.array(b))
 
     def test_matrix_order_tolerance(self):
-        # order slips within 1e-12 pass, as do infinite entries
-        crit = CriticalMatrix(a=np.array([-1.0, -1.0 - 1e-13]), b=np.array([2.0, 2.0 + 1e-13]))
+        # no slip in order passes, however small, since run_batch's ladder
+        # check would refuse the matrix; infinite entries pass
+        crit = CriticalMatrix(a=np.array([-np.inf, -np.inf]), b=np.array([np.inf, np.inf]))
         assert crit.j == 2
-        CriticalMatrix(a=np.array([-np.inf, -np.inf]), b=np.array([np.inf, np.inf]))
-        with pytest.raises(ValueError, match="nondecreasing"):
-            CriticalMatrix(a=np.array([-1.0, -1.0 - 1e-11]), b=np.array([2.0, 2.0]))
-        with pytest.raises(ValueError, match="nonincreasing"):
-            CriticalMatrix(a=np.array([-1.0, -1.0]), b=np.array([2.0, 2.0 + 1e-11]))
+        for a, b in (([-1.0, -1.0 - 1e-13], [2.0, 2.0]), ([-1.0, -1.0], [2.0, 2.0 + 1e-13]),
+                     ([-1.0, -1.0 - 1e-13], [2.0, 2.0 + 1e-13])):
+            with pytest.raises(ValueError, match="nondecreasing"):
+                CriticalMatrix(a=np.array(a), b=np.array(b))
+            with pytest.raises(ValueError, match="nondecreasing"):
+                check_ladders(a, b)
 
 
 class TestCheckLadders:
@@ -263,10 +281,8 @@ class TestLatticeLlr:
 
     @pytest.mark.parametrize("model", [
         SimpleModel("bernoulli", 0.05, 0.15),
-        SimpleModel("bernoulli", 0.15, 0.05),
         SimpleModel("poisson", 1.5, 2.0),
-        SimpleModel("poisson", 2.0, 1.5),
-    ], ids=["bern_up", "bern_down", "pois_up", "pois_down"])
+    ], ids=["bern_up", "pois_up"])
     def test_crossing_counts_match_statistic(self, model):
         horizon = 120
         x, n = np.arange(0, 400)[:, None], np.arange(1, horizon + 1)[None, :]
@@ -276,11 +292,11 @@ class TestLatticeLlr:
         near = [np.nextafter(v, -np.inf) for v in lattice] + [np.nextafter(v, np.inf) for v in lattice]
         for thr in [-3.3, -1.0, 0.0, 0.7, 2.9, *lattice, *near, np.inf, -np.inf]:
             for upward in (True, False):
-                t, at_least = crossing_counts(model, thr, upward, horizon)
+                t = crossing_counts(model, thr, upward, horizon)
                 assert t.dtype == np.int64 and t.shape == (horizon,)
                 assert np.all(np.diff(t) >= 0)
                 crossed = stat >= thr if upward else stat <= thr
-                table = x >= t if at_least else x <= t
+                table = x >= t if upward else x <= t
                 assert np.array_equal(crossed, table), (thr, upward)
 
 
