@@ -14,11 +14,13 @@ draw: every replicate's count totals grow one step at a time, so all N share
 their random numbers (common random numbers, Glasserman & Yao 1992).  The
 draw is one ``datagen.CountBlocks`` trial whose steps carry all replicates,
 the copula path the sequential trials run on, with the model's marginals.
+The curve is evaluated one drawn block of N at a time: one p-value table
+over the block's (N, total) pairs, one BH pass over all its rows, and a
+stop at the block's first N at or below the target.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,19 +74,22 @@ class FssSearchResult:
     curve: FnrCurve
 
 
-def exact_pvalue(model: SimpleModel, n: int, totals) -> np.ndarray:
+def exact_pvalue(model: SimpleModel, n, totals) -> np.ndarray:
     """One-sided upper-tail p-values of count totals, each over n draws.
 
     The p-value is the null probability (``model.law``) of a total at least
-    as large as observed: the alternative lies above the null.
+    as large as observed: the alternative lies above the null.  ``n`` is one
+    sample size or an array of them that broadcasts against ``totals``, so
+    a table over (n, total) is one call.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    n = np.asarray(n)
+    if np.any(n < 1):
+        raise ValueError(f"sample size must be >= 1, got {n.min()}")
     totals = np.asarray(totals)
     dist, args = model.law(model.null_param, n)
     lo, hi = dist.support(*args)
-    if totals.size and not (lo <= totals.min() and totals.max() <= hi):
-        raise ValueError(f"count totals must lie in [{lo:g}, {hi:g}] over {n} draws")
+    if not np.all((lo <= totals) & (totals <= hi)):
+        raise ValueError("count totals must lie in the null law's support over their n draws")
     return dist.sf(totals - 1, *args)
 
 
@@ -108,20 +113,29 @@ def bh_stepup(pvalues, alpha: StepVector) -> np.ndarray:
     return p <= cutoff[:, None]
 
 
-# steps in the first block of a nested draw; each later block doubles the total
+# steps in the first block of a nested draw; each later block doubles the
+# total, within CountBlocks' cell bound
 _FIRST_STEPS = 16
 
 
 def _bh_rates(model, n, totals, truth, alpha):
-    """(FNR, FDR, FNR standard error) of BH over the replicates' totals at size n."""
-    # a p-value depends only on (n, total): one table per n
-    rejected = bh_stepup(exact_pvalue(model, n, np.arange(totals.max() + 1))[totals], alpha)
-    j = truth.size
-    r = rejected.sum(axis=1)
-    fdp = (rejected & truth).sum(axis=1) / np.maximum(r, 1)
-    fnp = (~rejected & ~truth).sum(axis=1) / np.maximum(j - r, 1)
-    se = math.sqrt(float(np.var(fnp)) / fnp.size)
-    return float(fnp.mean()), float(fdp.mean()), se
+    """(FNR, FDR, FNR standard error) of BH at each step of a block: arrays over ``n``.
+
+    ``totals`` holds the replicates' (reps, J) count totals of each step,
+    step k over ``n[k]`` draws.
+    """
+    steps, reps, j = totals.shape
+    totals = totals.reshape(steps, -1)
+    # a p-value depends only on (n, total): one table over the block, each
+    # row's totals capped at its largest, which lies in the law's support
+    top = totals.max(axis=1)
+    table = exact_pvalue(model, n[:, None], np.minimum(np.arange(top.max() + 1), top[:, None]))
+    p = np.take_along_axis(table, totals, axis=1)
+    rejected = bh_stepup(p.reshape(-1, j), alpha).reshape(steps, reps, j)
+    r = rejected.sum(axis=2)
+    fdp = (rejected & truth).sum(axis=2) / np.maximum(r, 1)
+    fnp = (~rejected & ~truth).sum(axis=2) / np.maximum(j - r, 1)
+    return fnp.mean(axis=1), fdp.mean(axis=1), np.sqrt(np.var(fnp, axis=1) / reps)
 
 
 def find_matching_fss(
@@ -167,7 +181,7 @@ def find_matching_fss(
     alpha = scale_for_fdr(bh_steps(q1, config.j), q1)
 
     def draw(scale: int, n_stop: int):
-        """(n, totals) for n = 1..n_stop: each replicate's (reps, J) count totals."""
+        """Blocks of (n, totals) up to n_stop: each step's (reps, J) count totals."""
         # 2-tuple spawn keys: apart from each other and from trial t's (t,)
         seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(0, scale))
         blocks = CountBlocks(config, [marginals], horizon=n_stop,
@@ -177,18 +191,22 @@ def find_matching_fss(
             n, steps, totals = blocks.take([0])
             if not steps[0]:
                 return
-            yield from zip(n.tolist(), totals)
+            yield n, totals
 
     curve = []
     for n, totals in draw(1, n_max):
-        curve.append((n, *_bh_rates(model, n, totals, truth, alpha)))
-        if curve[-1][1] <= target_fnr:
+        rates = _bh_rates(model, n, totals, truth, alpha)
+        met = np.flatnonzero(rates[0] <= target_fnr)
+        stop = met[0] + 1 if met.size else n.size
+        curve += zip(n[:stop].tolist(), *(rate[:stop].tolist() for rate in rates))
+        if met.size:
             break
     n_fss = curve[-1][0]
     reached = curve[-1][1] <= target_fnr
-    for _, totals in draw(4, n_fss):
+    for n, totals in draw(4, n_fss):
         pass
-    fnr, fdr, se = _bh_rates(model, n_fss, totals, truth, alpha)
+    last = _bh_rates(model, n[-1:], totals[-1:], truth, alpha)
+    fnr, fdr, se = (float(rate[0]) for rate in last)
     return FssSearchResult(
         n_fss=n_fss, achieved_fnr=fnr, achieved_fdr=fdr, target_fnr=target_fnr, reps=reps,
         found=reached and fnr <= target_fnr + 1.5 * se, fnr_se=se,

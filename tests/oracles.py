@@ -6,7 +6,8 @@ against the lattice statistic, uniforms against latent cuts, the
 conservative Wald boundaries against the corrected ones, per-trial error
 counts against array reductions, one stage at a time on a whole matrix
 against the batched stage loop, one lattice step at a time against a
-block of steps per pass).  ``MatrixSource`` hands given statistic matrices
+block of steps per pass, BH rates one sample size at a time against a
+block of sizes).  ``MatrixSource`` hands given statistic matrices
 to ``procedures.run_batch``.
 """
 
@@ -18,6 +19,7 @@ from scipy.special import ndtr, ndtri
 from seqfdr.calibrate import _LIVE_TOL, _step_pmf
 from seqfdr.datagen import _latent_counts, cholesky, correlation_matrix
 from seqfdr.errors import DataUnderrunError
+from seqfdr.fixed_sample import bh_stepup, exact_pvalue
 from seqfdr.procedures import MetricsSummary
 from seqfdr.sprt import CriticalMatrix, _check_error_pair, crossing_counts
 
@@ -83,7 +85,24 @@ def invert_marginal(spec, u):
     # NaN fails both comparisons
     if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("uniforms must lie in [0, 1]")
-    return _latent_counts(spec, ndtri(u))
+    y = ndtri(u)
+    return _latent_counts(spec, y, np.empty(y.shape, np.int64))
+
+
+def bh_rates(model, n, totals, truth, alpha):
+    """(FNR, FDR, FNR standard error) of BH over the replicates' (reps, J) totals at size n.
+
+    One sample size per call; ``fixed_sample._bh_rates`` runs a block of
+    sizes at once.
+    """
+    # a p-value depends only on (n, total): one table per n
+    rejected = bh_stepup(exact_pvalue(model, n, np.arange(totals.max() + 1))[totals], alpha)
+    j = truth.size
+    r = rejected.sum(axis=1)
+    fdp = (rejected & truth).sum(axis=1) / np.maximum(r, 1)
+    fnp = (~rejected & ~truth).sum(axis=1) / np.maximum(j - r, 1)
+    se = math.sqrt(float(np.var(fnp)) / fnp.size)
+    return float(fnp.mean()), float(fdp.mean()), se
 
 
 def error_counts(rejected, truth) -> tuple[int, int, int]:

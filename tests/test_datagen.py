@@ -144,7 +144,10 @@ class TestLatentCounts:
              Poisson(0.3), Poisson(1.5), Poisson(2.0), Poisson(12.0)]
 
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
-    def test_equals_ndtr_then_inversion(self, spec):
+    def test_equals_ndtr_then_inversion(self, spec, monkeypatch):
+        # more bulk cuts than the guard allows, so that Poisson(12) is
+        # counted by comparisons too (the guard is for speed only)
+        monkeypatch.setattr(datagen, "_COMPARE_CUTS", 64)
         if isinstance(spec, Bernoulli):
             levels = np.array([spec.p])
             cuts = np.array([_bernoulli_cut(spec.p)])
@@ -158,7 +161,14 @@ class TestLatentCounts:
             edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
             [-np.inf, np.inf],
         ])
-        np.testing.assert_array_equal(_latent_counts(spec, y), _uniform_rule(spec, y))
+        # a large input and a small one: a Poisson group is counted by
+        # comparisons from _COMPARE_CELLS cells, by binary search below
+        small = np.concatenate([y[:100], y[1_000_000:]])
+        assert small.size < datagen._COMPARE_CELLS <= y.size
+        for y in (y, small):
+            out = np.full(y.shape, -1, np.int64)
+            assert _latent_counts(spec, y, out) is out
+            np.testing.assert_array_equal(out, _uniform_rule(spec, y))
 
 
 class TestCopulaUniforms:
@@ -326,7 +336,7 @@ class TestCountBatch:
         (40, [[Bernoulli(0.1)] * 40], 150),
         (3, [[Poisson(0.6), Poisson(2.0), Poisson(1.0)],
              [Poisson(9.6), Poisson(5.0), Poisson(1.0)]], 200),
-        # scattered columns of one marginal: an index array, not a slice
+        # scattered columns of one marginal: one group per run of columns
         (4, [[Bernoulli(0.05), Bernoulli(0.15)] * 2], 100),
     ]
 
@@ -365,8 +375,31 @@ class TestCountBatch:
         # counts that read the last bit of each latent value: equal totals
         # mean the batch's copula products equal each trial's to the last bit
         monkeypatch.setattr(datagen, "_latent_counts",
-                            lambda spec, y: np.ascontiguousarray(y).view(np.int64) & 1)
+                            lambda spec, y, out: np.bitwise_and(
+                                np.ascontiguousarray(y).view(np.int64), 1, out=out))
         self._check(j, specs, horizon)
+
+    def test_block_cap_crosses_the_inversion_choice(self, monkeypatch):
+        # 200 replicates of 5 streams per marginal: one-step blocks hold
+        # 1000 cells of a group, under _COMPARE_CELLS (binary search), and
+        # the default blocks of 16 steps and more hold 16000 (comparisons)
+        cfg = CopulaConfig(10, Toeplitz(-0.6))
+        rows = [[Poisson(1.5)] * 5 + [Poisson(2.0)] * 5]
+
+        def totals():
+            blocks = CountBlocks(cfg, rows, horizon=40, rngs=[np.random.default_rng(5)],
+                                 first=16, replicates=200)
+            drawn = []
+            while (block := blocks.take([0]))[1][0]:
+                drawn.append(block[2])
+            return len(drawn), np.concatenate(drawn)
+
+        blocks, default = totals()
+        assert blocks == 3 and 16 * 1000 >= datagen._COMPARE_CELLS
+        monkeypatch.setattr(datagen, "_BLOCK_CELLS", 2000)
+        blocks, small = totals()
+        assert blocks == 40 and 1000 < datagen._COMPARE_CELLS
+        np.testing.assert_array_equal(small, default)
 
     def test_exhausted_trial_reads_zero_steps(self):
         blocks = CountBlocks(CopulaConfig(2, Toeplitz(0.0)), [[Bernoulli(0.5)] * 2], horizon=5,

@@ -1,21 +1,26 @@
 """Tests for the fixed-sample BH comparator and matching-N search."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from seqfdr import datagen
-from seqfdr.core import StepVector, bh_steps
+from seqfdr.core import StepVector, bh_steps, scale_for_fdr
 from seqfdr.datagen import CopulaConfig, Toeplitz
 from seqfdr.errors import ConfigError
 from seqfdr.fixed_sample import (
     FssSearchResult,
+    _bh_rates,
     bh_stepup,
     exact_pvalue,
     find_matching_fss,
 )
 from seqfdr.sprt import SimpleModel
+
+from oracles import bh_rates
 
 BERN = SimpleModel("bernoulli", 0.05, 0.15)
 POIS = SimpleModel("poisson", 1.5, 2.0)
@@ -56,6 +61,14 @@ class TestExactPvalue:
         ps = exact_pvalue(POIS, 5, np.arange(30))
         assert np.all(np.diff(ps) <= 0.0)
 
+    @pytest.mark.parametrize("model", [BERN, POIS], ids=["bernoulli", "poisson"])
+    def test_size_grid_equals_each_size_alone(self, model):
+        # one call over an (n, total) grid gives each n's own call bit for bit
+        n = np.arange(1, 41)
+        grid = np.minimum(np.arange(45), n[:, None])
+        want = np.stack([exact_pvalue(model, k, row) for k, row in zip(n.tolist(), grid)])
+        np.testing.assert_array_equal(exact_pvalue(model, n[:, None], grid), want)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             exact_pvalue(BERN, 0, np.array([0]))
@@ -63,6 +76,12 @@ class TestExactPvalue:
             exact_pvalue(BERN, 5, np.array([-1]))
         with pytest.raises(ValueError):
             exact_pvalue(BERN, 5, np.array([6]))
+        # an array of sizes is checked as a whole: a size below 1 anywhere,
+        # or a total outside its own row's support
+        with pytest.raises(ValueError, match="sample size"):
+            exact_pvalue(BERN, np.array([[3], [0]]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="support"):
+            exact_pvalue(BERN, np.array([[5], [3]]), np.array([0, 4]))
         with pytest.raises(ConfigError):
             exact_pvalue(SimpleModel("conditional_binomial", 0.1, 0.2), 5, np.array([1]))
 
@@ -128,6 +147,31 @@ class TestBhStepup:
             bh_stepup([[0.5, np.nan]], bh_steps(0.1, 2))
         with pytest.raises(ValueError):
             bh_stepup([0.5, 0.5], bh_steps(0.1, 2))
+
+
+class TestBhRates:
+    """A block of sample sizes at once against one size at a time (the oracle)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=st.sampled_from([BERN, POIS]), j=st.sampled_from([1, 3, 10, 60]),
+           steps=st.integers(1, 5), reps=st.integers(1, 300),
+           truth=st.sampled_from(["null", "alt", "mixed"]), spread=st.integers(0, 6),
+           n0=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @example(model=BERN, j=10, steps=1, reps=200, truth="mixed", spread=0, n0=7, seed=0)
+    def test_block_equals_each_size_alone(self, model, j, steps, reps, truth, spread, n0, seed):
+        rng = np.random.default_rng(seed)
+        n = np.arange(n0, n0 + steps)
+        # totals from a few values (spread 0: all tied), in each size's support
+        totals = rng.integers(0, n0 + 1) + rng.integers(0, spread + 1, (steps, reps, j))
+        if model is BERN:
+            totals = np.minimum(totals, n[:, None, None])
+        flags = {"null": np.ones(j, bool), "alt": np.zeros(j, bool),
+                 "mixed": rng.random(j) < 0.5}[truth]
+        alpha = scale_for_fdr(bh_steps(0.25, j), 0.25)
+        block = _bh_rates(model, n, totals, flags, alpha)
+        for k in range(steps):
+            alone = bh_rates(model, int(n[k]), totals[k], flags, alpha)
+            assert tuple(float(rate[k]) for rate in block) == alone
 
 
 class TestFindMatchingFss:
@@ -216,6 +260,26 @@ class TestFindMatchingFss:
         # 1000 cells hold one step of 300 replicates: every block is one step
         monkeypatch.setattr(datagen, "_BLOCK_CELLS", 1000)
         assert find_matching_fss(*args, reps=300, n_max=256) == out
+
+    # the two benchmark rows (J = 10, rho = -0.6, q1 = 0.25, n_max = 400) at
+    # 200 reps and seed 20261019, as the search gave them one N at a time:
+    # (target, n_fss, found, achieved FNR, achieved FDR, FNR se, curve digest)
+    PINNED = {
+        ("bernoulli", 5): (0.035, 101, True, 0.022558035714285714, 0.05250595238095238,
+                           0.0022989086728318823, "91761f79801f872a"),
+        ("poisson", 0): (0.103, 79, True, 0.1125, 0.0, 0.011171601832324672,
+                         "86af9243bf7c6e23"),
+    }
+
+    @pytest.mark.parametrize("family, m0", sorted(PINNED))
+    def test_benchmark_rows_are_pinned(self, family, m0):
+        target, *want, digest = self.PINNED[family, m0]
+        model = BERN if family == "bernoulli" else POIS
+        out = find_matching_fss(model, CopulaConfig(10, Toeplitz(-0.6), seed=20261019),
+                                [True] * m0 + [False] * (10 - m0), 0.25, target, 200, n_max=400)
+        assert [out.n_fss, out.found, out.achieved_fnr, out.achieved_fdr, out.fnr_se] == want
+        # the whole curve, every N's (FNR, FDR, se), bit for bit
+        assert hashlib.sha256(repr(out.curve).encode()).hexdigest()[:16] == digest
 
     def test_deterministic(self):
         kw = dict(q1=0.25, target_fnr=0.2, reps=300, n_max=256)
