@@ -49,7 +49,7 @@ def run_family(family: str, args) -> dict[int, object]:
 
 def run_benchmark(summaries, args) -> None:
     print("\nfixed-sample BH benchmark (matched to the achieved FNR)")
-    print(f"{'family':>10} {'m0':>4} {'n_fss':>6} {'fnr_fss':>8} {'savings':>8}")
+    print(f"{'family':>10} {'m0':>4} {'n_fss':>6} {'fnr_fss':>8} {'fnr_se':>8} {'savings':>8}")
     for family, m0 in FSS_ROWS:
         null, alt = FAMILIES[family]
         s = summaries[family][m0]
@@ -61,7 +61,7 @@ def run_benchmark(summaries, args) -> None:
         )
         savings = 1.0 - s.mean_stream_n / res.n_fss
         print(f"{family:>10} {m0:>4} {res.n_fss:>6} {res.achieved_fnr:8.3f}"
-              f" {savings:8.1%}")
+              f" {res.fnr_se:8.4f} {savings:8.1%}")
 
 
 def main() -> None:

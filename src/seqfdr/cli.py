@@ -432,7 +432,8 @@ def cmd_fss(args) -> int:
                                           "result": row, "curve": result.curve._asdict()})
     _emit(out, "fss", digest, config.seed, {"total_s": elapsed})
     print(f"fss: n_fss={result.n_fss} found={result.found} "
-          f"achieved_fnr={result.achieved_fnr:.4f} (target {result.target_fnr:.4f})")
+          f"achieved_fnr={result.achieved_fnr:.4f} fnr_se={result.fnr_se:.4f} "
+          f"(target {result.target_fnr:.4f})")
     return 0
 
 

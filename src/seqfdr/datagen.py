@@ -227,7 +227,13 @@ def _bernoulli_cut(p: float) -> float:
 
 
 class _PoissonCdfTable:
-    """Forward-recursion Poisson CDF and the latent cuts of its levels."""
+    """Forward-recursion Poisson CDF and the latent cuts of its levels.
+
+    The CDF is strictly increasing.  A latent value past its last cut
+    counts to the table's last index, where the CDF reaches 1 - 1e-16 or,
+    for a rate whose float sum stops short of that, where the sum stops
+    growing (its plateau); about 1e-16 of the mass lies past either.
+    """
 
     def __init__(self, lam: float):
         cap = int(lam + 60.0 * math.sqrt(lam + 1.0) + 120.0)
@@ -236,8 +242,12 @@ class _PoissonCdfTable:
         for k in range(1, cap):
             pmf[k] = pmf[k - 1] * lam / k
         cdf = np.cumsum(pmf)
-        # keep entries until the tail is below float resolution
-        stop = int(np.argmax(cdf >= 1.0 - 1e-16)) + 1 if cdf[-1] >= 1.0 - 1e-16 else cap
+        # keep entries until the tail is below float resolution, or until the
+        # sum stops growing short of that: drop from the first entry that
+        # follows such a level or repeats the one before it (past a repeat
+        # the pmf is too small to move the sum again)
+        done = (cdf[:-1] >= 1.0 - 1e-16) | (cdf[1:] == cdf[:-1])
+        stop = int(np.argmax(done)) + 1 if done.any() else cap
         self.cdf = cdf[:stop]
         # a count exceeds n when its latent value exceeds cuts[n]
         self.cuts = _latent_cuts(self.cdf[:-1])

@@ -15,8 +15,10 @@ their random numbers (common random numbers, Glasserman & Yao 1992).  The
 draw is one ``datagen.CountBlocks`` trial whose steps carry all replicates,
 the copula path the sequential trials run on, with the model's marginals.
 The curve is evaluated one drawn block of N at a time: one p-value table
-over the block's (N, total) pairs, one BH pass over all its rows, and a
-stop at the block's first N at or below the target.
+over the block's (N, total) pairs and one BH pass over all its rows.  A
+noisy curve can touch the target early and rise again, so the search takes
+the first N that starts a run of ``_RUN`` consecutive N at or below it, and
+the draw stops at the end of that run.
 """
 
 from __future__ import annotations
@@ -53,15 +55,14 @@ class FnrCurve(NamedTuple):
 class FssSearchResult:
     """Outcome of the matching fixed-sample size search.
 
-    ``found`` is False in two cases.  When no N up to the search ceiling
-    pushed the estimated FNR down to the target, ``n_fss`` holds the
-    ceiling and the achieved rates describe that boundary candidate.  Below
-    the ceiling, ``n_fss`` is the first N at which the nested curve's FNR
-    reached the target, and ``found`` is False when the confirmation run's
-    FNR exceeds the target by more than 1.5 of its standard errors
-    (``fnr_se``).  ``reps`` is the curve's replicate count; the reported
-    rates come from a confirmation run at four times that.  ``curve``
-    holds the curve from N = 1 to ``n_fss``, with the FNR's standard error.
+    ``n_fss`` is the first N at which the nested curve's FNR is at or below
+    the target at every N of ``[N, N + _RUN - 1]``, a window cut at the
+    search ceiling, and ``found`` is True.  When no such N lies within the
+    ceiling, ``n_fss`` holds the ceiling and ``found`` is False.  The
+    achieved rates and ``fnr_se``, the FNR's Monte Carlo standard error,
+    are the curve's values at ``n_fss``, over ``reps`` replicates.
+    ``curve`` holds the curve from N = 1 to the last N the rule read,
+    ``n_fss + _RUN - 1`` cut at the ceiling.
     """
 
     n_fss: int
@@ -117,6 +118,10 @@ def bh_stepup(pvalues, alpha: StepVector) -> np.ndarray:
 # total, within CountBlocks' cell bound
 _FIRST_STEPS = 16
 
+# consecutive N whose FNR must be at or below the target: n_fss is the first
+# of such a run
+_RUN = 4
+
 
 def _bh_rates(model, n, totals, truth, alpha):
     """(FNR, FDR, FNR standard error) of BH at each step of a block: arrays over ``n``.
@@ -131,10 +136,13 @@ def _bh_rates(model, n, totals, truth, alpha):
     top = totals.max(axis=1)
     table = exact_pvalue(model, n[:, None], np.minimum(np.arange(top.max() + 1), top[:, None]))
     p = np.take_along_axis(table, totals, axis=1)
-    rejected = bh_stepup(p.reshape(-1, j), alpha).reshape(steps, reps, j)
-    r = rejected.sum(axis=2)
-    fdp = (rejected & truth).sum(axis=2) / np.maximum(r, 1)
-    fnp = (~rejected & ~truth).sum(axis=2) / np.maximum(j - r, 1)
+    rejected = bh_stepup(p.reshape(-1, j), alpha)
+    # each row's rejections among the nulls and among the signals: counts
+    # of at most J, exact in floats, so one product gives both
+    counts = (rejected @ np.stack([truth, ~truth], axis=1).astype(float)).reshape(steps, reps, 2)
+    v, s = counts[..., 0], counts[..., 1]
+    fdp = v / np.maximum(v + s, 1)
+    fnp = (np.count_nonzero(~truth) - s) / np.maximum(j - v - s, 1)
     return fnp.mean(axis=1), fdp.mean(axis=1), np.sqrt(np.var(fnp, axis=1) / reps)
 
 
@@ -157,12 +165,13 @@ def find_matching_fss(
     equal nominal level.
 
     One nested draw of ``reps`` replicates gives the FNR at N = 1, 2, ...
-    on common random numbers, and ``n_fss`` is the first N where it is at
-    or below the target.  A confirmation run at 4x reps, a fresh draw
-    stopped at ``n_fss``, gives the reported rates; the confirmation
-    tolerance is 1.5 Monte Carlo standard errors.  Both draws derive from
+    on common random numbers, and ``n_fss`` is the first N that starts a
+    run of ``_RUN`` consecutive N at or below the target, so a dip of the
+    noisy curve that rises again is not taken.  The draw runs block by
+    block until that run ends or ``n_max`` is reached, and the reported
+    rates are the curve's at ``n_fss``.  The draw derives from
     ``config.seed`` (required), so results are reproducible, and they do
-    not depend on ``n_max`` once it reaches ``n_fss``.
+    not depend on ``n_max`` once it reaches ``n_fss + _RUN - 1``.
     """
     if not 0.0 < target_fnr <= 1.0:
         raise ConfigError(f"target_fnr must be in (0, 1], got {target_fnr}")
@@ -180,35 +189,26 @@ def find_matching_fss(
     # under arbitrary dependence, like the sequential constants do.
     alpha = scale_for_fdr(bh_steps(q1, config.j), q1)
 
-    def draw(scale: int, n_stop: int):
-        """Blocks of (n, totals) up to n_stop: each step's (reps, J) count totals."""
-        # 2-tuple spawn keys: apart from each other and from trial t's (t,)
-        seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(0, scale))
-        blocks = CountBlocks(config, [marginals], horizon=n_stop,
-                             rngs=[np.random.default_rng(seq)], first=_FIRST_STEPS,
-                             replicates=reps * scale)
-        while True:
-            n, steps, totals = blocks.take([0])
-            if not steps[0]:
-                return
-            yield n, totals
-
-    curve = []
-    for n, totals in draw(1, n_max):
+    # 2-tuple spawn key: apart from trial t's (t,)
+    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(0, 1))
+    blocks = CountBlocks(config, [marginals], horizon=n_max, rngs=[np.random.default_rng(seq)],
+                         first=_FIRST_STEPS, replicates=reps)
+    # (n, FNR, FDR, se) of each N read, and how many of the last are at or
+    # below the target
+    curve, run = [], 0
+    while run < _RUN and len(curve) < n_max:
+        n, _, totals = blocks.take([0])
         rates = _bh_rates(model, n, totals, truth, alpha)
-        met = np.flatnonzero(rates[0] <= target_fnr)
-        stop = met[0] + 1 if met.size else n.size
-        curve += zip(n[:stop].tolist(), *(rate[:stop].tolist() for rate in rates))
-        if met.size:
-            break
-    n_fss = curve[-1][0]
-    reached = curve[-1][1] <= target_fnr
-    for n, totals in draw(4, n_fss):
-        pass
-    last = _bh_rates(model, n[-1:], totals[-1:], truth, alpha)
-    fnr, fdr, se = (float(rate[0]) for rate in last)
+        for point in zip(n.tolist(), *(rate.tolist() for rate in rates)):
+            curve.append(point)
+            run = run + 1 if point[1] <= target_fnr else 0
+            if run == _RUN:
+                break
+    # a run cut short by the ceiling meets the rule on what is left of its window
+    n_fss = len(curve) - run + 1 if run else len(curve)
+    _, fnr, fdr, se = curve[n_fss - 1]
     return FssSearchResult(
         n_fss=n_fss, achieved_fnr=fnr, achieved_fdr=fdr, target_fnr=target_fnr, reps=reps,
-        found=reached and fnr <= target_fnr + 1.5 * se, fnr_se=se,
+        found=run > 0, fnr_se=se,
         curve=FnrCurve(*(tuple(col) for col in zip(*curve))),
     )

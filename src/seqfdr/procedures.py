@@ -148,9 +148,10 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
     ``take(ids)`` returns the next row block of every listed trial, stacked
     in the order of ``ids``, and each block's row count (0: no rows left).
     ``n_bar`` None means no horizon, so a trial ends only when every stream
-    is decided or its rows run out.  Each round runs one stage of every
-    undecided trial, or reads the next block of those that scanned all
-    their rows without a crossing.  Only the undecided trials' current
+    is decided or its rows run out.  Every trial's first block is read
+    before the first round.  Each round runs one stage of every undecided
+    trial, or reads the next block of those that scanned all their rows
+    without a crossing.  Only the undecided trials' current
     blocks are held, in one (trials, rows, J) array, with their active
     streams and continuation intervals; scans never return to earlier
     blocks.  The array work of a round, the scan for first exits and the
@@ -197,7 +198,37 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
         vals = block[ks, offs]
         return vals.tolist(), np.lexsort((vals, ~act[ks]), axis=1).tolist()
 
-    while live:
+    # rows of live whose trials read their next block: at first every trial
+    missed = list(range(trials))
+    while True:
+        if missed:
+            vals, counts = take(np.array([live[k] for k in missed]))
+            if tally is not None:
+                tally["matrix_rows"] += int(counts.sum())
+                tally["path_blocks"] += len(missed)
+            width = int(counts.max())
+            if width > block.shape[1]:
+                grown = np.empty((len(live), width, j))
+                grown[:, : block.shape[1]] = block
+                block = grown
+            offsets = np.arange(len(vals)) - np.repeat(np.cumsum(counts) - counts, counts)
+            block[np.repeat(missed, counts), offsets] = vals
+            for k, count in zip(missed, counts.tolist()):
+                i = live[k]
+                if not count:
+                    failed[i] = DataUnderrunError(
+                        f"streams {np.flatnonzero(act[k]).tolist()} exhausted at step "
+                        f"{scan[i]} before any decision boundary was crossed",
+                        state=state(i, k),
+                    )
+                    size[i] = 0
+                base[i], held[i] = scan[i], count
+        keep = [k for k, i in enumerate(live) if size[i]]
+        if len(keep) < len(live):
+            live = [live[k] for k in keep]
+            block, act, hi, lo = block[keep], act[keep], hi[keep], lo[keep]
+        if not live:
+            break
         # first row at or after each trial's scan where an active stream
         # leaves the continuation interval
         starts = [scan[i] - base[i] for i in live]
@@ -258,32 +289,6 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
                 n[i] = n_bar
                 stages[i] += 1
             missed = [k for k in missed if scan[live[k]] != n_bar]
-        if missed:
-            vals, counts = take(np.array([live[k] for k in missed]))
-            if tally is not None:
-                tally["matrix_rows"] += int(counts.sum())
-                tally["path_blocks"] += len(missed)
-            width = int(counts.max())
-            if width > block.shape[1]:
-                grown = np.empty((len(live), width, j))
-                grown[:, : block.shape[1]] = block
-                block = grown
-            offsets = np.arange(len(vals)) - np.repeat(np.cumsum(counts) - counts, counts)
-            block[np.repeat(missed, counts), offsets] = vals
-            for k, count in zip(missed, counts.tolist()):
-                i = live[k]
-                if not count:
-                    failed[i] = DataUnderrunError(
-                        f"streams {np.flatnonzero(act[k]).tolist()} exhausted at step "
-                        f"{scan[i]} before any decision boundary was crossed",
-                        state=state(i, k),
-                    )
-                    size[i] = 0
-                base[i], held[i] = scan[i], count
-        keep = [k for k, i in enumerate(live) if size[i]]
-        if len(keep) < len(live):
-            live = [live[k] for k in keep]
-            block, act, hi, lo = block[keep], act[keep], hi[keep], lo[keep]
     if failed:
         raise failed[min(failed)]
     if tally is not None:

@@ -1,5 +1,7 @@
 """Tests for copula-driven correlated count streams."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -123,6 +125,37 @@ class TestInvertMarginal:
         table = _PoissonCdfTable(2.0)
         ks = np.arange(table.cdf.size)
         np.testing.assert_allclose(table.cdf, scipy.stats.poisson.cdf(ks, 2.0), atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.6, 1.5, 12.0, 68.0])
+    def test_cdf_is_strictly_increasing(self, lam):
+        assert np.all(np.diff(_PoissonCdfTable(lam).cdf) > 0.0)
+
+    @pytest.mark.parametrize("lam", [0.6, 1.5, 12.0, 68.0])
+    def test_counts_match_the_table_kept_to_its_cap(self, lam):
+        # the table kept until it reaches 1 - 1e-16 or its cap, a plateau's
+        # repeated levels included (0.6, 12 and 68 never reach 1 - 1e-16)
+        cap = int(lam + 60.0 * math.sqrt(lam + 1.0) + 120.0)
+        pmf = [math.exp(-lam)]
+        for k in range(1, cap):
+            pmf.append(pmf[-1] * lam / k)
+        cdf = np.cumsum(pmf)
+        full = np.flatnonzero(cdf >= 1.0 - 1e-16)
+        stop = full[0] + 1 if full.size else cap
+        old_cuts = datagen._latent_cuts(cdf[:stop - 1])
+        table = _PoissonCdfTable(lam)
+        plateau = old_cuts.size > table.cuts.size
+        assert plateau == (lam != 1.5)
+        # counts agree up to the plateau's cut; past it they stop at the
+        # plateau's index, where the old table counted to its end
+        edge = old_cuts[table.cuts.size] if plateau else np.inf
+        y = np.concatenate([3.0 * np.random.default_rng(3).standard_normal(20_000),
+                            old_cuts, np.nextafter(old_cuts, np.inf), [-np.inf, np.inf]])
+        for y in (y, y[-200:]):  # comparisons and binary search, where lam allows
+            got = _latent_counts(Poisson(lam), y, np.empty(y.shape, np.int64))
+            want = np.searchsorted(old_cuts, y, side="left")
+            below = y <= edge
+            np.testing.assert_array_equal(got[below], want[below])
+            np.testing.assert_array_equal(got[~below], table.cuts.size)
 
     def test_mean_of_inversions(self):
         rng = np.random.default_rng(5)

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqfdr import datagen
+from seqfdr import datagen, fixed_sample
 from seqfdr.core import StepVector, bh_steps, scale_for_fdr
-from seqfdr.datagen import CopulaConfig, Toeplitz
+from seqfdr.datagen import CopulaConfig, CountBlocks, Toeplitz
 from seqfdr.errors import ConfigError
 from seqfdr.fixed_sample import (
+    _RUN,
+    FnrCurve,
     FssSearchResult,
     _bh_rates,
     bh_stepup,
@@ -198,13 +200,15 @@ class TestFindMatchingFss:
         )
         assert out.found
         assert 1 < out.n_fss < 512
-        assert out.achieved_fnr <= 0.10 + 1.5 * out.fnr_se
-        # one step smaller misses the target beyond noise at these reps
+        assert out.achieved_fnr <= 0.10
+        # the N before n_fss is above the target (else it would start the
+        # run), so a ceiling one step smaller is reached without a run
         smaller = find_matching_fss(
             POIS, self._config(4, seed=5), [True, True, False, False],
             0.25, 0.10, reps=400, n_max=out.n_fss - 1,
         )
-        assert not smaller.found or smaller.n_fss == out.n_fss - 1
+        assert not smaller.found and smaller.n_fss == out.n_fss - 1
+        assert smaller.achieved_fnr > 0.10
 
     def test_unreachable_target_reports_boundary(self):
         out = find_matching_fss(
@@ -215,44 +219,87 @@ class TestFindMatchingFss:
         assert out.n_fss == 8
         assert out.achieved_fnr > 0.001
 
-    def test_unconfirmed_below_ceiling(self):
-        # the 50-rep nested curve first reaches the target at 39; the 4x-reps
-        # confirmation misses it by more than 1.5 se, so found is False there
+    def test_dip_that_rises_again_is_not_taken(self):
+        # the 50-rep nested curve dips to 0.083, 0.073 and 0.063 at N = 39-41
+        # and rises to 0.153 at 42: a run of three, so the search goes on
         out = find_matching_fss(
             BERN, self._config(3, seed=1), [True, False, False],
             0.25, 0.10, reps=50, n_max=64,
         )
-        assert not out.found
-        assert out.n_fss == 39
-        assert out.curve.fnr[-1] <= 0.10
-        assert out.achieved_fnr > 0.10 + 1.5 * out.fnr_se
+        assert all(f <= 0.10 for f in out.curve.fnr[38:41]) and out.curve.fnr[41] > 0.10
+        assert out.found
+        assert out.n_fss == 53
+        assert out.achieved_fnr == out.curve.fnr[52] <= 0.10
+        assert out.fnr_se == out.curve.se[52]
 
-    def test_curve_stops_at_first_crossing(self):
+    def test_curve_ends_a_run_past_n_fss(self):
         target = 0.10
         out = find_matching_fss(
             POIS, self._config(4, seed=5), [True, True, False, False],
             0.25, target, reps=400, n_max=512,
         )
         curve = out.curve
-        assert curve.n == tuple(range(1, out.n_fss + 1))
-        assert len(curve.fnr) == len(curve.fdr) == len(curve.se) == out.n_fss
-        assert curve.fnr[-1] <= target
-        assert all(f > target for f in curve.fnr[:-1])
-        # a curve that never reaches the target runs to the ceiling
+        last = out.n_fss + _RUN - 1
+        assert curve.n == tuple(range(1, last + 1))
+        assert len(curve.fnr) == len(curve.fdr) == len(curve.se) == last
+        # the run from n_fss is at or below the target; every earlier N has
+        # a value above it in its window
+        assert all(f <= target for f in curve.fnr[out.n_fss - 1:])
+        assert all(max(curve.fnr[k:k + _RUN]) > target for k in range(out.n_fss - 1))
+        assert (out.achieved_fnr, out.achieved_fdr, out.fnr_se) == (
+            curve.fnr[out.n_fss - 1], curve.fdr[out.n_fss - 1], curve.se[out.n_fss - 1])
+        # a ceiling below n_fss is reached without a run, and the curve runs to it
         capped = find_matching_fss(
             POIS, self._config(4, seed=5), [True, True, False, False],
             0.25, target, reps=400, n_max=out.n_fss - 1,
         )
-        assert capped.curve.n == curve.n[:-1] and capped.curve.fnr == curve.fnr[:-1]
-        assert all(f > target for f in capped.curve.fnr)
+        assert not capped.found and capped.n_fss == out.n_fss - 1
+        assert capped.curve == FnrCurve(*(col[:out.n_fss - 1] for col in curve))
 
     def test_same_result_for_any_ceiling_from_n_fss(self):
         # the nested curve's prefix does not depend on how far it may run
         args = (BERN, self._config(3, seed=4), [True, False, False], 0.25, 0.12)
         out = find_matching_fss(*args, reps=100, n_max=4096)
-        assert out.n_fss < 4096
-        for n_max in (out.n_fss, out.n_fss + 1, 3 * out.n_fss):
+        assert out.n_fss + _RUN - 1 < 4096
+        for n_max in (out.n_fss + _RUN - 1, out.n_fss + _RUN, 3 * out.n_fss):
             assert find_matching_fss(*args, reps=100, n_max=n_max) == out
+        # a ceiling inside the run cuts its window: the same size and rates,
+        # on a curve that ends at the ceiling
+        for n_max in range(out.n_fss, out.n_fss + _RUN - 1):
+            cut = find_matching_fss(*args, reps=100, n_max=n_max)
+            assert cut.found and cut.n_fss == out.n_fss
+            assert cut.achieved_fnr == out.achieved_fnr and cut.fnr_se == out.fnr_se
+            assert cut.curve == FnrCurve(*(col[:n_max] for col in out.curve))
+
+    def test_curve_is_the_oracle_on_the_same_draw(self):
+        # every N of the curve, past the first crossing too, is BH one size
+        # at a time (the oracle) on the search's stream
+        config, truth = self._config(4, seed=5), np.array([True, True, False, False])
+        out = find_matching_fss(POIS, config, truth, 0.25, 0.10, reps=400, n_max=512)
+        seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(0, 1))
+        blocks = CountBlocks(config, [POIS.marginals(truth)], horizon=len(out.curve.n),
+                             rngs=[np.random.default_rng(seq)], replicates=400)
+        n, _, totals = blocks.take([0])
+        alpha = scale_for_fdr(bh_steps(0.25, 4), 0.25)
+        want = [bh_rates(POIS, k, step, truth, alpha) for k, step in zip(n.tolist(), totals)]
+        assert min(k for k, (fnr, _, _) in enumerate(want, 1) if fnr <= 0.10) < out.n_fss
+        assert list(zip(*out.curve[1:])) == want
+
+    def test_one_count_draw_per_search(self, monkeypatch):
+        built = []
+
+        class Counted(CountBlocks):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["replicates"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fixed_sample, "CountBlocks", Counted)
+        # a search that reaches its ceiling and one that meets the rule
+        for target, n_max in ((0.001, 40), (0.10, 512)):
+            built.clear()
+            find_matching_fss(POIS, self._config(4, seed=5), [True, True, False, False],
+                              0.25, target, reps=400, n_max=n_max)
+            assert built == [400]
 
     def test_block_cap_does_not_change_result(self, monkeypatch):
         args = (POIS, self._config(3, seed=6), [True, False, False], 0.25, 0.2)
@@ -262,24 +309,33 @@ class TestFindMatchingFss:
         assert find_matching_fss(*args, reps=300, n_max=256) == out
 
     # the two benchmark rows (J = 10, rho = -0.6, q1 = 0.25, n_max = 400) at
-    # 200 reps and seed 20261019, as the search gave them one N at a time:
-    # (target, n_fss, found, achieved FNR, achieved FDR, FNR se, curve digest)
+    # 200 reps and seed 20261019: (target, n_fss, found, achieved FNR,
+    # achieved FDR, FNR se, curve digest), then the curve's first crossing
+    # and the digest of the curve up to it, as the search gave them when it
+    # stopped there and evaluated one N at a time
     PINNED = {
-        ("bernoulli", 5): (0.035, 101, True, 0.022558035714285714, 0.05250595238095238,
-                           0.0022989086728318823, "91761f79801f872a"),
-        ("poisson", 0): (0.103, 79, True, 0.1125, 0.0, 0.011171601832324672,
-                         "86af9243bf7c6e23"),
+        ("bernoulli", 5): (0.035, 105, True, 0.034880952380952374, 0.06008928571428571,
+                           0.0054323490928572206, "a7a3966cb7a4b87f", 101, "91761f79801f872a"),
+        ("poisson", 0): (0.103, 81, True, 0.095, 0.0, 0.02073342711661533,
+                         "94ecd1712f8058e7", 79, "86af9243bf7c6e23"),
     }
+
+    @staticmethod
+    def _digest(curve):
+        return hashlib.sha256(repr(curve).encode()).hexdigest()[:16]
 
     @pytest.mark.parametrize("family, m0", sorted(PINNED))
     def test_benchmark_rows_are_pinned(self, family, m0):
-        target, *want, digest = self.PINNED[family, m0]
+        target, *want, digest, crossing, prefix = self.PINNED[family, m0]
         model = BERN if family == "bernoulli" else POIS
         out = find_matching_fss(model, CopulaConfig(10, Toeplitz(-0.6), seed=20261019),
                                 [True] * m0 + [False] * (10 - m0), 0.25, target, 200, n_max=400)
         assert [out.n_fss, out.found, out.achieved_fnr, out.achieved_fdr, out.fnr_se] == want
-        # the whole curve, every N's (FNR, FDR, se), bit for bit
-        assert hashlib.sha256(repr(out.curve).encode()).hexdigest()[:16] == digest
+        # the whole curve, every N's (FNR, FDR, se), bit for bit, and its part
+        # up to the first crossing
+        assert self._digest(out.curve) == digest
+        assert min(k for k, f in enumerate(out.curve.fnr, 1) if f <= target) == crossing
+        assert self._digest(FnrCurve(*(col[:crossing] for col in out.curve))) == prefix
 
     def test_deterministic(self):
         kw = dict(q1=0.25, target_fnr=0.2, reps=300, n_max=256)
