@@ -325,30 +325,33 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _out_dir(args) -> Path:
-    out = getattr(args, "out", None) or os.environ.get("SEQFDR_OUT") or "runs"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _emit(out: Path, command: str, config_digest: str, seed: int | None, timings: dict) -> None:
-    """Manifest and timings land in separate files: reports stay diffable."""
-    stable = {"command": command, "config_digest": config_digest, "seed": seed,
-              "versions": _versions()}
-    _write_json(out / f"{command}_manifest.json", stable)
+def _report(args, command: str, config: dict, seed: int | None, rows: list[dict],
+            timings: dict, report: dict | None = None) -> None:
+    """Write a command's files into ``--out``, else ``$SEQFDR_OUT``, else ``runs``.
+
+    ``<command>_report.csv`` holds one line per row dict (None as an empty
+    field), ``<command>_report.json``, when ``report`` is given, the config,
+    its digest and the keys of ``report``; the manifest and the timings go
+    to files of their own.
+    """
+    out = Path(getattr(args, "out", None) or os.environ.get("SEQFDR_OUT") or "runs")
+    out.mkdir(parents=True, exist_ok=True)
+    digest = _digest(config)
+    with open(out / f"{command}_report.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    if report is not None:
+        _write_json(out / f"{command}_report.json",
+                    {"config_digest": digest, "config": config, **report})
+    _write_json(out / f"{command}_manifest.json",
+                {"command": command, "config_digest": digest, "seed": seed,
+                 "versions": _versions()})
     _write_json(out / f"{command}_timings.json", timings)
-
-
-def _write_csv_row(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(payload.keys())
-        writer.writerow("" if v is None else v for v in payload.values())
 
 
 # ---------------------------------------------------------------------------
@@ -385,20 +388,17 @@ def cmd_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _parse_config(SimulationConfig, _load_json(args.config), args.seed)
-    digest = _digest(asdict(config))
     t0 = time.perf_counter()
     counters: dict = {}
     summary, b_raw = run_simulation(config, workers=args.workers, counters=counters)
     elapsed = time.perf_counter() - t0
 
-    out = _out_dir(args)
     metrics = summary.as_dict()
-    _write_csv_row(out / "simulate_report.csv", metrics)
-    payload = {"config_digest": digest, "config": asdict(config), "metrics": metrics}
+    report = {"metrics": metrics}
     if b_raw is not None:
-        payload["calibration_b"] = [float(v) for v in b_raw]
-    _write_json(out / "simulate_report.json", payload)
-    _emit(out, "simulate", digest, config.seed, {"total_s": elapsed, **counters})
+        report["calibration_b"] = [float(v) for v in b_raw]
+    _report(args, "simulate", asdict(config), config.seed, [metrics],
+            {"total_s": elapsed, **counters}, report)
     print(
         f"simulate: {config.family} j={config.j} m0={config.m0} mode={config.mode} "
         f"reps={config.reps} -> fdr={summary.fdr:.4f} fnr={summary.fnr:.4f} "
@@ -409,7 +409,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_fss(args) -> int:
     config = _parse_config(FssConfig, _load_json(args.config), args.seed)
-    digest = _digest(asdict(config))
     model, _, truth = _sim_pieces(config)
 
     t0 = time.perf_counter()
@@ -417,20 +416,10 @@ def cmd_fss(args) -> int:
                                config.reps, n_max=config.n_max)
     elapsed = time.perf_counter() - t0
 
-    out = _out_dir(args)
-    row = {
-        "n_fss": result.n_fss,
-        "achieved_fnr": result.achieved_fnr,
-        "achieved_fdr": result.achieved_fdr,
-        "target_fnr": result.target_fnr,
-        "reps": result.reps,
-        "found": result.found,
-        "fnr_se": result.fnr_se,
-    }
-    _write_csv_row(out / "fss_report.csv", row)
-    _write_json(out / "fss_report.json", {"config_digest": digest, "config": asdict(config),
-                                          "result": row, "curve": result.curve._asdict()})
-    _emit(out, "fss", digest, config.seed, {"total_s": elapsed})
+    row = asdict(result)
+    curve = row.pop("curve")
+    _report(args, "fss", asdict(config), config.seed, [row], {"total_s": elapsed},
+            {"result": row, "curve": curve._asdict()})
     print(f"fss: n_fss={result.n_fss} found={result.found} "
           f"achieved_fnr={result.achieved_fnr:.4f} fnr_se={result.fnr_se:.4f} "
           f"(target {result.target_fnr:.4f})")
@@ -459,14 +448,8 @@ def cmd_verify_lp(args) -> int:
             f"{r['lp_optimum']:<11.8f} {r['d_value']:<11.8f} "
             f"{r['gap']:< 10.2e} {str(r['attained']).lower()}"
         )
-    out = _out_dir(args)
-    with open(out / "verify_lp_report.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    digest = _digest({"schemes": schemes, "q": args.q,
-                      "j_min": args.j_min, "j_max": args.j_max})
-    _emit(out, "verify_lp", digest, None, {})
+    _report(args, "verify_lp", {"schemes": schemes, "q": args.q, "j_min": args.j_min,
+                                "j_max": args.j_max}, None, rows, {})
     return 0
 
 
@@ -478,7 +461,6 @@ def cmd_yellowcard(args) -> int:
     top_n = len(records) if config.top_n is None else config.top_n
     config = replace(config, p_h=p_h, p_g=p_g, top_n=top_n)
     resolved = {"table": str(args.table), **asdict(config)}
-    digest = _digest(resolved)
 
     t0 = time.perf_counter()
     counters: dict = {}
@@ -490,25 +472,16 @@ def cmd_yellowcard(args) -> int:
     )
     elapsed = time.perf_counter() - t0
 
-    out = _out_dir(args)
-    with open(out / "yellowcard_report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["drug", "action", "termination_step", "termination_level", "truncated_flag"]
-        )
-        for row in report.rows:
-            writer.writerow([row.drug, row.action, row.termination_step,
-                             row.termination_level, int(row.truncated)])
-    _write_json(out / "yellowcard_report.json", {
-        "config_digest": digest,
-        "config": resolved,
+    rows = [{"drug": row.drug, "action": row.action, "termination_step": row.termination_step,
+             "termination_level": row.termination_level, "truncated_flag": int(row.truncated)}
+            for row in report.rows]
+    _report(args, "yellowcard", resolved, config.seed, rows, {"total_s": elapsed, **counters}, {
         "seed": config.seed,
         "thresholds": {"p_h": report.p_h, "p_g": report.p_g},
         "rho_by_cluster": [[c, r] for c, r in report.rho_by_cluster],
         "alpha": list(report.alpha),
         "beta": list(report.beta),
     })
-    _emit(out, "yellowcard", digest, config.seed, {"total_s": elapsed, **counters})
     accepted = sum(r.action == "accept" for r in report.rows)
     print(f"yellowcard: {len(report.rows)} drugs monitored, "
           f"{accepted} accepted, {len(report.rows) - accepted} rejected")

@@ -273,7 +273,7 @@ class CountBlocks:
     latent row of a step, and every step of a trial draws ``replicates``
     times that many rows of J latent normals, right after the trial's
     previous step in its generator (one position of ``rngs`` per trial).
-    A trial's first block has ``first`` steps, each later one as many as
+    A trial's first block has FIRST_ROWS steps, each later one as many as
     all before it, within _BLOCK_CELLS cells (at least one step), until
     ``horizon``; its counts depend neither on that blocking nor on the
     other trials.  A block keeps its normals, latent values and totals
@@ -286,8 +286,7 @@ class CountBlocks:
     """
 
     def __init__(self, config: CopulaConfig, rows: Sequence[Sequence], *, horizon: int,
-                 rngs: Sequence[np.random.Generator], first: int = FIRST_ROWS,
-                 replicates: int = 1):
+                 rngs: Sequence[np.random.Generator], replicates: int = 1):
         j = config.j
         if not rows or any(len(row) != j for row in rows):
             raise ValueError(f"expected rows of {j} marginals")
@@ -304,7 +303,7 @@ class CountBlocks:
                 self.groups.append((spec, r, slice(lo, hi)))
                 lo = hi
         self.step_shape = (replicates, len(rows), j)
-        self.horizon, self.rngs, self.first = horizon, list(rngs), first
+        self.horizon, self.rngs = horizon, list(rngs)
         self.cap = max(1, _BLOCK_CELLS // math.prod(self.step_shape))
         self.done = np.zeros(len(self.rngs), np.int64)
         self.running = np.zeros((len(self.rngs), replicates * len(rows), j), np.int64)
@@ -320,7 +319,7 @@ class CountBlocks:
         """
         ids = np.asarray(ids, dtype=np.intp)
         done = self.done[ids]
-        steps = np.minimum(np.minimum(np.maximum(done, self.first), self.cap),
+        steps = np.minimum(np.minimum(np.maximum(done, FIRST_ROWS), self.cap),
                            self.horizon - done)
         ends = np.cumsum(steps)
         rows, j = self.running.shape[1:]

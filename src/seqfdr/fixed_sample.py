@@ -114,10 +114,6 @@ def bh_stepup(pvalues, alpha: StepVector) -> np.ndarray:
     return p <= cutoff[:, None]
 
 
-# steps in the first block of a nested draw; each later block doubles the
-# total, within CountBlocks' cell bound
-_FIRST_STEPS = 16
-
 # consecutive N whose FNR must be at or below the target: n_fss is the first
 # of such a run
 _RUN = 4
@@ -192,7 +188,7 @@ def find_matching_fss(
     # 2-tuple spawn key: apart from trial t's (t,)
     seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(0, 1))
     blocks = CountBlocks(config, [marginals], horizon=n_max, rngs=[np.random.default_rng(seq)],
-                         first=_FIRST_STEPS, replicates=reps)
+                         replicates=reps)
     # (n, FNR, FDR, se) of each N read, and how many of the last are at or
     # below the target
     curve, run = [], 0

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -44,8 +45,7 @@ SIZE_GUARD = 5
 _FEAS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class VariableIndex:
+class VariableIndex(NamedTuple):
     """One elementary outcome: k rejections, false ones listed explicitly.
 
     ``i_vec`` holds the 1-based null-stream indices falsely rejected,
@@ -58,37 +58,14 @@ class VariableIndex:
     i_vec: tuple[int, ...]
     j_vec: tuple[int, ...]
 
-    def __post_init__(self):
-        if not 1 <= self.ell <= self.k:
-            raise ValueError(f"need 1 <= ell <= k, got ell={self.ell}, k={self.k}")
-        if len(self.i_vec) != self.ell or len(self.j_vec) != self.ell:
-            raise ValueError("i_vec and j_vec must have length ell")
-        if any(a >= b for a, b in zip(self.i_vec, self.i_vec[1:])) or self.i_vec[0] < 1:
-            raise ValueError("i_vec must be strictly increasing and positive")
-        if any(not 1 <= j <= self.k for j in self.j_vec):
-            raise ValueError("j_vec entries must lie in [1, k]")
 
-
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(NamedTuple):
     """max objective . x  subject to  rows . x <= rhs,  x >= 0."""
 
     variables: tuple[VariableIndex, ...]
     objective: np.ndarray
     rows: np.ndarray
     rhs: np.ndarray
-
-    def __post_init__(self):
-        obj = np.asarray(self.objective, dtype=float)
-        rows = np.asarray(self.rows, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
-        if rows.shape != (rhs.size, obj.size):
-            raise ValueError("constraint matrix shape mismatch")
-        for arr in (obj, rows, rhs):
-            arr.setflags(write=False)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
 
 
 @dataclass(frozen=True)
@@ -137,30 +114,22 @@ def enumerate_variables(j: int, m0: int) -> tuple[VariableIndex, ...]:
 def build_problem(alpha: StepVector, m0: int) -> LpProblem:
     """Assemble the worst-case-FDR program for the given step values.
 
-    Objective: E[V/R] = sum over outcomes of (ell/k) p.  For each null
-    stream i and level s, the step-down contract bounds the probability
-    that i is rejected at a level <= s by alpha_s; one extra row per i
-    keeps its total rejection probability at most 1.
+    Objective: E[V/R] = sum over outcomes of (ell/k) p.  ``level[i - 1, n]``
+    is the level at which outcome n rejects null stream i, J + 1 if it does
+    not.  Row (i - 1) J + s - 1 bounds the probability that i is rejected at
+    a level <= s by alpha_s, the step-down contract; one extra row per i
+    keeps its total rejection probability, level <= J, at most 1.
     """
     j = alpha.j
     variables = enumerate_variables(j, m0)
-    n = len(variables)
     objective = np.array([v.ell / v.k for v in variables])
-    rows = np.zeros((m0 * j + m0, n))
-    rhs = np.empty(m0 * j + m0)
-    for i in range(1, m0 + 1):
-        for s in range(1, j + 1):
-            r = (i - 1) * j + (s - 1)
-            rhs[r] = alpha.values[s - 1]
-            for col, var in enumerate(variables):
-                if any(iv == i and jv <= s for iv, jv in zip(var.i_vec, var.j_vec)):
-                    rows[r, col] = 1.0
-        r = m0 * j + (i - 1)
-        rhs[r] = 1.0
-        for col, var in enumerate(variables):
-            if i in var.i_vec:
-                rows[r, col] = 1.0
-    return LpProblem(variables=variables, objective=objective, rows=rows, rhs=rhs)
+    level = np.full((m0, len(variables)), j + 1)
+    for n, v in enumerate(variables):
+        level[np.subtract(v.i_vec, 1), n] = v.j_vec
+    contracts = level[:, None, :] <= np.arange(1, j + 1)[:, None]
+    rows = np.concatenate([contracts.reshape(m0 * j, -1), level <= j]).astype(float)
+    rhs = np.concatenate([np.tile(alpha.values, m0), np.ones(m0)])
+    return LpProblem(variables, objective, rows, rhs)
 
 
 def solve_max(problem: LpProblem) -> tuple[float, np.ndarray]:

@@ -420,7 +420,10 @@ class TestLatticeRace:
             assert np.allclose(g, w, rtol=0.0, atol=1e-13)
         assert np.allclose(got[2], want[2], rtol=1e-9, atol=0.0)
 
-    @pytest.mark.parametrize("model", [BERN, POIS], ids=["bernoulli", "poisson"])
+    @pytest.mark.parametrize("model", [
+        pytest.param(BERN, id="bernoulli"),
+        pytest.param(POIS, id="poisson", marks=pytest.mark.slow),
+    ])
     def test_unsettled_race_stays_banded(self, model):
         # a null stream raced up with no lower boundary is still racing at
         # the horizon, over a window of counts that grows with n: 17k counts

@@ -1,7 +1,9 @@
 """CLI subcommands: config validation, determinism, exit codes, file outputs."""
 
 import csv
+import hashlib
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -353,6 +355,49 @@ def test_negative_seed_exit_two(tmp_path, capsys, command, payload, via):
         args += ["--config", write_config(tmp_path, dict(payload, seed=-5))]
     assert main(args + ["--out", str(tmp_path / "x")]) == 2
     assert "config.seed: must be >= 0" in capsys.readouterr().err
+
+
+# every experiment command at a small fixed config, run from a directory
+# holding config.json and a copy of the fixture as table.csv (the
+# yellowcard report records the table's path)
+PINNED_RUNS = {
+    "simulate-open": (["simulate", "--config", "config.json"], OPEN_CONFIG),
+    "simulate-rejective": (["simulate", "--config", "config.json"],
+                           dict(OPEN_CONFIG, mode="rejective", n_bar=25, reps=20)),
+    # n_fss = 30: the nested draw reads more than one block
+    "fss": (["fss", "--config", "config.json"],
+            dict(TestFss.CONFIG, m0=1, rho=-0.3, target_fnr=0.2, reps=200, n_max=256)),
+    "yellowcard": (["yellowcard", "table.csv", "--config", "config.json"],
+                   {"top_n": 8, "seed": 4}),
+    "verify-lp": (["verify-lp", "--scheme", "bh", "--scheme", "bl",
+                   "--j-min", "2", "--j-max", "5"], None),
+}
+
+# sha256 prefixes of the primary report files each run writes; the
+# manifest is left out, as it records the library versions
+REPORT_SHA256 = {
+    "fss": {"fss_report.csv": "b19852b1a1fe1e00", "fss_report.json": "ca550d11c6075dbc"},
+    "simulate-open": {"simulate_report.csv": "9b17c184ae7182b6",
+                      "simulate_report.json": "1192ab3a8c85992e"},
+    "simulate-rejective": {"simulate_report.csv": "cfa42de93364e54c",
+                           "simulate_report.json": "e6da1df191274092"},
+    "verify-lp": {"verify_lp_report.csv": "61d9053cca5641ae"},
+    "yellowcard": {"yellowcard_report.csv": "01b98367c00a1b28",
+                   "yellowcard_report.json": "65ffbdb698fa073e"},
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_reports_are_pinned(run, tmp_path, monkeypatch):
+    argv, config = PINNED_RUNS[run]
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(FIXTURE, "table.csv")
+    if config is not None:
+        Path("config.json").write_text(json.dumps(config))
+    assert main([*argv, "--out", "out"]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+           for path in Path("out").glob("*_report.*")}
+    assert got == REPORT_SHA256[run]
 
 
 class TestVerifyLp:

@@ -288,19 +288,19 @@ class TestStreamSources:
         # row i * len(rows) + r of a step is replicate i's latent row r,
         # in the order the generator draws them
         cfg = CopulaConfig(2, Toeplitz(0.3))
-        z = np.random.default_rng(8).standard_normal((40 * 3 * 2, 2))
-        y = (z @ cholesky(correlation_matrix(cfg)).T).reshape(40, 3, 2, 2)
+        z = np.random.default_rng(8).standard_normal((160 * 3 * 2, 2))
+        y = (z @ cholesky(correlation_matrix(cfg)).T).reshape(160, 3, 2, 2)
         want = np.stack([np.stack([_uniform_rule(spec, y[:, :, r, k]) for k, spec in enumerate(row)],
                                   axis=-1) for r, row in enumerate(PAIR_ROWS)], axis=2)
-        blocks = CountBlocks(cfg, PAIR_ROWS, horizon=40, rngs=[np.random.default_rng(8)],
-                             first=16, replicates=3)
-        drawn = [blocks.take([0]) for _ in range(3)]  # 16, 16 and 8 steps
-        assert [steps[0] for _, steps, _ in drawn] == [16, 16, 8]
-        np.testing.assert_array_equal(np.concatenate([n for n, _, _ in drawn]), np.arange(1, 41))
+        blocks = CountBlocks(cfg, PAIR_ROWS, horizon=160, rngs=[np.random.default_rng(8)],
+                             replicates=3)
+        drawn = [blocks.take([0]) for _ in range(3)]  # 64, 64 and 32 steps
+        assert [steps[0] for _, steps, _ in drawn] == [64, 64, 32]
+        np.testing.assert_array_equal(np.concatenate([n for n, _, _ in drawn]), np.arange(1, 161))
         totals = np.concatenate([t for _, _, t in drawn])
-        assert totals.shape == (40, 6, 2)
+        assert totals.shape == (160, 6, 2)
         np.testing.assert_array_equal(np.diff(totals, axis=0, prepend=0),
-                                      want.reshape(40, 6, 2))
+                                      want.reshape(160, 6, 2))
 
     def test_rows_must_carry_one_marginal_per_stream(self):
         cfg = CopulaConfig(2, Toeplitz(0.0))
@@ -415,23 +415,24 @@ class TestCountBatch:
     def test_block_cap_crosses_the_inversion_choice(self, monkeypatch):
         # 200 replicates of 5 streams per marginal: one-step blocks hold
         # 1000 cells of a group, under _COMPARE_CELLS (binary search), and
-        # the default blocks of 16 steps and more hold 16000 (comparisons)
+        # the default blocks of 64, 64 and 32 steps hold 32000 and more
+        # (comparisons)
         cfg = CopulaConfig(10, Toeplitz(-0.6))
         rows = [[Poisson(1.5)] * 5 + [Poisson(2.0)] * 5]
 
         def totals():
-            blocks = CountBlocks(cfg, rows, horizon=40, rngs=[np.random.default_rng(5)],
-                                 first=16, replicates=200)
+            blocks = CountBlocks(cfg, rows, horizon=160, rngs=[np.random.default_rng(5)],
+                                 replicates=200)
             drawn = []
             while (block := blocks.take([0]))[1][0]:
                 drawn.append(block[2])
             return len(drawn), np.concatenate(drawn)
 
         blocks, default = totals()
-        assert blocks == 3 and 16 * 1000 >= datagen._COMPARE_CELLS
+        assert blocks == 3 and 32 * 1000 >= datagen._COMPARE_CELLS
         monkeypatch.setattr(datagen, "_BLOCK_CELLS", 2000)
         blocks, small = totals()
-        assert blocks == 40 and 1000 < datagen._COMPARE_CELLS
+        assert blocks == 160 and 1000 < datagen._COMPARE_CELLS
         np.testing.assert_array_equal(small, default)
 
     def test_exhausted_trial_reads_zero_steps(self):

@@ -63,14 +63,6 @@ class TestEnumeration:
         with pytest.raises(ConfigError):
             enumerate_variables(3, 4)
 
-    def test_variable_index_validation(self):
-        with pytest.raises(ValueError):
-            VariableIndex(ell=2, k=2, i_vec=(2, 1), j_vec=(1, 2))
-        with pytest.raises(ValueError):
-            VariableIndex(ell=1, k=1, i_vec=(1,), j_vec=(2,))
-        with pytest.raises(ValueError):
-            VariableIndex(ell=2, k=1, i_vec=(1, 2), j_vec=(1, 1))
-
 
 class TestBuildProblem:
     def test_row_structure(self):
@@ -81,19 +73,24 @@ class TestBuildProblem:
         assert np.all((prob.rows == 0.0) | (prob.rows == 1.0))
         assert np.all(prob.objective > 0.0) and np.all(prob.objective <= 1.0)
 
-    def test_membership_rows(self):
-        alpha = bh_steps(0.2, 3)
-        prob = build_problem(alpha, 2)
+    @pytest.mark.parametrize("scheme, j, m0", [
+        (scheme, j, m0) for scheme in ("bh", "bl") for j in range(2, 6) for m0 in range(1, j + 1)
+    ])
+    def test_membership_rows(self, scheme, j, m0):
+        # the program outcome by outcome: row (i - 1) j + s - 1 holds the
+        # outcomes that reject null stream i at a level <= s, row m0 j + i - 1
+        # those that reject it at all
+        alpha = bh_steps(0.2, j) if scheme == "bh" else bl_steps(0.05, j)
+        prob = build_problem(alpha, m0)
         for col, var in enumerate(prob.variables):
-            for i in (1, 2):
-                for s in (1, 2, 3):
-                    r = (i - 1) * 3 + (s - 1)
-                    member = any(
-                        iv == i and jv <= s for iv, jv in zip(var.i_vec, var.j_vec)
-                    )
-                    assert prob.rows[r, col] == float(member)
-            for i in (1, 2):
-                assert prob.rows[2 * 3 + (i - 1), col] == float(i in var.i_vec)
+            want = []
+            for i in range(1, m0 + 1):
+                for s in range(1, j + 1):
+                    want.append(any(iv == i and jv <= s for iv, jv in zip(var.i_vec, var.j_vec)))
+            want += [i in var.i_vec for i in range(1, m0 + 1)]
+            np.testing.assert_array_equal(prob.rows[:, col], np.array(want, dtype=float))
+            assert prob.objective[col] == var.ell / var.k
+        np.testing.assert_array_equal(prob.rhs, [*alpha.values] * m0 + [1.0] * m0)
 
     def test_rhs_values(self):
         alpha = bh_steps(0.2, 3)
