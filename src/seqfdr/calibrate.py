@@ -14,8 +14,9 @@ at which every race's live mass is below ``_LIVE_TOL``.
 
 * ``truncated_critical_values`` finds the upper boundaries ``B_k``: the
   smallest atom of the null path maximum, truncated at ``n_bar``, whose
-  exact tail is at most ``alpha_k``.  ``mc_truncated_critical_values``
-  adds a Monte Carlo sample (``SimpleModel.sample``) that validates them.
+  exact tail is at most ``alpha_k``, in one search of probe atoms that all
+  levels share, capped by Ville's inequality.  ``mc_truncated_critical_values``
+  validates them on a ``SimpleModel.sample`` draw made in cache-sized chunks.
 * ``estimate_gamma`` gives, per stream, the chance that the stream's
   statistic produces at least one rejection (resp. acceptance) on its own.
   The maxima over streams are the lower bounds used to tighten step values
@@ -51,15 +52,15 @@ ThetaChoice = Literal["null", "alt"]
 # Poisson step drops the count tail beyond its 1 - _PMF_TAIL quantile
 _LIVE_TOL = 1e-14
 _PMF_TAIL = 1e-16
-# observations _path_maxima draws at once, at most
-_CHUNK_ELEMS = 10_000_000
+# observations _path_maxima draws at once, at most: the samplers fill C order
+# from one generator, so cache-sized chunks draw the paths one array would
+_CHUNK_ELEMS = 2**15
 # _race advances up to _BLOCK steps per pass, over at most _BLOCK_CELLS
 # (step, row, count) cells when a window is wide
 _BLOCK = 64
 _BLOCK_CELLS = 2**20
-# atoms the boundary search probes per level and pass, splitting each
-# bracket into _PROBES + 1 parts: fewer passes of more rows
-_PROBES = 3
+# atoms the boundary search races per pass, shared by every level
+_ROWS = 30
 
 
 @dataclass(frozen=True)
@@ -248,15 +249,12 @@ def _path_maxima(
     trials = np.arange(1, n_bar + 1)
     out = np.empty(reps, dtype=float)
     path_chunk = max(1, _CHUNK_ELEMS // n_bar)
-    done = 0
-    while done < reps:
+    for done in range(0, reps, path_chunk):
         m = min(path_chunk, reps - done)
-        obs = model.sample(param, rng, (m, n_bar))
-        cum = obs.astype(float)
+        cum = model.sample(param, rng, (m, n_bar)).astype(float)
         np.cumsum(cum, axis=1, out=cum)
         cumulative_llr(model, cum, trials, out=cum)
         out[done : done + m] = cum.max(axis=1)
-        done += m
     return out
 
 
@@ -264,16 +262,17 @@ def truncated_critical_values(model: SimpleModel, alpha: StepVector, n_bar: int)
     """Truncated upper boundaries ``B``, calibrated on the exact null path maximum.
 
     ``B_k`` is the smallest atom ``v`` of ``max_{n <= n_bar}`` of the null
-    statistic whose exact tail P0(max >= v) is at most ``alpha_k``.  That
-    tail is a race with no lower boundary and horizon ``n_bar``
-    (``_race``).  The sorted atoms, the values ``cumulative_llr`` takes at
-    the lattice points (x, n) with x within the ``1 - _PMF_TAIL`` quantile
-    of the count total after n steps, are searched by bisection: each pass
-    probes ``_PROBES`` atoms per level, splitting its bracket in
-    ``_PROBES + 1``, with every probe of every level as a row of the same
-    pass.  The tail falls as the atom rises, so ``B`` is nonincreasing and
-    equal levels share a boundary.  A level that no atom meets raises
-    ConfigError naming k.
+    statistic whose exact tail P0(max >= v), a race with no lower boundary
+    and horizon ``n_bar`` (``_race``), is at most ``alpha_k``.  The atoms
+    are the values ``cumulative_llr`` takes at the lattice points (x, n)
+    with x within the ``1 - _PMF_TAIL`` quantile of the count total after n
+    steps.  exp of the statistic is a mean-one null martingale, so by Ville's
+    inequality P0(max >= v) <= exp(-v): every atom from ``-log(alpha_k)`` up
+    meets ``alpha_k``.  Each pass races up to ``_ROWS`` distinct atoms spread
+    evenly over the union of the levels' open brackets.  The tail falls as
+    the atom rises, so the number of probes failing ``alpha_k`` places
+    ``B_k`` between two adjacent probes; ``B`` is nonincreasing and equal
+    levels share a boundary.  A level no atom meets raises ConfigError naming k.
     """
     if n_bar < 1:
         raise ConfigError(f"n_bar must be >= 1, got {n_bar}")
@@ -282,20 +281,21 @@ def truncated_critical_values(model: SimpleModel, alpha: StepVector, n_bar: int)
     top = dist.isf(_PMF_TAIL, *args)
     x = np.arange(int(top.max()) + 1)
     atoms = np.unique(cumulative_llr(model, x, n)[x <= top])
-    # B_k is atoms[i] for the smallest i in [lo[k], hi[k]] that meets
-    # alpha_k, where i = atoms.size stands for no atom
+    # B_k is atoms[i] for the smallest i in [lo[k], hi[k]] that meets alpha_k
+    # (i = atoms.size: no atom); by Ville's inequality atoms[hi[k]] meets it
     lo = np.zeros(alpha.j, dtype=np.int64)
-    hi = np.full(alpha.j, atoms.size)
-    parts = np.arange(1, _PROBES + 1)
-    while (ks := np.flatnonzero(lo < hi)).size:
-        probe = lo[ks, None] + (hi - lo)[ks, None] * parts // (_PROBES + 1)
-        rows = [(model, model.null_param, atoms[i], -np.inf) for i in probe.ravel()]
-        meets = _race(rows, n_bar)[0].reshape(probe.shape) <= alpha.values[ks, None]
-        # the tail falls along the probes, so the first `fails` of them fail
-        fails = np.count_nonzero(~meets, axis=1)
-        at = np.arange(ks.size)
-        lo[ks] = np.where(fails > 0, probe[at, fails - 1] + 1, lo[ks])
-        hi[ks] = np.where(fails < _PROBES, probe[at, np.minimum(fails, _PROBES - 1)], hi[ks])
+    hi = np.searchsorted(atoms, -np.log(alpha.values))
+    while np.any(lo < hi):
+        # the atoms some level has yet to test, and _ROWS of them spread evenly
+        starts = np.bincount(lo, minlength=atoms.size + 1)
+        todo = np.flatnonzero(np.cumsum(starts - np.bincount(hi, minlength=atoms.size + 1)))
+        if todo.size > _ROWS:
+            todo = todo[todo.size * np.arange(1, _ROWS + 1) // (_ROWS + 1)]
+        tails = _race([(model, model.null_param, atoms[i], -np.inf) for i in todo], n_bar)[0]
+        # the tail falls as the atom rises, so level k fails the first fails[k] probes
+        fails = np.count_nonzero(tails > alpha.values[:, None], axis=1)
+        lo = np.maximum(lo, np.append(0, todo + 1)[fails])
+        hi = np.minimum(hi, np.append(todo, atoms.size)[fails])
     if (short := np.flatnonzero(lo == atoms.size)).size:
         k = int(short[0])
         raise ConfigError(

@@ -1,5 +1,6 @@
 """Tests for the exact lattice calibration and first-crossing rates."""
 
+import functools
 import logging
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from seqfdr import calibrate
 from seqfdr.calibrate import (
     _BLOCK,
     GammaEstimate,
@@ -66,6 +68,14 @@ def _atoms(model, n_bar):
     n = np.arange(1, n_bar + 1)[:, None]
     x = np.arange(n_bar * top + 1)
     return np.unique(cumulative_llr(model, x, n)[x <= n * top])
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_tails(model, n_bar):
+    """``_atoms`` and the full-support null tail of each."""
+    atoms = _atoms(model, n_bar)
+    return atoms, np.array([_oracle_race(model, model.null_param, v, -np.inf, n_bar)[0]
+                            for v in atoms])
 
 
 def _tail(model, v, n_bar):
@@ -130,6 +140,82 @@ class TestCriticalValues:
         model = BERN if family == "bernoulli" else POIS
         b = truncated_critical_values(model, alpha, n_bar)
         assert b.tolist() == self.PINNED[family, n_bar]
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=st.sampled_from([BERN, POIS]), n_bar=st.integers(1, 6),
+           levels=st.lists(st.tuples(st.one_of(st.floats(1e-9, 1.0),
+                                               st.sampled_from([1.0, 1.0 - 1e-9])),
+                                     st.integers(1, 3)), min_size=1, max_size=5),
+           low=st.one_of(st.none(), st.floats(1e-300, 1e-17)))
+    # a bernoulli level below every atom's tail (0.05**2), then two equal levels
+    @example(model=BERN, n_bar=2, levels=[(0.001, 1), (0.2, 2)], low=None)
+    def test_search_meets_its_definition(self, model, n_bar, levels, low):
+        # B_k is the first of every reachable atom whose full-support tail
+        # is at most alpha_k, for nondecreasing ladders with equal levels
+        # and levels near 1.  A level below 1e-16 is below the tail of every
+        # atom the search considers, which reach the 1 - 1e-16 quantile of
+        # the count total, and bernoulli levels below 0.05**n_bar are below
+        # every atom's tail: either raises ConfigError naming the level.
+        # Other levels start at 1e-9: below about 2e-10 the poisson atoms
+        # past that quantile, which ``_atoms`` keeps, can come first.
+        values = sorted(v for v, times in levels for _ in range(times))
+        if low is not None:
+            values.insert(0, low)
+        alpha = StepVector(values)
+        atoms, tails = _oracle_tails(model, n_bar)
+        short = [k for k, a_k in enumerate(values) if a_k < 1e-16 or not np.any(tails <= a_k)]
+        if short:
+            with pytest.raises(ConfigError, match=f"k={short[0] + 1} "):
+                truncated_critical_values(model, alpha, n_bar)
+            return
+        b = truncated_critical_values(model, alpha, n_bar)
+        want = [atoms[np.flatnonzero(tails <= a_k)[0]] for a_k in values]
+        assert b.tolist() == want
+
+    def test_search_work_is_bounded(self, monkeypatch):
+        # at check 7's cells the shared search runs 2/3/4/4 passes and races
+        # 334 rows in all; one bisection per level took 5/5/6/7 passes and
+        # 633 rows
+        passes = []
+
+        def counting(rows, horizon):
+            passes.append(len(rows))
+            return _race(rows, horizon)
+
+        monkeypatch.setattr(calibrate, "_race", counting)
+        alpha = scale_for_fdr(bh_steps(0.25, 10), 0.25)
+        rows = 0
+        for model, n_bar, most in ((BERN, 25, 2), (BERN, 50, 3), (POIS, 25, 4), (POIS, 50, 4)):
+            passes.clear()
+            truncated_critical_values(model, alpha, n_bar)
+            assert 0 < len(passes) <= most
+            assert max(passes) <= calibrate._ROWS
+            rows += sum(passes)
+        assert rows <= 334
+
+    @pytest.mark.parametrize("model", [BERN, POIS], ids=["bernoulli", "poisson"])
+    def test_validation_draw_ignores_chunks(self, model, monkeypatch):
+        # the samplers fill C order from one generator, so one path per
+        # chunk, chunks of 3 paths over 700, and one chunk draw the same paths
+        n_bar, reps = 50, 700
+        draws = []
+        for elems in (n_bar, 3 * n_bar + 17, 10_000_000):
+            monkeypatch.setattr(calibrate, "_CHUNK_ELEMS", elems)
+            rng = np.random.default_rng(4)
+            draws.append(_path_maxima(model, model.null_param, n_bar, reps, rng))
+        for drawn in draws[1:]:
+            assert np.array_equal(drawn, draws[0])
+
+    def test_validation_is_pinned(self):
+        # check 7's poisson n_bar = 50 cell, bit for bit, as one draw of all
+        # 20000 paths gave it
+        alpha = scale_for_fdr(bh_steps(0.25, 10), 0.25)
+        achieved = mc_truncated_critical_values(POIS, alpha, 50, 20000, 1).achieved
+        assert achieved.tobytes().hex() == (
+            "7dd0b359f5b98a3f2d431cebe2369a3fbe30992a1895a43f1cebe2361ac0ab3f"
+            "5227a089b0e1b13f5305a3923a01b53f93a98251499db83faf946588635dbc3f"
+            "454772f90fe9bf3f083d9b559fabc13f"
+        )
 
     def test_maxima_are_exact_lattice_values(self):
         # equal (count, n) pairs give equal floats: every maximum is the
