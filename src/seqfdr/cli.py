@@ -252,9 +252,9 @@ def _trials_for_range(config: SimulationConfig, a, b, start: int, stop: int
         blocks = CountBlocks(_copula(config), [marginals], horizon=horizon, rngs=rngs)
 
         def take(ids, blocks=blocks):
-            n, steps, totals = blocks.take(ids)
+            n, totals = blocks.take(ids)
             # a scalar stream's trial total is its step number
-            return cumulative_llr(model, totals[:, 0], n[:, None]), steps
+            return cumulative_llr(model, totals[:, :, 0], n[:, None])
 
         parts.append(run_batch(take, hi - lo, a, b, n_bar, tally=tally))
     return Decisions(*map(np.concatenate, zip(*parts))), tally

@@ -7,13 +7,13 @@ latent cuts of the marginal's CDF (``_latent_counts``): the counts of
 inverting the uniform Phi(y), without evaluating Phi.  Marginals are exact;
 only the dependence is shaped by the latent correlation.  ``CountBlocks``
 is the one way counts are drawn, for the trial engine, the monitoring demo
-and the fixed-sample search alike: its ``take(ids)`` hands out the next
-block of cumulative integer totals, one row per step, of each listed
-trial, every trial drawing from its own generator.  A lone trial is a batch
-of one; each caller maps the raw totals to its own statistic.  A block
-holds at most ``_BLOCK_CELLS`` (2^18) latent cells of a trial, 2 MB per
-float array, so the draw, the counts and the caller's pass over a block
-work on arrays of cache size rather than tens of MB.
+and the fixed-sample search alike.  Its trials, each drawing from its own
+generator, read in lockstep: ``take(ids)`` hands out the listed trials'
+next block of steps as cumulative integer totals, one row per step.  A
+lone trial is a batch of one; each caller maps the raw totals to its own
+statistic.  A block holds at most ``_BLOCK_CELLS`` (2^18) latent cells of
+a trial, 2 MB per float array, so the draw, the counts and the caller's
+pass over a block work on arrays of cache size rather than tens of MB.
 """
 
 from __future__ import annotations
@@ -267,20 +267,21 @@ _BLOCK_CELLS = 2**18
 
 
 class CountBlocks:
-    """Cumulative counts of several trials, each drawn from its own generator.
+    """Cumulative counts of trials read in lockstep, each from its own generator.
 
     ``rows`` holds one list of J marginals (``Bernoulli``/``Poisson``) per
     latent row of a step, and every step of a trial draws ``replicates``
     times that many rows of J latent normals, right after the trial's
     previous step in its generator (one position of ``rngs`` per trial).
-    A trial's first block has FIRST_ROWS steps, each later one as many as
-    all before it, within _BLOCK_CELLS cells (at least one step), until
-    ``horizon``; its counts depend neither on that blocking nor on the
-    other trials.  A block keeps its normals, latent values and totals
-    live, three arrays of 8 bytes a cell: 6 MB at the bound.  Counts are
-    written into the totals one group at a time, a group being a run of
-    adjacent columns with one marginal in one latent row.  A Poisson group
-    is counted by comparisons with its bulk cuts when the group's block is
+    Every take is one block of steps for the whole batch: FIRST_ROWS steps
+    first, each later block as many as all before it, within _BLOCK_CELLS
+    cells of a trial (at least one step), until ``horizon``.  A trial's
+    counts depend neither on that blocking nor on the other trials.  A
+    block keeps its normals, latent values and totals live, three arrays
+    of 8 bytes a cell: 6 MB a trial at the bound.  Counts are written into
+    the totals one group at a time, a group being a run of adjacent
+    columns with one marginal in one latent row.  A Poisson group is
+    counted by comparisons with its bulk cuts when the group's block is
     large and that bulk short, by binary search otherwise
     (``_latent_counts``).
     """
@@ -305,48 +306,45 @@ class CountBlocks:
         self.step_shape = (replicates, len(rows), j)
         self.horizon, self.rngs = horizon, list(rngs)
         self.cap = max(1, _BLOCK_CELLS // math.prod(self.step_shape))
-        self.done = np.zeros(len(self.rngs), np.int64)
+        self.done = 0
+        self.listed = np.ones(len(self.rngs), bool)
         self.running = np.zeros((len(self.rngs), replicates * len(rows), j), np.int64)
 
     def take(self, ids):
-        """Next block of each listed trial: ``(n, steps, totals)``.
+        """Next block of the listed trials: ``(n, totals)``.
 
-        ``totals`` (steps summed, replicates x rows, J) stacks the blocks
-        in the order of ``ids``, ``steps[k]`` of them for the k-th listed
-        trial (0 once it has reached the horizon); row ``i * len(rows) + r``
-        of a step holds replicate i's totals of latent row r.  ``n`` is each
-        block row's step number, counted from 1 in its trial.
+        ``n`` holds the block's step numbers, counted from 1, and ``totals``
+        (len(ids), steps, replicates x rows, J) each listed trial's totals
+        in the order of ``ids``; row ``i * len(rows) + r`` of a step holds
+        replicate i's totals of latent row r.  Past the horizon the block
+        has no steps.  A trial left out of a take reads no further: listing
+        it again raises ValueError.
         """
         ids = np.asarray(ids, dtype=np.intp)
-        done = self.done[ids]
-        steps = np.minimum(np.minimum(np.maximum(done, FIRST_ROWS), self.cap),
-                           self.horizon - done)
-        ends = np.cumsum(steps)
+        back = ids[~self.listed[ids]]
+        if back.size:
+            raise ValueError(f"trial {back[0]} was left out of an earlier take")
+        self.listed[:] = False
+        self.listed[ids] = True
+        steps = min(max(self.done, FIRST_ROWS), self.cap, self.horizon - self.done)
+        n = np.arange(self.done + 1, self.done + steps + 1)
         rows, j = self.running.shape[1:]
-        z = np.empty((int(ends[-1]) * rows if ids.size else 0, j))
+        if not steps:
+            return n, np.empty((ids.size, 0, rows, j), np.int64)
+        z = np.empty((ids.size, steps * rows, j))
         y = np.empty_like(z)
-        lo = 0
-        for i, hi in zip(ids.tolist(), (ends * rows).tolist()):
-            if hi > lo:
-                self.rngs[i].standard_normal(out=z[lo:hi])
-                # one product per trial: a stacked product of several trials
-                # may round differently (BLAS picks its kernel by size)
-                np.matmul(z[lo:hi], self.factor.T, out=y[lo:hi])
-            lo = hi
-        totals = np.empty((len(y) // rows, rows, j), np.int64)
+        totals = np.empty((ids.size, steps, rows, j), np.int64)
+        for k, i in enumerate(ids.tolist()):
+            self.rngs[i].standard_normal(out=z[k])
+            # one product per trial: a stacked product of several trials
+            # may round differently (BLAS picks its kernel by size)
+            np.matmul(z[k], self.factor.T, out=y[k])
         y_cells = y.reshape(-1, *self.step_shape)
         t_cells = totals.reshape(y_cells.shape)
         for spec, r, cols in self.groups:
             _latent_counts(spec, y_cells[:, :, r, cols], t_cells[:, :, r, cols])
-        np.cumsum(totals, axis=0, out=totals)
-        # restart each trial's block from its own running totals
-        drawn = steps > 0
-        starts = (ends - steps)[drawn]
-        shift = self.running[ids[drawn]]
-        shift[starts > 0] -= totals[starts[starts > 0] - 1]
-        for lo, hi, add in zip(starts.tolist(), ends[drawn].tolist(), shift):
-            totals[lo:hi] += add
-        self.running[ids[drawn]] = totals[ends[drawn] - 1]
-        self.done[ids] += steps
-        n = np.repeat(done - (ends - steps), steps) + np.arange(1, len(totals) + 1)
-        return n, steps, totals
+        np.cumsum(totals, axis=1, out=totals)
+        totals += self.running[ids, None]
+        self.running[ids] = totals[:, -1]
+        self.done += steps
+        return n, totals

@@ -193,7 +193,7 @@ def find_matching_fss(
     # below the target
     curve, run = [], 0
     while run < _RUN and len(curve) < n_max:
-        n, _, totals = blocks.take([0])
+        n, (totals,) = blocks.take([0])
         rates = _bh_rates(model, n, totals, truth, alpha)
         for point in zip(n.tolist(), *(rate.tolist() for rate in rates)):
             curve.append(point)

@@ -10,10 +10,10 @@ already made.  The open-ended variant runs until every stream is decided;
 the rejective variant only rejects, accepting whatever remains at a fixed
 truncation horizon.  Both run one stage loop, the rejective one with an
 acceptance ladder of -inf, over a whole batch of trials at once
-(``run_batch``): each round runs a stage of every undecided trial, and a
-source hands out the next row block of just the trials that scanned all
-their rows.  That source, ``take(ids)``, is the one way rows reach the
-loop.
+(``run_batch``).  The batch reads its rows in lockstep: a source,
+``take(ids)``, the one way rows reach the loop, hands out one block for
+every undecided trial, and each round runs a stage of every trial with a
+crossing left in that block.
 """
 
 from __future__ import annotations
@@ -145,52 +145,35 @@ def summarize(decisions: Decisions, truth: Sequence[bool | None]) -> MetricsSumm
 def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
     """Stage loop shared by both variants, over a batch of trials at once.
 
-    ``take(ids)`` returns the next row block of every listed trial, stacked
-    in the order of ``ids``, and each block's row count (0: no rows left).
+    ``take(ids)`` returns the next row block of every listed trial, one
+    (len(ids), rows, J) array in the order of ``ids`` (no rows: none left).
     ``n_bar`` None means no horizon, so a trial ends only when every stream
-    is decided or its rows run out.  Every trial's first block is read
-    before the first round.  Each round runs one stage of every undecided
-    trial, or reads the next block of those that scanned all their rows
-    without a crossing.  Only the undecided trials' current
-    blocks are held, in one (trials, rows, J) array, with their active
-    streams and continuation intervals; scans never return to earlier
-    blocks.  The array work of a round, the scan for first exits and the
-    ranking of the exit rows, covers every trial at once.  The top and
-    bottom blocks are then read off each ranked row from its ends, one
-    comparison per decided stream and one to stop.
+    is decided or the rows run out.  The batch reads in lockstep: each
+    block is read once, for every undecided trial, and only that block is
+    held, with the trials' active streams and continuation intervals;
+    scans never return to earlier blocks.  Within a block, each round runs
+    one stage of every trial with a crossing left in it.  The array work
+    of a round, the scan for first exits from each trial's scan position
+    and the ranking of the exit rows, covers those trials at once.  The
+    top and bottom blocks are then read off each ranked row from its ends,
+    one comparison per decided stream and one to stop.
     """
     j = b.size
     b_of = b.tolist() + [np.inf]  # b[r]; r == j once every stream is rejected
     a_of = a.tolist() + [-np.inf]  # a[c]; c == j once every stream is accepted
     # per trial: its streams' decisions (step 0: undecided), r, c, active
-    # count, last stage's step, stages done, rows scanned, first row and
-    # length of the held block
+    # count, last stage's step and stages done
     rejected, truncated = ([[False] * j for _ in range(trials)] for _ in range(2))
     step, level = ([[0] * j for _ in range(trials)] for _ in range(2))
     r, c, size = [0] * trials, [0] * trials, [j] * trials
-    n, stages, scan, base, held = ([0] * trials for _ in range(5))
-    failed = {}  # trial -> its error; the first trial's is raised once all have run
+    n, stages = [0] * trials, [0] * trials
     decision_steps = 0
+    done = 0  # rows read before the current block
     # the undecided trials; row k of the arrays below is live[k]'s
     live = list(range(trials))
-    block = np.empty((trials, 0, j))
     act = np.ones((trials, j), bool)
     hi = np.full(trials, b_of[0])
     lo = np.full(trials, a_of[0])
-
-    def state(i, k):
-        return {
-            "stage": stages[i] + 1,
-            "step": n[i],
-            "r": r[i],
-            "c": c[i],
-            "active": np.flatnonzero(act[k]).tolist(),
-            "decisions": [
-                {"stream": s, "action": "reject" if rejected[i][s] else "accept",
-                 "step": step[i][s], "level": level[i][s], "truncated": truncated[i][s]}
-                for s in range(j) if step[i][s]
-            ],
-        }
 
     def ranked_rows(ks, offs):
         """Each trial's row and its streams ranked: active ones first by
@@ -198,57 +181,48 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
         vals = block[ks, offs]
         return vals.tolist(), np.lexsort((vals, ~act[ks]), axis=1).tolist()
 
-    # rows of live whose trials read their next block: at first every trial
-    missed = list(range(trials))
-    while True:
-        if missed:
-            vals, counts = take(np.array([live[k] for k in missed]))
-            if tally is not None:
-                tally["matrix_rows"] += int(counts.sum())
-                tally["path_blocks"] += len(missed)
-            width = int(counts.max())
-            if width > block.shape[1]:
-                grown = np.empty((len(live), width, j))
-                grown[:, : block.shape[1]] = block
-                block = grown
-            offsets = np.arange(len(vals)) - np.repeat(np.cumsum(counts) - counts, counts)
-            block[np.repeat(missed, counts), offsets] = vals
-            for k, count in zip(missed, counts.tolist()):
-                i = live[k]
-                if not count:
-                    failed[i] = DataUnderrunError(
-                        f"streams {np.flatnonzero(act[k]).tolist()} exhausted at step "
-                        f"{scan[i]} before any decision boundary was crossed",
-                        state=state(i, k),
-                    )
-                    size[i] = 0
-                base[i], held[i] = scan[i], count
-        keep = [k for k, i in enumerate(live) if size[i]]
-        if len(keep) < len(live):
-            live = [live[k] for k in keep]
-            block, act, hi, lo = block[keep], act[keep], hi[keep], lo[keep]
-        if not live:
-            break
-        # first row at or after each trial's scan where an active stream
-        # leaves the continuation interval
-        starts = [scan[i] - base[i] for i in live]
-        stops = [held[i] if n_bar is None else min(held[i], n_bar - base[i]) for i in live]
-        first, last = min(starts), max(stops)
-        seg = block[:, first:last]
-        out = (seg >= hi[:, None, None]) | (seg <= lo[:, None, None])
-        out &= act[:, None, :]
-        rows = out.any(axis=2)
-        if len(live) > 1:
-            at = np.arange(first, last)
-            rows &= (at >= np.array(starts)[:, None]) & (at < np.array(stops)[:, None])
-        hit = rows.any(axis=1).tolist()
-        hits = [k for k, x in enumerate(hit) if x]
-        if hits:
+    while live:
+        block = take(np.array(live))
+        width = block.shape[1]
+        if tally is not None:
+            tally["matrix_rows"] += width * len(live)
+            tally["path_blocks"] += len(live)
+        if not width:
+            # the rows run out for every undecided trial at once: the first
+            # in index order fails with its state
+            i, active = live[0], np.flatnonzero(act[0]).tolist()
+            raise DataUnderrunError(
+                f"streams {active} exhausted at step {done} before any decision "
+                f"boundary was crossed",
+                state={"stage": stages[i] + 1, "step": n[i], "r": r[i], "c": c[i],
+                       "active": active, "decisions": [
+                           {"stream": s, "action": "reject" if rejected[i][s] else "accept",
+                            "step": step[i][s], "level": level[i][s],
+                            "truncated": truncated[i][s]}
+                           for s in range(j) if step[i][s]]},
+            )
+        stop = width if n_bar is None else min(width, n_bar - done)
+        # rows of the block each trial has scanned, and the trials that may
+        # still cross in it
+        scan = [0] * len(live)
+        ks = list(range(len(live)))
+        while ks:
+            # first row at or after each trial's scan where an active stream
+            # leaves the continuation interval
+            sel = slice(None) if len(ks) == len(live) else ks  # every trial: views, no copies
+            first = min(scan[k] for k in ks)
+            seg = block[sel, first:stop]
+            out = (seg >= hi[sel, None, None]) | (seg <= lo[sel, None, None])
+            out &= act[sel, None, :]
+            rows = out.any(axis=2)
+            rows &= np.arange(first, stop) >= np.array([scan[k] for k in ks])[:, None]
+            hit = rows.any(axis=1).tolist()
             exits = rows.argmax(axis=1).tolist()
-            offs = [first + exits[k] for k in hits]
+            hits = [k for k, x in zip(ks, hit) if x]
+            offs = [first + e for e, x in zip(exits, hit) if x]
             for k, vals, ranks, off in zip(hits, *ranked_rows(hits, offs), offs):
                 i = live[k]
-                sz, at_step = size[i], base[i] + off + 1
+                sz, at_step = size[i], done + off + 1
                 # the top block: the statistic t places from the top clears b[r + t]
                 t_rej = 0
                 while t_rej < sz and vals[ranks[sz - 1 - t_rej]] >= b_of[r[i] + t_rej]:
@@ -269,34 +243,35 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
                 r[i] += t_rej
                 c[i] += t_acc
                 size[i] = sz - t_rej - t_acc
-                n[i] = scan[i] = at_step
+                n[i] = at_step
                 stages[i] += 1
                 hi[k], lo[k] = b_of[r[i]], a_of[c[i]]
-        missed = [k for k, x in enumerate(hit) if not x]
-        for k in missed:
-            scan[live[k]] = base[live[k]] + stops[k]
-        ends = [k for k in missed if scan[live[k]] == n_bar]
-        if ends:
+                scan[k] = off + 1
+            ks = [k for k in hits if size[live[k]] and scan[k] < stop]
+        keep = [k for k, i in enumerate(live) if size[i]]
+        if keep and done + stop == n_bar:
             # horizon reached: accept the rest, ranked by final statistic
-            _, order = ranked_rows(ends, [n_bar - 1 - base[live[k]] for k in ends])
-            for k, ranks in zip(ends, order):
+            _, order = ranked_rows(keep, [stop - 1] * len(keep))
+            for k, ranks in zip(keep, order):
                 i = live[k]
                 for p, s in enumerate(ranks[: size[i]]):
                     step[i][s], level[i][s], truncated[i][s] = n_bar, p + 1, True
-                    act[k, s] = False
                 decision_steps += n_bar * size[i]
                 size[i] = 0
                 n[i] = n_bar
                 stages[i] += 1
-            missed = [k for k in missed if scan[live[k]] != n_bar]
-    if failed:
-        raise failed[min(failed)]
+            keep = []
+        if len(keep) < len(live):
+            live = [live[k] for k in keep]
+            act, hi, lo = act[keep], hi[keep], lo[keep]
+        done += width
     if tally is not None:
         tally["trials"] += trials
         tally["stages"] += sum(stages)
         tally["decision_steps"] += decision_steps
-    return Decisions(np.array(rejected, bool), np.array(step, np.int64),
-                     np.array(level, np.int64), np.array(truncated, bool))
+    return Decisions(*(np.array(field, dtype).reshape(trials, j) for field, dtype in
+                       ((rejected, bool), (step, np.int64), (level, np.int64),
+                        (truncated, bool))))
 
 
 def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
@@ -304,9 +279,10 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
     """Run ``trials`` trials of one procedure at once, through one stage loop.
 
     ``take(ids)`` reads the trials' statistics: given an array of trial
-    indices in [0, trials), it returns ``(rows, counts)``, the next row
-    block of each listed trial stacked in the order of ``ids`` and the
-    blocks' row counts, 0 for a trial with no rows left.  Row n - 1 of a
+    indices in [0, trials), it returns the next row block of every listed
+    trial, one (len(ids), rows, J) array in the order of ``ids``; the
+    batch reads in lockstep, so every take is the block after the last
+    one, and a trial once left out is never listed again.  Row n - 1 of a
     trial holds every stream's statistic after step n.  ``a``/``b`` are the
     acceptance/rejection ladders indexed by cumulative level, in the
     statistic's units (``sprt.check_ladders``).  Exactly one of ``a`` and
@@ -323,13 +299,12 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
     level ``r + size - pos + 1``; an accepted one at bottom position
     ``pos`` with ``c`` prior acceptances gets ``c + pos``.  Ties order by
     stream index.  Returns one ``Decisions`` row per trial, in index order;
-    each trial decides as it would alone.  A trial whose rows run out
-    before every stream is decided fails with DataUnderrunError, whose
-    ``state`` holds the procedure state (stage, step, r, c, active streams
-    and decisions so far).  The other trials still run, and the error of
-    the first failing trial in index order is raised, as a loop over the
-    trials one at a time would raise it.  ``tally`` (a Counter), when
-    given, gains the work counts: trials, stages, statistic rows and
+    each trial decides as it would alone.  A block with no rows fails
+    every undecided trial at once with DataUnderrunError, and the first
+    of them in index order is raised, as a loop over the trials one at a
+    time would raise it; its ``state`` holds the procedure state (stage,
+    step, r, c, active streams and decisions so far).  ``tally`` (a
+    Counter), when given, gains the work counts: trials, stages, statistic rows and
     blocks read, and decision steps (summed over streams).
     """
     if (a is None) == (n_bar is None):

@@ -39,7 +39,6 @@ __all__ = [
     "derive_rates",
     "amnesia_fraction",
     "thresholds",
-    "label_hypothesis",
     "run_monitoring",
 ]
 
@@ -209,16 +208,6 @@ def thresholds(records) -> tuple[float, float]:
     return float(p_h), float(p_g)
 
 
-def label_hypothesis(fraction: float, p_h: float, p_g: float) -> bool | None:
-    """True when the null holds (fraction <= p_h), False when the signal does
-    (fraction >= p_g), None for the unlabeled band in between."""
-    if fraction <= p_h:
-        return True
-    if fraction >= p_g:
-        return False
-    return None
-
-
 def _select_top(config: ExperimentConfig) -> list[DrugRecord]:
     # most total reports first; name breaks ties so the selection is stable
     ranked = sorted(
@@ -271,10 +260,10 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
                          horizon=horizon, rngs=[np.random.default_rng(stream_seq)])
 
     def take(ids):
-        _, steps, totals = blocks.take(ids)
-        x = totals[:, 0]
+        _, totals = blocks.take(ids)
+        x = totals[:, :, 0]
         # one model for every drug: raw LLRs against the raw boundaries
-        return cumulative_llr(model, x, x + totals[:, 1]), steps
+        return cumulative_llr(model, x, x + totals[:, :, 1])
 
     tally = Counter()
     decisions = run_batch(take, 1, crit.a, crit.b, tally=tally)

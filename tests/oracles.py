@@ -167,29 +167,30 @@ def summarize(decisions, truth) -> MetricsSummary:
 
 class MatrixSource:
     """``take(ids)`` for ``run_batch`` over trials whose whole (n, J)
-    statistic matrices are given.
+    statistic matrices are given, all of one length.
 
-    Trial i's rows come in blocks of ``sizes[i]``'s sizes in turn, the
-    last block taking what is left, or all at once when ``sizes`` is None;
-    then blocks of no rows.  ``read[i]`` counts the blocks trial i was
-    handed, the empty ones included.
+    The rows come in blocks of ``sizes`` in turn, the last block taking
+    what is left, or all at once when ``sizes`` is None; then blocks of no
+    rows.  Each take hands out the next block of every listed trial, one
+    (len(ids), rows, J) array, as ``datagen.CountBlocks`` does.  ``read[i]``
+    counts the blocks trial i was handed, the empty ones included.
     """
 
     def __init__(self, mats, sizes=None):
-        self.blocks = []
-        for i, mat in enumerate(mats):
-            mat = np.asarray(mat, dtype=float)
-            cuts = np.cumsum([len(mat)] if sizes is None else sizes[i])
-            self.blocks.append(np.split(mat, cuts[cuts < len(mat)]) + [mat[:0]])
-        self.read = [0] * len(self.blocks)
+        self.mats = np.asarray(mats, dtype=float)
+        length = self.mats.shape[1]
+        cuts = np.cumsum([length] if sizes is None else sizes)
+        edges = [0, *cuts[cuts < length].tolist(), length]
+        self.blocks = list(zip(edges[:-1], edges[1:])) + [(length, length)]
+        self.taken = 0
+        self.read = [0] * len(self.mats)
 
     def __call__(self, ids):
-        out = []
+        lo, hi = self.blocks[min(self.taken, len(self.blocks) - 1)]
+        self.taken += 1
         for i in ids:
-            blocks = self.blocks[i]
-            out.append(blocks[min(self.read[i], len(blocks) - 1)])
             self.read[i] += 1
-        return np.concatenate(out), np.array([len(block) for block in out])
+        return self.mats[ids, lo:hi]
 
 
 def step_down(mat, a, b, n_bar=None):

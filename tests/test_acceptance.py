@@ -354,9 +354,9 @@ def test_10_copula_statistics(record):
     n = 100_000
     for family, marg in (("bernoulli", Bernoulli(0.05)), ("poisson", Poisson(1.5))):
         counts = CountBlocks(cfg, [[marg, marg]], horizon=n, rngs=[np.random.default_rng(77)])
-        blocks = [counts.take([0])[2][:, 0]]
+        blocks = [counts.take([0])[1][0, :, 0]]
         while len(blocks[-1]):
-            blocks.append(counts.take([0])[2][:, 0])
+            blocks.append(counts.take([0])[1][0, :, 0])
         totals = np.concatenate(blocks)
         x0, x1 = np.diff(totals, axis=0, prepend=0).T
         if family == "bernoulli":

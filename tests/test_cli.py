@@ -126,8 +126,8 @@ class TestSimulate:
         counts = CountBlocks(_copula(config), [marginals], horizon=horizon, rngs=[rng])
         blocks = []
         while not blocks or len(blocks[-1]):
-            n, _, totals = counts.take([0])
-            blocks.append(cumulative_llr(model, totals[:, 0], n[:, None]))
+            n, totals = counts.take([0])
+            blocks.append(cumulative_llr(model, totals[0, :, 0], n[:, None]))
         return np.concatenate(blocks)
 
     @pytest.mark.parametrize("mode", ["open", "rejective"])
@@ -158,6 +158,24 @@ class TestSimulate:
         for batch in (1, 7):
             monkeypatch.setattr(cli, "_TRIAL_BATCH", batch)
             assert _same(_run_trials(config, a, b, 1), (whole, tally))
+
+    def test_stage_loop_reads_each_block_once(self, monkeypatch):
+        # the batch reads in lockstep: one take per block (64, 64 and 128
+        # steps) for all its undecided trials, not one per trial's pace
+        listed = []
+
+        class Counted(CountBlocks):
+            def take(self, ids):
+                listed.append(len(ids))
+                return super().take(ids)
+
+        monkeypatch.setattr(cli, "CountBlocks", Counted)
+        config = SimulationConfig(
+            family="bernoulli", null_param=0.05, alt_param=0.15, j=10, m0=5, rho=-0.6,
+            q1=0.25, q2=0.15, mode="open", reps=100, seed=3,
+        )
+        run_simulation(config)
+        assert len(listed) == 3 and listed[0] == 100 and listed == sorted(listed, reverse=True)
 
     def test_batch_underrun_carries_the_trial_state(self):
         # a 20-step horizon leaves trials undecided, some in their first

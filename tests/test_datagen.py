@@ -238,11 +238,10 @@ def _alone(cfg, rows, horizon, seed):
     """One trial's (n, totals) blocks: ``CountBlocks`` over one generator, read to the horizon."""
     blocks = CountBlocks(cfg, rows, horizon=horizon, rngs=[np.random.default_rng(seed)])
     drawn = []
-    while True:
-        n, steps, totals = blocks.take([0])
-        if not steps[0]:
-            return drawn
+    while len((block := blocks.take([0]))[0]):
+        n, (totals,) = block
         drawn.append((n, totals))
+    return drawn
 
 
 def _observations(cfg, rows, horizon, seed):
@@ -295,9 +294,9 @@ class TestStreamSources:
         blocks = CountBlocks(cfg, PAIR_ROWS, horizon=160, rngs=[np.random.default_rng(8)],
                              replicates=3)
         drawn = [blocks.take([0]) for _ in range(3)]  # 64, 64 and 32 steps
-        assert [steps[0] for _, steps, _ in drawn] == [64, 64, 32]
-        np.testing.assert_array_equal(np.concatenate([n for n, _, _ in drawn]), np.arange(1, 161))
-        totals = np.concatenate([t for _, _, t in drawn])
+        assert [len(n) for n, _ in drawn] == [64, 64, 32]
+        np.testing.assert_array_equal(np.concatenate([n for n, _ in drawn]), np.arange(1, 161))
+        totals = np.concatenate([t[0] for _, t in drawn])
         assert totals.shape == (160, 6, 2)
         np.testing.assert_array_equal(np.diff(totals, axis=0, prepend=0),
                                       want.reshape(160, 6, 2))
@@ -380,14 +379,14 @@ class TestCountBatch:
         blocks = CountBlocks(cfg, specs, horizon=horizon,
                              rngs=[np.random.default_rng(s) for s in seeds])
         got = [[] for _ in seeds]
-        # trials read at different paces, so one call mixes block sizes
-        for ids in ([0, 1, 2, 3, 4, 5, 6, 7, 8], [8, 0, 3], [1, 2, 4, 5, 6, 7], [0, 8],
-                    list(seeds), [3, 0], list(seeds), list(seeds)):
-            n, steps, totals = blocks.take(np.array(ids))
-            assert len(n) == len(totals) == steps.sum()
-            for i, lo, k in zip(ids, np.cumsum(steps) - steps, steps):
-                if k:
-                    got[i].append((n[lo:lo + k], totals[lo:lo + k]))
+        # the batch reads in lockstep while trials leave it, listed in any order
+        for ids in (list(seeds), [8, 0, 3, 1, 2, 4, 5, 6, 7], [1, 2, 4, 0, 8, 3], [0, 8, 3],
+                    [3, 0, 8], [8, 0], [0, 8]):
+            n, totals = blocks.take(np.array(ids))
+            assert totals.shape[:2] == (len(ids), len(n))
+            for i, t in zip(ids, totals):
+                if len(n):
+                    got[i].append((n, t))
         for i in seeds:
             alone = _alone(cfg, specs, horizon, i)
             assert 0 < len(got[i]) <= len(alone)
@@ -396,8 +395,10 @@ class TestCountBatch:
                 np.testing.assert_array_equal(t, t1)
                 np.testing.assert_array_equal(n, n1)
                 assert t.dtype == t1.dtype == np.int64 and t.shape == t1.shape
-        # every trial reads past its first 64-step block where the horizon allows
-        assert all(sum(len(t) for _, t in got[i]) == min(horizon, 448) for i in (0, 3, 8))
+        # the trials listed throughout read to the horizon, the others stop
+        # where they left
+        assert all(len(got[i]) == len(_alone(cfg, specs, horizon, 0)) for i in (0, 8))
+        assert len(got[3]) == min(5, len(got[0])) and len(got[5]) == min(2, len(got[0]))
 
     @pytest.mark.parametrize("j, specs, horizon", CASES)
     def test_totals_match_each_trial_alone(self, j, specs, horizon):
@@ -424,8 +425,8 @@ class TestCountBatch:
             blocks = CountBlocks(cfg, rows, horizon=160, rngs=[np.random.default_rng(5)],
                                  replicates=200)
             drawn = []
-            while (block := blocks.take([0]))[1][0]:
-                drawn.append(block[2])
+            while len((block := blocks.take([0]))[0]):
+                drawn.append(block[1][0])
             return len(drawn), np.concatenate(drawn)
 
         blocks, default = totals()
@@ -436,8 +437,18 @@ class TestCountBatch:
         np.testing.assert_array_equal(small, default)
 
     def test_exhausted_trial_reads_zero_steps(self):
+        # past the horizon, every listed trial gets zero steps
         blocks = CountBlocks(CopulaConfig(2, Toeplitz(0.0)), [[Bernoulli(0.5)] * 2], horizon=5,
                              rngs=[np.random.default_rng(1), np.random.default_rng(2)])
-        assert blocks.take(np.array([0, 1]))[1].tolist() == [5, 5]
-        n, steps, totals = blocks.take(np.array([1, 0]))
-        assert steps.tolist() == [0, 0] and totals.shape == (0, 1, 2) and n.shape == (0,)
+        n, totals = blocks.take(np.array([0, 1]))
+        assert n.tolist() == [1, 2, 3, 4, 5] and totals.shape == (2, 5, 1, 2)
+        n, totals = blocks.take(np.array([1, 0]))
+        assert n.shape == (0,) and totals.shape == (2, 0, 1, 2) and totals.dtype == np.int64
+
+    def test_a_trial_left_out_reads_no_further(self):
+        blocks = CountBlocks(CopulaConfig(2, Toeplitz(0.0)), [[Bernoulli(0.5)] * 2], horizon=500,
+                             rngs=[np.random.default_rng(s) for s in range(3)])
+        blocks.take(np.array([0, 1, 2]))
+        blocks.take(np.array([2, 0]))
+        with pytest.raises(ValueError, match="trial 1 was left out"):
+            blocks.take(np.array([0, 1, 2]))

@@ -279,7 +279,7 @@ class TestFindMatchingFss:
         seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(0, 1))
         blocks = CountBlocks(config, [POIS.marginals(truth)], horizon=len(out.curve.n),
                              rngs=[np.random.default_rng(seq)], replicates=400)
-        n, _, totals = blocks.take([0])
+        n, (totals,) = blocks.take([0])
         alpha = scale_for_fdr(bh_steps(0.25, 4), 0.25)
         want = [bh_rates(POIS, k, step, truth, alpha) for k, step in zip(n.tolist(), totals)]
         assert min(k for k, (fnr, _, _) in enumerate(want, 1) if fnr <= 0.10) < out.n_fss

@@ -154,8 +154,8 @@ class TestOpenEndedValidation:
                              rngs=[np.random.default_rng(1)])
 
         def take(ids):
-            n, steps, totals = blocks.take(ids)
-            return cumulative_llr(model, totals[:, 0], n[:, None]), steps
+            n, totals = blocks.take(ids)
+            return cumulative_llr(model, totals[:, :, 0], n[:, None])
 
         with pytest.raises(DataUnderrunError) as exc:
             run_batch(take, 1, crit.a, crit.b)
@@ -199,6 +199,18 @@ class TestRunBatchArguments:
         mat = _sources([0.5, 2.5], [-0.3, -2.5])
         d = _by_stream(_rejective(mat, b=np.array([np.inf, np.inf]), n_bar=2))
         assert d == [("accept", 2, 2, True), ("accept", 2, 1, True)]
+
+
+    @pytest.mark.parametrize("n_bar", [None, 3])
+    def test_zero_trials_give_empty_rows(self, n_bar):
+        # the arrays keep their J columns, so summarize gives its own error
+        a, b = np.array([-2.0, -1.0]), np.array([2.0, 1.0])
+        result = run_batch(MatrixSource(np.empty((0, 1, 2))), 0, a if n_bar is None else None,
+                           b, n_bar)
+        assert [(f.shape, f.dtype) for f in result] == [
+            ((0, 2), np.dtype(t)) for t in (bool, np.int64, np.int64, bool)]
+        with pytest.raises(ValueError, match="cannot summarize zero trials"):
+            summarize(result, [True, False])
 
 
 class TestRejectiveHandTraces:
@@ -363,19 +375,19 @@ class TestRandomizedInvariants:
         mat = _sources(*paths)
         runs = [_open(mat, a, b)]
         for blk in (1, 7, 64, 1000):
-            runs.append(run_batch(MatrixSource([mat], [[blk] * len(mat)]), 1, a, b))
+            runs.append(run_batch(MatrixSource([mat], [blk] * len(mat)), 1, a, b))
         assert all(_same(r, runs[0]) for r in runs)
 
     @pytest.mark.parametrize("n_bar", [None, 1, 37])
     def test_batch_decides_each_trial_as_alone(self, n_bar):
-        # integer-valued paths tie often; each trial hands out its rows in
-        # blocks of its own sizes, so the held blocks differ in width
+        # integer-valued paths tie often; the rows come in blocks of random
+        # sizes, so trials decide at different points of a block
         rng = np.random.default_rng(34)
         j, trials = 5, 25
         a, b = self._grid(j)
         mats = [np.round(np.cumsum(rng.normal(0.0, 1.5, size=(300, j)), axis=0))
                 for _ in range(trials)]
-        take = MatrixSource(mats, [rng.integers(1, 90, size=300) for _ in range(trials)])
+        take = MatrixSource(mats, rng.integers(1, 90, size=300))
         tally = Counter()
         if n_bar is None:
             batch = run_batch(take, trials, a, b, tally=tally)
@@ -396,19 +408,20 @@ class TestAgainstReference:
            rejective=st.booleans())
     def test_batch_matches_per_stage_reference(self, j, trials, seed, rejective):
         # integer paths tie with each other and with the integer ladders;
-        # each trial hands out its rows in blocks of random sizes, and
-        # without a last decisive row a trial may run out of rows
+        # the trials' rows, all of one length, come in blocks of random
+        # sizes, and without a decisive last row a trial may run out of rows
         rng = np.random.default_rng(seed)
         b = -np.sort(-rng.integers(1, 7, size=j)).astype(float)
         a = None if rejective else np.sort(rng.integers(-6, 2, size=j)).astype(float)
         n_bar = int(rng.integers(1, 30)) if rejective else None
+        length = int(rng.integers(0, 31))
         mats = []
         for _ in range(trials):
-            mat = np.cumsum(rng.integers(-2, 3, size=(int(rng.integers(0, 30)), j)), axis=0)
-            if rng.random() < 0.8:
-                mat = np.vstack([mat, rng.choice([-100, 100], size=(1, j))])
+            mat = np.cumsum(rng.integers(-2, 3, size=(length, j)), axis=0)
+            if length and rng.random() < 0.8:
+                mat[-1] = rng.choice([-100, 100], size=j)
             mats.append(mat)
-        take = MatrixSource(mats, [rng.integers(1, 8, size=31) for _ in range(trials)])
+        take = MatrixSource(mats, rng.integers(1, 8, size=31))
         try:
             want = [step_down(mat, a, b, n_bar) for mat in mats]
         except DataUnderrunError as exc:

@@ -265,7 +265,7 @@ class TestLatticeLlr:
                              rngs=[np.random.default_rng(5)])
         points = []
         for _ in range(4):  # 64, 64, 128 and 44 steps
-            n, _, totals = blocks.take([0])
+            n, (totals,) = blocks.take([0])
             x = totals[:, 0]
             points.append((x, x + totals[:, 1]) if len(specs) == 2
                           else (x, np.broadcast_to(n[:, None], x.shape)))

@@ -18,7 +18,6 @@ from seqfdr.yellowcard import (
     ExperimentConfig,
     amnesia_fraction,
     derive_rates,
-    label_hypothesis,
     load_drug_table,
     run_monitoring,
     thresholds,
@@ -185,15 +184,6 @@ class TestExperimentConfig:
     def test_records_nonempty(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(records=(), **self.BASE)
-
-
-class TestLabelHypothesis:
-    def test_bands(self):
-        assert label_hypothesis(0.05, 0.05, 0.10) is True
-        assert label_hypothesis(0.04, 0.05, 0.10) is True
-        assert label_hypothesis(0.10, 0.05, 0.10) is False
-        assert label_hypothesis(0.30, 0.05, 0.10) is False
-        assert label_hypothesis(0.07, 0.05, 0.10) is None
 
 
 def config_for(records, **overrides):
