@@ -26,6 +26,7 @@ at which every race's live mass is below ``_LIVE_TOL``.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -154,6 +155,8 @@ def _race(rows, horizon: int):
     crosses both counts as up, as the procedures reject before they
     accept.  The rows carry their live mass over a window of count totals
     shared by all rows, and absorb it at the ``crossing_counts`` tables.
+    Adjacent rows of one (model, param) convolve together, so callers list
+    the rows of each (model, param) next to each other.
 
     The recursion runs a block of up to ``_BLOCK`` steps per pass over a
     (steps, rows, counts) array, with fewer steps where that array would
@@ -168,16 +171,11 @@ def _race(rows, horizon: int):
     step.  Returns P(up first), P(down first) and the live mass left, per
     row.
     """
-    # a (model, param) group's rows are one slice of the pass and convolve
-    # as one flat array
-    keys = list(dict.fromkeys(row[:2] for row in rows))
-    order = sorted(range(len(rows)), key=lambda r: keys.index(rows[r][:2]))
-    rows = [rows[r] for r in order]
+    # a run of adjacent rows of one (model, param) is one slice of the pass
+    # and convolves as one flat array
     groups, at = [], 0
-    for model, param in keys:
-        size = sum(row[:2] == (model, param) for row in rows)
-        groups.append((model, _step_pmf(model, param), slice(at, at + size)))
-        at += size
+    for (model, param), run in itertools.groupby(rows, key=lambda row: row[:2]):
+        groups.append((model, _step_pmf(model, param), slice(at, at := at + len(list(run)))))
     spill = max(f.size for _, f, _ in groups) - 1
     built = 0  # steps in the crossing tables, grown by doubling as blocks need them
     won = np.zeros((2, len(rows)))  # absorbed up, down
@@ -229,8 +227,7 @@ def _race(rows, horizon: int):
         x0 += lo
     # a sum of probabilities can round a few ulps above 1
     up, down = np.minimum(won, 1.0)
-    back = np.argsort(order)
-    return up[back], down[back], np.minimum(left, 1.0)[back]
+    return up, down, np.minimum(left, 1.0)
 
 
 def _path_maxima(

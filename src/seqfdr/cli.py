@@ -370,15 +370,15 @@ def _steps_for(scheme: str, q: float, j: int) -> StepVector:
 def cmd_bounds(args) -> int:
     alpha = _steps_for(args.scheme, args.q, args.j)
     ms = [args.m] if args.m is not None else range(1, args.j + 1)
-    print(f"scheme={args.scheme} q={args.q} J={args.j}")
-    print("m  D(alpha,m)")
-    for m in ms:
-        print(f"{m:<2d} {d_bound_at(alpha, m):.6f}")
-    best = d_bound(alpha)
-    print(f"D(alpha) = {best.value:.6f} at m = {best.argmax_m}")
-    fdr = scale_for_fdr(alpha, args.q)
-    print("scaled for FDR control:", " ".join(f"{v:.6f}" for v in fdr.values))
+    # every value first: a bad --m or --gamma prints nothing
+    table = [f"{m:<2d} {d_bound_at(alpha, m):.6f}" for m in ms]
     pfdr = scale_for_pfdr(alpha, args.q, args.gamma)
+    best = d_bound(alpha)
+    fdr = scale_for_fdr(alpha, args.q)
+    print(f"scheme={args.scheme} q={args.q} J={args.j}")
+    print("m  D(alpha,m)", *table, sep="\n")
+    print(f"D(alpha) = {best.value:.6f} at m = {best.argmax_m}")
+    print("scaled for FDR control:", " ".join(f"{v:.6f}" for v in fdr.values))
     print(
         f"scaled for pFDR control (gamma={args.gamma}):",
         " ".join(f"{v:.6f}" for v in pfdr.values),

@@ -10,7 +10,8 @@ is the one way counts are drawn, for the trial engine, the monitoring demo
 and the fixed-sample search alike.  Its trials, each drawing from its own
 generator, read in lockstep: ``take(ids)`` hands out the listed trials'
 next block of steps as cumulative integer totals, one row per step.  A
-lone trial is a batch of one; each caller maps the raw totals to its own
+lone trial is a batch of one, and the replicates of one draw are repeated
+latent rows of a step; each caller maps the raw totals to its own
 statistic.  A block holds at most ``_BLOCK_CELLS`` (2^18) latent cells of
 a trial, 2 MB per float array, so the draw, the counts and the caller's
 pass over a block work on arrays of cache size rather than tens of MB.
@@ -270,53 +271,52 @@ class CountBlocks:
     """Cumulative counts of trials read in lockstep, each from its own generator.
 
     ``rows`` holds one list of J marginals (``Bernoulli``/``Poisson``) per
-    latent row of a step, and every step of a trial draws ``replicates``
-    times that many rows of J latent normals, right after the trial's
-    previous step in its generator (one position of ``rngs`` per trial).
-    Every take is one block of steps for the whole batch: FIRST_ROWS steps
-    first, each later block as many as all before it, within _BLOCK_CELLS
-    cells of a trial (at least one step), until ``horizon``.  A trial's
-    counts depend neither on that blocking nor on the other trials.  A
-    block keeps its normals, latent values and totals live, three arrays
-    of 8 bytes a cell: 6 MB a trial at the bound.  Counts are written into
-    the totals one group at a time, a group being a run of adjacent
-    columns with one marginal in one latent row.  A Poisson group is
-    counted by comparisons with its bulk cuts when the group's block is
-    large and that bulk short, by binary search otherwise
+    latent row of a step, and every step of a trial draws that many rows
+    of J latent normals, right after the trial's previous step in its
+    generator (one position of ``rngs`` per trial); replicates of a row
+    are repeated rows.  Every take is one block of steps for the whole
+    batch: FIRST_ROWS steps first, each later block as many as all before
+    it, within _BLOCK_CELLS cells of a trial (at least one step), until
+    ``horizon``.  A trial's counts depend neither on that blocking nor on
+    the other trials.  A block keeps its normals, latent values and totals
+    live, three arrays of 8 bytes a cell: 6 MB a trial at the bound.
+    Counts are written into the totals one group at a time, a group being
+    a run of adjacent columns with one marginal in a run of adjacent equal
+    latent rows, so replicate rows cost no more calls than one row.  A
+    Poisson group is counted by comparisons with its bulk cuts when the
+    group's block is large and that bulk short, by binary search otherwise
     (``_latent_counts``).
     """
 
     def __init__(self, config: CopulaConfig, rows: Sequence[Sequence], *, horizon: int,
-                 rngs: Sequence[np.random.Generator], replicates: int = 1):
+                 rngs: Sequence[np.random.Generator]):
         j = config.j
         if not rows or any(len(row) != j for row in rows):
             raise ValueError(f"expected rows of {j} marginals")
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
         self.factor = cholesky(correlation_matrix(config))
-        # one group per run of adjacent columns with one marginal: a slice,
-        # which indexes a view that the counts are written into
-        self.groups = []
-        for r, row in enumerate(rows):
+        # one group per run of adjacent columns with one marginal in a run of
+        # adjacent equal rows: two slices, which index a view that the
+        # counts are written into
+        self.groups, top = [], 0
+        for row, same in itertools.groupby(rows):
+            lines = slice(top, top := top + len(list(same)))
             lo = 0
             for spec, run in itertools.groupby(row):
-                hi = lo + len(list(run))
-                self.groups.append((spec, r, slice(lo, hi)))
-                lo = hi
-        self.step_shape = (replicates, len(rows), j)
+                self.groups.append((spec, lines, slice(lo, lo := lo + len(list(run)))))
         self.horizon, self.rngs = horizon, list(rngs)
-        self.cap = max(1, _BLOCK_CELLS // math.prod(self.step_shape))
+        self.cap = max(1, _BLOCK_CELLS // (len(rows) * j))
         self.done = 0
         self.listed = np.ones(len(self.rngs), bool)
-        self.running = np.zeros((len(self.rngs), replicates * len(rows), j), np.int64)
+        self.running = np.zeros((len(self.rngs), len(rows), j), np.int64)
 
     def take(self, ids):
         """Next block of the listed trials: ``(n, totals)``.
 
         ``n`` holds the block's step numbers, counted from 1, and ``totals``
-        (len(ids), steps, replicates x rows, J) each listed trial's totals
-        in the order of ``ids``; row ``i * len(rows) + r`` of a step holds
-        replicate i's totals of latent row r.  Past the horizon the block
+        (len(ids), steps, rows, J) each listed trial's totals in the order
+        of ``ids``, one row per latent row.  Past the horizon the block
         has no steps.  A trial left out of a take reads no further: listing
         it again raises ValueError.
         """
@@ -339,10 +339,10 @@ class CountBlocks:
             # one product per trial: a stacked product of several trials
             # may round differently (BLAS picks its kernel by size)
             np.matmul(z[k], self.factor.T, out=y[k])
-        y_cells = y.reshape(-1, *self.step_shape)
+        y_cells = y.reshape(-1, rows, j)
         t_cells = totals.reshape(y_cells.shape)
         for spec, r, cols in self.groups:
-            _latent_counts(spec, y_cells[:, :, r, cols], t_cells[:, :, r, cols])
+            _latent_counts(spec, y_cells[:, r, cols], t_cells[:, r, cols])
         np.cumsum(totals, axis=1, out=totals)
         totals += self.running[ids, None]
         self.running[ids] = totals[:, -1]

@@ -12,8 +12,9 @@ sequential procedure's achieved FNR, which is how the expected-sample-size
 savings are measured.  It estimates the whole FNR(N) curve from one nested
 draw: every replicate's count totals grow one step at a time, so all N share
 their random numbers (common random numbers, Glasserman & Yao 1992).  The
-draw is one ``datagen.CountBlocks`` trial whose steps carry all replicates,
-the copula path the sequential trials run on, with the model's marginals.
+draw is one ``datagen.CountBlocks`` trial whose steps carry one latent row
+per replicate, the copula path the sequential trials run on, with the
+model's marginals.
 The curve is evaluated one drawn block of N at a time: one p-value table
 over the block's (N, total) pairs and one BH pass over all its rows.  A
 noisy curve can touch the target early and rise again, so the search takes
@@ -187,8 +188,8 @@ def find_matching_fss(
 
     # 2-tuple spawn key: apart from trial t's (t,)
     seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(0, 1))
-    blocks = CountBlocks(config, [marginals], horizon=n_max, rngs=[np.random.default_rng(seq)],
-                         replicates=reps)
+    blocks = CountBlocks(config, [marginals] * reps, horizon=n_max,
+                         rngs=[np.random.default_rng(seq)])
     # (n, FNR, FDR, se) of each N read, and how many of the last are at or
     # below the target
     curve, run = [], 0

@@ -142,32 +142,62 @@ def summarize(decisions: Decisions, truth: Sequence[bool | None]) -> MetricsSumm
     )
 
 
-def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
-    """Stage loop shared by both variants, over a batch of trials at once.
+def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
+              tally: Counter | None = None) -> Decisions:
+    """Run ``trials`` trials of one procedure at once, through one stage loop.
 
-    ``take(ids)`` returns the next row block of every listed trial, one
-    (len(ids), rows, J) array in the order of ``ids`` (no rows: none left).
-    ``n_bar`` None means no horizon, so a trial ends only when every stream
-    is decided or the rows run out.  The batch reads in lockstep: each
-    block is read once, for every undecided trial, and only that block is
-    held, with the trials' active streams and continuation intervals;
-    scans never return to earlier blocks.  Within a block, each round runs
-    one stage of every trial with a crossing left in it.  The array work
-    of a round, the scan for first exits from each trial's scan position
-    and the ranking of the exit rows, covers those trials at once.  The
-    top and bottom blocks are then read off each ranked row from its ends,
-    one comparison per decided stream and one to stop.
+    ``take(ids)`` reads the trials' statistics: given an array of trial
+    indices in [0, trials), it returns the next row block of every listed
+    trial, one (len(ids), rows, J) array in the order of ``ids`` (no rows:
+    none left); the batch reads in lockstep, so every take is the block
+    after the last one, and a trial once left out is never listed again.
+    Row n - 1 of a trial holds every stream's statistic after step n.
+    ``a``/``b`` are the acceptance/rejection ladders indexed by cumulative
+    level, in the statistic's units (``sprt.check_ladders``).  Exactly one
+    of ``a`` and ``n_bar`` is given: ``a`` runs the open-ended procedure
+    until every stream is decided; ``n_bar`` runs the rejective one, whose
+    stages only reject and which reads no further than ``n_bar`` rows.  If
+    the horizon arrives, every still-active stream is accepted there with
+    ``truncated`` set and levels by ascending order of the final
+    statistics, in one last stage; ``n_bar = 1`` is a one-shot step-down
+    test.
+
+    Each block is read once, for every undecided trial, and only that
+    block is held, with the trials' active streams and continuation
+    intervals; scans never return to earlier blocks.  Within a block, each
+    round runs one stage of every trial with a crossing left in it.  The
+    array work of a round, the scan for first exits from each trial's scan
+    position and the ranking of the exit rows, covers those trials at
+    once.  The top and bottom blocks are then read off each ranked row
+    from its ends, one comparison per decided stream and one to stop.
+
+    A stream rejected as the position-``pos`` ordered statistic of a stage
+    with ``size`` active streams and ``r`` prior rejections gets cumulative
+    level ``r + size - pos + 1``; an accepted one at bottom position
+    ``pos`` with ``c`` prior acceptances gets ``c + pos``.  Ties order by
+    stream index.  Returns one ``Decisions`` row per trial, in index order;
+    each trial decides as it would alone.  A block with no rows fails
+    every undecided trial at once with DataUnderrunError, and the first
+    of them in index order is raised, as a loop over the trials one at a
+    time would raise it; its ``state`` holds the procedure state (stage,
+    step of the last stage, r, c, active streams and decisions so far).
+    ``tally`` (a Counter), when given, gains the work counts: trials,
+    stages, statistic rows and blocks read, and decision steps (summed
+    over streams).
     """
+    if (a is None) == (n_bar is None):
+        raise ValueError("give exactly one of a (open-ended) and n_bar (rejective)")
+    if n_bar is not None and n_bar < 1:
+        raise ValueError("n_bar must be at least 1")
+    a, b = check_ladders(a, b)
     j = b.size
     b_of = b.tolist() + [np.inf]  # b[r]; r == j once every stream is rejected
     a_of = a.tolist() + [-np.inf]  # a[c]; c == j once every stream is accepted
-    # per trial: its streams' decisions (step 0: undecided), r, c, active
-    # count, last stage's step and stages done
+    # per trial: its streams' decisions (step 0: undecided), r, c and stages
+    # done; j - r - c streams are active
     rejected, truncated = ([[False] * j for _ in range(trials)] for _ in range(2))
     step, level = ([[0] * j for _ in range(trials)] for _ in range(2))
-    r, c, size = [0] * trials, [0] * trials, [j] * trials
-    n, stages = [0] * trials, [0] * trials
-    decision_steps = 0
+    r, c, stages = [0] * trials, [0] * trials, [0] * trials
     done = 0  # rows read before the current block
     # the undecided trials; row k of the arrays below is live[k]'s
     live = list(range(trials))
@@ -194,7 +224,7 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
             raise DataUnderrunError(
                 f"streams {active} exhausted at step {done} before any decision "
                 f"boundary was crossed",
-                state={"stage": stages[i] + 1, "step": n[i], "r": r[i], "c": c[i],
+                state={"stage": stages[i] + 1, "step": max(step[i]), "r": r[i], "c": c[i],
                        "active": active, "decisions": [
                            {"stream": s, "action": "reject" if rejected[i][s] else "accept",
                             "step": step[i][s], "level": level[i][s],
@@ -222,7 +252,7 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
             offs = [first + e for e, x in zip(exits, hit) if x]
             for k, vals, ranks, off in zip(hits, *ranked_rows(hits, offs), offs):
                 i = live[k]
-                sz, at_step = size[i], done + off + 1
+                sz, at_step = j - r[i] - c[i], done + off + 1
                 # the top block: the statistic t places from the top clears b[r + t]
                 t_rej = 0
                 while t_rej < sz and vals[ranks[sz - 1 - t_rej]] >= b_of[r[i] + t_rej]:
@@ -239,80 +269,34 @@ def _step_down(take, trials: int, a, b, n_bar, tally) -> Decisions:
                 for p, s in enumerate(ranks[:t_acc]):
                     stp[s], lvl[s] = at_step, c[i] + p + 1
                     act[k, s] = False
-                decision_steps += at_step * (t_rej + t_acc)
                 r[i] += t_rej
                 c[i] += t_acc
-                size[i] = sz - t_rej - t_acc
-                n[i] = at_step
                 stages[i] += 1
                 hi[k], lo[k] = b_of[r[i]], a_of[c[i]]
                 scan[k] = off + 1
-            ks = [k for k in hits if size[live[k]] and scan[k] < stop]
-        keep = [k for k, i in enumerate(live) if size[i]]
+            ks = [k for k in hits if r[live[k]] + c[live[k]] < j and scan[k] < stop]
+        keep = [k for k, i in enumerate(live) if r[i] + c[i] < j]
         if keep and done + stop == n_bar:
             # horizon reached: accept the rest, ranked by final statistic
             _, order = ranked_rows(keep, [stop - 1] * len(keep))
             for k, ranks in zip(keep, order):
                 i = live[k]
-                for p, s in enumerate(ranks[: size[i]]):
+                for p, s in enumerate(ranks[: j - r[i] - c[i]]):
                     step[i][s], level[i][s], truncated[i][s] = n_bar, p + 1, True
-                decision_steps += n_bar * size[i]
-                size[i] = 0
-                n[i] = n_bar
                 stages[i] += 1
             keep = []
         if len(keep) < len(live):
             live = [live[k] for k in keep]
             act, hi, lo = act[keep], hi[keep], lo[keep]
         done += width
+    decisions = Decisions(*(np.array(field, dtype).reshape(trials, j) for field, dtype in
+                            ((rejected, bool), (step, np.int64), (level, np.int64),
+                             (truncated, bool))))
     if tally is not None:
         tally["trials"] += trials
         tally["stages"] += sum(stages)
-        tally["decision_steps"] += decision_steps
-    return Decisions(*(np.array(field, dtype).reshape(trials, j) for field, dtype in
-                       ((rejected, bool), (step, np.int64), (level, np.int64),
-                        (truncated, bool))))
-
-
-def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
-              tally: Counter | None = None) -> Decisions:
-    """Run ``trials`` trials of one procedure at once, through one stage loop.
-
-    ``take(ids)`` reads the trials' statistics: given an array of trial
-    indices in [0, trials), it returns the next row block of every listed
-    trial, one (len(ids), rows, J) array in the order of ``ids``; the
-    batch reads in lockstep, so every take is the block after the last
-    one, and a trial once left out is never listed again.  Row n - 1 of a
-    trial holds every stream's statistic after step n.  ``a``/``b`` are the
-    acceptance/rejection ladders indexed by cumulative level, in the
-    statistic's units (``sprt.check_ladders``).  Exactly one of ``a`` and
-    ``n_bar`` is given: ``a`` runs the open-ended procedure until every
-    stream is decided; ``n_bar`` runs the rejective one, whose stages only
-    reject and which reads no further than ``n_bar`` rows.  If the horizon
-    arrives, every still-active stream is accepted there with
-    ``truncated`` set and levels by ascending order of the final
-    statistics, in one last stage; ``n_bar = 1`` is a one-shot step-down
-    test.
-
-    A stream rejected as the position-``pos`` ordered statistic of a stage
-    with ``size`` active streams and ``r`` prior rejections gets cumulative
-    level ``r + size - pos + 1``; an accepted one at bottom position
-    ``pos`` with ``c`` prior acceptances gets ``c + pos``.  Ties order by
-    stream index.  Returns one ``Decisions`` row per trial, in index order;
-    each trial decides as it would alone.  A block with no rows fails
-    every undecided trial at once with DataUnderrunError, and the first
-    of them in index order is raised, as a loop over the trials one at a
-    time would raise it; its ``state`` holds the procedure state (stage,
-    step, r, c, active streams and decisions so far).  ``tally`` (a
-    Counter), when given, gains the work counts: trials, stages, statistic rows and
-    blocks read, and decision steps (summed over streams).
-    """
-    if (a is None) == (n_bar is None):
-        raise ValueError("give exactly one of a (open-ended) and n_bar (rejective)")
-    if n_bar is not None and n_bar < 1:
-        raise ValueError("n_bar must be at least 1")
-    a, b = check_ladders(a, b)
-    return _step_down(take, trials, a, b, n_bar, tally)
+        tally["decision_steps"] += int(decisions.step.sum())
+    return decisions
 
 
 def work_counts(tally: Counter) -> dict:

@@ -1,12 +1,14 @@
 """Wald-style sequential test boundaries and log-likelihood-ratio machinery.
 
-One-parameter simple-vs-simple models supply i.i.d. log-likelihood-ratio
-increments, with the alternative above the null, and each owns what its
-family means: the count law, the sampler and the copula marginals.  A
-step-down battery of J tests needs J acceptance boundaries ``A_1 <= ... <=
-A_J`` and J rejection boundaries ``B_J <= ... <= B_1``; surrogate error
-levels keep the per-level error contracts intact while making the boundary
-matrix monotone.  The cumulative LLR of a whole path, the form every engine
+One-parameter simple-vs-simple models, Bernoulli or Poisson, supply i.i.d.
+log-likelihood-ratio increments, with the alternative above the null, and
+each owns what its family means: the count law, the sampler and the copula
+marginals.  A Bernoulli total may count the successes among trials that
+arrive in batches of any size, such as a year's reports.  A step-down
+battery of J tests needs J acceptance boundaries ``A_1 <= ... <= A_J`` and
+J rejection boundaries ``B_J <= ... <= B_1``; surrogate error levels keep
+the per-level error contracts intact while making the boundary matrix
+monotone.  The cumulative LLR of a whole path, the form every engine
 uses, is an affine map of integer count totals that rises with the count,
 so equal lattice points give equal floats, and per-step tables of count
 totals say exactly where it crosses a threshold.  Every stream of one
@@ -25,7 +27,7 @@ from scipy import stats
 
 from .core import StepVector
 from .datagen import Bernoulli, Poisson
-from .errors import BoundaryCollapseError, ConfigError
+from .errors import BoundaryCollapseError
 
 __all__ = [
     "SIEGMUND_RHO",
@@ -43,7 +45,7 @@ __all__ = [
 # mean overshoot correction for Brownian-scale random walks
 SIEGMUND_RHO = 0.583
 
-Family = Literal["bernoulli", "poisson", "conditional_binomial"]
+Family = Literal["bernoulli", "poisson"]
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,6 @@ class SimpleModel:
     family:
         "bernoulli": success probabilities, observation in {0, 1}.
         "poisson": rates, observation a count.
-        "conditional_binomial": success probabilities applied to a
-            (successes, trials) pair; the trial count carries no evidence,
-            and no law, sampler or marginals of its own.
     """
 
     family: Family
@@ -63,9 +62,9 @@ class SimpleModel:
     alt_param: float
 
     def __post_init__(self):
-        if self.family not in ("bernoulli", "poisson", "conditional_binomial"):
+        if self.family not in ("bernoulli", "poisson"):
             raise ValueError(f"unknown family {self.family!r}")
-        lo, hi = (0.0, 1.0) if self.family != "poisson" else (0.0, math.inf)
+        lo, hi = (0.0, 1.0) if self.family == "bernoulli" else (0.0, math.inf)
         for name, value in (("null_param", self.null_param), ("alt_param", self.alt_param)):
             if not lo < value < hi:
                 raise ValueError(f"{name}={value} outside ({lo}, {hi}) for {self.family}")
@@ -74,47 +73,39 @@ class SimpleModel:
 
     @property
     def log_ratios(self) -> tuple[float, float]:
-        """(per-success, per-failure) log ratio terms for the Bernoulli-like families."""
+        """(per-success, per-failure) log ratio terms of the Bernoulli family."""
         if self.family == "poisson":
             raise ValueError("log_ratios undefined for the poisson family")
         p0, p1 = self.null_param, self.alt_param
         return math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0))
 
-    def _counts(self) -> str:
-        """The family, when its observations are counts with a law of their own."""
-        if self.family == "conditional_binomial":
-            raise ConfigError("conditional_binomial streams have no standalone count law; "
-                              "simulate the trial-count process explicitly instead")
-        return self.family
-
     def law(self, param: float, n=1):
         """Law of the count total of ``n`` (may be an array) observations at
         ``param``: Binomial(n, p) or Poisson(n lambda), as the unfrozen scipy
         distribution and its shape arguments, used as ``dist.pmf(x, *args)``."""
-        if self._counts() == "bernoulli":
+        if self.family == "bernoulli":
             return stats.binom, (n, param)
         return stats.poisson, (n * param,)
 
     def sample(self, param: float, rng: np.random.Generator, shape) -> np.ndarray:
         """Observations of ``shape`` drawn i.i.d. at ``param``."""
-        if self._counts() == "bernoulli":
+        if self.family == "bernoulli":
             return (rng.random(shape) < param).astype(np.int8)
         return rng.poisson(param, shape)
 
     def marginals(self, truth) -> list[Bernoulli | Poisson]:
         """Copula marginal of each stream: the null's where ``truth`` is True,
         the alternative's elsewhere."""
-        spec = Bernoulli if self._counts() == "bernoulli" else Poisson
+        spec = Bernoulli if self.family == "bernoulli" else Poisson
         return [spec(self.null_param if t else self.alt_param) for t in truth]
 
 
 def lattice_terms(model: SimpleModel) -> tuple[float, float]:
     """(per-count, per-trial) terms of the cumulative LLR.
 
-    After ``w`` trials (Bernoulli and Poisson: observations) with count
-    total ``x`` (successes or events) the LLR is ``x * slope + w * step``:
-    Bernoulli and conditional binomial ``x (c1 - c0) + w c0``, Poisson
-    ``x log(l1 / l0) - w (l1 - l0)``.
+    After ``w`` trials (observations) with count total ``x`` (successes or
+    events) the LLR is ``x * slope + w * step``: Bernoulli
+    ``x (c1 - c0) + w c0``, Poisson ``x log(l1 / l0) - w (l1 - l0)``.
     """
     if model.family == "poisson":
         lam0, lam1 = model.null_param, model.alt_param

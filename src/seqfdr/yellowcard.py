@@ -9,6 +9,8 @@ with the open-ended step-down procedure.  Dependence enters through a
 per-cluster latent copula whose decay parameters are drawn once per
 experiment; each year draws two latent rows per drug through
 ``datagen.CountBlocks``, one for the target reports and one for the rest.
+A drug's statistic is the Bernoulli LLR of its x target reports among its
+w = x + other reports, i.e. the binomial LLR conditional on the total.
 The output mirrors a terminal-action table: one row per drug with the
 action, the termination year, and the crossed boundary level.
 """
@@ -223,7 +225,8 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
 
     Per year and drug a correlated (target, other) report-count pair is drawn
     at the drug's table rates; the per-drug statistic is the cumulative
-    conditional-binomial LLR of p_g against p_h given each year's total, and
+    Bernoulli LLR of p_g against p_h over the reports so far, x target
+    reports among w in all (binomial given each year's total), and
     the step-down procedure runs open-ended on boundaries built from
     BH-shaped step values rescaled for worst-case FDR/FNR control at
     (q1, q2).  Cluster correlation decays are 2*Beta(4,2)-1 draws, one per
@@ -251,7 +254,7 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
     alpha = scale_for_fdr(bh_steps(config.q1, j), config.q1)
     beta = scale_for_fdr(bh_steps(config.q2, j), config.q2)
     crit = stepdown_critical_values(alpha, beta)
-    model = SimpleModel("conditional_binomial", config.p_h, config.p_g)
+    model = SimpleModel("bernoulli", config.p_h, config.p_g)
 
     # latent row 0 draws each drug's target reports, row 1 its other reports
     rates = [derive_rates(r) for r in top]

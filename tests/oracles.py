@@ -24,33 +24,26 @@ from seqfdr.procedures import MetricsSummary
 from seqfdr.sprt import CriticalMatrix, _check_error_pair, crossing_counts
 
 
-def llr_increments(model, obs) -> np.ndarray:
+def llr_increments(model, obs, trials=None) -> np.ndarray:
     """Log-likelihood-ratio increment of each observation.
 
-    Bernoulli observations are 0/1 values and Poisson observations counts,
-    in an array of any shape; conditional binomial observations are an
-    (n, 2) array of (successes, trials) rows.  Observations must be
-    nonnegative integers (integer-valued floats pass), and successes may
-    not exceed trials.
+    Bernoulli observations are 0/1 values, or with ``trials`` success
+    counts among that many trials each (the binomial LLR given the number
+    of trials), and Poisson observations counts, in an array of any shape.
+    Observations must be nonnegative integers (integer-valued floats
+    pass), and successes may not exceed trials.
     """
     obs = np.asarray(obs)
     if obs.dtype.kind not in "iuf" or not np.all((obs >= 0) & (np.mod(obs, 1) == 0)):
         raise ValueError("observations must be nonnegative integer counts")
     if model.family == "bernoulli":
-        if np.any(obs > 1):
-            raise ValueError("bernoulli observations must be 0 or 1")
+        n = np.ones(obs.shape, np.int64) if trials is None else np.asarray(trials)
+        if np.any(obs > n):
+            raise ValueError("success count exceeds trial count")
         c1, c0 = model.log_ratios
-        return np.where(obs == 1, c1, c0)
-    if model.family == "poisson":
-        lam0, lam1 = model.null_param, model.alt_param
-        return obs * math.log(lam1 / lam0) - (lam1 - lam0)
-    if obs.ndim != 2 or obs.shape[1] != 2:
-        raise ValueError("conditional_binomial observations must be (successes, trials) rows")
-    k, n = obs[:, 0], obs[:, 1]
-    if np.any(k > n):
-        raise ValueError("success count exceeds trial count")
-    c1, c0 = model.log_ratios
-    return k * c1 + (n - k) * c0
+        return obs * c1 + (n - obs) * c0
+    lam0, lam1 = model.null_param, model.alt_param
+    return obs * math.log(lam1 / lam0) - (lam1 - lam0)
 
 
 def wald_bounds_conservative(alpha: float, beta: float) -> tuple[float, float]:

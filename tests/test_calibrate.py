@@ -291,9 +291,6 @@ class TestCriticalValues:
             truncated_critical_values(BERN, StepVector([0.1]), 0)
         with pytest.raises(ConfigError):
             mc_truncated_critical_values(BERN, StepVector([0.1]), 5, 0, 0)
-        cond = SimpleModel("conditional_binomial", 0.05, 0.09)
-        with pytest.raises(ConfigError):
-            mc_truncated_critical_values(cond, StepVector([0.5]), 5, 1000, 0)
 
 
 def _direct_races(model, param, a1, a_last, b_last, b1, n_direct, seed):
@@ -400,9 +397,6 @@ class TestGammaOpenEnded:
             estimate_gamma([BERN], ["alt"], a=self.A[:1], b=np.array([np.nan]), reps=100, seed=0)
         with pytest.raises(ValueError, match="NaN"):
             estimate_gamma([BERN], ["alt"], a=np.array([np.nan]), b=self.B[:1], reps=100, seed=0)
-        cond = SimpleModel("conditional_binomial", 0.05, 0.09)
-        with pytest.raises(ConfigError, match="conditional_binomial"):
-            estimate_gamma([cond], ["alt"], **kw)
 
     def test_horizon_underruns_are_counted_and_logged(self, caplog):
         kw = dict(a=self.A[:2], b=self.B[:2], reps=500, seed=4)

@@ -74,6 +74,18 @@ class TestBounds:
         assert main(["bounds", "--scheme", "bh", "--q", "1.5", "--j", "4"]) == 2
         assert "q must lie in (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, match", [
+        (["--gamma", "0"], "gamma must lie in"),
+        (["--gamma", "1.5"], "gamma must lie in"),
+        (["--m", "9"], "m must lie in"),
+        (["--m", "-1"], "m must lie in"),
+    ])
+    def test_bad_m_or_gamma_prints_nothing(self, capsys, extra, match):
+        # refused before the first line of the table
+        assert main(["bounds", "--q", "0.2", "--j", "4", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and match in err
+
 
 class TestSimulate:
     def test_open_run_emits_reports(self, tmp_path):

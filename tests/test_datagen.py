@@ -284,15 +284,15 @@ class TestStreamSources:
         np.testing.assert_array_equal(_observations(cfg, PAIR_ROWS, 300, 8), want)
 
     def test_replicate_rows_follow_the_draw_order(self):
-        # row i * len(rows) + r of a step is replicate i's latent row r,
-        # in the order the generator draws them
+        # replicates are the rows listed again: row i * len(PAIR_ROWS) + r
+        # of a step is replicate i's latent row r, in the order the
+        # generator draws them
         cfg = CopulaConfig(2, Toeplitz(0.3))
         z = np.random.default_rng(8).standard_normal((160 * 3 * 2, 2))
         y = (z @ cholesky(correlation_matrix(cfg)).T).reshape(160, 3, 2, 2)
         want = np.stack([np.stack([_uniform_rule(spec, y[:, :, r, k]) for k, spec in enumerate(row)],
                                   axis=-1) for r, row in enumerate(PAIR_ROWS)], axis=2)
-        blocks = CountBlocks(cfg, PAIR_ROWS, horizon=160, rngs=[np.random.default_rng(8)],
-                             replicates=3)
+        blocks = CountBlocks(cfg, PAIR_ROWS * 3, horizon=160, rngs=[np.random.default_rng(8)])
         drawn = [blocks.take([0]) for _ in range(3)]  # 64, 64 and 32 steps
         assert [len(n) for n, _ in drawn] == [64, 64, 32]
         np.testing.assert_array_equal(np.concatenate([n for n, _ in drawn]), np.arange(1, 161))
@@ -414,16 +414,15 @@ class TestCountBatch:
         self._check(j, specs, horizon)
 
     def test_block_cap_crosses_the_inversion_choice(self, monkeypatch):
-        # 200 replicates of 5 streams per marginal: one-step blocks hold
+        # 200 equal rows of 5 streams per marginal: one-step blocks hold
         # 1000 cells of a group, under _COMPARE_CELLS (binary search), and
         # the default blocks of 64, 64 and 32 steps hold 32000 and more
         # (comparisons)
         cfg = CopulaConfig(10, Toeplitz(-0.6))
-        rows = [[Poisson(1.5)] * 5 + [Poisson(2.0)] * 5]
+        rows = [[Poisson(1.5)] * 5 + [Poisson(2.0)] * 5] * 200
 
         def totals():
-            blocks = CountBlocks(cfg, rows, horizon=160, rngs=[np.random.default_rng(5)],
-                                 replicates=200)
+            blocks = CountBlocks(cfg, rows, horizon=160, rngs=[np.random.default_rng(5)])
             drawn = []
             while len((block := blocks.take([0]))[0]):
                 drawn.append(block[1][0])
@@ -435,6 +434,27 @@ class TestCountBatch:
         blocks, small = totals()
         assert blocks == 160 and 1000 < datagen._COMPARE_CELLS
         np.testing.assert_array_equal(small, default)
+
+    @pytest.mark.parametrize("m0", [5, 0])
+    def test_equal_rows_form_one_group(self, monkeypatch, m0):
+        # 1000 equal rows are one group per run of equal columns: one
+        # _latent_counts call per column run and take (two for m0 = 5, one
+        # for m0 = 0), each over every row
+        calls = []
+        latent_counts = datagen._latent_counts
+
+        def counted(spec, y, out):
+            calls.append(y.shape)
+            return latent_counts(spec, y, out)
+
+        monkeypatch.setattr(datagen, "_latent_counts", counted)
+        marginals = [Poisson(1.5)] * m0 + [Poisson(2.0)] * (10 - m0)
+        blocks = CountBlocks(CopulaConfig(10, Toeplitz(-0.6)), [marginals] * 1000, horizon=60,
+                             rngs=[np.random.default_rng(5)])
+        for steps in (26, 26, 8):  # 2^18 cells hold 26 steps of 10^4
+            calls.clear()
+            assert len(blocks.take([0])[0]) == steps
+            assert calls == [(steps, 1000, k) for k in (m0, 10 - m0) if k]
 
     def test_exhausted_trial_reads_zero_steps(self):
         # past the horizon, every listed trial gets zero steps

@@ -84,8 +84,6 @@ class TestExactPvalue:
             exact_pvalue(BERN, np.array([[3], [0]]), np.array([0, 1]))
         with pytest.raises(ValueError, match="support"):
             exact_pvalue(BERN, np.array([[5], [3]]), np.array([0, 4]))
-        with pytest.raises(ConfigError):
-            exact_pvalue(SimpleModel("conditional_binomial", 0.1, 0.2), 5, np.array([1]))
 
 
 def _bh_reference(p, alpha):
@@ -277,8 +275,8 @@ class TestFindMatchingFss:
         config, truth = self._config(4, seed=5), np.array([True, True, False, False])
         out = find_matching_fss(POIS, config, truth, 0.25, 0.10, reps=400, n_max=512)
         seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(0, 1))
-        blocks = CountBlocks(config, [POIS.marginals(truth)], horizon=len(out.curve.n),
-                             rngs=[np.random.default_rng(seq)], replicates=400)
+        blocks = CountBlocks(config, [POIS.marginals(truth)] * 400, horizon=len(out.curve.n),
+                             rngs=[np.random.default_rng(seq)])
         n, (totals,) = blocks.take([0])
         alpha = scale_for_fdr(bh_steps(0.25, 4), 0.25)
         want = [bh_rates(POIS, k, step, truth, alpha) for k, step in zip(n.tolist(), totals)]
@@ -290,7 +288,7 @@ class TestFindMatchingFss:
 
         class Counted(CountBlocks):
             def __init__(self, *args, **kwargs):
-                built.append(kwargs["replicates"])
+                built.append(len(args[1]))  # one latent row per replicate
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(fixed_sample, "CountBlocks", Counted)
@@ -356,11 +354,6 @@ class TestFindMatchingFss:
         for n_max in (0, -5):
             with pytest.raises(ConfigError, match="n_max"):
                 find_matching_fss(BERN, cfg, [True, False], 0.25, 0.5, reps=100, n_max=n_max)
-        with pytest.raises(ConfigError):
-            find_matching_fss(
-                SimpleModel("conditional_binomial", 0.1, 0.2),
-                cfg, [True, False], 0.25, 0.5, reps=100,
-            )
         # an alternative below the null, which upper-tail p-values cannot
         # test, is refused before any draw
         with pytest.raises(ValueError, match="must exceed"):

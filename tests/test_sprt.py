@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqfdr.core import StepVector, bh_steps, scale_for_fdr
 from seqfdr.datagen import Bernoulli, CopulaConfig, CountBlocks, Poisson, Toeplitz
-from seqfdr.errors import BoundaryCollapseError, ConfigError
+from seqfdr.errors import BoundaryCollapseError
 from seqfdr.sprt import (
     SIEGMUND_RHO,
     CriticalMatrix,
@@ -107,8 +107,9 @@ class TestLlrIncrements:
         )
 
     def test_conditional_binomial_values(self):
-        m = SimpleModel("conditional_binomial", 0.05, 0.15)
-        got = llr_increments(m, np.array([[5, 100]]))[0]
+        # 5 successes given 100 trials: the Bernoulli model on the totals
+        m = SimpleModel("bernoulli", 0.05, 0.15)
+        got = llr_increments(m, np.array([5]), trials=np.array([100]))[0]
         want = 5 * math.log(3.0) + 95 * math.log(0.85 / 0.95)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -123,35 +124,26 @@ class TestLlrIncrements:
             llr_increments(p, np.array([-1]))
         with pytest.raises(ValueError):
             llr_increments(p, np.array([0.5]))
-        c = SimpleModel("conditional_binomial", 0.05, 0.15)
+        # successes beyond their trials, given or one each
         with pytest.raises(ValueError):
-            llr_increments(c, np.array([[5, 3]]))
+            llr_increments(b, np.array([5]), trials=np.array([3]))
         with pytest.raises(ValueError):
-            llr_increments(c, np.array([5]))
+            llr_increments(b, np.array([5]))
 
     def test_model_validation(self):
         for family, null, alt, match in (
             ("bernoulli", 0.0, 0.5, "outside"),
             ("gamma", 1.0, 2.0, "unknown family"),
+            # a report pair's statistic is the Bernoulli one on its totals
+            ("conditional_binomial", 0.05, 0.15, "unknown family"),
             # the alternative must lie above the null, in every family
             ("bernoulli", 0.15, 0.05, "must exceed"),
             ("bernoulli", 0.1, 0.1, "must exceed"),
             ("poisson", 2.0, 1.5, "must exceed"),
             ("poisson", 1.0, 1.0, "must exceed"),
-            ("conditional_binomial", 0.15, 0.05, "must exceed"),
-            ("conditional_binomial", 0.1, 0.1, "must exceed"),
         ):
             with pytest.raises(ValueError, match=match):
                 SimpleModel(family, null, alt)
-
-    def test_conditional_binomial_has_no_count_law(self):
-        # its trial count is not modelled, so it has no law, sampler or
-        # marginals of its own: one ConfigError for all three
-        c = SimpleModel("conditional_binomial", 0.05, 0.15)
-        for call in (lambda: c.law(0.05, 4), lambda: c.marginals([True, False]),
-                     lambda: c.sample(0.05, np.random.default_rng(0), (2, 3))):
-            with pytest.raises(ConfigError, match="conditional_binomial"):
-                call()
 
 
 class TestCriticalValues:
@@ -255,7 +247,7 @@ class TestLatticeLlr:
         ("bernoulli", (0.05, 0.15), [[Bernoulli(0.05), Bernoulli(0.15)] * 2]),
         ("poisson", (1.5, 2.0), [[Poisson(1.5), Poisson(2.0)] * 2]),
         # (target, other) report pairs: x from latent row 0, w = x + row 1
-        ("conditional_binomial", (0.05, 0.15),
+        ("bernoulli", (0.05, 0.15),
          [[Poisson(0.6), Poisson(2.0)] * 2, [Poisson(9.6), Poisson(5.0)] * 2]),
     ])
     def test_statistic_is_affine_in_integer_totals(self, family, params, specs):
