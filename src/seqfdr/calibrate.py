@@ -29,7 +29,7 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,27 +64,12 @@ _BLOCK_CELLS = 2**20
 _ROWS = 30
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     """Calibrated truncated boundaries plus a fresh-sample validation."""
 
     b: np.ndarray  # nonincreasing upper critical values, LLR units
     reps: int
     achieved: np.ndarray  # fresh-sample estimate of P(max_{n<=n_bar} LLR >= b_k)
-    seed: int
-    n_bar: int
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        achieved = np.asarray(self.achieved, dtype=float)
-        if b.shape != achieved.shape:
-            raise ValueError("b and achieved must have matching shapes")
-        if np.any(np.diff(b) > 0.0):
-            raise ValueError("calibrated boundaries must be nonincreasing")
-        b.setflags(write=False)
-        achieved.setflags(write=False)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "achieved", achieved)
 
 
 @dataclass(frozen=True)
@@ -95,7 +80,7 @@ class GammaEstimate:
     rejection boundary forces at least one rejection.  gamma2 plays the
     same role for P(R < J) and exists only in the open-ended mode; the
     truncated procedure has no acceptance boundaries to cross.  The rates
-    are exact, so the standard errors are 0.  ``live_mass_per_stream``
+    are exact, in [0, 1], with standard errors 0.  ``live_mass_per_stream``
     (open-ended only) is the larger of each stream's two races' probability
     of being still unsettled at the horizon, which the rates leave out.
     """
@@ -103,22 +88,10 @@ class GammaEstimate:
     gamma1: float
     gamma1_per_stream: np.ndarray
     gamma1_se: float
-    theta_choice: tuple[ThetaChoice, ...]
     gamma2: float | None = None
     gamma2_per_stream: np.ndarray | None = None
     gamma2_se: float | None = None
     live_mass_per_stream: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("gamma1_per_stream", "gamma2_per_stream", "live_mass_per_stream"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=float)
-            if np.any((arr < 0.0) | (arr > 1.0)):
-                raise ValueError(f"{name} entries must lie in [0, 1]")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,7 +292,7 @@ def mc_truncated_critical_values(
     b = truncated_critical_values(model, alpha, n_bar)
     fresh = _path_maxima(model, model.null_param, n_bar, reps, np.random.default_rng(seed))
     achieved = np.array([np.mean(fresh >= bk) for bk in b])
-    return CalibrationReport(b=b, reps=reps, achieved=achieved, seed=seed, n_bar=n_bar)
+    return CalibrationReport(b, reps, achieved)
 
 
 def estimate_gamma(
@@ -388,8 +361,7 @@ def estimate_gamma(
         for row, q in enumerate(run):
             rate[q], left[q] = (up, down)[q][row], live[row]
     g1 = rate[0, at]
-    result = dict(gamma1=float(g1.max()), gamma1_per_stream=g1, gamma1_se=0.0,
-                  theta_choice=choices)
+    result = dict(gamma1=float(g1.max()), gamma1_per_stream=g1, gamma1_se=0.0)
     if n_bar is None:
         g2 = rate[1, at]
         stuck = np.maximum(left[0, at], left[1, at])

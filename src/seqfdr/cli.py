@@ -358,12 +358,9 @@ def _report(args, command: str, config: dict, seed: int | None, rows: list[dict]
 # subcommands
 
 def _steps_for(scheme: str, q: float, j: int) -> StepVector:
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"unknown step scheme {scheme!r} (choose from bh, bl)")
+    # argparse refuses an unknown scheme, and bh_steps/bl_steps a J below 1
     if not 0.0 < q < 1.0:
         raise ConfigError(f"q must lie in (0, 1), got {q}")
-    if j < 1:
-        raise ConfigError(f"J must be >= 1, got {j}")
     return _SCHEMES[scheme](q, j)
 
 
@@ -477,7 +474,7 @@ def cmd_yellowcard(args) -> int:
             for row in report.rows]
     _report(args, "yellowcard", resolved, config.seed, rows, {"total_s": elapsed, **counters}, {
         "seed": config.seed,
-        "thresholds": {"p_h": report.p_h, "p_g": report.p_g},
+        "thresholds": {"p_h": p_h, "p_g": p_g},
         "rho_by_cluster": [[c, r] for c, r in report.rho_by_cluster],
         "alpha": list(report.alpha),
         "beta": list(report.beta),

@@ -52,9 +52,6 @@ class StepVector:
         """Number of hypotheses / ranks."""
         return int(self.values.size)
 
-    def __len__(self) -> int:
-        return self.j
-
     def scaled(self, factor: float) -> "StepVector":
         if factor <= 0.0:
             raise ValueError("scale factor must be positive")

@@ -88,11 +88,10 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def summarize(decisions: Decisions, truth: Sequence[bool | None]) -> MetricsSummary:
+def summarize(decisions: Decisions, truth: Sequence[bool]) -> MetricsSummary:
     """Trial-averaged FDR/FNR (and their positive variants) plus sample sizes.
 
-    ``truth[s]`` True marks stream s a true null, False a true signal, None
-    a stream excluded from the error counts V and W (but not from R).
+    ``truth[s]`` True marks stream s a true null, False a true signal.
     Python and NumPy booleans are accepted; any other entry raises
     ValueError.  Streams are sampled in lockstep, so a trial's sample size
     is its last decision step and a stream's is its own decision step.
@@ -103,12 +102,11 @@ def summarize(decisions: Decisions, truth: Sequence[bool | None]) -> MetricsSumm
         raise ValueError("cannot summarize zero trials")
     if len(truth) != j:
         raise ValueError("truth must have one entry per stream")
-    if not all(t is None or isinstance(t, (bool, np.bool_)) for t in truth):
-        raise ValueError("truth entries must be True, False or None")
-    null = np.array([t is not None and bool(t) for t in truth], bool)
-    signal = np.array([t is not None and not t for t in truth], bool)
+    if not all(isinstance(t, (bool, np.bool_)) for t in truth):
+        raise ValueError("truth entries must be True or False")
+    null = np.array(truth, bool)
     v = np.count_nonzero(rejected & null, axis=1)
-    w = np.count_nonzero(~rejected & signal, axis=1)
+    w = np.count_nonzero(~rejected & ~null, axis=1)
     r = np.count_nonzero(rejected, axis=1)
     fdp = v / np.maximum(r, 1.0)
     fnp = w / np.maximum(j - r, 1.0)

@@ -71,14 +71,6 @@ class SimpleModel:
         if not self.null_param < self.alt_param:
             raise ValueError(f"alt_param={self.alt_param} must exceed null_param={self.null_param}")
 
-    @property
-    def log_ratios(self) -> tuple[float, float]:
-        """(per-success, per-failure) log ratio terms of the Bernoulli family."""
-        if self.family == "poisson":
-            raise ValueError("log_ratios undefined for the poisson family")
-        p0, p1 = self.null_param, self.alt_param
-        return math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0))
-
     def law(self, param: float, n=1):
         """Law of the count total of ``n`` (may be an array) observations at
         ``param``: Binomial(n, p) or Poisson(n lambda), as the unfrozen scipy
@@ -105,13 +97,14 @@ def lattice_terms(model: SimpleModel) -> tuple[float, float]:
 
     After ``w`` trials (observations) with count total ``x`` (successes or
     events) the LLR is ``x * slope + w * step``: Bernoulli
-    ``x (c1 - c0) + w c0``, Poisson ``x log(l1 / l0) - w (l1 - l0)``.
+    ``x (c1 - c0) + w c0`` with c1 = log(p1 / p0) and
+    c0 = log((1 - p1) / (1 - p0)), Poisson ``x log(p1 / p0) - w (p1 - p0)``.
     """
+    p0, p1 = model.null_param, model.alt_param
     if model.family == "poisson":
-        lam0, lam1 = model.null_param, model.alt_param
-        return math.log(lam1 / lam0), -(lam1 - lam0)
-    c1, c0 = model.log_ratios
-    return c1 - c0, c0
+        return math.log(p1 / p0), -(p1 - p0)
+    c0 = math.log((1.0 - p1) / (1.0 - p0))
+    return math.log(p1 / p0) - c0, c0
 
 
 def cumulative_llr(model: SimpleModel, x, w, out: np.ndarray | None = None) -> np.ndarray:
@@ -228,10 +221,6 @@ class CriticalMatrix:
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def j(self) -> int:
-        return int(self.a.size)
 
 
 def check_ladders(a, b) -> tuple[np.ndarray, np.ndarray]:

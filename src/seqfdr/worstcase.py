@@ -21,7 +21,6 @@ D(alpha, 2) by (Delta_3 - Delta_2) / 3 whenever Delta_3 > Delta_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
 
@@ -43,6 +42,8 @@ __all__ = [
 
 SIZE_GUARD = 5
 _FEAS_TOL = 1e-9
+# a gap |LP optimum - D| at most this counts as the bound attained
+_ATTAINED_TOL = 1e-7
 
 
 class VariableIndex(NamedTuple):
@@ -68,21 +69,17 @@ class LpProblem(NamedTuple):
     rhs: np.ndarray
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Comparison of the LP optimum against the closed-form bound.
 
     ``lp_optimum <= d_value`` certifies the bound on this cell; ``passed``
-    reports attainment, ``gap = |lp_optimum - d_value| <= tolerance``.
+    reports attainment, ``gap = |lp_optimum - d_value| <= 1e-7``.
     """
 
-    j: int
-    m0: int
     lp_optimum: float
     d_value: float
     gap: float
     passed: bool
-    tolerance: float = 1e-7
 
 
 def enumerate_variables(j: int, m0: int) -> tuple[VariableIndex, ...]:
@@ -156,22 +153,18 @@ def solve_max(problem: LpProblem) -> tuple[float, np.ndarray]:
     return value, x
 
 
-def verify_bound(alpha: StepVector, m0: int, tolerance: float = 1e-7) -> VerifyReport:
+def verify_bound(alpha: StepVector, m0: int) -> VerifyReport:
     """Solve the worst-case LP and set its optimum beside d_bound_at(alpha, m0).
 
     The optimum certifies the bound's validity on this cell (it must not
     exceed D); ``passed`` reports whether the bound is attained, within
-    ``tolerance``.  Attainment is not guaranteed: see the module docstring.
+    ``_ATTAINED_TOL`` (1e-7).  Attainment is not guaranteed: see the module
+    docstring.
     """
     if m0 == 0:
-        return VerifyReport(
-            j=alpha.j, m0=0, lp_optimum=0.0, d_value=d_bound_at(alpha, 0),
-            gap=0.0, passed=True, tolerance=tolerance,
-        )
+        return VerifyReport(lp_optimum=0.0, d_value=d_bound_at(alpha, 0), gap=0.0, passed=True)
     value, _ = solve_max(build_problem(alpha, m0))
     d_val = d_bound_at(alpha, m0)
     gap = abs(value - d_val)
-    return VerifyReport(
-        j=alpha.j, m0=m0, lp_optimum=value, d_value=d_val,
-        gap=gap, passed=bool(gap <= tolerance), tolerance=tolerance,
-    )
+    return VerifyReport(lp_optimum=value, d_value=d_val, gap=gap,
+                        passed=bool(gap <= _ATTAINED_TOL))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -63,8 +64,8 @@ class DrugRecord:
                 f"report counts must be nonnegative, got "
                 f"({self.amnesia_count}, {self.other_count})"
             )
-        if not self.years > 0.0:
-            raise ValueError(f"years on record must be positive, got {self.years}")
+        if not 0.0 < self.years < math.inf:
+            raise ValueError(f"years on record must be finite and positive, got {self.years}")
 
 
 @dataclass(frozen=True)
@@ -117,18 +118,15 @@ class DecisionRow:
 
 @dataclass(frozen=True)
 class MonitoringReport:
-    """The decision table plus everything needed to reproduce it.
+    """The decision table plus what the run drew and built on the way.
 
     ``rho_by_cluster`` pairs each original cluster label with its drawn
     correlation decay; ``alpha``/``beta`` are the scaled step values the
-    boundaries were built from.
+    boundaries were built from.  The thresholds and error levels are the
+    ``ExperimentConfig``'s own.
     """
 
     rows: tuple[DecisionRow, ...]
-    p_h: float
-    p_g: float
-    q1: float
-    q2: float
     rho_by_cluster: tuple[tuple[int, float], ...]
     alpha: tuple[float, ...]
     beta: tuple[float, ...]
@@ -139,9 +137,9 @@ def load_drug_table(path) -> list[DrugRecord]:
 
     Structural problems (missing columns, malformed numbers, a repeated
     drug name) raise DrugTableError with the file location; rows that
-    parse but violate the record invariants (negative counts, nonpositive
-    years) are dropped with a logged warning naming the line.  An empty
-    file yields an empty list.
+    parse but violate the record invariants (negative counts, years not
+    finite and positive) are dropped with a logged warning naming the
+    line.  An empty file yields an empty list.
     """
     records: list[DrugRecord] = []
     first_line: dict[str, int] = {}
@@ -233,9 +231,10 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
     cluster present among the monitored drugs.  Rows come back sorted by
     action (accepts first) then termination year.
 
-    Raises DataUnderrunError when a stream is still undecided after
-    ``horizon`` years.  ``counters``, when given, is updated with the
-    engine's work counts, as ``cli.run_simulation`` reports them.
+    Raises DrugTableError naming the drug when a smoothed rate is beyond
+    the Poisson table's reach, and DataUnderrunError when a stream is still
+    undecided after ``horizon`` years.  ``counters``, when given, is updated
+    with the engine's work counts, as ``cli.run_simulation`` reports them.
     """
     top = _select_top(config)
     j = len(top)
@@ -256,10 +255,15 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
     crit = stepdown_critical_values(alpha, beta)
     model = SimpleModel("bernoulli", config.p_h, config.p_g)
 
+    def marginals(record):
+        try:
+            return [Poisson(lam) for lam in derive_rates(record)]
+        except ValueError as exc:
+            raise DrugTableError(f"drug {record.name!r}: {exc}") from exc
+
     # latent row 0 draws each drug's target reports, row 1 its other reports
-    rates = [derive_rates(r) for r in top]
     blocks = CountBlocks(CopulaConfig(j=j, structure=structure),
-                         [[Poisson(lam) for lam in row] for row in zip(*rates)],
+                         list(zip(*map(marginals, top))),
                          horizon=horizon, rngs=[np.random.default_rng(stream_seq)])
 
     def take(ids):
@@ -291,10 +295,6 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
     )
     return MonitoringReport(
         rows=rows,
-        p_h=config.p_h,
-        p_g=config.p_g,
-        q1=config.q1,
-        q2=config.q2,
         rho_by_cluster=tuple(zip(labels, (float(r) for r in rho_values))),
         alpha=tuple(float(v) for v in alpha.values),
         beta=tuple(float(v) for v in beta.values),

@@ -40,8 +40,8 @@ def llr_increments(model, obs, trials=None) -> np.ndarray:
         n = np.ones(obs.shape, np.int64) if trials is None else np.asarray(trials)
         if np.any(obs > n):
             raise ValueError("success count exceeds trial count")
-        c1, c0 = model.log_ratios
-        return obs * c1 + (n - obs) * c0
+        p0, p1 = model.null_param, model.alt_param
+        return obs * math.log(p1 / p0) + (n - obs) * math.log((1.0 - p1) / (1.0 - p0))
     lam0, lam1 = model.null_param, model.alt_param
     return obs * math.log(lam1 / lam0) - (lam1 - lam0)
 
@@ -102,8 +102,7 @@ def error_counts(rejected, truth) -> tuple[int, int, int]:
     """(false rejections, false acceptances, total rejections) of one trial.
 
     ``rejected`` is the trial's row of ``Decisions.rejected``.  ``truth[j]``
-    True marks a true null, False a true signal, None a stream excluded
-    from the error counts (but not from R).
+    True marks a true null, False a true signal.
     """
     if len(truth) != len(rejected):
         raise ValueError("truth must have one entry per stream")
@@ -111,9 +110,9 @@ def error_counts(rejected, truth) -> tuple[int, int, int]:
     for rej, t in zip(rejected, truth):
         if rej:
             r += 1
-            if t is True:
+            if t:
                 v += 1
-        elif t is False:
+        elif not t:
             w += 1
     return v, w, r
 

@@ -13,7 +13,6 @@ from scipy import stats
 from seqfdr import calibrate
 from seqfdr.calibrate import (
     _BLOCK,
-    GammaEstimate,
     _path_maxima,
     _race,
     estimate_gamma,
@@ -222,12 +221,12 @@ class TestCriticalValues:
         # affine map of its lattice point, and it matches the float cumsum
         n_bar, reps = 50, 5000
         for model in (BERN, POIS):
+            p0, p1 = model.null_param, model.alt_param
             if model.family == "bernoulli":
-                c1, c0 = model.log_ratios
-                slope, step = c1 - c0, c0
+                c0 = math.log((1.0 - p1) / (1.0 - p0))
+                slope, step = math.log(p1 / p0) - c0, c0
             else:
-                slope = math.log(model.alt_param / model.null_param)
-                step = -(model.alt_param - model.null_param)
+                slope, step = math.log(p1 / p0), -(p1 - p0)
             maxima = _path_maxima(model, model.null_param, n_bar, reps,
                                   np.random.default_rng(31))
             obs = model.sample(model.null_param, np.random.default_rng(31), (reps, n_bar))
@@ -525,7 +524,8 @@ class TestLatticeRace:
     def test_threshold_hit_exactly_is_crossed(self):
         # the one-step statistic is c1 or c0: a threshold on either atom is
         # crossed there, one ulp beyond it is not
-        c1, c0 = BERN.log_ratios
+        p0, p1 = BERN.null_param, BERN.alt_param
+        c1, c0 = math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0))
         rows = [(BERN, 0.05, c1, -np.inf), (BERN, 0.05, np.nextafter(c1, np.inf), -np.inf),
                 (BERN, 0.05, np.inf, c0), (BERN, 0.05, np.inf, np.nextafter(c0, -np.inf))]
         up, down, _ = _race(rows, 1)
@@ -622,7 +622,6 @@ class TestGammaTruncated:
 
     def test_theta_record_and_validation(self):
         est = estimate_gamma([BERN], ["alt"], b=np.array([1.0]), n_bar=5, reps=1000, seed=1)
-        assert est.theta_choice == ("alt",)
         with pytest.raises(ValueError):
             estimate_gamma([BERN], ["maybe"], b=np.array([1.0]), n_bar=5, reps=1000, seed=1)
         with pytest.raises(ValueError):
@@ -630,10 +629,3 @@ class TestGammaTruncated:
         for n_bar in (0, -3):
             with pytest.raises(ConfigError, match="n_bar"):
                 estimate_gamma([BERN], ["alt"], b=np.array([1.0]), n_bar=n_bar, reps=1000, seed=1)
-        with pytest.raises(ValueError):
-            GammaEstimate(
-                gamma1=0.5,
-                gamma1_per_stream=np.array([1.5]),
-                gamma1_se=0.0,
-                theta_choice=("alt",),
-            )

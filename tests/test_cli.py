@@ -79,6 +79,7 @@ class TestBounds:
         (["--gamma", "1.5"], "gamma must lie in"),
         (["--m", "9"], "m must lie in"),
         (["--m", "-1"], "m must lie in"),
+        (["--j", "0"], "J must be"),
     ])
     def test_bad_m_or_gamma_prints_nothing(self, capsys, extra, match):
         # refused before the first line of the table
@@ -499,6 +500,15 @@ class TestYellowcard:
                          "A,1,2,3,0\nB,2,2,3,0\nA,5,2,3,1\n")
         assert main(["yellowcard", str(table), "--seed", "1", "--out", str(tmp_path / "x")]) == 3
         assert ":4:" in capsys.readouterr().err
+
+    def test_rate_beyond_poisson_table_exit_three(self, tmp_path, capsys):
+        # (3 + 1) / 0.001 = 4000 target reports a year, past the inversion table
+        table = tmp_path / "fast.csv"
+        table.write_text("name,amnesia_count,other_count,years,cluster\n"
+                         "A,3,1,0.001,0\nB,2,2,3,0\nC,1,4,2,1\n")
+        assert main(["yellowcard", str(table), "--seed", "1", "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert "drug 'A'" in err and "4000" in err
 
     def test_top_n_above_table_exit_two(self, tmp_path, capsys):
         # the fixture holds 60 drugs

@@ -48,7 +48,6 @@ class TestStepVector:
     def test_valid_construction(self):
         sv = StepVector(np.array([0.1, 0.1, 0.3]))
         assert sv.j == 3
-        assert len(sv) == 3
         assert not sv.values.flags.writeable
 
     @pytest.mark.parametrize(

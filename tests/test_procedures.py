@@ -444,10 +444,9 @@ class TestErrorCounts:
         rejected = result.rejected[0]
         assert error_counts(rejected, [True, False]) == (1, 1, 1)
         assert error_counts(rejected, [False, True]) == (0, 0, 1)
-        assert error_counts(rejected, [None, False]) == (0, 1, 1)
         with pytest.raises(ValueError):
             error_counts(rejected, [True])
-        for truth in ([True, False], [False, True], [None, False]):
+        for truth in ([True, False], [False, True]):
             v, w, r = error_counts(rejected, truth)
             out = summarize(result, truth)
             assert (out.fdr, out.fnr) == (v / max(r, 1), w / max(2 - r, 1))
@@ -506,11 +505,12 @@ class TestSummarize:
         want = summarize(trials, [True, False])
         assert want.fdr == 0.5
         assert summarize(trials, np.array([True, False])) == want
-        assert summarize(trials, [np.True_, None]) == summarize(trials, [True, None])
+        assert summarize(trials, [np.True_, False]) == want
 
-    @pytest.mark.parametrize("truth", [[1, 0], np.array([1, 0]), [True, "no"], [True, 0.0]])
+    @pytest.mark.parametrize("truth", [[1, 0], np.array([1, 0]), [True, "no"], [True, 0.0],
+                                       [True, None]])
     def test_truth_entries_other_than_bool_or_none_raise(self, truth):
-        with pytest.raises(ValueError, match="True, False or None"):
+        with pytest.raises(ValueError, match="must be True or False"):
             summarize(self._trials(2, {0}), truth)
 
     def test_empty_trials_error(self):
@@ -537,6 +537,5 @@ class TestSummarize:
         order = np.array(data.draw(st.permutations(range(len(rejected)))))
         decisions = Decisions(rejected[order], step[order], np.ones_like(step),
                               np.zeros_like(rejected))
-        truth = data.draw(st.lists(st.sampled_from([True, False, None]),
-                                   min_size=j, max_size=j))
+        truth = data.draw(st.lists(st.booleans(), min_size=j, max_size=j))
         assert summarize(decisions, truth) == summarize_per_trial(decisions, truth)

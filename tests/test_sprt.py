@@ -154,7 +154,7 @@ class TestCriticalValues:
         assert np.all(np.diff(crit.a) > 0)
         assert np.all(np.diff(crit.b) < 0)
         assert crit.a[-1] <= crit.b[-1]
-        assert crit.j == 10
+        assert crit.a.size == 10
 
     def test_level_one_matches_plain_wald(self):
         alpha = StepVector(np.array([0.05, 0.1]))
@@ -202,7 +202,7 @@ class TestCriticalValues:
         # no slip in order passes, however small, since run_batch's ladder
         # check would refuse the matrix; infinite entries pass
         crit = CriticalMatrix(a=np.array([-np.inf, -np.inf]), b=np.array([np.inf, np.inf]))
-        assert crit.j == 2
+        assert crit.a.size == 2
         for a, b in (([-1.0, -1.0 - 1e-13], [2.0, 2.0]), ([-1.0, -1.0], [2.0, 2.0 + 1e-13]),
                      ([-1.0, -1.0 - 1e-13], [2.0, 2.0 + 1e-13])):
             with pytest.raises(ValueError, match="nondecreasing"):
@@ -297,9 +297,10 @@ def _first_passage_probs(model, crit, theta, reps, seed, horizon=600, chunk=150)
 
     Returns (P[reach >= B_k before <= A_1], P[reach <= A_k before >= B_1]).
     """
-    j = crit.j
+    j = crit.a.size
     rng = np.random.default_rng(seed)
-    c1, c0 = model.log_ratios
+    p0, p1 = model.null_param, model.alt_param
+    c1, c0 = math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0))
     t_up = np.full((j, reps), np.inf)
     t_dn = np.full((j, reps), np.inf)
     cur = np.zeros(reps)

@@ -47,8 +47,11 @@ class TestLoadDrugTable:
         (rec,) = load_drug_table(path)
         assert rec == DrugRecord("DrugX", 5, 95, 10.0, 3)
 
-    def test_invariant_row_rejected_with_line_number(self, tmp_path, caplog):
-        path = write_table(tmp_path, "Good,1,2,3,0\nBad,1,2,0,0\n")
+    @pytest.mark.parametrize("years", ["0", "inf", "1e400", "nan"])
+    def test_invariant_row_rejected_with_line_number(self, tmp_path, caplog, years):
+        # years must be finite and positive: an infinite one made every
+        # smoothed rate 0 and the target fraction 0 / 0
+        path = write_table(tmp_path, f"Good,1,2,3,0\nBad,1,2,{years},0\n")
         with caplog.at_level(logging.WARNING, logger="seqfdr.yellowcard"):
             records = load_drug_table(path)
         assert [r.name for r in records] == ["Good"]
