@@ -135,12 +135,10 @@ class _Streams:
             raise ConfigError(f"config.m0: must lie in [0, j], got {self.m0}")
         if not -1.0 < self.rho < 1.0:
             raise ConfigError(f"config.rho: must lie in (-1, 1), got {self.rho}")
-        hi = 1.0 if self.family == "bernoulli" else float("inf")
+        # a Poisson rate must lie within the copula's CDF table (datagen.Poisson)
+        hi = 1.0 if self.family == "bernoulli" else 700.0
         if not 0.0 < self.null_param < self.alt_param < hi:
-            raise ConfigError(
-                "config.null_param/alt_param: need 0 < null < alt"
-                + (" < 1" if self.family == "bernoulli" else "")
-            )
+            raise ConfigError(f"config.null_param/alt_param: need 0 < null < alt < {hi:g}")
         if not 0.0 < self.q1 < 1.0:
             raise ConfigError(f"config.q1: must lie in (0, 1), got {self.q1}")
 

@@ -110,8 +110,11 @@ def bh_stepup(pvalues, alpha: StepVector) -> np.ndarray:
     # NaN fails both comparisons
     if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("p-values must lie in [0, 1]")
-    sorted_p = np.sort(p, axis=1)
-    cutoff = np.where(sorted_p <= alpha.values, sorted_p, -1.0).max(axis=1)
+    # the cutoff p_(k*), -1 where no level is met, kept in place column by
+    # sorted column: no (T, J) temporary
+    cutoff = np.full(p.shape[0], -1.0)
+    for col, level in zip(np.sort(p, axis=1).T, alpha.values.tolist()):
+        np.maximum(cutoff, col, out=cutoff, where=col <= level)
     return p <= cutoff[:, None]
 
 
@@ -132,7 +135,8 @@ def _bh_rates(model, n, totals, truth, alpha):
     # row's totals capped at its largest, which lies in the law's support
     top = totals.max(axis=1)
     table = exact_pvalue(model, n[:, None], np.minimum(np.arange(top.max() + 1), top[:, None]))
-    p = np.take_along_axis(table, totals, axis=1)
+    # one flat gather: step k's row of the table starts at k * width
+    p = table.ravel().take(totals + np.arange(0, table.size, table.shape[1])[:, None])
     rejected = bh_stepup(p.reshape(-1, j), alpha)
     # each row's rejections among the nulls and among the signals: counts
     # of at most J, exact in floats, so one product gives both

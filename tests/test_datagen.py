@@ -451,7 +451,11 @@ class TestCountBatch:
         marginals = [Poisson(1.5)] * m0 + [Poisson(2.0)] * (10 - m0)
         blocks = CountBlocks(CopulaConfig(10, Toeplitz(-0.6)), [marginals] * 1000, horizon=60,
                              rngs=[np.random.default_rng(5)])
-        for steps in (26, 26, 8):  # 2^18 cells hold 26 steps of 10^4
+        # a block holds as many steps of 10^4 cells as fit: 13, 13, 13, 13, 8 at 2^17
+        cap = datagen._BLOCK_CELLS // 10**4
+        assert cap < datagen.FIRST_ROWS
+        full, last = divmod(60, cap)
+        for steps in [cap] * full + [last] * bool(last):
             calls.clear()
             assert len(blocks.take([0])[0]) == steps
             assert calls == [(steps, 1000, k) for k in (m0, 10 - m0) if k]

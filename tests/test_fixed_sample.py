@@ -14,7 +14,6 @@ from seqfdr.errors import ConfigError
 from seqfdr.fixed_sample import (
     _RUN,
     FnrCurve,
-    FssSearchResult,
     _bh_rates,
     bh_stepup,
     exact_pvalue,
@@ -118,6 +117,31 @@ class TestBhStepup:
         mask = bh_stepup(p, alpha)
         for row, mask_row in zip(p, mask):
             assert _rejected(mask_row) == _bh_reference(row, alpha.values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(j=st.sampled_from([1, 3, 10, 60]), q=st.sampled_from([0.05, 0.25, 0.5]),
+           scaled=st.booleans(), data=st.data())
+    def test_matches_reference_at_the_levels(self, j, q, scaled, data):
+        alpha = scale_for_fdr(bh_steps(q, j), q) if scaled else bh_steps(q, j)
+        levels = alpha.values
+        # p-values exactly at a level, a double to either side of one, and
+        # the ends: rows drawn from them tie often, and their ties straddle levels
+        pool = sorted({0.0, 1.0, *levels.tolist(), *np.nextafter(levels, 0.0).tolist(),
+                       *np.nextafter(levels, 1.0).tolist()})
+        rows = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=j, max_size=j),
+                                  min_size=1, max_size=20))
+        # a row with no rejection, one that rejects every stream at the first
+        # level, and a tie between the first two levels that both reject
+        fixed = [[1.0] * j, [levels[0]] * j]
+        if j > 1:
+            fixed.append([(levels[0] + levels[1]) / 2] * 2 + [1.0] * (j - 2))
+        p = np.array(rows + fixed)
+        mask = bh_stepup(p, alpha)
+        for row, mask_row in zip(p, mask):
+            assert _rejected(mask_row) == _bh_reference(row, levels)
+        assert not mask[len(rows)].any() and mask[len(rows) + 1].all()
+        if j > 1:
+            assert mask[-1].sum() == 2
 
     def test_set_invariant_under_permutation(self):
         rng = np.random.default_rng(8)

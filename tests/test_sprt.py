@@ -10,7 +10,6 @@ from seqfdr.core import StepVector, bh_steps, scale_for_fdr
 from seqfdr.datagen import Bernoulli, CopulaConfig, CountBlocks, Poisson, Toeplitz
 from seqfdr.errors import BoundaryCollapseError
 from seqfdr.sprt import (
-    SIEGMUND_RHO,
     CriticalMatrix,
     SimpleModel,
     check_ladders,

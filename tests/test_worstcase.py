@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from seqfdr.core import StepVector, bh_steps, bl_steps, d_bound_at
+from seqfdr.core import StepVector, bh_steps, bl_steps
 from seqfdr.errors import ConfigError, SolverError
 from seqfdr.worstcase import (
     LpProblem,

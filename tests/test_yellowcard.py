@@ -13,7 +13,6 @@ from seqfdr.core import bh_steps, scale_for_fdr
 from seqfdr.errors import ConfigError, DataUnderrunError, DrugTableError
 from seqfdr.sprt import stepdown_critical_values
 from seqfdr.yellowcard import (
-    DecisionRow,
     DrugRecord,
     ExperimentConfig,
     amnesia_fraction,
