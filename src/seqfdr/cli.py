@@ -39,7 +39,7 @@ import scipy
 from . import __version__
 from .calibrate import truncated_critical_values
 from .core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
-from .datagen import CopulaConfig, CountBlocks, Toeplitz
+from .datagen import POISSON_RATE_LIMIT, CopulaConfig, CountBlocks, Toeplitz
 from .errors import ConfigError, DataError, NumericalError
 from .fixed_sample import find_matching_fss
 from .procedures import Decisions, run_batch, summarize, work_counts
@@ -135,8 +135,7 @@ class _Streams:
             raise ConfigError(f"config.m0: must lie in [0, j], got {self.m0}")
         if not -1.0 < self.rho < 1.0:
             raise ConfigError(f"config.rho: must lie in (-1, 1), got {self.rho}")
-        # a Poisson rate must lie within the copula's CDF table (datagen.Poisson)
-        hi = 1.0 if self.family == "bernoulli" else 700.0
+        hi = 1.0 if self.family == "bernoulli" else POISSON_RATE_LIMIT
         if not 0.0 < self.null_param < self.alt_param < hi:
             raise ConfigError(f"config.null_param/alt_param: need 0 < null < alt < {hi:g}")
         if not 0.0 < self.q1 < 1.0:

@@ -103,13 +103,19 @@ class Bernoulli:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
 
 
+# a Poisson rate must lie below this for the copula's CDF-table inversion
+POISSON_RATE_LIMIT = 700.0
+
+
 @dataclass(frozen=True)
 class Poisson:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 < self.lam < 700.0:
-            raise ValueError(f"rate must lie in (0, 700) for table inversion, got {self.lam}")
+        if not 0.0 < self.lam < POISSON_RATE_LIMIT:
+            raise ValueError(
+                f"rate must lie in (0, {POISSON_RATE_LIMIT:g}) for table inversion, got {self.lam}"
+            )
 
 
 def correlation_matrix(config: CopulaConfig) -> np.ndarray:

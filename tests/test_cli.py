@@ -361,12 +361,12 @@ class TestFss:
 @pytest.mark.parametrize("change, message", [
     ({"null_param": 0.4, "alt_param": 0.25}, "config.null_param/alt_param"),
     ({"null_param": 0.3, "alt_param": 0.3}, "config.null_param/alt_param"),
+    ({"q1": 1.5}, "config.q1"),
+    ({"q1": 0.0}, "config.q1"),
     ({"family": "poisson", "null_param": 1.0, "alt_param": 800.0, "j": 2, "m0": 1},
      "config.null_param/alt_param: need 0 < null < alt < 700"),
     ({"family": "poisson", "null_param": 1.0, "alt_param": 700.0},
      "config.null_param/alt_param: need 0 < null < alt < 700"),
-    ({"q1": 1.5}, "config.q1"),
-    ({"q1": 0.0}, "config.q1"),
 ])
 def test_stream_config_checked_alike(tmp_path, capsys, command, payload, change, message):
     # simulate and fss share the checks on their streams and on q1
