@@ -4,7 +4,7 @@ Both quantities the procedures need from calibration are probabilities of
 a single i.i.d. stream on the integer count lattice, and one forward
 recursion (``_race``) gives them exactly: it carries the live probability
 mass over count totals step by step, under the model's count law
-(``SimpleModel.law``), and absorbs it where the statistic crosses, at the
+(``SimpleModel.pmf``), and absorbs it where the statistic crosses, at the
 ``sprt.crossing_counts`` tables, so a path crosses at exactly the floats
 the procedures compute.  It runs a block of steps per Python pass: each
 step only convolves the live mass with the step pmf and masks off what
@@ -97,8 +97,7 @@ class GammaEstimate:
 @functools.lru_cache(maxsize=None)
 def _step_pmf(model: SimpleModel, param: float) -> np.ndarray:
     """P(count = x) of one observation at ``param``, cut at a ``_PMF_TAIL`` tail."""
-    dist, args = model.law(param)
-    pmf = dist.pmf(np.arange(dist.isf(_PMF_TAIL, *args) + 1), *args)
+    pmf = model.pmf(param, np.arange(model.isf(param, _PMF_TAIL) + 1))
     pmf.setflags(write=False)
     return pmf
 
@@ -247,9 +246,8 @@ def truncated_critical_values(model: SimpleModel, alpha: StepVector, n_bar: int)
     if n_bar < 1:
         raise ConfigError(f"n_bar must be >= 1, got {n_bar}")
     n = np.arange(1, n_bar + 1)[:, None]
-    dist, args = model.law(model.null_param, n)
-    top = dist.isf(_PMF_TAIL, *args)
-    x = np.arange(int(top.max()) + 1)
+    top = model.isf(model.null_param, _PMF_TAIL, n)
+    x = np.arange(top.max() + 1)
     atoms = np.unique(cumulative_llr(model, x, n)[x <= top])
     # B_k is atoms[i] for the smallest i in [lo[k], hi[k]] that meets alpha_k
     # (i = atoms.size: no atom); by Ville's inequality atoms[hi[k]] meets it

@@ -182,6 +182,10 @@ class FssConfig(_Streams):
 
     def __post_init__(self):
         super().__post_init__()
+        if not 0.0 < self.target_fnr <= 1.0:
+            raise ConfigError(f"config.target_fnr: must lie in (0, 1], got {self.target_fnr}")
+        if self.reps < 1:
+            raise ConfigError(f"config.reps: must be >= 1, got {self.reps}")
         if self.n_max < 1:
             raise ConfigError(f"config.n_max: must be >= 1, got {self.n_max}")
 
@@ -204,8 +208,18 @@ class YellowcardConfig:
     horizon: int = 1000
 
     def __post_init__(self):
+        for name in ("q1", "q2"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(f"config.{name}: must lie in (0, 1), got {getattr(self, name)}")
         if (self.p_h is None) != (self.p_g is None):
             raise ConfigError("config.p_h/p_g: override both thresholds or neither")
+        if self.p_h is not None and not 0.0 < self.p_h < self.p_g < 1.0:
+            raise ConfigError(f"config.p_h/p_g: need 0 < p_h < p_g < 1, got p_h={self.p_h}, "
+                              f"p_g={self.p_g}")
+        if self.top_n is not None and self.top_n < 1:
+            raise ConfigError(f"config.top_n: must be >= 1, got {self.top_n}")
+        if self.horizon < 1:
+            raise ConfigError(f"config.horizon: must be >= 1, got {self.horizon}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +467,9 @@ def cmd_yellowcard(args) -> int:
     records = load_drug_table(args.table)
     p_h, p_g = thresholds(records) if config.p_h is None else (config.p_h, config.p_g)
     top_n = len(records) if config.top_n is None else config.top_n
+    if top_n > len(records):
+        raise ConfigError(f"config.top_n: must be at most the table's {len(records)} drugs, "
+                          f"got {top_n}")
     config = replace(config, p_h=p_h, p_g=p_g, top_n=top_n)
     resolved = {"table": str(args.table), **asdict(config)}
 

@@ -2,10 +2,10 @@
 
 The sequential procedures are benchmarked against the fixed-sample
 Benjamini-Hochberg step-up rule: draw N observations per stream, form exact
-upper-tail p-values under the null's count law (``SimpleModel.law``; the
-alternative lies above the null), reject with the BH step values rescaled
-for worst-case FDR control (the same constants the sequential boundaries
-are built from).
+upper-tail p-values under the null's count law
+(``SimpleModel.upper_tail``; the alternative lies above the null), reject
+with the BH step values rescaled for worst-case FDR control (the same
+constants the sequential boundaries are built from).
 ``exact_pvalue`` and ``bh_stepup`` work on whole (trials, streams) arrays.
 ``find_matching_fss`` finds the smallest N whose estimated FNR matches the
 sequential procedure's achieved FNR, which is how the expected-sample-size
@@ -79,20 +79,15 @@ class FssSearchResult:
 def exact_pvalue(model: SimpleModel, n, totals) -> np.ndarray:
     """One-sided upper-tail p-values of count totals, each over n draws.
 
-    The p-value is the null probability (``model.law``) of a total at least
-    as large as observed: the alternative lies above the null.  ``n`` is one
-    sample size or an array of them that broadcasts against ``totals``, so
-    a table over (n, total) is one call.
+    The p-value is the null probability (``model.upper_tail``) of a total
+    at least as large as observed: the alternative lies above the null.
+    ``n`` is one sample size or an array of them that broadcasts against
+    ``totals``, so a table over (n, total) is one call.
     """
     n = np.asarray(n)
     if np.any(n < 1):
         raise ValueError(f"sample size must be >= 1, got {n.min()}")
-    totals = np.asarray(totals)
-    dist, args = model.law(model.null_param, n)
-    lo, hi = dist.support(*args)
-    if not np.all((lo <= totals) & (totals <= hi)):
-        raise ValueError("count totals must lie in the null law's support over their n draws")
-    return dist.sf(totals - 1, *args)
+    return model.upper_tail(model.null_param, n, totals)
 
 
 def bh_stepup(pvalues, alpha: StepVector) -> np.ndarray:

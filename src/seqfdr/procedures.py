@@ -191,10 +191,12 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
     j = b.size
     b_of = b.tolist() + [np.inf]  # b[r]; r == j once every stream is rejected
     a_of = a.tolist() + [-np.inf]  # a[c]; c == j once every stream is accepted
-    # per trial: its streams' decisions (step 0: undecided), r, c and stages
-    # done; j - r - c streams are active
-    rejected, truncated = ([[False] * j for _ in range(trials)] for _ in range(2))
-    step, level = ([[0] * j for _ in range(trials)] for _ in range(2))
+    # per trial: its streams' decisions (step 0: undecided), flat at
+    # i * j + s so that a batch makes four lists, not four per trial, for the
+    # garbage collector to track; r, c and stages done; j - r - c streams
+    # are active
+    rejected, truncated = [False] * (trials * j), [False] * (trials * j)
+    step, level = [0] * (trials * j), [0] * (trials * j)
     r, c, stages = [0] * trials, [0] * trials, [0] * trials
     done = 0  # rows read before the current block
     # the undecided trials; row k of the arrays below is live[k]'s
@@ -219,15 +221,16 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
             # the rows run out for every undecided trial at once: the first
             # in index order fails with its state
             i, active = live[0], np.flatnonzero(act[0]).tolist()
+            at = i * j
             raise DataUnderrunError(
                 f"streams {active} exhausted at step {done} before any decision "
                 f"boundary was crossed",
-                state={"stage": stages[i] + 1, "step": max(step[i]), "r": r[i], "c": c[i],
-                       "active": active, "decisions": [
-                           {"stream": s, "action": "reject" if rejected[i][s] else "accept",
-                            "step": step[i][s], "level": level[i][s],
-                            "truncated": truncated[i][s]}
-                           for s in range(j) if step[i][s]]},
+                state={"stage": stages[i] + 1, "step": max(step[at : at + j]), "r": r[i],
+                       "c": c[i], "active": active, "decisions": [
+                           {"stream": s, "action": "reject" if rejected[at + s] else "accept",
+                            "step": step[at + s], "level": level[at + s],
+                            "truncated": truncated[at + s]}
+                           for s in range(j) if step[at + s]]},
             )
         stop = width if n_bar is None else min(width, n_bar - done)
         # rows of the block each trial has scanned, and the trials that may
@@ -260,12 +263,12 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
                 t_acc = 0
                 while t_acc < sz - t_rej and vals[ranks[t_acc]] <= a_of[c[i] + t_acc]:
                     t_acc += 1
-                rej, stp, lvl = rejected[i], step[i], level[i]
+                at = i * j
                 for p, s in enumerate(ranks[sz - t_rej : sz], sz - t_rej):
-                    rej[s], stp[s], lvl[s] = True, at_step, r[i] + sz - p
+                    rejected[at + s], step[at + s], level[at + s] = True, at_step, r[i] + sz - p
                     act[k, s] = False
                 for p, s in enumerate(ranks[:t_acc]):
-                    stp[s], lvl[s] = at_step, c[i] + p + 1
+                    step[at + s], level[at + s] = at_step, c[i] + p + 1
                     act[k, s] = False
                 r[i] += t_rej
                 c[i] += t_acc
@@ -279,8 +282,9 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
             _, order = ranked_rows(keep, [stop - 1] * len(keep))
             for k, ranks in zip(keep, order):
                 i = live[k]
+                at = i * j
                 for p, s in enumerate(ranks[: j - r[i] - c[i]]):
-                    step[i][s], level[i][s], truncated[i][s] = n_bar, p + 1, True
+                    step[at + s], level[at + s], truncated[at + s] = n_bar, p + 1, True
                 stages[i] += 1
             keep = []
         if len(keep) < len(live):

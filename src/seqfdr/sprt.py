@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy import stats
+from scipy.special import betainc, gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .core import StepVector
 from .datagen import Bernoulli, Poisson
@@ -71,13 +71,63 @@ class SimpleModel:
         if not self.null_param < self.alt_param:
             raise ValueError(f"alt_param={self.alt_param} must exceed null_param={self.null_param}")
 
-    def law(self, param: float, n=1):
-        """Law of the count total of ``n`` (may be an array) observations at
-        ``param``: Binomial(n, p) or Poisson(n lambda), as the unfrozen scipy
-        distribution and its shape arguments, used as ``dist.pmf(x, *args)``."""
+    def pmf(self, param: float, x) -> np.ndarray:
+        """P(one observation = x) at ``param``, at counts ``x >= 0``.
+
+        Bernoulli is exactly ``1 - p`` at 0 and ``p`` at 1; Poisson is
+        scipy.stats' recipe, ``exp(xlogy(x, lam) - gammaln(x + 1) - lam)``.
+        """
+        x = np.asarray(x)
         if self.family == "bernoulli":
-            return stats.binom, (n, param)
-        return stats.poisson, (n * param,)
+            return np.select([x == 0, x == 1], [1.0 - param, param], 0.0)
+        return np.exp(xlogy(x, param) - gammaln(x + 1) - param)
+
+    def isf(self, param: float, q: float, n=1) -> np.ndarray:
+        """Smallest count total ``k`` of ``n`` (may be an array) observations at
+        ``param`` with P(total > k) <= ``q``, for 0 < q < 1: scipy.stats' isf.
+
+        Poisson follows scipy.stats' recipe, ``ceil`` of ``pdtrik`` stepped
+        back one where ``pdtr`` allows; Binomial bisects over k in [0, n]
+        on the tail ``upper_tail(param, n, k + 1)``, which falls in k.
+        """
+        n = np.asarray(n)
+        if self.family == "poisson":
+            mu = n * param
+            k = np.ceil(pdtrik(1.0 - q, mu))
+            below = np.maximum(k - 1, 0)
+            return np.where(pdtr(below, mu) >= 1.0 - q, below, k).astype(np.int64)
+        # P(total > lo) is above q and P(total > hi) is not; P(total > n) is 0
+        size = n.astype(np.int64).ravel()
+        lo, hi = np.full(size.shape, -1), size.copy()
+        while (gap := np.flatnonzero(hi - lo > 1)).size:
+            mid = (lo[gap] + hi[gap]) // 2
+            met = betainc(mid + 1, size[gap] - mid, param) <= q
+            hi[gap[met]] = mid[met]
+            lo[gap[~met]] = mid[~met]
+        return hi.reshape(n.shape)
+
+    def upper_tail(self, param: float, n, x) -> np.ndarray:
+        """P(count total of ``n`` observations >= ``x``) at ``param``: the
+        upper-tail p-value of totals ``x``.
+
+        ``n`` and ``x`` broadcast against each other.  Binomial(n, p) gives
+        ``betainc(x, n - x + 1, p)`` and Poisson(n lambda)
+        ``pdtrc(x - 1, n lambda)``, scipy.stats' ``sf(x - 1)``, and 1 at
+        ``x = 0``.  A total outside the support, 0..n or from 0 up, raises
+        ValueError.
+        """
+        n, x = np.broadcast_arrays(n, x)
+        top = n if self.family == "bernoulli" else np.inf
+        if not np.all((0 <= x) & (x <= top)):
+            raise ValueError("count totals must lie in the law's support over their n draws")
+        out = np.ones(x.shape)
+        at = x >= 1
+        n, x = n[at], x[at]
+        if self.family == "bernoulli":
+            out[at] = betainc(x, n - x + 1, param)
+        else:
+            out[at] = pdtrc(x - 1, n * param)
+        return out
 
     def sample(self, param: float, rng: np.random.Generator, shape) -> np.ndarray:
         """Observations of ``shape`` drawn i.i.d. at ``param``."""

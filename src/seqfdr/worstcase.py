@@ -25,7 +25,6 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import StepVector, d_bound_at
 from .errors import ConfigError, SolverError
@@ -137,6 +136,8 @@ def solve_max(problem: LpProblem) -> tuple[float, np.ndarray]:
     ``SolverError`` with the solver's message.  The returned point must
     satisfy every row and reproduce the reported optimum.
     """
+    from scipy.optimize import linprog  # here: its import costs every start-up ~0.3 s
+
     c = problem.objective
     a = problem.rows
     b = problem.rhs

@@ -1,10 +1,14 @@
 """Public surface: exported names resolve, modules keep out of each other's
-private names and of the model family, and the README quick start runs."""
+private names and of the model family, importing the package leaves
+scipy.stats and scipy.optimize out, and the README quick start runs."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import seqfdr
@@ -53,3 +57,18 @@ def test_only_the_model_and_the_cli_read_the_family():
             if isinstance(node, ast.Attribute) and node.attr == "family":
                 readers.add(path.name)
     assert readers == {"sprt.py", "cli.py"}, readers
+
+
+def test_start_up_leaves_scipy_stats_and_optimize_unimported():
+    # scipy.stats and scipy.optimize add about half a second and 40 MB to
+    # every start-up: the count law uses scipy.special alone, and the LP
+    # solver is imported only where a program is solved
+    code = ("import sys\n"
+            "import seqfdr.cli, seqfdr.calibrate, seqfdr.fixed_sample, seqfdr.yellowcard\n"
+            "import seqfdr.worstcase\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', "
+            "'scipy.optimize'))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(seqfdr.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

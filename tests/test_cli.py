@@ -375,6 +375,28 @@ def test_stream_config_checked_alike(tmp_path, capsys, command, payload, change,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, change, message", [
+    ("fss", {"reps": 0}, "config.reps: must be >= 1, got 0"),
+    ("fss", {"target_fnr": 0}, "config.target_fnr: must lie in (0, 1], got 0.0"),
+    ("fss", {"target_fnr": 1.5}, "config.target_fnr: must lie in (0, 1]"),
+    ("yellowcard", {"q1": 1.5}, "config.q1: must lie in (0, 1), got 1.5"),
+    ("yellowcard", {"q2": 0.0}, "config.q2: must lie in (0, 1), got 0.0"),
+    ("yellowcard", {"p_h": 0.2, "p_g": 0.1}, "config.p_h/p_g: need 0 < p_h < p_g < 1"),
+    ("yellowcard", {"top_n": 0}, "config.top_n: must be >= 1, got 0"),
+    ("yellowcard", {"horizon": 0}, "config.horizon: must be >= 1, got 0"),
+])
+def test_command_config_checked_by_field(tmp_path, capsys, command, change, message):
+    # fss and yellowcard name the offending field as simulate does, and
+    # write nothing
+    payload = TestFss.CONFIG if command == "fss" else {"top_n": 4, "seed": 2}
+    args = [command, str(FIXTURE)] if command == "yellowcard" else [command]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(payload, **change))
+    assert main(args + ["--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, payload", [
     ("simulate", OPEN_CONFIG),
     ("fss", TestFss.CONFIG),
@@ -519,8 +541,8 @@ class TestYellowcard:
         cfg = write_config(tmp_path, {"top_n": 100, "seed": 4})
         out = tmp_path / "out"
         assert main(["yellowcard", str(FIXTURE), "--config", cfg, "--out", str(out)]) == 2
-        assert "top_n" in capsys.readouterr().err
-        assert not (out / "yellowcard_report.json").exists()
+        assert "config.top_n: must be at most the table's 60 drugs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_required(self, tmp_path, capsys):
         assert main(["yellowcard", str(FIXTURE), "--out", str(tmp_path / "x")]) == 2

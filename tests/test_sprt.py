@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from seqfdr.core import StepVector, bh_steps, scale_for_fdr
 from seqfdr.datagen import Bernoulli, CopulaConfig, CountBlocks, Poisson, Toeplitz
@@ -232,6 +233,60 @@ class TestCheckLadders:
     def test_rejects(self, a, b, match):
         with pytest.raises(ValueError, match=match):
             check_ladders(a, b)
+
+
+class TestCountLaw:
+    """SimpleModel's count law is scipy.stats' binom and poisson, bit for bit,
+    but for the one-observation Bernoulli pmf, which is exactly [1 - p, p]."""
+
+    SIZES = np.r_[np.arange(1, 401), 1000, 4096]
+    MODELS = [SimpleModel("bernoulli", 0.05, 0.15), SimpleModel("poisson", 1.5, 2.0),
+              SimpleModel("poisson", 0.6, 9.6)]
+
+    @staticmethod
+    def law(model, param):
+        if model.family == "bernoulli":
+            return stats.binom, lambda n: (n, param)
+        return stats.poisson, lambda n: (n * param,)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_one_observation_pmf(self, model):
+        for param in (model.null_param, model.alt_param):
+            dist, args = self.law(model, param)
+            x = np.arange(model.isf(param, 1e-16) + 1)
+            got = model.pmf(param, x)
+            if model.family == "poisson":
+                np.testing.assert_array_equal(got, dist.pmf(x, *args(1)))
+            else:
+                # boost's binom.pmf(0; 1, p) is 1 ulp off for most p
+                assert got.tolist() == [1.0 - param, param]
+                np.testing.assert_array_max_ulp(got, dist.pmf(x, *args(1)), maxulp=1)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_upper_tail_is_sf_below(self, model):
+        # every total from -1 to past the support, at every size
+        for param in (model.null_param, model.alt_param):
+            dist, args = self.law(model, param)
+            for n in self.SIZES.tolist():
+                top = n if model.family == "bernoulli" else model.isf(param, 1e-16, n) + 2
+                x = np.arange(top + 1)
+                np.testing.assert_array_equal(model.upper_tail(param, n, x),
+                                              dist.sf(x - 1, *args(n)))
+                for outside in ([-1], [n + 1]) if model.family == "bernoulli" else ([-1],):
+                    with pytest.raises(ValueError, match="support"):
+                        model.upper_tail(param, n, outside)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_isf(self, model):
+        for param in (model.null_param, model.alt_param):
+            dist, args = self.law(model, param)
+            for q in (1e-16, 1e-6, 0.05, 0.5):
+                got = model.isf(param, q, self.SIZES[:, None])
+                assert got.shape == (self.SIZES.size, 1) and got.dtype == np.int64
+                np.testing.assert_array_equal(got[:, 0], dist.isf(q, *args(self.SIZES)))
+            n = np.arange(1, 1001)
+            np.testing.assert_array_equal(model.isf(param, 1e-16, n),
+                                          dist.isf(1e-16, *args(n)))
 
 
 class TestLatticeLlr:
