@@ -315,7 +315,7 @@ def run_simulation(config: SimulationConfig, workers: int = 1, counters: dict | 
         a, b = None, b_raw
     decisions, tally = _run_trials(config, a, b, workers)
     if counters is not None:
-        counters.update(work_counts(tally))
+        counters.update(work_counts(decisions, tally))
     return summarize(decisions, truth), b_raw
 
 

@@ -8,9 +8,10 @@ rejects a maximal top block and/or accepts a maximal bottom block of the
 ordered active statistics against boundary levels offset by the decisions
 already made.  The open-ended variant runs until every stream is decided;
 the rejective variant only rejects, accepting whatever remains at a fixed
-truncation horizon.  Both run one stage loop, the rejective one with an
-acceptance ladder of -inf, over a whole batch of trials at once
-(``run_batch``).  The batch reads its rows in lockstep: a source,
+truncation horizon.  Both run one stage loop over a whole batch of trials
+at once (``run_batch``): the rejective one's acceptance ladder is -inf
+until the horizon's row, which ends its last stage with a ladder of
++inf.  The batch reads its rows in lockstep: a source,
 ``take(ids)``, the one way rows reach the loop, hands out one block for
 every undecided trial, and each round runs a stage of every trial with a
 crossing left in that block.
@@ -40,16 +41,16 @@ class Decisions(NamedTuple):
     """Terminal decisions of a batch of trials: one (trials, J) array each.
 
     Row i, column s is stream s of trial i: whether it was rejected (else
-    accepted), its decision step, the cumulative boundary rank its
+    accepted), its decision step and the cumulative boundary rank its
     statistic crossed (for truncation acceptances, the ascending rank among
-    the streams accepted together at the horizon) and whether it was
-    accepted at the truncation horizon.
+    the streams accepted together at the horizon).  A rejective trial's
+    truncated streams are the accepted ones: it accepts only at its
+    horizon.
     """
 
     rejected: np.ndarray  # bool
     step: np.ndarray  # int64
     level: np.ndarray  # int64
-    truncated: np.ndarray  # bool
 
 
 @dataclass(frozen=True)
@@ -154,11 +155,12 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
     level, in the statistic's units (``sprt.check_ladders``).  Exactly one
     of ``a`` and ``n_bar`` is given: ``a`` runs the open-ended procedure
     until every stream is decided; ``n_bar`` runs the rejective one, whose
-    stages only reject and which reads no further than ``n_bar`` rows.  If
-    the horizon arrives, every still-active stream is accepted there with
-    ``truncated`` set and levels by ascending order of the final
-    statistics, in one last stage; ``n_bar = 1`` is a one-shot step-down
-    test.
+    stages only reject and which reads no further than ``n_bar`` rows.
+    Row ``n_bar`` ends a last stage for every trial still undecided: its
+    acceptance ladder is +inf there, so the top block is rejected against
+    ``b`` as at any row and the bottom block takes every other active
+    stream, levels by ascending statistic; ``n_bar = 1`` is a one-shot
+    step-down test.
 
     Each block is read once, for every undecided trial, and only that
     block is held, with the trials' active streams and continuation
@@ -173,15 +175,16 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
     with ``size`` active streams and ``r`` prior rejections gets cumulative
     level ``r + size - pos + 1``; an accepted one at bottom position
     ``pos`` with ``c`` prior acceptances gets ``c + pos``.  Ties order by
-    stream index.  Returns one ``Decisions`` row per trial, in index order;
-    each trial decides as it would alone.  A block with no rows fails
-    every undecided trial at once with DataUnderrunError, and the first
-    of them in index order is raised, as a loop over the trials one at a
-    time would raise it; its ``state`` holds the procedure state (stage,
-    step of the last stage, r, c, active streams and decisions so far).
-    ``tally`` (a Counter), when given, gains the work counts: trials,
-    stages, statistic rows and blocks read, and decision steps (summed
-    over streams).
+    stream index.  Every stage decides a stream and no two stages share a
+    step, so a trial's stages are its distinct decision steps.  Returns
+    one ``Decisions`` row per trial, in index order; each trial decides as
+    it would alone.  A block with no rows fails every undecided trial at
+    once with DataUnderrunError, and the first of them in index order is
+    raised, as a loop over the trials one at a time would raise it; its
+    ``state`` holds the procedure state (stage, step of the last stage, r,
+    c, active streams and decisions so far).  ``tally`` (a Counter), when
+    given, gains the work the decisions do not tell: statistic rows and
+    blocks read (``work_counts``).
     """
     if (a is None) == (n_bar is None):
         raise ValueError("give exactly one of a (open-ended) and n_bar (rejective)")
@@ -192,25 +195,16 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
     b_of = b.tolist() + [np.inf]  # b[r]; r == j once every stream is rejected
     a_of = a.tolist() + [-np.inf]  # a[c]; c == j once every stream is accepted
     # per trial: its streams' decisions (step 0: undecided), flat at
-    # i * j + s so that a batch makes four lists, not four per trial, for the
-    # garbage collector to track; r, c and stages done; j - r - c streams
-    # are active
-    rejected, truncated = [False] * (trials * j), [False] * (trials * j)
-    step, level = [0] * (trials * j), [0] * (trials * j)
-    r, c, stages = [0] * trials, [0] * trials, [0] * trials
+    # i * j + s so that a batch makes three lists, not three per trial, for
+    # the garbage collector to track; r and c; j - r - c streams are active
+    rejected, step, level = [False] * (trials * j), [0] * (trials * j), [0] * (trials * j)
+    r, c = [0] * trials, [0] * trials
     done = 0  # rows read before the current block
     # the undecided trials; row k of the arrays below is live[k]'s
     live = list(range(trials))
     act = np.ones((trials, j), bool)
     hi = np.full(trials, b_of[0])
     lo = np.full(trials, a_of[0])
-
-    def ranked_rows(ks, offs):
-        """Each trial's row and its streams ranked: active ones first by
-        statistic, ties by stream index, then the inactive ones."""
-        vals = block[ks, offs]
-        return vals.tolist(), np.lexsort((vals, ~act[ks]), axis=1).tolist()
-
     while live:
         block = take(np.array(live))
         width = block.shape[1]
@@ -222,17 +216,18 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
             # in index order fails with its state
             i, active = live[0], np.flatnonzero(act[0]).tolist()
             at = i * j
+            steps = step[at : at + j]
             raise DataUnderrunError(
                 f"streams {active} exhausted at step {done} before any decision "
                 f"boundary was crossed",
-                state={"stage": stages[i] + 1, "step": max(step[at : at + j]), "r": r[i],
+                state={"stage": len(set(steps) - {0}) + 1, "step": max(steps), "r": r[i],
                        "c": c[i], "active": active, "decisions": [
                            {"stream": s, "action": "reject" if rejected[at + s] else "accept",
-                            "step": step[at + s], "level": level[at + s],
-                            "truncated": truncated[at + s]}
-                           for s in range(j) if step[at + s]]},
+                            "step": steps[s], "level": level[at + s]}
+                           for s in range(j) if steps[s]]},
             )
         stop = width if n_bar is None else min(width, n_bar - done)
+        horizon = done + stop == n_bar  # row n_bar is the last row this block scans
         # rows of the block each trial has scanned, and the trials that may
         # still cross in it
         scan = [0] * len(live)
@@ -246,22 +241,29 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
             out = (seg >= hi[sel, None, None]) | (seg <= lo[sel, None, None])
             out &= act[sel, None, :]
             rows = out.any(axis=2)
+            if horizon:
+                rows[:, -1] = True
             rows &= np.arange(first, stop) >= np.array([scan[k] for k in ks])[:, None]
             hit = rows.any(axis=1).tolist()
             exits = rows.argmax(axis=1).tolist()
             hits = [k for k, x in zip(ks, hit) if x]
             offs = [first + e for e, x in zip(exits, hit) if x]
-            for k, vals, ranks, off in zip(hits, *ranked_rows(hits, offs), offs):
+            # each exit row with its streams ranked: active ones first by
+            # statistic, ties by stream index, then the inactive ones
+            vals = block[hits, offs]
+            ranked = np.lexsort((vals, ~act[hits]), axis=1).tolist()
+            for k, row, ranks, off in zip(hits, vals.tolist(), ranked, offs):
                 i = live[k]
                 sz, at_step = j - r[i] - c[i], done + off + 1
                 # the top block: the statistic t places from the top clears b[r + t]
                 t_rej = 0
-                while t_rej < sz and vals[ranks[sz - 1 - t_rej]] >= b_of[r[i] + t_rej]:
+                while t_rej < sz and row[ranks[sz - 1 - t_rej]] >= b_of[r[i] + t_rej]:
                     t_rej += 1
                 # the bottom block: the statistic p places from the bottom
-                # stays at or below a[c + p], short of the rejected ones
-                t_acc = 0
-                while t_acc < sz - t_rej and vals[ranks[t_acc]] <= a_of[c[i] + t_acc]:
+                # stays at or below a[c + p], short of the rejected ones; at
+                # the horizon the ladder is +inf and takes them all
+                t_acc = sz - t_rej if at_step == n_bar else 0
+                while t_acc < sz - t_rej and row[ranks[t_acc]] <= a_of[c[i] + t_acc]:
                     t_acc += 1
                 at = i * j
                 for p, s in enumerate(ranks[sz - t_rej : sz], sz - t_rej):
@@ -272,44 +274,33 @@ def run_batch(take, trials: int, a, b, n_bar: int | None = None, *,
                     act[k, s] = False
                 r[i] += t_rej
                 c[i] += t_acc
-                stages[i] += 1
                 hi[k], lo[k] = b_of[r[i]], a_of[c[i]]
                 scan[k] = off + 1
             ks = [k for k in hits if r[live[k]] + c[live[k]] < j and scan[k] < stop]
         keep = [k for k, i in enumerate(live) if r[i] + c[i] < j]
-        if keep and done + stop == n_bar:
-            # horizon reached: accept the rest, ranked by final statistic
-            _, order = ranked_rows(keep, [stop - 1] * len(keep))
-            for k, ranks in zip(keep, order):
-                i = live[k]
-                at = i * j
-                for p, s in enumerate(ranks[: j - r[i] - c[i]]):
-                    step[at + s], level[at + s], truncated[at + s] = n_bar, p + 1, True
-                stages[i] += 1
-            keep = []
         if len(keep) < len(live):
             live = [live[k] for k in keep]
             act, hi, lo = act[keep], hi[keep], lo[keep]
         done += width
-    decisions = Decisions(*(np.array(field, dtype).reshape(trials, j) for field, dtype in
-                            ((rejected, bool), (step, np.int64), (level, np.int64),
-                             (truncated, bool))))
-    if tally is not None:
-        tally["trials"] += trials
-        tally["stages"] += sum(stages)
-        tally["decision_steps"] += int(decisions.step.sum())
-    return decisions
+    return Decisions(*(np.array(field, dtype).reshape(trials, j) for field, dtype in
+                       ((rejected, bool), (step, np.int64), (level, np.int64))))
 
 
-def work_counts(tally: Counter) -> dict:
+def work_counts(decisions: Decisions, tally: Counter) -> dict:
     """A run's engine counters as reported: per-trial stages and the totals.
 
+    ``decisions`` are the run's trials and ``tally`` the rows and blocks
+    ``run_batch`` read for them.  A trial's stages are its distinct
+    decision steps; ``decision_steps`` sums the steps over streams, and
     ``path_extensions`` counts the blocks read after each trial's first.
     """
+    step = np.sort(decisions.step, axis=1)
+    trials = step.shape[0]
+    stages = trials + np.count_nonzero(np.diff(step, axis=1))
     return {
-        "trials": tally["trials"],
-        "stages_per_trial": tally["stages"] / tally["trials"],
+        "trials": trials,
+        "stages_per_trial": stages / trials,
         "matrix_rows": tally["matrix_rows"],
-        "decision_steps": tally["decision_steps"],
-        "path_extensions": tally["path_blocks"] - tally["trials"],
+        "decision_steps": int(step.sum()),
+        "path_extensions": tally["path_blocks"] - trials,
     }

@@ -275,7 +275,7 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
     tally = Counter()
     decisions = run_batch(take, 1, crit.a, crit.b, tally=tally)
     if counters is not None:
-        counters.update(work_counts(tally))
+        counters.update(work_counts(decisions, tally))
 
     rows = tuple(
         sorted(
@@ -285,9 +285,9 @@ def run_monitoring(config: ExperimentConfig, *, horizon: int = 1000,
                     action="reject" if rejected else "accept",
                     termination_step=step,
                     termination_level=level,
-                    truncated=truncated,
+                    truncated=False,  # the open-ended monitor never truncates
                 )
-                for record, rejected, step, level, truncated
+                for record, rejected, step, level
                 in zip(top, *(field[0].tolist() for field in decisions))
             ),
             key=lambda row: (row.action, row.termination_step, row.drug),

@@ -193,29 +193,24 @@ def step_down(mat, a, b, n_bar=None):
     are ordered by statistic, ties by stream index; the top block takes
     the statistic t places from the top while it clears ``b[r + t]``, and
     the bottom block the one p places from the bottom while it stays at
-    or below ``a[c + p]``, short of the top block.  A row where both
-    blocks are empty is no stage.  Returns the trial's ``(rejected, step,
-    level, truncated)`` lists; rows that run out first raise
-    DataUnderrunError with the state the package reports.
+    or below ``a[c + p]``, short of the top block.  The rejective
+    procedure has no bottom block before row ``n_bar`` and there takes
+    every stream the top block leaves.  A row where both blocks are empty
+    is no stage.  Returns the trial's ``(rejected, step, level)`` lists;
+    rows that run out first raise DataUnderrunError with the state the
+    package reports.
     """
     mat = np.asarray(mat, dtype=float)
     j = mat.shape[1]
-    rejected, truncated = [False] * j, [False] * j
-    step, level = [0] * j, [0] * j
+    rejected, step, level = [False] * j, [0] * j, [0] * j
     active = list(range(j))
     r = c = stages = last = t = 0
     while active:
-        if t == n_bar:
-            # the horizon: accept the rest, ranked by final statistic
-            row = mat[t - 1].tolist()
-            for p, s in enumerate(sorted(active, key=lambda s: (row[s], s))):
-                step[s], level[s], truncated[s] = t, p + 1, True
-            break
         if t == len(mat):
             raise DataUnderrunError("rows ran out", state={
                 "stage": stages + 1, "step": last, "r": r, "c": c, "active": active,
                 "decisions": [{"stream": s, "action": "reject" if rejected[s] else "accept",
-                               "step": step[s], "level": level[s], "truncated": truncated[s]}
+                               "step": step[s], "level": level[s]}
                               for s in range(j) if step[s]],
             })
         row = mat[t].tolist()
@@ -224,7 +219,7 @@ def step_down(mat, a, b, n_bar=None):
         top = 0
         while top < len(order) and row[order[-1 - top]] >= b[r + top]:
             top += 1
-        bottom = 0
+        bottom = len(order) - top if t == n_bar else 0
         while a is not None and bottom < len(order) - top and row[order[bottom]] <= a[c + bottom]:
             bottom += 1
         if not top + bottom:
@@ -236,7 +231,7 @@ def step_down(mat, a, b, n_bar=None):
             step[order[k]], level[order[k]] = t, c + k + 1
         r, c, stages, last = r + top, c + bottom, stages + 1, t
         active = [s for s in active if not step[s]]
-    return rejected, step, level, truncated
+    return rejected, step, level
 
 
 def race_by_step(rows, horizon):

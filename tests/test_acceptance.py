@@ -308,10 +308,15 @@ def test_08_pfdr_control(record):
     assert ok, line
 
 
-def _by_stream(result):
-    """Per stream of a one-trial result: (action, step, level, truncated)."""
-    return [("reject" if rejected else "accept", step, level, truncated)
-            for rejected, step, level, truncated in zip(*(f[0].tolist() for f in result))]
+def _by_stream(result, n_bar=None):
+    """Per stream of a one-trial result: (action, step, level, truncated).
+
+    A stream is truncated when it is accepted at the rejective horizon
+    ``n_bar``.
+    """
+    return [("reject" if rejected else "accept", step, level,
+             not rejected and step == n_bar)
+            for rejected, step, level in zip(*(f[0].tolist() for f in result))]
 
 
 def test_09_procedure_hand_traces(record):
@@ -326,13 +331,13 @@ def test_09_procedure_hand_traces(record):
         a=None, b=np.array([2.0, 1.0]), n_bar=3,
     )
     # accepted at the horizon, levels by ascending final statistic
-    ok = ok and _by_stream(trunc) == [("accept", 3, 2, True), ("accept", 3, 1, True)]
+    ok = ok and _by_stream(trunc, 3) == [("accept", 3, 2, True), ("accept", 3, 1, True)]
 
     stages = run_batch(
         MatrixSource([[[2.5, 0.1], [np.nan, 1.3]]]), 1,
         a=None, b=np.array([2.0, 1.0]), n_bar=5,
     )
-    ok = ok and _by_stream(stages) == [("reject", 1, 1, False), ("reject", 2, 2, False)]
+    ok = ok and _by_stream(stages, 5) == [("reject", 1, 1, False), ("reject", 2, 2, False)]
     line = record(9, "hand-traced procedure semantics", ok,
                   "dual-crossing, truncation-accept and two-stage traces exact"
                   if ok else "a trace diverged from its worked decisions")

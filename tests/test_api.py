@@ -1,6 +1,7 @@
 """Public surface: exported names resolve, modules keep out of each other's
 private names and of the model family, importing the package leaves
-scipy.stats and scipy.optimize out, and the README quick start runs."""
+scipy.stats and scipy.optimize out, the README quick start runs, and no
+source, test or script imports a name it never uses."""
 
 import ast
 import importlib
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import seqfdr
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_exports_resolve_and_quick_start_runs(capsys):
@@ -72,3 +74,25 @@ def test_start_up_leaves_scipy_stats_and_optimize_unimported():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_file_imports_a_name_it_never_uses():
+    # a name an import binds must be read in its file, or listed in its
+    # __all__ (a re-export); ``from __future__`` imports bind no name
+    offences = []
+    for path in sorted(p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update((a.asname or a.name, node.lineno) for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        offences += [f"{path.relative_to(ROOT)}:{line} {name}"
+                     for name, line in bound.items() if name not in used]
+    assert not offences, offences

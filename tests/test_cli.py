@@ -502,7 +502,7 @@ class TestYellowcard:
         timings = json.loads((out / "yellowcard_timings.json").read_text())
         steps = sum(int(r["termination_step"]) for r in rows)
         assert timings["trials"] == 1 and timings["decision_steps"] == steps
-        assert timings["stages_per_trial"] >= len({r["termination_step"] for r in rows})
+        assert timings["stages_per_trial"] == len({r["termination_step"] for r in rows})
         assert timings["matrix_rows"] >= max(int(r["termination_step"]) for r in rows)
         assert timings["path_extensions"] >= 0
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqfdr.calibrate import truncated_critical_values
 from seqfdr.core import bh_steps, scale_for_fdr
@@ -42,10 +42,15 @@ def _rejective(paths, b, n_bar):
     return run_batch(MatrixSource([paths]), 1, None, b, n_bar)
 
 
-def _by_stream(result):
-    """Per stream of a one-trial result: (action, step, level, truncated)."""
-    return [("reject" if rejected else "accept", step, level, truncated)
-            for rejected, step, level, truncated in zip(*(f[0].tolist() for f in result))]
+def _by_stream(result, n_bar=None):
+    """Per stream of a one-trial result: (action, step, level, truncated).
+
+    A stream is truncated when it is accepted at the rejective horizon
+    ``n_bar``.
+    """
+    return [("reject" if rejected else "accept", step, level,
+             not rejected and step == n_bar)
+            for rejected, step, level in zip(*(f[0].tolist() for f in result))]
 
 
 def _same(x, y):
@@ -67,7 +72,7 @@ class TestOpenEndedHandTraces:
         d = _by_stream(result)
         assert d[0] == ("reject", 2, 1, False)
         assert d[1] == ("accept", 2, 1, False)
-        assert [f.dtype for f in result] == [bool, np.int64, np.int64, bool]
+        assert [f.dtype for f in result] == [bool, np.int64, np.int64]
         assert all(f.shape == (1, 2) for f in result)
         assert result.step.max() == 2
         assert result.step.sum() == 4
@@ -163,8 +168,7 @@ class TestOpenEndedValidation:
         assert set(state) == STATE_KEYS
         decided = state["decisions"]
         assert state["stage"] >= 2 and 0 < len(decided) < 10
-        assert all(set(d) == {"stream", "action", "step", "level", "truncated"}
-                   for d in decided)
+        assert all(set(d) == {"stream", "action", "step", "level"} for d in decided)
         assert sorted(state["active"] + [d["stream"] for d in decided]) == list(range(10))
         assert state["r"] == sum(d["action"] == "reject" for d in decided)
         assert state["c"] == sum(d["action"] == "accept" for d in decided)
@@ -197,7 +201,7 @@ class TestRunBatchArguments:
         d = _by_stream(_open(up, a=np.array([-np.inf, -np.inf]), b=np.array([2.0, 1.0])))
         assert d == [("reject", 2, 1, False), ("reject", 2, 2, False)]
         mat = _sources([0.5, 2.5], [-0.3, -2.5])
-        d = _by_stream(_rejective(mat, b=np.array([np.inf, np.inf]), n_bar=2))
+        d = _by_stream(_rejective(mat, b=np.array([np.inf, np.inf]), n_bar=2), 2)
         assert d == [("accept", 2, 2, True), ("accept", 2, 1, True)]
 
 
@@ -208,7 +212,7 @@ class TestRunBatchArguments:
         result = run_batch(MatrixSource(np.empty((0, 1, 2))), 0, a if n_bar is None else None,
                            b, n_bar)
         assert [(f.shape, f.dtype) for f in result] == [
-            ((0, 2), np.dtype(t)) for t in (bool, np.int64, np.int64, bool)]
+            ((0, 2), np.dtype(t)) for t in (bool, np.int64, np.int64)]
         with pytest.raises(ValueError, match="cannot summarize zero trials"):
             summarize(result, [True, False])
 
@@ -220,7 +224,7 @@ class TestRejectiveHandTraces:
             b=np.array([2.0, 1.0]),
             n_bar=3,
         )
-        d = _by_stream(result)
+        d = _by_stream(result, 3)
         # truncation levels rank the final statistics ascending
         assert d[0] == ("accept", 3, 2, True)
         assert d[1] == ("accept", 3, 1, True)
@@ -231,7 +235,7 @@ class TestRejectiveHandTraces:
             b=np.array([2.0, 1.0]),
             n_bar=5,
         )
-        d = _by_stream(result)
+        d = _by_stream(result, 5)
         assert d[0] == ("reject", 1, 1, False)
         assert d[1] == ("reject", 2, 2, False)
 
@@ -241,7 +245,7 @@ class TestRejectiveHandTraces:
             b=np.array([3.0, 2.0, 1.0]),
             n_bar=1,
         )
-        d = _by_stream(result)
+        d = _by_stream(result, 1)
         assert d[0] == ("reject", 1, 1, False)
         assert d[1] == ("accept", 1, 2, True)
         assert d[2] == ("accept", 1, 1, True)
@@ -252,29 +256,28 @@ class TestRejectiveHandTraces:
             b=np.array([2.0, 1.0]),
             n_bar=2,
         )
-        d = _by_stream(result)
+        d = _by_stream(result, 2)
         assert d[0] == ("reject", 2, 1, False)
         assert d[1] == ("accept", 2, 1, True)
 
-    def test_truncation_after_a_stage_at_the_horizon_is_a_stage(self):
-        # stage 1 rejects stream 0 at step 2 = n_bar and stage 2 accepts
-        # stream 1 there: two stages at one step
+    def test_horizon_rejects_and_truncates_in_one_stage(self):
+        # row 2 = n_bar rejects stream 0 against b and accepts stream 1
+        # against the horizon's +inf ladder, in one stage
         paths = _sources([0.5, 2.2], [0.1, 0.3])
         tally = Counter()
         result = run_batch(MatrixSource([paths]), 1, None, np.array([2.0, 1.0]),
                            n_bar=2, tally=tally)
-        assert set(result.step[0].tolist()) == {2}
-        assert tally == Counter(trials=1, stages=2, matrix_rows=2, path_blocks=1,
-                                decision_steps=4)
-        assert work_counts(tally) == {"trials": 1, "stages_per_trial": 2.0, "matrix_rows": 2,
-                                      "decision_steps": 4, "path_extensions": 0}
+        assert _by_stream(result, 2) == [("reject", 2, 1, False), ("accept", 2, 1, True)]
+        assert tally == Counter(matrix_rows=2, path_blocks=1)
+        assert work_counts(result, tally) == {"trials": 1, "stages_per_trial": 1.0,
+                                              "matrix_rows": 2, "decision_steps": 4,
+                                              "path_extensions": 0}
 
     def test_rejections_never_flagged_truncated(self):
         result = _rejective(
             _sources([2.5], [1.5]), b=np.array([2.0, 1.0]), n_bar=4
         )
-        assert all(not truncated for action, _, _, truncated in _by_stream(result)
-                   if action == "reject")
+        assert _by_stream(result, 4) == [("reject", 1, 1, False), ("reject", 1, 2, False)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -293,7 +296,7 @@ class TestRejectiveHandTraces:
         paths = cumulative_llr(model, np.cumsum(obs, axis=0), np.arange(1, 51)[:, None])
         assert paths[12, 0] == b[0] and paths[:12, 0].max() < b[0]
         assert np.cumsum(llr_increments(model, obs[:13, 0]))[-1] < b[0]
-        d = _by_stream(_rejective(paths, b, n_bar=50))
+        d = _by_stream(_rejective(paths, b, n_bar=50), 50)
         assert d[0] == ("reject", 13, 1, False)
         assert all(truncated and step == 50 for _, step, _, truncated in d[1:])
 
@@ -338,22 +341,22 @@ class TestRandomizedInvariants:
             paths = [np.cumsum(rng.normal(0.0, 2.0, size=n_bar)) for _ in range(j)]
             result = _rejective(_sources(*paths), b, n_bar)
             assert _same(result, _rejective(_sources(*paths), b, n_bar))
-            for stream, (action, step, level, truncated) in enumerate(_by_stream(result)):
+            for stream, (action, step, level, truncated) in enumerate(_by_stream(result, n_bar)):
                 assert step <= n_bar
                 if action == "reject":
-                    assert not truncated
                     assert paths[stream][step - 1] >= b[level - 1]
                 else:
-                    assert truncated and step == n_bar
+                    assert truncated
 
     @settings(max_examples=80, deadline=None)
     @given(j=st.integers(1, 6), n=st.integers(1, 40), cut=st.integers(0, 40),
            seed=st.integers(0, 2**32 - 1), rejective=st.booleans())
     def test_every_stage_decides(self, j, n, cut, seed, rejective):
-        # a stage ends where an active statistic leaves the interval: the top
-        # one clears b[r] or the bottom one is at or below a[c], so every
-        # stage decides a stream, stages land on distinct steps (the
-        # rejective horizon's truncation apart) and a trial has at most J
+        # a stage ends where an active statistic leaves the interval (the
+        # top one clears b[r] or the bottom one is at or below a[c]) or at
+        # the rejective horizon; rebuilt from the decisions, those rows are
+        # exactly the decision steps, so every stage decides a stream, no
+        # two share a step and a trial has at most J
         rng = np.random.default_rng(seed)
         a, b = self._grid(j)
         mat = np.cumsum(rng.integers(-2, 3, size=(n, j)), axis=0).astype(float)
@@ -362,9 +365,18 @@ class TestRandomizedInvariants:
         n_bar = max(1, n + 1 - cut) if rejective else None
         result = run_batch(MatrixSource([mat]), 1, None if rejective else a, b, n_bar,
                            tally=tally)
-        assert tally["stages"] == len(set(zip(result.step[0].tolist(),
-                                              result.truncated[0].tolist())))
-        assert work_counts(tally)["stages_per_trial"] <= j
+        rejected, step = result.rejected[0], result.step[0]
+        a_of = [-np.inf] * (j + 1) if rejective else a.tolist() + [-np.inf]
+        b_of = b.tolist() + [np.inf]
+        exits = set()
+        for t in range(1, step.max() + 1):
+            before = step < t
+            r, c = np.count_nonzero(before & rejected), np.count_nonzero(before & ~rejected)
+            row = mat[t - 1, ~before]
+            if t == n_bar or (row >= b_of[r]).any() or (row <= a_of[c]).any():
+                exits.add(t)
+        assert exits == set(step.tolist())
+        assert work_counts(result, tally)["stages_per_trial"] == len(exits) <= j
 
     def test_block_size_irrelevant(self):
         # the matrix read on demand in row blocks of any size decides like the whole
@@ -396,20 +408,25 @@ class TestRandomizedInvariants:
             batch = run_batch(take, trials, None, b, n_bar, tally=tally)
             alone = [_rejective(m, b, n_bar) for m in mats]
         assert _same(batch, _stack(alone))
-        assert tally["trials"] == trials
-        assert tally["decision_steps"] == sum(t.step.sum() for t in alone)
         assert tally["path_blocks"] == sum(take.read)
-        assert tally["stages"] >= sum(len(set(t.step[0].tolist())) for t in alone)
+        counts = work_counts(batch, tally)
+        assert counts["trials"] == trials
+        assert counts["decision_steps"] == sum(t.step.sum() for t in alone)
+        assert counts["stages_per_trial"] * trials == sum(len(set(t.step[0].tolist()))
+                                                          for t in alone)
 
 
 class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(j=st.integers(1, 6), trials=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
            rejective=st.booleans())
+    @example(j=4, trials=3, seed=36, rejective=True)
     def test_batch_matches_per_stage_reference(self, j, trials, seed, rejective):
         # integer paths tie with each other and with the integer ladders;
         # the trials' rows, all of one length, come in blocks of random
-        # sizes, and without a decisive last row a trial may run out of rows
+        # sizes, and without a decisive last row a trial may run out of rows.
+        # The example's trials reach the horizon, and one of them rejects
+        # and accepts there in one stage
         rng = np.random.default_rng(seed)
         b = -np.sort(-rng.integers(1, 7, size=j)).astype(float)
         a = None if rejective else np.sort(rng.integers(-6, 2, size=j)).astype(float)
@@ -460,7 +477,7 @@ class TestSummarize:
         rejected = np.array([[s in streams for s in range(j)] for streams in reject_streams],
                             bool).reshape(len(reject_streams), j)
         ones = np.ones(rejected.shape, np.int64)
-        return Decisions(rejected, step * ones, ones, np.zeros_like(rejected))
+        return Decisions(rejected, step * ones, ones)
 
     def test_worked_example(self):
         j = 5
@@ -535,7 +552,6 @@ class TestSummarize:
         step = np.array(data.draw(st.lists(steps, min_size=len(rejected),
                                            max_size=len(rejected))), np.int64)
         order = np.array(data.draw(st.permutations(range(len(rejected)))))
-        decisions = Decisions(rejected[order], step[order], np.ones_like(step),
-                              np.zeros_like(rejected))
+        decisions = Decisions(rejected[order], step[order], np.ones_like(step))
         truth = data.draw(st.lists(st.booleans(), min_size=j, max_size=j))
         assert summarize(decisions, truth) == summarize_per_trial(decisions, truth)
