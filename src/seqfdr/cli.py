@@ -9,12 +9,14 @@ monitoring experiment).
 Each experiment command reads its JSON configuration into a dataclass
 (``SimulationConfig``, ``FssConfig``, ``YellowcardConfig``) whose fields
 give the settable names, their types and their defaults, and its report
-records the resolved dataclass.  Every experiment command is
-deterministic given its resolved configuration and seed: rerunning
-overwrites the primary report files with identical bytes.  Wall-clock
-timings go to a separate timings file so diffs stay clean.  Exit codes:
-0 success, 2 configuration error, 3 data error, 4 internal numerical
-failure.
+records the resolved dataclass; ``yellowcard``'s fields are checked by
+``yellowcard.ExperimentConfig`` once the drug table is read.  Every
+experiment command is deterministic given its resolved configuration and
+seed: rerunning overwrites the primary report files with identical bytes.
+Wall-clock timings go to a separate timings file so diffs stay clean.
+Exit codes: 0 success, 2 configuration error (an unreadable config file
+or ``--out`` included), 3 data error (an unreadable, undecodable or empty
+drug table included), 4 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from . import __version__
 from .calibrate import truncated_critical_values
 from .core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
 from .datagen import POISSON_RATE_LIMIT, CopulaConfig, CountBlocks, Toeplitz
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, DrugTableError, NumericalError
 from .fixed_sample import find_matching_fss
 from .procedures import Decisions, run_batch, summarize, work_counts
 from .sprt import SimpleModel, cumulative_llr, stepdown_critical_values
@@ -65,9 +67,9 @@ def _load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path} ({exc.strerror})") from exc
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -196,7 +198,8 @@ class YellowcardConfig:
 
     ``p_h``/``p_g`` default to the drug table's percentiles and ``top_n``
     to the whole table; ``seed`` drives the correlation draw and the
-    streams.
+    streams.  Only the rules the table cannot settle are checked here;
+    ``yellowcard.ExperimentConfig`` checks the rest once the table is read.
     """
 
     q1: float = 0.05
@@ -208,16 +211,8 @@ class YellowcardConfig:
     horizon: int = 1000
 
     def __post_init__(self):
-        for name in ("q1", "q2"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ConfigError(f"config.{name}: must lie in (0, 1), got {getattr(self, name)}")
         if (self.p_h is None) != (self.p_g is None):
             raise ConfigError("config.p_h/p_g: override both thresholds or neither")
-        if self.p_h is not None and not 0.0 < self.p_h < self.p_g < 1.0:
-            raise ConfigError(f"config.p_h/p_g: need 0 < p_h < p_g < 1, got p_h={self.p_h}, "
-                              f"p_g={self.p_g}")
-        if self.top_n is not None and self.top_n < 1:
-            raise ConfigError(f"config.top_n: must be >= 1, got {self.top_n}")
         if self.horizon < 1:
             raise ConfigError(f"config.horizon: must be >= 1, got {self.horizon}")
 
@@ -350,7 +345,10 @@ def _report(args, command: str, config: dict, seed: int | None, rows: list[dict]
     to files of their own.
     """
     out = Path(getattr(args, "out", None) or os.environ.get("SEQFDR_OUT") or "runs")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out} ({exc.strerror})") from exc
     digest = _digest(config)
     with open(out / f"{command}_report.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -465,22 +463,18 @@ def cmd_yellowcard(args) -> int:
     raw = _load_json(args.config) if args.config else {}
     config = _parse_config(YellowcardConfig, raw, args.seed)
     records = load_drug_table(args.table)
+    if not records:
+        raise DrugTableError(f"{args.table}: no drug records")
     p_h, p_g = thresholds(records) if config.p_h is None else (config.p_h, config.p_g)
     top_n = len(records) if config.top_n is None else config.top_n
-    if top_n > len(records):
-        raise ConfigError(f"config.top_n: must be at most the table's {len(records)} drugs, "
-                          f"got {top_n}")
+    experiment = ExperimentConfig(records=records, q1=config.q1, q2=config.q2, p_h=p_h,
+                                  p_g=p_g, rho_seed=config.seed, top_n=top_n)
     config = replace(config, p_h=p_h, p_g=p_g, top_n=top_n)
     resolved = {"table": str(args.table), **asdict(config)}
 
     t0 = time.perf_counter()
     counters: dict = {}
-    report = run_monitoring(
-        ExperimentConfig(records=tuple(records), q1=config.q1, q2=config.q2, p_h=p_h,
-                         p_g=p_g, rho_seed=config.seed, top_n=top_n),
-        horizon=config.horizon,
-        counters=counters,
-    )
+    report = run_monitoring(experiment, horizon=config.horizon, counters=counters)
     elapsed = time.perf_counter() - t0
 
     rows = [{"drug": row.drug, "action": row.action, "termination_step": row.termination_step,

@@ -76,6 +76,8 @@ class ExperimentConfig:
     table percentiles from :func:`thresholds`); ``rho_seed`` drives both the
     per-cluster correlation draw and the report streams; ``top_n`` is the
     number of monitored drugs, most-reported first, at most the table's.
+    This is where the monitoring fields are checked, the ``yellowcard``
+    command's included; errors name the field as ``config.<name>``.
     """
 
     records: tuple[DrugRecord, ...]
@@ -90,19 +92,17 @@ class ExperimentConfig:
         object.__setattr__(self, "records", tuple(self.records))
         for name, q in (("q1", self.q1), ("q2", self.q2)):
             if not 0.0 < q < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1), got {q}")
+                raise ConfigError(f"config.{name}: must lie in (0, 1), got {q}")
         if not 0.0 < self.p_h < self.p_g < 1.0:
-            raise ConfigError(
-                f"need 0 < p_h < p_g < 1, got p_h={self.p_h}, p_g={self.p_g}"
-            )
-        if self.top_n < 1:
-            raise ConfigError(f"top_n must be at least 1, got {self.top_n}")
+            raise ConfigError(f"config.p_h/p_g: need 0 < p_h < p_g < 1, got p_h={self.p_h}, "
+                              f"p_g={self.p_g}")
         if not self.records:
-            raise ConfigError("records must be nonempty")
+            raise ConfigError("config.records: must be nonempty")
+        if self.top_n < 1:
+            raise ConfigError(f"config.top_n: must be >= 1, got {self.top_n}")
         if self.top_n > len(self.records):
-            raise ConfigError(
-                f"top_n must be at most the table's {len(self.records)} drugs, got {self.top_n}"
-            )
+            raise ConfigError(f"config.top_n: must be at most the table's {len(self.records)} "
+                              f"drugs, got {self.top_n}")
 
 
 @dataclass(frozen=True)
@@ -135,42 +135,47 @@ class MonitoringReport:
 def load_drug_table(path) -> list[DrugRecord]:
     """Parse a drug report CSV with header name,amnesia_count,other_count,years,cluster.
 
-    Structural problems (missing columns, malformed numbers, a repeated
-    drug name) raise DrugTableError with the file location; rows that
-    parse but violate the record invariants (negative counts, years not
-    finite and positive) are dropped with a logged warning naming the
-    line.  An empty file yields an empty list.
+    A file that cannot be read or is not UTF-8 text, and the structural
+    problems (missing columns, malformed numbers, a repeated drug name),
+    raise DrugTableError with the file location; rows that parse but
+    violate the record invariants (negative counts, years not finite and
+    positive) are dropped with a logged warning naming the line.  An empty
+    file yields an empty list.
     """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DrugTableError(f"{path}: cannot read the table ({exc})") from exc
     records: list[DrugRecord] = []
     first_line: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return records
-        missing = [c for c in _COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise DrugTableError(f"{path}: missing columns {', '.join(missing)}")
-        for row in reader:
-            line = reader.line_num
-            try:
-                name = (row["name"] or "").strip()
-                amnesia = int(row["amnesia_count"].strip())
-                other = int(row["other_count"].strip())
-                years = float(row["years"].strip())
-                cluster = int(row["cluster"].strip())
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise DrugTableError(f"{path}:{line}: malformed row ({exc})") from exc
-            if not name:
-                raise DrugTableError(f"{path}:{line}: empty drug name")
-            if name in first_line:
-                raise DrugTableError(
-                    f"{path}:{line}: drug {name!r} repeats line {first_line[name]}"
-                )
-            first_line[name] = line
-            try:
-                records.append(DrugRecord(name, amnesia, other, years, cluster))
-            except ValueError as exc:
-                logger.warning("%s:%d: rejected record %r: %s", path, line, name, exc)
+    reader = csv.DictReader(lines)
+    if reader.fieldnames is None:
+        return records
+    missing = [c for c in _COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise DrugTableError(f"{path}: missing columns {', '.join(missing)}")
+    for row in reader:
+        line = reader.line_num
+        try:
+            name = (row["name"] or "").strip()
+            amnesia = int(row["amnesia_count"].strip())
+            other = int(row["other_count"].strip())
+            years = float(row["years"].strip())
+            cluster = int(row["cluster"].strip())
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DrugTableError(f"{path}:{line}: malformed row ({exc})") from exc
+        if not name:
+            raise DrugTableError(f"{path}:{line}: empty drug name")
+        if name in first_line:
+            raise DrugTableError(
+                f"{path}:{line}: drug {name!r} repeats line {first_line[name]}"
+            )
+        first_line[name] = line
+        try:
+            records.append(DrugRecord(name, amnesia, other, years, cluster))
+        except ValueError as exc:
+            logger.warning("%s:%d: rejected record %r: %s", path, line, name, exc)
     return records
 
 

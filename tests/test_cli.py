@@ -554,3 +554,37 @@ class TestYellowcard:
         monkeypatch.setenv("SEQFDR_OUT", str(target))
         assert main(["yellowcard", str(FIXTURE), "--config", cfg]) == 0
         assert (target / "yellowcard_report.csv").exists()
+
+
+TABLE_HEADER = b"name,amnesia_count,other_count,years,cluster\n"
+
+
+@pytest.mark.parametrize("argv, content, code", [
+    (["yellowcard", "{bad}", "--seed", "1"], None, 3),
+    (["yellowcard", "{bad}", "--seed", "1"], "directory", 3),
+    (["yellowcard", "{bad}", "--seed", "1"], TABLE_HEADER + b"caf\xe9,1,2,3,0\n", 3),
+    (["yellowcard", "{bad}", "--seed", "1"], TABLE_HEADER, 3),
+    (["yellowcard", "{bad}", "--config", "{thresholds}"], TABLE_HEADER, 3),
+    (["simulate", "--config", "{bad}"], "directory", 2),
+    (["simulate", "--config", "{bad}"], b'{"seed": \xff}', 2),
+    (["verify-lp", "--j-max", "2", "--out", "{bad}"], b"kept\n", 2),
+], ids=["missing-table", "directory-table", "undecodable-table", "empty-table",
+        "empty-table-thresholds-set", "directory-config", "undecodable-config", "out-is-a-file"])
+def test_unusable_input_exits_with_its_code(tmp_path, capsys, argv, content, code):
+    # an input path the command cannot read or use (None: it does not
+    # exist) exits with its documented code, names the path and writes
+    # nothing under --out
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    if content == "directory":
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
+    thresholds = write_config(tmp_path, {"p_h": 0.05, "p_g": 0.1, "seed": 1})
+    argv = [arg.format(bad=bad, thresholds=thresholds) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    assert main(argv) == code
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+    if content not in (None, "directory"):
+        assert bad.read_bytes() == content

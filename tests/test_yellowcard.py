@@ -165,27 +165,31 @@ class TestExperimentConfig:
         assert cfg.records[0].name == "a"
 
     def test_threshold_order_enforced(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"config\.p_h/p_g: need 0 < p_h < p_g < 1, "
+                                              r"got p_h=0\.1, p_g=0\.05"):
             self.make(p_h=0.10, p_g=0.05)
 
     def test_q_range(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"config\.q1: must lie in \(0, 1\), got 0\.0"):
             self.make(q1=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"config\.q2: must lie in \(0, 1\), got 1\.0"):
             self.make(q2=1.0)
 
     def test_top_n_positive(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"config\.top_n: must be >= 1, got 0"):
             self.make(top_n=0)
 
     def test_top_n_at_most_table(self):
         assert self.make(top_n=2).top_n == 2
-        with pytest.raises(ConfigError, match="top_n"):
+        with pytest.raises(ConfigError,
+                           match=r"config\.top_n: must be at most the table's 2 drugs, got 3"):
             self.make(top_n=3)
 
     def test_records_nonempty(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(records=(), **self.BASE)
+        # the records are checked before top_n, whose bound they set
+        for top_n in (0, 2):
+            with pytest.raises(ConfigError, match=r"config\.records: must be nonempty"):
+                ExperimentConfig(records=(), **dict(self.BASE, top_n=top_n))
 
 
 def config_for(records, **overrides):
