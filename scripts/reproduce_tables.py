@@ -64,13 +64,21 @@ def run_benchmark(summaries, args) -> None:
               f" {res.fnr_se:8.4f} {savings:8.1%}")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, default=10_000,
+    parser.add_argument("--reps", type=positive_int, default=10_000,
                         help="Monte Carlo replicates per cell (default 10000)")
     parser.add_argument("--seed", type=int, default=20260823)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="process count for the simulation cells")
+    parser.add_argument("--workers", type=positive_int, default=1,
+                        help="cap on the pool that runs each cell's trial batches "
+                             "(default 1: in process)")
     args = parser.parse_args()
 
     t0 = time.time()

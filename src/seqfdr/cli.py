@@ -32,6 +32,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields as dataclass_fields, replace
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -236,65 +237,60 @@ _TRIAL_BATCH = 256
 
 def _trials_for_range(config: SimulationConfig, a, b, start: int, stop: int
                       ) -> tuple[Decisions, Counter]:
-    """Run trials [start, stop); per-trial seeds make chunking irrelevant.
+    """Decisions and engine counters of trials [start, stop), one ``run_batch``.
 
-    Trial t draws from child ``(t,)`` of ``SeedSequence(config.seed)``,
-    open-ended trials up to ``horizon`` steps and rejective ones (``a``
-    None) up to ``n_bar``; an open-ended config's ``n_bar`` is ignored.
-    Every stream shares one model, so the procedure compares raw LLRs with
-    the raw boundaries ``a``/``b``.  The trials run in batches of
-    ``_TRIAL_BATCH`` through ``run_batch``.  Returns the trials' decisions
-    and the engine's counters.
+    Trial t draws from child ``(t,)`` of ``SeedSequence(config.seed)``, so
+    the split into ranges does not matter; open-ended trials run up to
+    ``horizon`` steps and rejective ones (``a`` None) up to ``n_bar``; an
+    open-ended config's ``n_bar`` is ignored.  Every stream shares one
+    model, so the procedure compares raw LLRs with the raw boundaries
+    ``a``/``b``.  ``_run_trials`` keeps a range within ``_TRIAL_BATCH``.
     """
     model, marginals, _ = _sim_pieces(config)
     n_bar = None if a is not None else config.n_bar
     horizon = config.horizon if n_bar is None else n_bar
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(t,)))
+            for t in range(start, stop)]
+    blocks = CountBlocks(_copula(config), [marginals], horizon=horizon, rngs=rngs)
+
+    def take(ids):
+        n, totals = blocks.take(ids)
+        # a scalar stream's trial total is its step number
+        return cumulative_llr(model, totals[:, :, 0], n[:, None])
+
     tally = Counter()
-    parts = []
-    for lo in range(start, stop, _TRIAL_BATCH):
-        hi = min(lo + _TRIAL_BATCH, stop)
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(t,)))
-                for t in range(lo, hi)]
-        blocks = CountBlocks(_copula(config), [marginals], horizon=horizon, rngs=rngs)
-
-        def take(ids, blocks=blocks):
-            n, totals = blocks.take(ids)
-            # a scalar stream's trial total is its step number
-            return cumulative_llr(model, totals[:, :, 0], n[:, None])
-
-        parts.append(run_batch(take, hi - lo, a, b, n_bar, tally=tally))
-    return Decisions(*map(np.concatenate, zip(*parts))), tally
+    return run_batch(take, stop - start, a, b, n_bar, tally=tally), tally
 
 
 def _run_trials(config: SimulationConfig, a, b, workers: int):
     """All trials' decisions in index order plus summed counters.
 
-    The trials run over ``workers`` processes.  The pool has one process
-    per nonempty chunk, so never more than ``reps`` processes.
+    The one split: near-equal index ranges of at most ``_TRIAL_BATCH``
+    trials, a multiple of ``workers`` of them (never more than ``reps``),
+    run in process for one worker, else over ``min(workers, ranges)``
+    processes.
     """
+    count = min(config.reps, -(-config.reps // (_TRIAL_BATCH * workers)) * workers)
+    bounds = [i * config.reps // count for i in range(count + 1)]
+    run = partial(_trials_for_range, config, a, b)
     if workers == 1:
-        return _trials_for_range(config, a, b, 0, config.reps)
-    bounds = np.linspace(0, config.reps, workers + 1).astype(int).tolist()
-    chunks = [(s, e) for s, e in zip(bounds[:-1], bounds[1:]) if e > s]
-    parts, tally = [], Counter()
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(_trials_for_range, config, a, b, s, e) for s, e in chunks]
-        for fut in futures:
-            part, counts = fut.result()
-            parts.append(part)
-            tally += counts
-    return Decisions(*map(np.concatenate, zip(*parts))), tally
+        decisions, tallies = zip(*map(run, bounds[:-1], bounds[1:]))
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+            decisions, tallies = zip(*pool.map(run, bounds[:-1], bounds[1:]))
+    return Decisions(*map(np.concatenate, zip(*decisions))), sum(tallies, Counter())
 
 
 def run_simulation(config: SimulationConfig, workers: int = 1, counters: dict | None = None):
     """Run the configured batch; returns (MetricsSummary, calibration_b | None).
 
     Trials are independently seeded by index, so the result is identical
-    for any ``workers`` value; chunks merge in index order.  ``counters``,
-    when given, is updated with the engine's work counts
-    (``procedures.work_counts``): trials, stages per trial, statistic-matrix
-    rows drawn, decision steps (summed over streams; at most rows times J)
-    and path extensions (blocks drawn after each trial's first).
+    for any ``workers`` value; ``_run_trials`` splits them once into capped
+    ranges and merges those in index order.  ``counters``, when given, is
+    updated with the engine's work counts (``procedures.work_counts``):
+    trials, stages per trial, statistic-matrix rows drawn, decision steps
+    (summed over streams; at most rows times J) and path extensions (blocks
+    drawn after each trial's first).
     ``workers`` below 1 is a ``ConfigError``.
     """
     if workers < 1:
@@ -463,9 +459,14 @@ def cmd_yellowcard(args) -> int:
     raw = _load_json(args.config) if args.config else {}
     config = _parse_config(YellowcardConfig, raw, args.seed)
     records = load_drug_table(args.table)
-    if not records:
-        raise DrugTableError(f"{args.table}: no drug records")
-    p_h, p_g = thresholds(records) if config.p_h is None else (config.p_h, config.p_g)
+    try:  # the table's own faults, thresholds drawn from it included
+        if not records:
+            raise DrugTableError("no drug records")
+        p_h, p_g = thresholds(records) if config.p_h is None else (config.p_h, config.p_g)
+        if config.p_h is None and p_h >= p_g:
+            raise DrugTableError(f"percentile thresholds collapse: p_h = p_g = {p_h}")
+    except DrugTableError as exc:
+        raise DrugTableError(f"{args.table}: {exc}") from exc
     top_n = len(records) if config.top_n is None else config.top_n
     experiment = ExperimentConfig(records=records, q1=config.q1, q2=config.q2, p_h=p_h,
                                   p_g=p_g, rho_seed=config.seed, top_n=top_n)

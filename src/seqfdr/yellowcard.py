@@ -135,28 +135,29 @@ class MonitoringReport:
 def load_drug_table(path) -> list[DrugRecord]:
     """Parse a drug report CSV with header name,amnesia_count,other_count,years,cluster.
 
-    A file that cannot be read or is not UTF-8 text, and the structural
-    problems (missing columns, malformed numbers, a repeated drug name),
-    raise DrugTableError with the file location; rows that parse but
+    A file that cannot be read, decoded as UTF-8 or parsed as CSV, and the
+    structural problems (missing columns, malformed numbers, a repeated drug
+    name), raise DrugTableError with the file location; rows that parse but
     violate the record invariants (negative counts, years not finite and
     positive) are dropped with a logged warning naming the line.  An empty
     file yields an empty list.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            reader = csv.DictReader(fh.readlines())
+        rows = [(reader.line_num, row) for row in reader]
     except (OSError, UnicodeDecodeError) as exc:
         raise DrugTableError(f"{path}: cannot read the table ({exc})") from exc
+    except csv.Error as exc:
+        raise DrugTableError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     records: list[DrugRecord] = []
     first_line: dict[str, int] = {}
-    reader = csv.DictReader(lines)
     if reader.fieldnames is None:
         return records
     missing = [c for c in _COLUMNS if c not in reader.fieldnames]
     if missing:
         raise DrugTableError(f"{path}: missing columns {', '.join(missing)}")
-    for row in reader:
-        line = reader.line_num
+    for line, row in rows:
         try:
             name = (row["name"] or "").strip()
             amnesia = int(row["amnesia_count"].strip())
@@ -203,12 +204,9 @@ def thresholds(records) -> tuple[float, float]:
     Computed over the full table, before any top-N filtering; linear
     interpolation between order statistics.
     """
-    records = list(records)
-    if len(records) < 2:
-        raise DrugTableError(
-            f"thresholds need at least 2 records, got {len(records)}"
-        )
-    fractions = np.array([amnesia_fraction(r) for r in records])
+    fractions = [amnesia_fraction(r) for r in records]
+    if len(fractions) < 2:
+        raise DrugTableError(f"thresholds need at least 2 records, got {len(fractions)}")
     p_h, p_g = np.percentile(fractions, [50.0, 90.0])
     return float(p_h), float(p_g)
 

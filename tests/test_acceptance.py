@@ -35,7 +35,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 from seqfdr.calibrate import estimate_gamma, mc_truncated_critical_values
-from seqfdr.cli import SimulationConfig, _sim_pieces, _trials_for_range, run_simulation
+from seqfdr.cli import SimulationConfig, _run_trials, _sim_pieces, run_simulation
 from seqfdr.core import StepVector, bh_steps, bl_steps, d_bound, d_bound_at, scale_for_fdr, scale_for_pfdr
 from seqfdr.datagen import Bernoulli, CopulaConfig, CountBlocks, Poisson, Toeplitz
 from seqfdr.fixed_sample import find_matching_fss
@@ -288,7 +288,7 @@ def _pfdr_cell(family, null, alt):
                            m0=5, rho=-0.6, q1=Q1, q2=Q2, mode="open",
                            reps=REPS, seed=SEED)
     _, _, truth = _sim_pieces(cfg)
-    trials, _ = _trials_for_range(cfg, crit.a, crit.b, 0, cfg.reps)
+    trials, _ = _run_trials(cfg, crit.a, crit.b, 1)
     return gamma, summarize(trials, truth), iterations
 
 

@@ -213,6 +213,28 @@ class TestSimulate:
             assert str(batch.value) == str(first)
             assert batch.value.state == first.state
 
+    @pytest.mark.parametrize("reps", [600, 513])
+    def test_trials_split_once_into_capped_ranges(self, reps, monkeypatch):
+        # one worker runs near-equal ranges that tile [0, reps) in order,
+        # none wider than a trial batch
+        ranges = []
+
+        def recording_range(config, a, b, start, stop):
+            ranges.append((start, stop))
+            return real_range(config, a, b, start, stop)
+
+        real_range = cli._trials_for_range
+        monkeypatch.setattr(cli, "_trials_for_range", recording_range)
+        config = SimulationConfig(**dict(OPEN_CONFIG, reps=reps))
+        crit = stepdown_critical_values(scale_for_fdr(bh_steps(0.25, 3), 0.25),
+                                        scale_for_fdr(bh_steps(0.15, 3), 0.15))
+        decisions, _ = _run_trials(config, crit.a, crit.b, 1)
+        assert len(decisions.rejected) == reps
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == reps
+        sizes = [hi - lo for lo, hi in ranges]
+        assert max(sizes) <= cli._TRIAL_BATCH and max(sizes) - min(sizes) <= 1
+
     def test_pool_sized_to_chunks(self, monkeypatch):
         # reps=2 splits into two chunks, so workers=4 starts two processes
         sizes = []
@@ -565,11 +587,16 @@ TABLE_HEADER = b"name,amnesia_count,other_count,years,cluster\n"
     (["yellowcard", "{bad}", "--seed", "1"], TABLE_HEADER + b"caf\xe9,1,2,3,0\n", 3),
     (["yellowcard", "{bad}", "--seed", "1"], TABLE_HEADER, 3),
     (["yellowcard", "{bad}", "--config", "{thresholds}"], TABLE_HEADER, 3),
+    (["yellowcard", "{bad}", "--seed", "1"], TABLE_HEADER + b"A,1,2,3,0\n", 3),
+    (["yellowcard", "{bad}", "--seed", "1"],
+     TABLE_HEADER + b"".join(b"%c,5,95,10,0\n" % c for c in b"ABCD"), 3),
+    (["yellowcard", "{bad}", "--seed", "1"], TABLE_HEADER + b"x" * 200_000 + b",1,2,3,0\n", 3),
     (["simulate", "--config", "{bad}"], "directory", 2),
     (["simulate", "--config", "{bad}"], b'{"seed": \xff}', 2),
     (["verify-lp", "--j-max", "2", "--out", "{bad}"], b"kept\n", 2),
 ], ids=["missing-table", "directory-table", "undecodable-table", "empty-table",
-        "empty-table-thresholds-set", "directory-config", "undecodable-config", "out-is-a-file"])
+        "empty-table-thresholds-set", "one-record-table", "collapsed-thresholds-table",
+        "oversized-field-table", "directory-config", "undecodable-config", "out-is-a-file"])
 def test_unusable_input_exits_with_its_code(tmp_path, capsys, argv, content, code):
     # an input path the command cannot read or use (None: it does not
     # exist) exits with its documented code, names the path and writes

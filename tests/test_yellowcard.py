@@ -86,6 +86,18 @@ class TestLoadDrugTable:
         with pytest.raises(DrugTableError, match=":2:"):
             load_drug_table(path)
 
+    @pytest.mark.parametrize("head, body, line", [
+        ("", "A,1,2,3,0\n" + "x" * 200_000 + ",1,2,3,0\n", ":3:"),
+        ("x" * 200_000, "A,1,2,3,0\n", ":1:"),
+    ])
+    def test_unparsable_csv_names_line(self, tmp_path, head, body, line):
+        # a field over the csv module's size limit, in a row or in the
+        # header, is a table error at that line, not an escaping csv.Error
+        path = tmp_path / "table.csv"
+        path.write_text("name,amnesia_count,other_count,years,cluster" + head + "\n" + body)
+        with pytest.raises(DrugTableError, match=line + " field larger than field limit"):
+            load_drug_table(path)
+
     def test_repeated_name_names_both_lines(self, tmp_path):
         # two rows of one drug would give two indistinguishable report rows
         path = write_table(tmp_path, "A,1,2,3,0\nB,1,2,3,0\nA,4,5,6,1\n")
