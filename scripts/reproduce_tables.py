@@ -71,11 +71,18 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=positive_int, default=10_000,
                         help="Monte Carlo replicates per cell (default 10000)")
-    parser.add_argument("--seed", type=int, default=20260823)
+    parser.add_argument("--seed", type=nonnegative_int, default=20260823)
     parser.add_argument("--workers", type=positive_int, default=1,
                         help="cap on the pool that runs each cell's trial batches "
                              "(default 1: in process)")

@@ -7,6 +7,9 @@ upper-tail p-values under the null's count law
 with the BH step values rescaled for worst-case FDR control (the same
 constants the sequential boundaries are built from).
 ``exact_pvalue`` and ``bh_stepup`` work on whole (trials, streams) arrays.
+BH runs with no sort on each p-value's first met level, the smallest k
+with p <= alpha_k (J + 1 when none is met): a row rejects the streams of
+level k* or less, k* the largest k with at least k levels at most k.
 ``find_matching_fss`` finds the smallest N whose estimated FNR matches the
 sequential procedure's achieved FNR, which is how the expected-sample-size
 savings are measured.  It estimates the whole FNR(N) curve from one nested
@@ -15,11 +18,11 @@ their random numbers (common random numbers, Glasserman & Yao 1992).  The
 draw is one ``datagen.CountBlocks`` trial whose steps carry one latent row
 per replicate, the copula path the sequential trials run on, with the
 model's marginals.
-The curve is evaluated one drawn block of N at a time: one p-value table
-over the block's (N, total) pairs and one BH pass over all its rows.  A
-noisy curve can touch the target early and rise again, so the search takes
-the first N that starts a run of ``_RUN`` consecutive N at or below it, and
-the draw stops at the end of that run.
+The curve is evaluated one drawn block of N at a time: one level table
+over the block's (N, total) pairs, gathered stream-major, and one BH pass
+over all its rows.  A noisy curve can touch the target early and rise
+again, so the search takes the first N that starts a run of ``_RUN``
+consecutive N at or below it, and the draw stops at the end of that run.
 """
 
 from __future__ import annotations
@@ -90,14 +93,40 @@ def exact_pvalue(model: SimpleModel, n, totals) -> np.ndarray:
     return model.upper_tail(model.null_param, n, totals)
 
 
+def _levels(pvalues, alpha: StepVector) -> np.ndarray:
+    """Each p-value's first met level: the smallest k with p <= alpha_k, 1-based.
+
+    A p-value that meets no level gets J + 1.  The levels come in the
+    smallest signed integer dtype that holds J + 1 (int8 up to J = 126).
+    """
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > alpha.j)
+    return (np.searchsorted(alpha.values, pvalues, side="left") + 1).astype(dtype)
+
+
+def _bh_cutoff(levels) -> np.ndarray:
+    """k* of each column of a stream-major (J, M) level array, 0 where none is met.
+
+    k* = max{k : #{i : level_i <= k} >= k}, one pass per k over the
+    array's contiguous rows, counted in the levels' dtype.
+    """
+    j = levels.shape[0]
+    kstar = np.zeros(levels.shape[1], levels.dtype)
+    for k in range(1, j + 1):
+        kstar[(levels <= k).sum(axis=0, dtype=levels.dtype) >= k] = k
+    return kstar
+
+
 def bh_stepup(pvalues, alpha: StepVector) -> np.ndarray:
     """BH step-up rule on each row of a (T, J) p-value array: the rejection mask.
 
     A row rejects its k* smallest p-values, k* = max{k : p_(k) <= alpha_k},
-    none when no level is met.  A tie straddling the cutoff is impossible,
-    because a tied p-value at position k*+1 would satisfy the larger
-    alpha_{k*+1} and contradict maximality; so a row rejects exactly its
-    p-values at or below p_(k*), and the set depends only on the values.
+    none when no level is met.  It runs on first met levels (no sort):
+    alpha is nondecreasing, so p <= alpha_k exactly when p's level is at
+    most k, and p_(k) <= alpha_k exactly when at least k levels are at most
+    k.  A row rejects the p-values of level at most k*, the ones at or
+    below alpha_{k*}; none of them lies above p_(k*), since then k* + 1
+    p-values would meet alpha_{k*+1} and contradict maximality.  So ties
+    are taken together, and the set depends only on the values.
     """
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 2 or p.shape[1] != alpha.j:
@@ -105,12 +134,8 @@ def bh_stepup(pvalues, alpha: StepVector) -> np.ndarray:
     # NaN fails both comparisons
     if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("p-values must lie in [0, 1]")
-    # the cutoff p_(k*), -1 where no level is met, kept in place column by
-    # sorted column: no (T, J) temporary
-    cutoff = np.full(p.shape[0], -1.0)
-    for col, level in zip(np.sort(p, axis=1).T, alpha.values.tolist()):
-        np.maximum(cutoff, col, out=cutoff, where=col <= level)
-    return p <= cutoff[:, None]
+    levels = _levels(p.T, alpha)
+    return (levels <= _bh_cutoff(levels)).T
 
 
 # consecutive N whose FNR must be at or below the target: n_fss is the first
@@ -122,21 +147,25 @@ def _bh_rates(model, n, totals, truth, alpha):
     """(FNR, FDR, FNR standard error) of BH at each step of a block: arrays over ``n``.
 
     ``totals`` holds the replicates' (reps, J) count totals of each step,
-    step k over ``n[k]`` draws.
+    step k over ``n[k]`` draws.  Every stream's p-value is the null's upper
+    tail, so it and its first met level depend only on (n, total): one
+    level table over the block, gathered stream-major as (J, steps * reps),
+    feeds ``bh_stepup``'s cutoff.
     """
     steps, reps, j = totals.shape
-    totals = totals.reshape(steps, -1)
-    # a p-value depends only on (n, total): one table over the block, each
-    # row's totals capped at its largest, which lies in the law's support
-    top = totals.max(axis=1)
-    table = exact_pvalue(model, n[:, None], np.minimum(np.arange(top.max() + 1), top[:, None]))
-    # one flat gather: step k's row of the table starts at k * width
-    p = table.ravel().take(totals + np.arange(0, table.size, table.shape[1])[:, None])
-    rejected = bh_stepup(p.reshape(-1, j), alpha)
-    # each row's rejections among the nulls and among the signals: counts
-    # of at most J, exact in floats, so one product gives both
-    counts = (rejected @ np.stack([truth, ~truth], axis=1).astype(float)).reshape(steps, reps, 2)
-    v, s = counts[..., 0], counts[..., 1]
+    # one table over the block, each step's totals capped at its largest,
+    # which lies in the law's support
+    top = totals.reshape(steps, -1).max(axis=1)
+    table = _levels(exact_pvalue(model, n[:, None],
+                                 np.minimum(np.arange(top.max() + 1), top[:, None])), alpha)
+    # one flat gather (step k's row of the table starts at k * width), then
+    # stream-major
+    at = totals + np.arange(0, table.size, table.shape[1])[:, None, None]
+    levels = np.ascontiguousarray(table.ravel().take(at).reshape(-1, j).T)
+    kstar = _bh_cutoff(levels)
+    # each replicate's rejections among the nulls and among the signals
+    v = (levels[truth] <= kstar).sum(axis=0).reshape(steps, reps)
+    s = (levels[~truth] <= kstar).sum(axis=0).reshape(steps, reps)
     fdp = v / np.maximum(v + s, 1)
     fnp = (np.count_nonzero(~truth) - s) / np.maximum(j - v - s, 1)
     return fnp.mean(axis=1), fdp.mean(axis=1), np.sqrt(np.var(fnp, axis=1) / reps)

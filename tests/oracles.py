@@ -6,9 +6,9 @@ against the lattice statistic, uniforms against latent cuts, the
 conservative Wald boundaries against the corrected ones, per-trial error
 counts against array reductions, one stage at a time on a whole matrix
 against the batched stage loop, one lattice step at a time against a
-block of steps per pass, BH rates one sample size at a time against a
-block of sizes).  ``MatrixSource`` hands given statistic matrices
-to ``procedures.run_batch``.
+block of steps per pass, BH rates from sorted p-values one sample size at
+a time against first met levels over a block of sizes).  ``MatrixSource``
+hands given statistic matrices to ``procedures.run_batch``.
 """
 
 import math
@@ -19,7 +19,7 @@ from scipy.special import ndtr, ndtri
 from seqfdr.calibrate import _LIVE_TOL, _step_pmf
 from seqfdr.datagen import _latent_counts, cholesky, correlation_matrix
 from seqfdr.errors import DataUnderrunError
-from seqfdr.fixed_sample import bh_stepup, exact_pvalue
+from seqfdr.fixed_sample import exact_pvalue
 from seqfdr.procedures import MetricsSummary
 from seqfdr.sprt import CriticalMatrix, _check_error_pair, crossing_counts
 
@@ -82,14 +82,26 @@ def invert_marginal(spec, u):
     return _latent_counts(spec, y, np.empty(y.shape, np.int64))
 
 
+def bh_sorted(p, alpha) -> np.ndarray:
+    """BH's rejection mask of each row of a (T, J) p-value array, from its sorted row.
+
+    The cutoff is p_(k*), k* = max{k : p_(k) <= alpha_k}, and a row rejects
+    its p-values at or below it; none when no level is met.
+    """
+    cutoff = np.full(p.shape[0], -1.0)
+    for col, level in zip(np.sort(p, axis=1).T, alpha.values.tolist()):
+        np.maximum(cutoff, col, out=cutoff, where=col <= level)
+    return p <= cutoff[:, None]
+
+
 def bh_rates(model, n, totals, truth, alpha):
     """(FNR, FDR, FNR standard error) of BH over the replicates' (reps, J) totals at size n.
 
-    One sample size per call; ``fixed_sample._bh_rates`` runs a block of
-    sizes at once.
+    One sample size per call, BH from sorted p-values (``bh_sorted``);
+    ``fixed_sample._bh_rates`` runs a block of sizes at once on levels.
     """
     # a p-value depends only on (n, total): one table per n
-    rejected = bh_stepup(exact_pvalue(model, n, np.arange(totals.max() + 1))[totals], alpha)
+    rejected = bh_sorted(exact_pvalue(model, n, np.arange(totals.max() + 1))[totals], alpha)
     j = truth.size
     r = rejected.sum(axis=1)
     fdp = (rejected & truth).sum(axis=1) / np.maximum(r, 1)

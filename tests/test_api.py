@@ -1,7 +1,8 @@
 """Public surface: exported names resolve, modules keep out of each other's
 private names and of the model family, importing the package leaves
 scipy.stats and scipy.optimize out, the README quick start runs, and no
-source, test or script imports a name it never uses."""
+source, test or script imports a name it never uses; the reproduction
+script refuses bad arguments with argparse's exit 2."""
 
 import ast
 import importlib
@@ -11,6 +12,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import seqfdr
 
@@ -96,3 +99,16 @@ def test_no_file_imports_a_name_it_never_uses():
         offences += [f"{path.relative_to(ROOT)}:{line} {name}"
                      for name, line in bound.items() if name not in used]
     assert not offences, offences
+
+
+@pytest.mark.parametrize("args", [["--seed", "-1"], ["--reps", "0"], ["--workers", "0"]],
+                         ids=["seed", "reps", "workers"])
+def test_reproduce_tables_refuses_bad_arguments(args):
+    # argparse refuses the value before any cell runs: exit 2, a usage
+    # message and no traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(seqfdr.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_tables.py"), *args],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 2
+    assert f"argument {args[0]}" in out.stderr and "Traceback" not in out.stderr
+    assert out.stdout == ""

@@ -110,6 +110,21 @@ class TestBhStepup:
         assert _rejected(bh_stepup([[1.0] * 4], alpha)[0]) == frozenset()
         assert _rejected(bh_stepup([[0.0] * 4], alpha)[0]) == frozenset(range(4))
 
+    @pytest.mark.parametrize("j", [126, 127, 200])
+    def test_widths_about_the_level_dtype(self, j):
+        # levels run to J + 1 (no level met), one past int8 from J = 127
+        alpha = bh_steps(0.2, j)
+        levels = alpha.values
+        rows = [[1.0] * j, [0.0] * j, [levels[-1]] * j, np.nextafter(levels, 1.0),
+                [levels[j - 2]] * (j - 1) + [1.0]]
+        mask = bh_stepup(rows, alpha)
+        for row, mask_row in zip(rows, mask):
+            assert _rejected(mask_row) == _bh_reference(row, levels)
+        assert [int(m.sum()) for m in mask] == [0, j, j, 0, j - 1]
+        # no rows: an empty mask
+        empty = bh_stepup(np.empty((0, j)), alpha)
+        assert empty.shape == (0, j) and empty.dtype == bool
+
     def test_matches_reference_on_random_input(self):
         rng = np.random.default_rng(7)
         alpha = bh_steps(0.3, 6)
@@ -119,7 +134,7 @@ class TestBhStepup:
             assert _rejected(mask_row) == _bh_reference(row, alpha.values)
 
     @settings(max_examples=150, deadline=None)
-    @given(j=st.sampled_from([1, 3, 10, 60]), q=st.sampled_from([0.05, 0.25, 0.5]),
+    @given(j=st.sampled_from([1, 3, 10, 60, 126, 127, 200]), q=st.sampled_from([0.05, 0.25, 0.5]),
            scaled=st.booleans(), data=st.data())
     def test_matches_reference_at_the_levels(self, j, q, scaled, data):
         alpha = scale_for_fdr(bh_steps(q, j), q) if scaled else bh_steps(q, j)
@@ -177,11 +192,12 @@ class TestBhRates:
     """A block of sample sizes at once against one size at a time (the oracle)."""
 
     @settings(max_examples=80, deadline=None)
-    @given(model=st.sampled_from([BERN, POIS]), j=st.sampled_from([1, 3, 10, 60]),
+    @given(model=st.sampled_from([BERN, POIS]), j=st.sampled_from([1, 3, 10, 60, 126, 127, 200]),
            steps=st.integers(1, 5), reps=st.integers(1, 300),
            truth=st.sampled_from(["null", "alt", "mixed"]), spread=st.integers(0, 6),
            n0=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
     @example(model=BERN, j=10, steps=1, reps=200, truth="mixed", spread=0, n0=7, seed=0)
+    @example(model=POIS, j=127, steps=3, reps=40, truth="mixed", spread=6, n0=4, seed=1)
     def test_block_equals_each_size_alone(self, model, j, steps, reps, truth, spread, n0, seed):
         rng = np.random.default_rng(seed)
         n = np.arange(n0, n0 + steps)
