@@ -1,16 +1,16 @@
 """Exact calibration of truncated critical values and first-crossing rates.
 
 Both quantities the procedures need from calibration are probabilities of
-a single i.i.d. stream on the integer count lattice, and one forward
-recursion (``_race``) gives them exactly: it carries the live probability
-mass over count totals step by step, under the model's count law
-(``SimpleModel.pmf``), and absorbs it where the statistic crosses, at the
-``sprt.crossing_counts`` tables, so a path crosses at exactly the floats
-the procedures compute.  It runs a block of steps per Python pass: each
+a single i.i.d. stream of the battery's one model on the integer count
+lattice, and one forward recursion (``_race``) gives them exactly: it
+carries the live probability mass over count totals step by step, under
+the model's count law (``SimpleModel.pmf``), and absorbs it where
+``cumulative_llr`` itself crosses, so a path crosses at exactly the floats
+the procedures compare.  It runs a block of steps per Python pass: each
 step only convolves the live mass with the step pmf and masks off what
-crosses, and once per block come the masks, the absorbed mass, the stop
-test and the trim of the count window.  The race stops at the first step
-at which every race's live mass is below ``_LIVE_TOL``.
+crosses, and once per block come the statistic's masks, the absorbed
+mass, the stop test and the trim of the count window.  The race stops at
+the first step at which every race's live mass is below ``_LIVE_TOL``.
 
 * ``truncated_critical_values`` finds the upper boundaries ``B_k``: the
   smallest atom of the null path maximum, truncated at ``n_bar``, whose
@@ -102,54 +102,40 @@ def _step_pmf(model: SimpleModel, param: float) -> np.ndarray:
     return pmf
 
 
-def _crossing_tables(rows, groups, n: int):
-    """Absorbing counts of every row at steps ``1..n``.
+def _race(model: SimpleModel, rows, horizon: int):
+    """Exact first-passage probabilities of i.i.d. paths of one model, one race per row.
 
-    Counts ``x >= top[r, n - 1]`` (up) and ``x <= bottom[r, n - 1]`` (down)
-    are absorbed at step n; the down side gives up the counts that cross
-    both.
-    """
-    top = np.empty((len(rows), n), dtype=np.int64)
-    bottom = np.empty_like(top)
-    for model, _, sl in groups:
-        top[sl] = crossing_counts(model, [row[2] for row in rows[sl]], True, n)
-        bottom[sl] = np.minimum(crossing_counts(model, [row[3] for row in rows[sl]], False, n),
-                                top[sl] - 1)
-    return top, bottom
-
-
-def _race(rows, horizon: int):
-    """Exact first-passage probabilities of i.i.d. count paths, one race per row.
-
-    Row ``(model, param, up, down)`` races the statistic
+    Row ``(param, up, down)`` races the statistic
     ``cumulative_llr(model, x_n, n)`` of a path of observations at
     ``param``: up (``>= up``) against down (``<= down``).  A step that
     crosses both counts as up, as the procedures reject before they
     accept.  The rows carry their live mass over a window of count totals
-    shared by all rows, and absorb it at the ``crossing_counts`` tables.
-    Adjacent rows of one (model, param) convolve together, so callers list
-    the rows of each (model, param) next to each other.
+    shared by all rows, and absorb it where the statistic, evaluated once
+    per block on the window, makes those comparisons.  Adjacent rows of
+    one param convolve together, so callers list them next to each other.
 
     The recursion runs a block of up to ``_BLOCK`` steps per pass over a
     (steps, rows, counts) array, with fewer steps where that array would
     pass ``_BLOCK_CELLS`` cells.  Its counts are those a path can reach in
-    the block, below the largest count still live before the block's last
-    step.  Each step only convolves each (model, param) group's live mass
-    with the step pmf and multiplies it by that step's live mask.  Once per
-    block come the crossing masks, the mass absorbed on each side, the stop
-    test and the trim of the window to the counts still live.  The race
-    stops at ``horizon``, or at the first step at which every row's live
-    mass is below ``_LIVE_TOL``, and takes its rates and live mass at that
-    step.  Returns P(up first), P(down first) and the live mass left, per
-    row.
+    the block, below the highest ``up``'s ``crossing_counts`` before the
+    block's last step, the one table the race builds.  Each step only
+    convolves each param's live mass with the step pmf and multiplies it
+    by that step's live mask.  Once per block come the statistic's masks,
+    the mass absorbed on each side, the stop test and the trim of the
+    window, by the last step's masks, to the counts some row leaves live.
+    The race stops at ``horizon``, or at the first step at which every
+    row's live mass is below ``_LIVE_TOL``, and takes its rates and live
+    mass at that step.  Returns P(up first), P(down first) and the live
+    mass left, per row.
     """
-    # a run of adjacent rows of one (model, param) is one slice of the pass
-    # and convolves as one flat array
+    # a run of adjacent rows of one param convolves as one flat array
     groups, at = [], 0
-    for (model, param), run in itertools.groupby(rows, key=lambda row: row[:2]):
-        groups.append((model, _step_pmf(model, param), slice(at, at := at + len(list(run)))))
-    spill = max(f.size for _, f, _ in groups) - 1
-    built = 0  # steps in the crossing tables, grown by doubling as blocks need them
+    for param, run in itertools.groupby(row[0] for row in rows):
+        groups.append((_step_pmf(model, param), slice(at, at := at + len(list(run)))))
+    # thresholds (1, rows, 1), against the statistic's (steps, 1, counts)
+    up, down = np.array([row[1:] for row in rows], dtype=float).T[:, None, :, None]
+    spill = max(f.size for f, _ in groups) - 1
+    built = 0  # steps in the crossing table, grown by doubling as blocks need it
     won = np.zeros((2, len(rows)))  # absorbed up, down
     mass = np.ones((len(rows), 1))  # live mass at counts x0, x0 + 1, ...
     x0 = n = 0
@@ -159,25 +145,24 @@ def _race(rows, horizon: int):
         block = max(block, 1)
         if n + block > built:
             built = min(horizon, max(2 * built, n + block))
-            top, bottom = _crossing_tables(rows, groups, built)
-            # every row absorbs the counts below floor[n - 1] and from ceil[n - 1] up
-            floor = bottom.min(axis=0) + 1
-            ceil = top.max(axis=0)
+            # every row absorbs the counts from ceil[n - 1] up
+            ceil = crossing_counts(model, up.max(), True, built)
         # the mass entering a step of the block lies below x0 + entering, and
         # a step moves it up by at most spill counts, so no row spills into
         # the next
         entering = max(width, ceil[n + block - 2] - x0) if block > 1 else width
         cols = min(width + block * spill, entering + spill)
-        x = np.arange(x0, x0 + cols)
-        above = x >= top[:, n : n + block].T[:, :, None]
-        below = x <= bottom[:, n : n + block].T[:, :, None]
+        steps = np.arange(n + 1, n + block + 1)[:, None, None]
+        stat = cumulative_llr(model, np.arange(x0, x0 + cols), steps)
+        above = stat >= up
+        below = (stat <= down) & ~above
         keep = ~(above | below)
         grown = np.empty((block, len(rows), cols))  # each step's mass before absorbing
         padded = np.zeros((len(rows), cols))
         padded[:, :width] = mass
         mass = padded
         # flat views of each group's rows, in the live mass and in every step
-        convs = [(mass[sl].ravel(), grown[:, sl].reshape(block, -1), f) for _, f, sl in groups]
+        convs = [(mass[sl].ravel(), grown[:, sl].reshape(block, -1), f) for f, sl in groups]
         for i in range(block):
             for now, into, f in convs:
                 into[i] = np.convolve(now, f)[: now.size]
@@ -194,8 +179,10 @@ def _race(rows, horizon: int):
         n += block
         if settled.size:
             break
-        lo = max(floor[n - 1] - x0, 0)
-        mass = mass[:, lo : max(ceil[n - 1] - x0, lo)]
+        # every row absorbs the window's counts below lo and from hi up
+        lo = np.count_nonzero(below[-1].all(axis=0))
+        hi = cols - np.count_nonzero(above[-1].all(axis=0))
+        mass = mass[:, lo : max(hi, lo)]
         x0 += lo
     # a sum of probabilities can round a few ulps above 1
     up, down = np.minimum(won, 1.0)
@@ -259,7 +246,7 @@ def truncated_critical_values(model: SimpleModel, alpha: StepVector, n_bar: int)
         todo = np.flatnonzero(np.cumsum(starts - np.bincount(hi, minlength=atoms.size + 1)))
         if todo.size > _ROWS:
             todo = todo[todo.size * np.arange(1, _ROWS + 1) // (_ROWS + 1)]
-        tails = _race([(model, model.null_param, atoms[i], -np.inf) for i in todo], n_bar)[0]
+        tails = _race(model, [(model.null_param, atoms[i], -np.inf) for i in todo], n_bar)[0]
         # the tail falls as the atom rises, so level k fails the first fails[k] probes
         fails = np.count_nonzero(tails > alpha.values[:, None], axis=1)
         lo = np.maximum(lo, np.append(0, todo + 1)[fails])
@@ -313,13 +300,14 @@ def estimate_gamma(
     Open-ended mode races each stream's ``cumulative_llr`` up to
     ``horizon`` steps: up ``>= b[0]`` before down ``<= a[-1]`` for gamma1,
     down ``<= a[0]`` before up ``>= b[-1]`` for gamma2.  Truncated mode
-    takes gamma1 as the tail P(max_{n <= n_bar} >= b[0]).  One pass of
-    ``_race`` covers the races of every distinct (model, parameter), so
-    the rates are exact and their standard errors 0; a race to an infinite
-    threshold is not run and gives 0.  A race whose live mass is still
-    above ``_LIVE_TOL`` at ``horizon`` understates its rate by that mass,
-    which ``live_mass_per_stream`` reports and a warning logs.  ``reps``
-    and ``seed`` do nothing.
+    takes gamma1 as the tail P(max_{n <= n_bar} >= b[0]).  The streams
+    share one model, as in a battery, and ``models`` holding different
+    ones raises ValueError.  One pass of ``_race`` covers the races of
+    every distinct parameter, so the rates are exact and their standard
+    errors 0; a race to an infinite threshold is not run and gives 0.  A
+    race whose live mass is still above ``_LIVE_TOL`` at ``horizon``
+    understates its rate by that mass, which ``live_mass_per_stream``
+    reports and a warning logs.  ``reps`` and ``seed`` do nothing.
 
     The targeted probabilities are marginal, so cross-stream dependence is
     irrelevant here.
@@ -331,6 +319,9 @@ def estimate_gamma(
     if n_bar is not None and n_bar < 1:
         raise ConfigError(f"n_bar must be >= 1, got {n_bar}")
     models = list(models)
+    if len(set(models)) != 1:
+        raise ValueError("models must repeat the battery's one model, once per stream")
+    model = models[0]
     choices = tuple(theta_choice)
     if len(choices) != len(models):
         raise ValueError("theta_choice must match models in length")
@@ -338,13 +329,12 @@ def estimate_gamma(
         if c not in ("null", "alt"):
             raise ValueError(f"theta_choice entries must be 'null' or 'alt', got {c!r}")
     a, b = check_ladders(a, b)
-    # each stream reads the races of its (model, parameter), raced once:
+    # each stream reads the races of its parameter, raced once:
     # gamma1's race is up to b[0] against a[-1], gamma2's down to a[0]
     # against b[-1]; truncated, the ladder a is all -inf.  A race to an
     # infinite threshold cannot be won, so it gets no row: rate 0 and live
     # mass 0.
-    keys = [(model, model.null_param if c == "null" else model.alt_param)
-            for model, c in zip(models, choices)]
+    keys = [model.null_param if c == "null" else model.alt_param for c in choices]
     params = list(dict.fromkeys(keys))
     at = np.array([params.index(key) for key in keys])
     races = [(b[0], a[-1]), (b[-1], a[0])]
@@ -353,9 +343,9 @@ def estimate_gamma(
         run.append(1)
     rate, left = np.zeros((2, len(params))), np.zeros((2, len(params)))
     if run:
-        rows = [(model, param, *races[q]) for model, param in params for q in run]
+        rows = [(param, *races[q]) for param in params for q in run]
         up, down, live = (x.reshape(len(params), len(run)).T
-                          for x in _race(rows, horizon if n_bar is None else n_bar))
+                          for x in _race(model, rows, horizon if n_bar is None else n_bar))
         for row, q in enumerate(run):
             rate[q], left[q] = (up, down)[q][row], live[row]
     g1 = rate[0, at]

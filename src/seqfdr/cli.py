@@ -268,7 +268,7 @@ def _run_trials(config: SimulationConfig, a, b, workers: int):
     The one split: near-equal index ranges of at most ``_TRIAL_BATCH``
     trials, a multiple of ``workers`` of them (never more than ``reps``),
     run in process for one worker, else over ``min(workers, ranges)``
-    processes.
+    processes, capped at the CPUs this process may run on.
     """
     count = min(config.reps, -(-config.reps // (_TRIAL_BATCH * workers)) * workers)
     bounds = [i * config.reps // count for i in range(count + 1)]
@@ -276,7 +276,8 @@ def _run_trials(config: SimulationConfig, a, b, workers: int):
     if workers == 1:
         decisions, tallies = zip(*map(run, bounds[:-1], bounds[1:]))
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(max_workers=min(workers, count, cpus or 1)) as pool:
             decisions, tallies = zip(*pool.map(run, bounds[:-1], bounds[1:]))
     return Decisions(*map(np.concatenate, zip(*decisions))), sum(tallies, Counter())
 

@@ -135,7 +135,8 @@ class MonitoringReport:
 def load_drug_table(path) -> list[DrugRecord]:
     """Parse a drug report CSV with header name,amnesia_count,other_count,years,cluster.
 
-    A file that cannot be read, decoded as UTF-8 or parsed as CSV, and the
+    The file is UTF-8, with or without a leading byte-order mark.  A file
+    that cannot be read, decoded as UTF-8 or parsed as CSV, and the
     structural problems (missing columns, malformed numbers, a repeated drug
     name), raise DrugTableError with the file location; rows that parse but
     violate the record invariants (negative counts, years not finite and
@@ -143,7 +144,7 @@ def load_drug_table(path) -> list[DrugRecord]:
     file yields an empty list.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh.readlines())
         rows = [(reader.line_num, row) for row in reader]
     except (OSError, UnicodeDecodeError) as exc:

@@ -246,28 +246,28 @@ def step_down(mat, a, b, n_bar=None):
     return rejected, step, level
 
 
-def race_by_step(rows, horizon):
+def race_by_step(model, rows, horizon):
     """``calibrate._race`` one lattice step per pass.
 
-    Each step convolves every (model, param) group's live mass with its
-    step pmf, absorbs the mass at or beyond each row's crossing counts,
+    Each step convolves every param group's live mass with its step pmf,
+    absorbs the mass at or beyond each row's ``crossing_counts`` tables,
     trims the window of count totals shared by all rows, and stops once
     every row's live mass is below ``_LIVE_TOL``.  Returns P(up first),
     P(down first) and the live mass left, per row.
     """
     groups = {}
-    for r, (model, param, _, _) in enumerate(rows):
-        groups.setdefault((model, param), []).append(r)
+    for r, (param, _, _) in enumerate(rows):
+        groups.setdefault(param, []).append(r)
     # counts x >= top[r, n - 1] (up) and x <= bottom[r, n - 1] (down) are
     # absorbed at step n, and the down side gives up the counts that cross
     # both
     top = np.empty((len(rows), horizon), dtype=np.int64)
     bottom = np.empty_like(top)
     steps = []
-    for (model, param), idx in groups.items():
+    for param, idx in groups.items():
         steps.append((idx, _step_pmf(model, param)))
-        top[idx] = crossing_counts(model, [rows[r][2] for r in idx], True, horizon)
-        bottom[idx] = np.minimum(crossing_counts(model, [rows[r][3] for r in idx], False, horizon),
+        top[idx] = crossing_counts(model, [rows[r][1] for r in idx], True, horizon)
+        bottom[idx] = np.minimum(crossing_counts(model, [rows[r][2] for r in idx], False, horizon),
                                  top[idx] - 1)
     # a group's rows convolve as one flat array, each row followed by
     # enough zeros to take its spill

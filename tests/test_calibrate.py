@@ -79,7 +79,7 @@ def _oracle_tails(model, n_bar):
 
 def _tail(model, v, n_bar):
     """Exact P0(max_{n <= n_bar} statistic >= v), one race alone."""
-    return _race([(model, model.null_param, v, -np.inf)], n_bar)[0][0]
+    return _race(model, [(model.null_param, v, -np.inf)], n_bar)[0][0]
 
 
 class TestCriticalValues:
@@ -177,9 +177,9 @@ class TestCriticalValues:
         # 633 rows
         passes = []
 
-        def counting(rows, horizon):
+        def counting(model, rows, horizon):
             passes.append(len(rows))
-            return _race(rows, horizon)
+            return _race(model, rows, horizon)
 
         monkeypatch.setattr(calibrate, "_race", counting)
         alpha = scale_for_fdr(bh_steps(0.25, 10), 0.25)
@@ -369,18 +369,19 @@ class TestGammaOpenEnded:
         assert np.all(est.live_mass_per_stream < 1e-14)
         # gamma1 is still the race up to b[0] against a[-1]
         for got, param in zip(est.gamma1_per_stream, (BERN.alt_param, BERN.null_param)):
-            assert got == pytest.approx(_race([(BERN, param, 2.0, -1.0)], 10_000)[0][0],
+            assert got == pytest.approx(_race(BERN, [(param, 2.0, -1.0)], 10_000)[0][0],
                                         rel=1e-12)
         assert trunc.gamma1 == 0.0
         assert caplog.records == []
 
     def test_maximum_dominates_streams(self):
-        est = estimate_gamma(
-            [BERN, POIS], ["alt", "null"], a=self.A[:2], b=self.B[:2], reps=1500, seed=8
-        )
-        assert est.gamma1 >= est.gamma1_per_stream.max() - 1e-15
-        assert est.gamma2 >= est.gamma2_per_stream.max() - 1e-15
-        assert np.all((est.gamma1_per_stream >= 0) & (est.gamma1_per_stream <= 1))
+        for model in (BERN, POIS):
+            est = estimate_gamma(
+                [model] * 2, ["alt", "null"], a=self.A[:2], b=self.B[:2], reps=1500, seed=8
+            )
+            assert est.gamma1 >= est.gamma1_per_stream.max() - 1e-15
+            assert est.gamma2 >= est.gamma2_per_stream.max() - 1e-15
+            assert np.all((est.gamma1_per_stream >= 0) & (est.gamma1_per_stream <= 1))
 
     def test_theta_directionality(self):
         alt = estimate_gamma([BERN], ["alt"], a=self.A[:1], b=self.B[:1], reps=3000, seed=5)
@@ -399,19 +400,21 @@ class TestGammaOpenEnded:
 
     def test_horizon_underruns_are_counted_and_logged(self, caplog):
         kw = dict(a=self.A[:2], b=self.B[:2], reps=500, seed=4)
-        with caplog.at_level("WARNING", logger="seqfdr.calibrate"):
-            short = estimate_gamma([BERN, POIS], ["alt", "null"], horizon=3, **kw)
-        assert short.live_mass_per_stream.shape == (2,)
-        assert np.all(short.live_mass_per_stream > 1e-3)
-        assert "horizon 3" in caplog.text
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="seqfdr.calibrate"):
-            full = estimate_gamma([BERN, POIS], ["alt", "null"], **kw)
-        assert np.all(full.live_mass_per_stream < 1e-14) and not caplog.text
-        # mass still racing is left out, which only understates the rates
-        assert np.all(short.gamma1_per_stream <= full.gamma1_per_stream)
-        assert np.all(short.gamma1_per_stream + short.live_mass_per_stream
-                      >= full.gamma1_per_stream)
+        for model in (BERN, POIS):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="seqfdr.calibrate"):
+                short = estimate_gamma([model] * 2, ["alt", "null"], horizon=3, **kw)
+            assert short.live_mass_per_stream.shape == (2,)
+            assert np.all(short.live_mass_per_stream > 1e-3)
+            assert "horizon 3" in caplog.text
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="seqfdr.calibrate"):
+                full = estimate_gamma([model] * 2, ["alt", "null"], **kw)
+            assert np.all(full.live_mass_per_stream < 1e-14) and not caplog.text
+            # mass still racing is left out, which only understates the rates
+            assert np.all(short.gamma1_per_stream <= full.gamma1_per_stream)
+            assert np.all(short.gamma1_per_stream + short.live_mass_per_stream
+                          >= full.gamma1_per_stream)
 
     def test_certain_crossing_is_a_rate_of_one(self):
         # every count crosses b at step 1, and the Poisson(1.35) step
@@ -424,23 +427,39 @@ class TestGammaOpenEnded:
     def test_deterministic(self):
         # exact rates: reps and seed change nothing
         kw = dict(a=self.A[:2], b=self.B[:2])
-        e1 = estimate_gamma([BERN, POIS], ["alt", "alt"], reps=1200, seed=42, **kw)
-        e2 = estimate_gamma([BERN, POIS], ["alt", "alt"], reps=7, seed=9, **kw)
-        assert np.array_equal(e1.gamma1_per_stream, e2.gamma1_per_stream)
-        assert np.array_equal(e1.gamma2_per_stream, e2.gamma2_per_stream)
-        assert np.array_equal(e1.live_mass_per_stream, e2.live_mass_per_stream)
+        for model in (BERN, POIS):
+            e1 = estimate_gamma([model] * 2, ["alt", "alt"], reps=1200, seed=42, **kw)
+            e2 = estimate_gamma([model] * 2, ["alt", "alt"], reps=7, seed=9, **kw)
+            assert np.array_equal(e1.gamma1_per_stream, e2.gamma1_per_stream)
+            assert np.array_equal(e1.gamma2_per_stream, e2.gamma2_per_stream)
+            assert np.array_equal(e1.live_mass_per_stream, e2.live_mass_per_stream)
+
+    def test_mixed_models_raise(self):
+        # a battery races one model: streams of different models are refused
+        # in both modes, and repeats of one model are not
+        for kw in (dict(a=self.A[:2]), dict(n_bar=20)):
+            with pytest.raises(ValueError, match="one model"):
+                estimate_gamma([BERN, POIS], ["alt", "null"], b=self.B[:2], **kw)
+            with pytest.raises(ValueError, match="one model"):
+                estimate_gamma([BERN, SimpleModel("bernoulli", 0.05, 0.2)], ["alt", "alt"],
+                               b=self.B[:2], **kw)
+            estimate_gamma([POIS, POIS], ["alt", "null"], b=self.B[:2], **kw)
 
 
 @st.composite
-def _race_rows(draw):
-    """One ``_race`` row: bernoulli or poisson, either parameter, thresholds
-    near 0 (races that settle within a block) or far, infinite or equal."""
+def _race_case(draw):
+    """One ``_race`` model, bernoulli or poisson, and 1-4 rows of it: either
+    parameter, thresholds near 0 (races that settle within a block) or far,
+    infinite or equal."""
     model = draw(st.sampled_from([BERN, POIS]))
-    param = draw(st.sampled_from([model.null_param, model.alt_param]))
-    up = draw(st.one_of(st.just(np.inf), st.floats(-0.5, 0.8), st.floats(0.8, 4.0)))
-    down = draw(st.one_of(st.just(-np.inf), st.just(up), st.floats(-0.8, 0.5),
-                          st.floats(-4.0, -0.8)))
-    return model, param, up, down
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        param = draw(st.sampled_from([model.null_param, model.alt_param]))
+        up = draw(st.one_of(st.just(np.inf), st.floats(-0.5, 0.8), st.floats(0.8, 4.0)))
+        down = draw(st.one_of(st.just(-np.inf), st.just(up), st.floats(-0.8, 0.5),
+                              st.floats(-4.0, -0.8)))
+        rows.append((param, up, down))
+    return model, rows
 
 
 class TestLatticeRace:
@@ -460,9 +479,9 @@ class TestLatticeRace:
         lo, hi = sorted((on, 0.5 * on))
         pairs = ((3.0, -1.0), (hi, -2.5), (np.inf, -1.2), (0.8, -np.inf),
                  (hi, min(lo, -0.1) - 2.0), (on, on))
-        rows = [(model, p, up, down) for p in (model.null_param, param) for up, down in pairs]
-        up, down, live = _race(rows, horizon)
-        for r, (_, p, u, d) in enumerate(rows):
+        rows = [(p, up, down) for p in (model.null_param, param) for up, down in pairs]
+        up, down, live = _race(model, rows, horizon)
+        for r, (p, u, d) in enumerate(rows):
             want = _oracle_race(model, p, u, d, horizon)
             assert up[r] == pytest.approx(want[0], abs=1e-13)
             assert down[r] == pytest.approx(want[1], abs=1e-13)
@@ -471,30 +490,31 @@ class TestLatticeRace:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_rows_in_one_pass_match_each_alone(self, name):
         # a row's rates do not depend on the rows that share its pass, even
-        # when their windows of live counts lie far apart; a row alone may
-        # stop once its live mass is below 1e-14, before the shared pass
+        # when their windows of live counts lie far apart (the null drifts
+        # down to -6, the alternative up to 6); a row alone may stop once
+        # its live mass is below 1e-14, before the shared pass
         model, param = self.MODELS[name]
-        rows = [(model, param, 2.5, -1.5), (model, model.null_param, 0.7, -3.0),
-                (POIS, 1.5, 6.0, -6.0), (BERN, 0.05, np.inf, -0.5)]
-        together = _race(rows, 300)
+        rows = [(param, 2.5, -1.5), (model.null_param, 0.7, -3.0),
+                (model.null_param, np.inf, -6.0), (param, 6.0, -np.inf)]
+        together = _race(model, rows, 300)
         for r, row in enumerate(rows):
-            alone = _race([row], 300)
+            alone = _race(model, [row], 300)
             for got, want in zip(together, alone):
                 assert got[r] == pytest.approx(want[0], abs=1e-13)
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(_race_rows(), min_size=1, max_size=4),
+    @given(case=_race_case(),
            horizon=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
     # both stop in the middle of a block: at step 3, and at step 77
-    @example(rows=[(BERN, 0.05, 0.5, -0.3)], horizon=2 * _BLOCK + 1)
-    @example(rows=[(POIS, 1.5, 0.3, -0.6), (POIS, 2.0, 0.3, -0.6)], horizon=2 * _BLOCK + 1)
-    def test_blocks_match_the_per_step_loop(self, rows, horizon):
+    @example(case=(BERN, [(0.05, 0.5, -0.3)]), horizon=2 * _BLOCK + 1)
+    @example(case=(POIS, [(1.5, 0.3, -0.6), (2.0, 0.3, -0.6)]), horizon=2 * _BLOCK + 1)
+    def test_blocks_match_the_per_step_loop(self, case, horizon):
         # a block of steps per pass gives the rates and live mass of one
         # step per pass up to summation order, and stops at the same step:
         # the live mass shrinks by a part at each step that absorbs, so a
         # step more or less shows in it even below _LIVE_TOL
-        got = _race(rows, horizon)
-        want = race_by_step(rows, horizon)
+        got = _race(*case, horizon)
+        want = race_by_step(*case, horizon)
         for g, w in zip(got, want):
             assert np.allclose(g, w, rtol=0.0, atol=1e-13)
         assert np.allclose(got[2], want[2], rtol=1e-9, atol=0.0)
@@ -508,15 +528,15 @@ class TestLatticeRace:
         # the horizon, over a window of counts that grows with n: 17k counts
         # for poisson at n = 10000, where a dense counts-by-counts step
         # operator would take gigabytes
-        rows = [(model, model.null_param, 3.0, -np.inf)]
+        rows = [(model.null_param, 3.0, -np.inf)]
         tracemalloc.start()
         try:
-            got = _race(rows, 10_000)
+            got = _race(model, rows, 10_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        want = race_by_step(rows, 10_000)
+        want = race_by_step(model, rows, 10_000)
         assert want[2][0] > 0.9
         for g, w in zip(got, want):
             assert np.allclose(g, w, rtol=0.0, atol=1e-13)
@@ -526,9 +546,9 @@ class TestLatticeRace:
         # crossed there, one ulp beyond it is not
         p0, p1 = BERN.null_param, BERN.alt_param
         c1, c0 = math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0))
-        rows = [(BERN, 0.05, c1, -np.inf), (BERN, 0.05, np.nextafter(c1, np.inf), -np.inf),
-                (BERN, 0.05, np.inf, c0), (BERN, 0.05, np.inf, np.nextafter(c0, -np.inf))]
-        up, down, _ = _race(rows, 1)
+        rows = [(0.05, c1, -np.inf), (0.05, np.nextafter(c1, np.inf), -np.inf),
+                (0.05, np.inf, c0), (0.05, np.inf, np.nextafter(c0, -np.inf))]
+        up, down, _ = _race(BERN, rows, 1)
         assert up.tolist() == [0.05, 0.0, 0.0, 0.0]
         assert down.tolist() == [0.0, 0.0, 0.95, 0.0]
 
@@ -542,7 +562,7 @@ class TestLatticeRace:
         first = cumulative_llr(POIS, x1, 1) <= down
         second = cumulative_llr(POIS, x1 + x2, 2) <= down
         want = prob[first].sum() + prob[~first & second].sum()
-        got = _race([(POIS, 1.5, np.inf, down)], 2)[1][0]
+        got = _race(POIS, [(1.5, np.inf, down)], 2)[1][0]
         assert got == pytest.approx(want, abs=1e-15)
         assert not np.any(first & (x1 == 0))  # a path may start at 0 and cross only at step 2
 
@@ -550,7 +570,7 @@ class TestLatticeRace:
         # three successes reach 3 c1, which no path reaches before step 3
         up = float(cumulative_llr(BERN, 3, 3))
         for horizon, want in ((2, 0.0), (3, 0.05**3)):
-            hit, down, live = _race([(BERN, 0.05, up, -np.inf)], horizon)
+            hit, down, live = _race(BERN, [(0.05, up, -np.inf)], horizon)
             assert hit[0] == pytest.approx(want, rel=1e-12, abs=0.0)
             assert down[0] == 0.0 and live[0] == pytest.approx(1.0 - want)
 
@@ -567,7 +587,7 @@ class TestLatticeRace:
             counts = rng.poisson(param, (paths, horizon))
         stat = cumulative_llr(model, np.cumsum(counts, axis=1), np.arange(1, horizon + 1))
         for a1, b1 in ((-2.2, 2.9), (-1.0, 1.0)):
-            up, down, live = _race([(model, param, b1, a1)], horizon)
+            up, down, live = _race(model, [(param, b1, a1)], horizon)
             rejects = undecided = 0
             for row in stat:
                 try:
@@ -585,7 +605,7 @@ class TestLatticeRace:
         crit = stepdown_critical_values(scale_for_fdr(bh_steps(0.25, 10), 0.25),
                                         scale_for_fdr(bh_steps(0.15, 10), 0.15))
         for model, cap in ((BERN, 0.1656), (POIS, 0.1854)):
-            up, _, live = _race([(model, model.null_param, crit.b[0], crit.a[0])], 10_000)
+            up, _, live = _race(model, [(model.null_param, crit.b[0], crit.a[0])], 10_000)
             assert live[0] < 1e-14
             assert 10 * up[0] == pytest.approx(cap, abs=1e-4)
 

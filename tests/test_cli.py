@@ -237,6 +237,7 @@ class TestSimulate:
 
     def test_pool_sized_to_chunks(self, monkeypatch):
         # reps=2 splits into two chunks, so workers=4 starts two processes
+        # on a machine of any CPU count
         sizes = []
         real_pool = cli.ProcessPoolExecutor
 
@@ -245,12 +246,49 @@ class TestSimulate:
             return real_pool(max_workers=max_workers)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
         config = SimulationConfig(**dict(OPEN_CONFIG, reps=2))
         crit = stepdown_critical_values(scale_for_fdr(bh_steps(0.25, 3), 0.25),
                                         scale_for_fdr(bh_steps(0.15, 3), 0.15))
         assert _same(_run_trials(config, crit.a, crit.b, 4),
                      _run_trials(config, crit.a, crit.b, 1))
         assert sizes == [2]
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+    def test_pool_capped_at_usable_cpus(self, affinity, monkeypatch):
+        # workers=500 over 500 trials splits them into 500 ranges, as on a
+        # machine of 500 CPUs, but asks for only the 3 usable ones; the
+        # CPU count comes from the affinity mask where the platform has one
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        if affinity:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                                raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        config = SimulationConfig(**dict(OPEN_CONFIG, reps=500))
+        crit = stepdown_critical_values(scale_for_fdr(bh_steps(0.25, 3), 0.25),
+                                        scale_for_fdr(bh_steps(0.15, 3), 0.15))
+        assert _same(_run_trials(config, crit.a, crit.b, 500),
+                     _run_trials(config, crit.a, crit.b, 1))
+        assert sizes == [3]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_rejected(self, tmp_path, capsys, workers):
@@ -315,6 +353,16 @@ class TestSimulate:
         cfg = write_config(tmp_path, dict(OPEN_CONFIG, **{field: value}))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
+
+    def test_collapsed_boundaries_exit_four(self, tmp_path, capsys):
+        # at J = 1, q1 = 0.4 and q2 = 0.55 the acceptance boundary passes
+        # the rejection boundary: a numerical failure, exit 4, naming the
+        # level, before anything is written
+        cfg = write_config(tmp_path, dict(OPEN_CONFIG, j=1, m0=1, q1=0.4, q2=0.55))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+        assert "level k=1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -389,6 +437,9 @@ class TestFss:
      "config.null_param/alt_param: need 0 < null < alt < 700"),
     ({"family": "poisson", "null_param": 1.0, "alt_param": 700.0},
      "config.null_param/alt_param: need 0 < null < alt < 700"),
+    ({"family": "gamma"}, "config.family: must be 'bernoulli' or 'poisson', got 'gamma'"),
+    ({"j": 0, "m0": 0}, "config.j: must be >= 1, got 0"),
+    ({"rho": 1.0}, "config.rho: must lie in (-1, 1), got 1.0"),
 ])
 def test_stream_config_checked_alike(tmp_path, capsys, command, payload, change, message):
     # simulate and fss share the checks on their streams and on q1
@@ -406,15 +457,24 @@ def test_stream_config_checked_alike(tmp_path, capsys, command, payload, change,
     ("yellowcard", {"p_h": 0.2, "p_g": 0.1}, "config.p_h/p_g: need 0 < p_h < p_g < 1"),
     ("yellowcard", {"top_n": 0}, "config.top_n: must be >= 1, got 0"),
     ("yellowcard", {"horizon": 0}, "config.horizon: must be >= 1, got 0"),
+    ("simulate", {"q2": 1.0}, "config.q2: must lie in (0, 1), got 1.0"),
+    ("simulate", {"mode": "closed"}, "config.mode: must be 'open' or 'rejective', got 'closed'"),
+    ("simulate", {"horizon": 0}, "config.horizon: must be >= 1, got 0"),
+    ("simulate", {"mode": "rejective"}, "config.n_bar: rejective mode needs n_bar >= 1"),
+    ("yellowcard", {"p_h": 0.05}, "config.p_h/p_g: override both thresholds or neither"),
+    ("verify-lp", ["--j-min", "3", "--j-max", "2"], "need 1 <= j-min <= j-max, got 3..2"),
 ])
 def test_command_config_checked_by_field(tmp_path, capsys, command, change, message):
-    # fss and yellowcard name the offending field as simulate does, and
-    # write nothing
-    payload = TestFss.CONFIG if command == "fss" else {"top_n": 4, "seed": 2}
+    # every command names the offending field of its config, or the flags
+    # that configure verify-lp, and writes nothing
+    payload = {"fss": TestFss.CONFIG, "simulate": OPEN_CONFIG}.get(command, {"top_n": 4, "seed": 2})
     args = [command, str(FIXTURE)] if command == "yellowcard" else [command]
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, dict(payload, **change))
-    assert main(args + ["--config", cfg, "--out", str(out)]) == 2
+    if command == "verify-lp":
+        args += change
+    else:
+        args += ["--config", write_config(tmp_path, dict(payload, **change))]
+    assert main(args + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -594,9 +654,11 @@ TABLE_HEADER = b"name,amnesia_count,other_count,years,cluster\n"
     (["simulate", "--config", "{bad}"], "directory", 2),
     (["simulate", "--config", "{bad}"], b'{"seed": \xff}', 2),
     (["verify-lp", "--j-max", "2", "--out", "{bad}"], b"kept\n", 2),
+    (["simulate", "--config", "{bad}"], b"[1, 2]", 2),
 ], ids=["missing-table", "directory-table", "undecodable-table", "empty-table",
         "empty-table-thresholds-set", "one-record-table", "collapsed-thresholds-table",
-        "oversized-field-table", "directory-config", "undecodable-config", "out-is-a-file"])
+        "oversized-field-table", "directory-config", "undecodable-config", "out-is-a-file",
+        "array-config"])
 def test_unusable_input_exits_with_its_code(tmp_path, capsys, argv, content, code):
     # an input path the command cannot read or use (None: it does not
     # exist) exits with its documented code, names the path and writes

@@ -104,6 +104,14 @@ class TestLoadDrugTable:
         with pytest.raises(DrugTableError, match=r":4: drug 'A' repeats line 2"):
             load_drug_table(path)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # a spreadsheet export may begin with a UTF-8 byte-order mark, which
+        # is not part of the first column's name
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + FIXTURE.read_bytes())
+        assert load_drug_table(path) == load_drug_table(FIXTURE)
+        assert len(load_drug_table(path)) == 60
+
     def test_empty_name_rejected(self, tmp_path):
         path = write_table(tmp_path, " ,1,2,3,0\n")
         with pytest.raises(DrugTableError, match="name"):
