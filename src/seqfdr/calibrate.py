@@ -9,8 +9,9 @@ the model's count law (``SimpleModel.pmf``), and absorbs it where
 the procedures compare.  It runs a block of steps per Python pass: each
 step only convolves the live mass with the step pmf and masks off what
 crosses, and once per block come the statistic's masks, the absorbed
-mass, the stop test and the trim of the count window.  The race stops at
-the first step at which every race's live mass is below ``_LIVE_TOL``.
+mass, the stop test and the trim of the count window, whose top the same
+statistic sets.  The race stops at the first step at which every race's
+live mass is below ``_LIVE_TOL``.
 
 * ``truncated_critical_values`` finds the upper boundaries ``B_k``: the
   smallest atom of the null path maximum, truncated at ``n_bar``, whose
@@ -35,7 +36,7 @@ import numpy as np
 
 from .core import StepVector
 from .errors import ConfigError
-from .sprt import SimpleModel, check_ladders, crossing_counts, cumulative_llr
+from .sprt import SimpleModel, check_ladders, cumulative_llr
 
 __all__ = [
     "CalibrationReport",
@@ -117,8 +118,8 @@ def _race(model: SimpleModel, rows, horizon: int):
     The recursion runs a block of up to ``_BLOCK`` steps per pass over a
     (steps, rows, counts) array, with fewer steps where that array would
     pass ``_BLOCK_CELLS`` cells.  Its counts are those a path can reach in
-    the block, below the highest ``up``'s ``crossing_counts`` before the
-    block's last step, the one table the race builds.  Each step only
+    the block, short of where the statistic, on one row of counts, reaches
+    the highest ``up`` at the step before the block's last.  Each step only
     convolves each param's live mass with the step pmf and multiplies it
     by that step's live mask.  Once per block come the statistic's masks,
     the mass absorbed on each side, the stop test and the trim of the
@@ -135,7 +136,6 @@ def _race(model: SimpleModel, rows, horizon: int):
     # thresholds (1, rows, 1), against the statistic's (steps, 1, counts)
     up, down = np.array([row[1:] for row in rows], dtype=float).T[:, None, :, None]
     spill = max(f.size for f, _ in groups) - 1
-    built = 0  # steps in the crossing table, grown by doubling as blocks need it
     won = np.zeros((2, len(rows)))  # absorbed up, down
     mass = np.ones((len(rows), 1))  # live mass at counts x0, x0 + 1, ...
     x0 = n = 0
@@ -143,15 +143,12 @@ def _race(model: SimpleModel, rows, horizon: int):
         width = mass.shape[1]
         block = min(_BLOCK, horizon - n, _BLOCK_CELLS // (len(rows) * (width + _BLOCK * spill)))
         block = max(block, 1)
-        if n + block > built:
-            built = min(horizon, max(2 * built, n + block))
-            # every row absorbs the counts from ceil[n - 1] up
-            ceil = crossing_counts(model, up.max(), True, built)
-        # the mass entering a step of the block lies below x0 + entering, and
-        # a step moves it up by at most spill counts, so no row spills into
-        # the next
-        entering = max(width, ceil[n + block - 2] - x0) if block > 1 else width
-        cols = min(width + block * spill, entering + spill)
+        # the mass entering a step lies below where the statistic reached the
+        # highest up the step before, a count that rises with the step, and a
+        # step moves it up by at most spill counts, so no row spills into the next
+        cols = width + block * spill
+        last = cumulative_llr(model, np.arange(x0, x0 + cols), n + block - 1)
+        cols = min(cols, max(width, int(np.searchsorted(last, up.max()))) + spill)
         steps = np.arange(n + 1, n + block + 1)[:, None, None]
         stat = cumulative_llr(model, np.arange(x0, x0 + cols), steps)
         above = stat >= up

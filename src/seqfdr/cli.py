@@ -106,7 +106,10 @@ def _parse_config(cls, raw: dict, seed: int | None):
         kinds = get_args(hints[f.name]) or (hints[f.name],)  # int | None -> (int, None)
         kind = next(t for t in kinds if t in _KINDS)
         if kind is float and type(value) is int:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"{path}: integer too large for a float") from None
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigError(f"{path}: expected {_KINDS[kind]}, got {value!r}")
         if f.name == "seed" and value < 0:
@@ -266,18 +269,19 @@ def _run_trials(config: SimulationConfig, a, b, workers: int):
     """All trials' decisions in index order plus summed counters.
 
     The one split: near-equal index ranges of at most ``_TRIAL_BATCH``
-    trials, a multiple of ``workers`` of them (never more than ``reps``),
-    run in process for one worker, else over ``min(workers, ranges)``
-    processes, capped at the CPUs this process may run on.
+    trials, a multiple of the processes (``workers``, capped at the CPUs
+    this process may run on) and never more than ``reps``, run in process
+    for one process, else over ``min(processes, ranges)`` of them.
     """
-    count = min(config.reps, -(-config.reps // (_TRIAL_BATCH * workers)) * workers)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    procs = min(workers, cpus or 1)
+    count = min(config.reps, -(-config.reps // (_TRIAL_BATCH * procs)) * procs)
     bounds = [i * config.reps // count for i in range(count + 1)]
     run = partial(_trials_for_range, config, a, b)
-    if workers == 1:
+    if procs == 1:
         decisions, tallies = zip(*map(run, bounds[:-1], bounds[1:]))
     else:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        with ProcessPoolExecutor(max_workers=min(workers, count, cpus or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(procs, count)) as pool:
             decisions, tallies = zip(*pool.map(run, bounds[:-1], bounds[1:]))
     return Decisions(*map(np.concatenate, zip(*decisions))), sum(tallies, Counter())
 

@@ -10,10 +10,10 @@ J rejection boundaries ``B_J <= ... <= B_1``; surrogate error levels keep
 the per-level error contracts intact while making the boundary matrix
 monotone.  The cumulative LLR of a whole path, the form every engine
 uses, is an affine map of integer count totals that rises with the count,
-so equal lattice points give equal floats, and per-step tables of count
-totals say exactly where it crosses a threshold.  Every stream of one
-battery shares one model, so the procedures compare raw statistics with
-one boundary ladder.
+so equal lattice points give equal floats, and at each step the totals at
+which it reaches a threshold are those from some total up.  Every stream
+of one battery shares one model, so the procedures compare raw statistics
+with one boundary ladder.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "stepdown_critical_values",
     "lattice_terms",
     "cumulative_llr",
-    "crossing_counts",
 ]
 
 # mean overshoot correction for Brownian-scale random walks
@@ -169,46 +168,6 @@ def cumulative_llr(model: SimpleModel, x, w, out: np.ndarray | None = None) -> n
     """
     slope, step = lattice_terms(model)
     return np.add(np.multiply(x, slope, out=out), np.multiply(w, step), out=out)
-
-
-# a count total no path reaches; exact in float64
-_COUNT_CAP = 2**52
-
-
-def crossing_counts(model: SimpleModel, threshold, upward: bool, horizon: int) -> np.ndarray:
-    """Count totals at which the cumulative LLR crosses ``threshold``, per step.
-
-    Returns an int64 table with ``t[n - 1]`` for steps ``n = 1..horizon``
-    such that ``cumulative_llr(model, x, n)`` crosses exactly when
-    ``x >= t[n - 1]`` if ``upward`` (the statistic ``>= threshold``), or
-    ``x <= t[n - 1]`` otherwise (``<= threshold``): the statistic rises with
-    the count.  An array of thresholds gives one table per entry, stacked
-    along its shape.  A closed-form guess is corrected against
-    ``cumulative_llr`` itself, so the table agrees with the statistic the
-    procedures compute to the last bit.  The per-trial term is negative for
-    every model, so the table is nondecreasing in n.  An infinite threshold
-    gives a constant table that no count, or every count, satisfies.
-    """
-    slope, step = lattice_terms(model)
-    never, always = (_COUNT_CAP, 0) if upward else (-1, _COUNT_CAP)
-    threshold = np.asarray(threshold, dtype=float)[..., None]
-    n = np.arange(1, horizon + 1)
-    guess = (threshold - n * step) / slope
-    guess = np.ceil(guess) if upward else np.floor(guess)
-    # an infinite threshold's guess is clipped onto never or always
-    t = np.clip(guess, min(never, always), max(never, always)).astype(np.int64)
-
-    def crossed(x):
-        stat = cumulative_llr(model, x, n)
-        return stat >= threshold if upward else stat <= threshold
-
-    # the crossing set is {x >= t} or {x <= t}: move t onto its edge
-    inward = -1 if upward else 1
-    while np.any(fix := (t != always) & crossed(t + inward)):
-        t[fix] += inward
-    while np.any(fix := (t != never) & ~crossed(t)):
-        t[fix] -= inward
-    return t
 
 
 def wald_bounds(alpha: float, beta: float, rho: float = SIEGMUND_RHO) -> tuple[float, float]:

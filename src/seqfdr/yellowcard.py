@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -59,11 +60,11 @@ class DrugRecord:
     cluster: int
 
     def __post_init__(self):
-        if self.amnesia_count < 0 or self.other_count < 0:
-            raise ValueError(
-                f"report counts must be nonnegative, got "
-                f"({self.amnesia_count}, {self.other_count})"
-            )
+        counts = (self.amnesia_count, self.other_count)
+        # the smoothed rates divide count + 1 as a float
+        if not 0 <= min(counts) <= max(counts) < sys.float_info.max:
+            raise ValueError(f"report counts must lie in [0, {sys.float_info.max:.4g}), "
+                             f"got {counts}")
         if not 0.0 < self.years < math.inf:
             raise ValueError(f"years on record must be finite and positive, got {self.years}")
 
@@ -139,9 +140,9 @@ def load_drug_table(path) -> list[DrugRecord]:
     that cannot be read, decoded as UTF-8 or parsed as CSV, and the
     structural problems (missing columns, malformed numbers, a repeated drug
     name), raise DrugTableError with the file location; rows that parse but
-    violate the record invariants (negative counts, years not finite and
-    positive) are dropped with a logged warning naming the line.  An empty
-    file yields an empty list.
+    violate the record invariants (counts negative or not below the largest
+    float, years not finite and positive) are dropped with a logged warning
+    naming the line.  An empty file yields an empty list.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:

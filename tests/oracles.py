@@ -21,7 +21,7 @@ from seqfdr.datagen import _latent_counts, cholesky, correlation_matrix
 from seqfdr.errors import DataUnderrunError
 from seqfdr.fixed_sample import exact_pvalue
 from seqfdr.procedures import MetricsSummary
-from seqfdr.sprt import CriticalMatrix, _check_error_pair, crossing_counts
+from seqfdr.sprt import CriticalMatrix, _check_error_pair, cumulative_llr
 
 
 def llr_increments(model, obs, trials=None) -> np.ndarray:
@@ -250,48 +250,39 @@ def race_by_step(model, rows, horizon):
     """``calibrate._race`` one lattice step per pass.
 
     Each step convolves every param group's live mass with its step pmf,
-    absorbs the mass at or beyond each row's ``crossing_counts`` tables,
-    trims the window of count totals shared by all rows, and stops once
-    every row's live mass is below ``_LIVE_TOL``.  Returns P(up first),
-    P(down first) and the live mass left, per row.
+    absorbs the mass where ``cumulative_llr`` reaches each row's up, else
+    its down, trims the window of count totals shared by all rows to the
+    counts some row leaves live, and stops once every row's live mass is
+    below ``_LIVE_TOL``.  Returns P(up first), P(down first) and the live
+    mass left, per row.
     """
     groups = {}
     for r, (param, _, _) in enumerate(rows):
         groups.setdefault(param, []).append(r)
-    # counts x >= top[r, n - 1] (up) and x <= bottom[r, n - 1] (down) are
-    # absorbed at step n, and the down side gives up the counts that cross
-    # both
-    top = np.empty((len(rows), horizon), dtype=np.int64)
-    bottom = np.empty_like(top)
-    steps = []
-    for param, idx in groups.items():
-        steps.append((idx, _step_pmf(model, param)))
-        top[idx] = crossing_counts(model, [rows[r][1] for r in idx], True, horizon)
-        bottom[idx] = np.minimum(crossing_counts(model, [rows[r][2] for r in idx], False, horizon),
-                                 top[idx] - 1)
+    steps = [(idx, _step_pmf(model, param)) for param, idx in groups.items()]
+    up, down = np.array([row[1:] for row in rows], dtype=float).T[:, :, None]
     # a group's rows convolve as one flat array, each row followed by
     # enough zeros to take its spill
     spill = max(f.size for _, f in steps) - 1
-    # every row absorbs the counts below floor[n - 1] and from ceil[n - 1] up
-    floor = (bottom.min(axis=0) + 1).tolist()
-    ceil = top.max(axis=0).tolist()
     won = np.zeros((2, len(rows)))  # absorbed up, down
     mass = np.ones((len(rows), 1))  # live mass at counts x0, x0 + 1, ...
     x0 = 0
-    for n in range(horizon):
+    for n in range(1, horizon + 1):
         grown = np.zeros((len(rows), mass.shape[1] + spill))
         grown[:, : mass.shape[1]] = mass
         for idx, f in steps:
             flat = grown[idx].ravel()
             grown[idx] = np.convolve(flat, f)[: flat.size].reshape(len(idx), -1)
-        x = np.arange(x0, x0 + grown.shape[1])
-        above = x >= top[:, n, None]
-        below = x <= bottom[:, n, None]
+        stat = cumulative_llr(model, np.arange(x0, x0 + grown.shape[1]), n)
+        above = stat >= up
+        below = (stat <= down) & ~above
         won[0] += grown.sum(axis=1, where=above)
         won[1] += grown.sum(axis=1, where=below)
         grown[above | below] = 0.0
-        lo = max(floor[n] - x0, 0)
-        mass = grown[:, lo : max(ceil[n] - x0, lo)]
+        # every row absorbs the counts below lo and from hi up
+        lo = np.count_nonzero(below.all(axis=0))
+        hi = grown.shape[1] - np.count_nonzero(above.all(axis=0))
+        mass = grown[:, lo : max(hi, lo)]
         x0 += lo
         if mass.sum(axis=1).max(initial=0.0) < _LIVE_TOL:
             break

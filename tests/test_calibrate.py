@@ -19,7 +19,7 @@ from seqfdr.calibrate import (
     mc_truncated_critical_values,
     truncated_critical_values,
 )
-from seqfdr.core import StepVector, bh_steps, scale_for_fdr
+from seqfdr.core import StepVector, bh_steps, scale_for_fdr, scale_for_pfdr
 from seqfdr.errors import ConfigError, DataUnderrunError
 from seqfdr.procedures import run_batch
 from seqfdr.sprt import SimpleModel, cumulative_llr, lattice_terms, stepdown_critical_values
@@ -433,6 +433,49 @@ class TestGammaOpenEnded:
             assert np.array_equal(e1.gamma1_per_stream, e2.gamma1_per_stream)
             assert np.array_equal(e1.gamma2_per_stream, e2.gamma2_per_stream)
             assert np.array_equal(e1.live_mass_per_stream, e2.live_mass_per_stream)
+
+    # check 8's fixed point (J = 10, 5 nulls first, q1 = 0.25, q2 = 0.15)
+    # bit for bit: per round, the null and the alternative stream's gamma1,
+    # gamma2 and live mass
+    PINNED = {
+        "bernoulli": [
+            ("0x1.dba49afefb28cp-7", "0x1.ba682b687c208p-1", "0x1.abeecd6d3961fp-1",
+             "0x1.837500f2790f7p-7", "0x1.5d3ead64f805fp-47", "0x1.ac49f9b738614p-48"),
+            ("0x1.992c7b190dc91p-7", "0x1.ba430d004f5a4p-1", "0x1.b74b94f142e14p-1",
+             "0x1.8d8fe48a311eep-7", "0x1.2ba2b3086d690p-47", "0x1.6481e5c6c1519p-48"),
+            ("0x1.992c7b190dc91p-7", "0x1.ba430d004f5a4p-1", "0x1.b74b94f142e14p-1",
+             "0x1.8d8fe48a311eep-7", "0x1.2ba2b3086d690p-47", "0x1.6481e5c6c1519p-48"),
+        ],
+        "poisson": [
+            ("0x1.0e1b6126ca428p-6", "0x1.c19bde67bde02p-1", "0x1.a199de57137a2p-1",
+             "0x1.4d5b394eead53p-7", "0x1.58114f67edfdcp-47", "0x1.0d3322db2374ep-47"),
+            ("0x1.d9dbe154e5f7bp-7", "0x1.c17ace5d12eecp-1", "0x1.ac70de5587336p-1",
+             "0x1.5600dde585dc6p-7", "0x1.64da0e1d9de8ap-47", "0x1.21207b9b057d4p-47"),
+            ("0x1.d9dbe154e5f67p-7", "0x1.c17ace5d12eebp-1", "0x1.ac70de5587336p-1",
+             "0x1.5600dde585dc6p-7", "0x1.64da0e1d9de8ap-47", "0x1.21a1d7b413943p-47"),
+            ("0x1.d9dbe154e5f67p-7", "0x1.c17ace5d12eebp-1", "0x1.ac70de5587336p-1",
+             "0x1.5600dde585dc6p-7", "0x1.64da0e1d9de8ap-47", "0x1.21a1d7b413943p-47"),
+        ],
+    }
+
+    @pytest.mark.parametrize("family", sorted(PINNED))
+    def test_check_eight_rounds_are_pinned(self, family):
+        # a change of window or summation order in the race shows in the
+        # last bits of these rates, not in check 8's verdict
+        model = BERN if family == "bernoulli" else POIS
+        beta = scale_for_fdr(bh_steps(0.15, 10), 0.15)
+        gamma, rounds = 1.0, []
+        while True:
+            crit = stepdown_critical_values(scale_for_pfdr(bh_steps(0.25, 10), 0.25, gamma), beta)
+            est = estimate_gamma([model] * 10, ["null"] * 5 + ["alt"] * 5, b=crit.b, a=crit.a)
+            per_stream = (est.gamma1_per_stream, est.gamma2_per_stream, est.live_mass_per_stream)
+            for x in per_stream:
+                assert np.array_equal(x, np.repeat(x[[0, -1]], 5))
+            rounds.append(tuple(float(v).hex() for x in per_stream for v in x[[0, -1]]))
+            if est.gamma1 >= gamma:
+                break
+            gamma = est.gamma1
+        assert rounds == self.PINNED[family]
 
     def test_mixed_models_raise(self):
         # a battery races one model: streams of different models are refused

@@ -213,10 +213,15 @@ class TestSimulate:
             assert str(batch.value) == str(first)
             assert batch.value.state == first.state
 
-    @pytest.mark.parametrize("reps", [600, 513])
-    def test_trials_split_once_into_capped_ranges(self, reps, monkeypatch):
-        # one worker runs near-equal ranges that tile [0, reps) in order,
-        # none wider than a trial batch
+    @pytest.mark.parametrize("reps, workers", [
+        pytest.param(600, 1, id="600"),
+        pytest.param(513, 1, id="513"),
+        pytest.param(600, 500, id="600-workers500-one-cpu"),
+    ])
+    def test_trials_split_once_into_capped_ranges(self, reps, workers, monkeypatch):
+        # one process runs near-equal ranges that tile [0, reps) in order,
+        # none wider than a trial batch: 500 workers on one usable CPU start
+        # no process and run no narrower ranges than one worker
         ranges = []
 
         def recording_range(config, a, b, start, stop):
@@ -225,10 +230,11 @@ class TestSimulate:
 
         real_range = cli._trials_for_range
         monkeypatch.setattr(cli, "_trials_for_range", recording_range)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         config = SimulationConfig(**dict(OPEN_CONFIG, reps=reps))
         crit = stepdown_critical_values(scale_for_fdr(bh_steps(0.25, 3), 0.25),
                                         scale_for_fdr(bh_steps(0.15, 3), 0.15))
-        decisions, _ = _run_trials(config, crit.a, crit.b, 1)
+        decisions, _ = _run_trials(config, crit.a, crit.b, workers)
         assert len(decisions.rejected) == reps
         assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
         assert ranges[-1][1] == reps
@@ -257,9 +263,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
     def test_pool_capped_at_usable_cpus(self, affinity, monkeypatch):
-        # workers=500 over 500 trials splits them into 500 ranges, as on a
-        # machine of 500 CPUs, but asks for only the 3 usable ones; the
-        # CPU count comes from the affinity mask where the platform has one
+        # workers=500 over 500 trials runs 3 ranges over the 3 usable CPUs;
+        # the CPU count comes from the affinity mask where the platform has one
         sizes = []
 
         class RecordingPool:
@@ -348,6 +353,9 @@ class TestSimulate:
         ("j", 3.0, "config.j: expected an integer"),
         ("null_param", True, "config.null_param: expected a number"),
         ("mode", 1, "config.mode: expected a string"),
+        # a 401-digit JSON integer has no float
+        pytest.param("rho", 10**400, "config.rho: integer too large for a float",
+                     id="rho-401-digits"),
     ])
     def test_field_types_checked(self, tmp_path, capsys, field, value, message):
         cfg = write_config(tmp_path, dict(OPEN_CONFIG, **{field: value}))

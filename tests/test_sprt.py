@@ -14,7 +14,6 @@ from seqfdr.sprt import (
     CriticalMatrix,
     SimpleModel,
     check_ladders,
-    crossing_counts,
     cumulative_llr,
     lattice_terms,
     stepdown_critical_values,
@@ -324,26 +323,6 @@ class TestLatticeLlr:
         for point, value in zip(zip(x.ravel(), w.ravel()), stat.ravel()):
             assert values.setdefault(point, value) == value
         assert len(values) < x.size
-
-    @pytest.mark.parametrize("model", [
-        SimpleModel("bernoulli", 0.05, 0.15),
-        SimpleModel("poisson", 1.5, 2.0),
-    ], ids=["bern_up", "pois_up"])
-    def test_crossing_counts_match_statistic(self, model):
-        horizon = 120
-        x, n = np.arange(0, 400)[:, None], np.arange(1, horizon + 1)[None, :]
-        stat = cumulative_llr(model, x, n)
-        assert stat.shape == (400, horizon)
-        lattice = [float(stat[3, 6]), float(stat[40, 99])]
-        near = [np.nextafter(v, -np.inf) for v in lattice] + [np.nextafter(v, np.inf) for v in lattice]
-        for thr in [-3.3, -1.0, 0.0, 0.7, 2.9, *lattice, *near, np.inf, -np.inf]:
-            for upward in (True, False):
-                t = crossing_counts(model, thr, upward, horizon)
-                assert t.dtype == np.int64 and t.shape == (horizon,)
-                assert np.all(np.diff(t) >= 0)
-                crossed = stat >= thr if upward else stat <= thr
-                table = x >= t if upward else x <= t
-                assert np.array_equal(crossed, table), (thr, upward)
 
 
 def _first_passage_probs(model, crit, theta, reps, seed, horizon=600, chunk=150):

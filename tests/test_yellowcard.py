@@ -62,6 +62,17 @@ class TestLoadDrugTable:
             assert load_drug_table(path) == []
         assert ":2:" in caplog.text
 
+    def test_count_beyond_float_rejected(self, tmp_path, caplog):
+        # a 401-digit count has no float: it overflowed the smoothed rates
+        path = write_table(tmp_path, f"Good,1,2,3,0\nHuge,{10**400},2,3,0\n")
+        with caplog.at_level(logging.WARNING, logger="seqfdr.yellowcard"):
+            records = load_drug_table(path)
+        assert [r.name for r in records] == ["Good"]
+        assert ":3:" in caplog.text and "Huge" in caplog.text
+        with pytest.raises(ValueError, match="report counts must lie in"):
+            DrugRecord("Huge", 1, 10**400, 3.0, 0)
+        derive_rates(DrugRecord("Big", 10**308, 1, 3.0, 0))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
